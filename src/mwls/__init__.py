@@ -24,7 +24,7 @@ from .constants import (
     obs_bounds,
     propagation_constants,
 )
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError
 from .grid import TimeGrid, make_theta_grid, random_admissible_grid, weighted_step_sum
 from .harness import (
     Benchmark,
@@ -84,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "ValidationError",
     "NumericalError",
     # grid
     "TimeGrid",

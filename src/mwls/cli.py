@@ -452,7 +452,6 @@ def cmd_run(args) -> int:
         cfg.fresh_m = int(args.fresh_m)
     if args.out is not None:
         cfg.out_dir = args.out
-    _resolve_threads(args.threads)  # validated; the solver itself is serial
     return _execute_run(cfg, "run")
 
 
@@ -687,8 +686,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default=None, help="override output.dir")
     run_p.add_argument("--fresh-m", dest="fresh_m", type=int, default=None,
                        help="override error.fresh_m")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (the solver itself is serial)")
     run_p.set_defaults(func=cmd_run)
 
     tune_p = commands.add_parser("tune", help="print the balanced discretization plan")

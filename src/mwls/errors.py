@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["ValidationError", "NumericalError"]
-
-
-class ValidationError(ValueError):
-    """Invalid configuration or arguments, detected before any computation."""
+__all__ = ["NumericalError"]
 
 
 class NumericalError(RuntimeError):

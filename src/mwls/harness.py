@@ -21,7 +21,7 @@ import numpy as np
 from .constants import dep_errors, global_error_bound
 from .grid import TimeGrid, make_theta_grid
 from .model import MarkovModel, brownian_model, derive_seed, sample_marginal
-from .regression import LocalPolynomialBasis, ols_fit
+from .regression import LocalPolynomialBasis, ols_fit, shared_designs
 from .solver import (
     DriverSpec,
     MwlsSolution,
@@ -163,12 +163,21 @@ def benchmark_b3(alpha: float = 0.5, x0_width: float = 5.0) -> Benchmark:
     )
     terminal = TerminalSpec(fn=lambda x: x[:, 0], C_xi=8.0, C_phi=1.0, theta_phi=1.0)
 
+    last: list = [None]  # (grid, coefficients), replaced whole for threads
+
+    def coefficients(grid):
+        entry = last[0]
+        if entry is None or entry[0] is not grid:
+            entry = (grid, _b3_coefficients(grid, alpha))
+            last[0] = entry
+        return entry[1]
+
     def y_oracle(grid, i, pts):
-        c, _ = _b3_coefficients(grid, alpha)
+        c, _ = coefficients(grid)
         return c[i] * np.asarray(pts, dtype=float).reshape(-1, 1)[:, 0]
 
     def z_oracle(grid, i, pts):
-        _, z_levels = _b3_coefficients(grid, alpha)
+        _, z_levels = coefficients(grid)
         m = np.asarray(pts).reshape(-1, 1).shape[0]
         return np.full((m, 1), z_levels[i])
 
@@ -387,23 +396,31 @@ def estimate_errors(
     e_app_z = np.zeros(n)
     for i in range(n):
         pts = sol.marginals[i]
+        y_fit, z_fit = sol.y_fits[i], sol.z_fits[i]
+        y_design, z_design = shared_designs(pts, y_fit.basis, z_fit.basis)
         oy = _oracle_values(oracle.y_oracle, grid, i, pts, (pts.shape[0],), "y")
         oz = _oracle_values(oracle.z_oracle, grid, i, pts, (pts.shape[0], q), "z")
-        emp_y[i] = _rms(sol.y_values(i, pts) - oy)
-        emp_z[i] = _rms(sol.z_values(i, pts) - oz)
+        emp_y[i] = _rms(y_fit.evaluate(pts, design=y_design)[:, 0] - oy)
+        emp_z[i] = _rms(z_fit.evaluate(pts, design=z_design) - oz)
 
         # approximation-error estimates: residual of fitting the oracle
         # itself on the same basis over the same cloud marginals
-        fit_y = ols_fit(oy, sol.y_fits[i].basis, pts)
-        fit_z = ols_fit(oz, sol.z_fits[i].basis, pts)
-        e_app_y[i] = _rms(fit_y.evaluate(pts)[:, 0] - oy)
-        e_app_z[i] = _rms(fit_z.evaluate(pts) - oz)
+        app_y = ols_fit(oy, y_fit.basis, pts, design=y_design)
+        app_z = ols_fit(oz, z_fit.basis, pts, design=z_design)
+        e_app_y[i] = _rms(app_y.evaluate(pts, design=y_design)[:, 0] - oy)
+        e_app_z[i] = _rms(app_z.evaluate(pts, design=z_design) - oz)
 
+        del y_design, z_design  # one point set's designs alive at a time
         fresh_pts = sample_marginal(model, grid, i, fresh_m, seed).reshape(fresh_m, -1)
+        y_design, z_design = shared_designs(fresh_pts, y_fit.basis, z_fit.basis)
         foy = _oracle_values(oracle.y_oracle, grid, i, fresh_pts, (fresh_m,), "y")
         foz = _oracle_values(oracle.z_oracle, grid, i, fresh_pts, (fresh_m, q), "z")
-        fresh_y[i], fresh_y_se[i] = _norm_and_se(sol.y_values(i, fresh_pts) - foy)
-        fresh_z[i], fresh_z_se[i] = _norm_and_se(sol.z_values(i, fresh_pts) - foz)
+        fresh_y[i], fresh_y_se[i] = _norm_and_se(
+            y_fit.evaluate(fresh_pts, design=y_design)[:, 0] - foy
+        )
+        fresh_z[i], fresh_z_se[i] = _norm_and_se(
+            z_fit.evaluate(fresh_pts, design=z_design) - foz
+        )
 
     k_y = np.array([fit.basis.K for fit in sol.y_fits], dtype=float)
     k_z = np.array([fit.basis.K for fit in sol.z_fits], dtype=float)

@@ -6,7 +6,8 @@ centered at the cell midpoint and scaled to unit cell coordinates.  Cells
 decouple the least-squares problem: each one is solved independently on the
 sample rows landing in it, with the minimal-norm solution on rank-deficient
 cells and zero coefficients on empty ones.  Points outside the support
-evaluate to zero.
+evaluate to zero.  A `Design` holds the cells and monomial rows of one point
+set, so every fit and evaluation at the same points computes them once.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
+    "Design",
     "LocalPolynomialBasis",
     "LocalPolynomialEstimator",
     "cell_index",
     "evaluate_basis",
     "ols_fit",
+    "shared_designs",
     "truncate_estimator",
     "save_estimator_csv",
 ]
@@ -90,29 +94,96 @@ class LocalPolynomialBasis:
         """Total dimension of the approximation space."""
         return self.n_cells * self.monomials
 
-    def _cells_of(self, points: np.ndarray) -> np.ndarray:
-        """Cell id per row of (M, d) points; -1 for points outside."""
-        outside = np.any(np.abs(points) > self.radius, axis=1)
-        k = np.floor((points + self.radius) / self.delta).astype(int)
+    @property
+    def geometry(self) -> tuple:
+        """(degree, delta, radius, d): what a design of points depends on."""
+        return (self.degree, self.delta, self.radius, self.d)
+
+    def design(self, points) -> Design:
+        """Cells and scaled monomial rows of (M, d) points, computed once.
+
+        A row is the monomials of u = (x - cell midpoint) / (delta/2); each
+        power u**p is taken once per axis and gathered by the multi-indices.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1:
+            pts = pts.reshape(-1, self.d)
+        in_support = ~np.any(np.abs(pts) > self.radius, axis=1)
+        inside = np.flatnonzero(in_support)
+        k = np.floor((pts + self.radius) / self.delta).astype(int)
         np.clip(k, 0, self.cells_per_axis - 1, out=k)
         flat = k[:, 0]
         for axis in range(1, self.d):
             flat = flat * self.cells_per_axis + k[:, axis]
-        return np.where(outside, -1, flat)
+        u = (pts - (-self.radius + (k + 0.5) * self.delta)) / (0.5 * self.delta)
+        u = np.take(u, inside, axis=0)
+        # table[m, a, p] = u[m, a] ** p
+        if self.degree >= 2:
+            # pow along the exponent axis, never repeated products: those
+            # move the last bit of u ** p for p >= 2
+            table = u[:, :, None] ** np.arange(self.degree + 1)
+        else:
+            # u ** 0 = 1 and u ** 1 = u exactly, as numpy itself returns for
+            # a scalar exponent; no pow calls
+            table = np.stack((np.ones_like(u), u), axis=2)[:, :, : self.degree + 1]
+        table = table.reshape(inside.size, self.d * (self.degree + 1))
+        # row factor of axis a is column a*(n+1) + p_a; multiplied left to
+        # right like np.prod(u ** powers, axis=-1)
+        columns = np.arange(self.d) * (self.degree + 1) + self.powers
+        rows = np.take(table, columns[:, 0], axis=1)
+        for axis in range(1, self.d):
+            rows *= np.take(table, columns[:, axis], axis=1)
+        return Design(self.geometry, np.where(in_support, flat, -1), inside, rows)
 
-    def _midpoints(self, cells: np.ndarray) -> np.ndarray:
-        """Cell midpoints, shape (len(cells), d)."""
-        k = np.empty((cells.size, self.d), dtype=int)
-        rest = cells
-        for axis in range(self.d - 1, -1, -1):
-            k[:, axis] = rest % self.cells_per_axis
-            rest = rest // self.cells_per_axis
-        return -self.radius + (k + 0.5) * self.delta
+    def _check_design(self, design: Design, m: int) -> None:
+        """Raise ValueError unless the design fits this geometry and m rows."""
+        if design.geometry != self.geometry:
+            raise ValueError(
+                f"design geometry (degree, delta, radius, d) = {design.geometry} "
+                f"does not match the basis {self.geometry}"
+            )
+        if design.cells.shape[0] != m:
+            raise ValueError(f"design has {design.cells.shape[0]} rows, points have {m}")
 
-    def _design_rows(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Scaled monomial rows, shape (M, monomials), for in-support points."""
-        u = (points - self._midpoints(cells)) / (0.5 * self.delta)
-        return np.prod(u[:, None, :] ** self.powers[None, :, :], axis=2)
+
+@dataclass(frozen=True, eq=False)
+class Design:
+    """Cells and design rows of one point set under one cell geometry.
+
+    Every fit and evaluation at the same points and geometry can share one
+    design.  `rows` holds the scaled monomial rows of the in-support points
+    only, in their original order; the per-cell grouping is index arrays
+    into `rows`, built on first use.
+    """
+
+    geometry: tuple
+    cells: np.ndarray = field(repr=False)  # (M,) cell id per point, -1 outside
+    inside: np.ndarray = field(repr=False)  # ascending positions of in-support points
+    rows: np.ndarray = field(repr=False)  # (inside.size, monomials)
+
+    @cached_property
+    def row_cells(self) -> np.ndarray:
+        """Cell id of each row of `rows`."""
+        return np.take(self.cells, self.inside)
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Occupied cells in ascending order and, per cell, the positions of
+        its rows in `rows`, in their original order."""
+        order = np.argsort(self.row_cells, kind="stable")
+        if order.size == 0:
+            return self.row_cells, []
+        starts = np.flatnonzero(np.diff(self.row_cells[order])) + 1
+        return self.row_cells[order[np.r_[0, starts]]], np.split(order, starts)
+
+
+def shared_designs(points, *bases: LocalPolynomialBasis) -> list[Design]:
+    """A design of points per basis, built once for each distinct geometry."""
+    built: dict[tuple, Design] = {}
+    for basis in bases:
+        if basis.geometry not in built:
+            built[basis.geometry] = basis.design(points)
+    return [built[basis.geometry] for basis in bases]
 
 
 def cell_index(basis: LocalPolynomialBasis, x) -> int:
@@ -122,7 +193,7 @@ def cell_index(basis: LocalPolynomialBasis, x) -> int:
     the last cell.
     """
     point = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, basis.d)
-    return int(basis._cells_of(point)[0])
+    return int(basis.design(point).cells[0])
 
 
 def evaluate_basis(basis: LocalPolynomialBasis, x) -> np.ndarray:
@@ -130,12 +201,12 @@ def evaluate_basis(basis: LocalPolynomialBasis, x) -> np.ndarray:
     in that cell's block, zeros elsewhere; all zeros outside the support."""
     point = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, basis.d)
     out = np.zeros(basis.K)
-    cell = basis._cells_of(point)[0]
+    design = basis.design(point)
+    cell = design.cells[0]
     if cell < 0:
         return out
-    row = basis._design_rows(point, np.array([cell]))[0]
     start = cell * basis.monomials
-    out[start : start + basis.monomials] = row
+    out[start : start + basis.monomials] = design.rows[0]
     return out
 
 
@@ -151,18 +222,22 @@ class LocalPolynomialEstimator:
     coefficients: np.ndarray = field(repr=False)  # (n_cells, monomials, out_dim)
     level: float | None = None
 
-    def evaluate(self, points) -> np.ndarray:
-        """Estimator values, shape (M, out_dim), for (M, d) points."""
+    def evaluate(self, points, design: Design | None = None) -> np.ndarray:
+        """Estimator values, shape (M, out_dim), for (M, d) points.
+
+        design, if given, is the basis design of these points.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.basis.d)
-        cells = self.basis._cells_of(pts)
+        if design is None:
+            design = self.basis.design(pts)
+        else:
+            self.basis._check_design(design, pts.shape[0])
         out = np.zeros((pts.shape[0], self.basis.out_dim))
-        inside = cells >= 0
-        if np.any(inside):
-            rows = self.basis._design_rows(pts[inside], cells[inside])
-            blocks = self.coefficients[cells[inside]]
-            out[inside] = np.einsum("mc,mco->mo", rows, blocks)
+        if design.inside.size:
+            blocks = np.take(self.coefficients, design.row_cells, axis=0)
+            out[design.inside] = np.einsum("mc,mco->mo", design.rows, blocks)
         if self.level is not None:
             np.clip(out, -self.level, self.level, out=out)
         return out
@@ -172,7 +247,7 @@ class LocalPolynomialEstimator:
 
 
 def ols_fit(
-    responses, basis: LocalPolynomialBasis, points
+    responses, basis: LocalPolynomialBasis, points, design: Design | None = None
 ) -> LocalPolynomialEstimator:
     """Empirical least squares of responses on the basis at sample points.
 
@@ -186,6 +261,7 @@ def ols_fit(
         responses: per-row outputs, shape (M,) or (M, out_dim).
         basis: the approximation space; out_dim must match the responses.
         points: per-row states, shape (M, d).
+        design: the basis design of the points, if already built.
     """
     resp = np.asarray(responses, dtype=float)
     if resp.ndim == 1:
@@ -209,18 +285,16 @@ def ols_fit(
     if np.any(bad):
         raise ValueError(f"non-finite response at row {int(np.argmax(bad))}")
 
-    cells = basis._cells_of(pts)
+    if design is None:
+        design = basis.design(pts)
+    else:
+        basis._check_design(design, pts.shape[0])
     coef = np.zeros((basis.n_cells, basis.monomials, basis.out_dim))
-    order = np.argsort(cells, kind="stable")
-    sorted_cells = cells[order]
-    boundaries = np.flatnonzero(np.diff(sorted_cells)) + 1
-    for group in np.split(order, boundaries):
-        cell = cells[group[0]]
-        if cell < 0:
-            continue
-        design = basis._design_rows(pts[group], np.full(group.size, cell))
-        rcond = np.finfo(float).eps * max(design.shape)
-        solution, *_ = np.linalg.lstsq(design, resp[group], rcond=rcond)
+    resp = np.take(resp, design.inside, axis=0)
+    for cell, group in zip(*design.groups):
+        rows = design.rows[group]
+        rcond = np.finfo(float).eps * max(rows.shape)
+        solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
         coef[cell] = solution
     return LocalPolynomialEstimator(basis=basis, coefficients=coef, level=None)
 

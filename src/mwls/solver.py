@@ -23,6 +23,7 @@ from .regression import (
     LocalPolynomialBasis,
     LocalPolynomialEstimator,
     ols_fit,
+    shared_designs,
     truncate_estimator,
 )
 
@@ -175,34 +176,42 @@ def _require_fit(fits: Sequence, k: int, label: str) -> LocalPolynomialEstimator
     return fits[k]
 
 
-def _response_terms(
+def _responses(
     cloud: SimulationCloud,
     grid: TimeGrid,
     driver: DriverSpec,
     terminal: TerminalSpec,
     y_fits: Sequence,
     z_fits: Sequence,
-) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Terminal values and the driver terms f_k shared by both responses.
+    with_y_next: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The z-response, the y-response less its k = i term, and y_{i+1}(X_{i+1}).
 
-    Returns phi(X_N) per row and {k: f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k))}
-    for k = i+1 .. N-1; the k = i term of the y-response is not included
-    because it needs the z estimator fitted at the current index.
+    The sums over k = i+1 .. N-1 of f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k))
+    run in ascending k.  The terms are evaluated from k = N-1 down: one
+    design of X_k serves z_k(X_k) and y_k(X_k), and y_k(X_k) feeds term
+    k-1.  The last value is phi(X_N) when i = N-1, and None for the zero
+    driver or when with_y_next is false.
     """
     i, n = cloud.i, grid.N
     phi = _terminal_values(terminal, cloud.x_at(n), i)
     f_vals: dict[int, np.ndarray] = {}
-    if driver.is_zero:
-        return phi, f_vals
-    for k in range(i + 1, n):
+    y_next = None if driver.is_zero else phi
+    for k in () if driver.is_zero else range(n - 1, i, -1):
         x_k = cloud.x_at(k)
-        if k + 1 == n:
-            y_next = phi
-        else:
-            y_next = _require_fit(y_fits, k + 1, "y").evaluate(cloud.x_at(k + 1))[:, 0]
-        z_here = _require_fit(z_fits, k, "z").evaluate(x_k)
+        z_fit = _require_fit(z_fits, k, "z")
+        # y_{i+1}(X_{i+1}) enters the y-response only
+        y_fit = _require_fit(y_fits, k, "y") if with_y_next or k > i + 1 else None
+        z_design, y_design = shared_designs(x_k, z_fit.basis, (y_fit or z_fit).basis)
+        z_here = z_fit.evaluate(x_k, design=z_design)
         f_vals[k] = _driver_values(driver, k, x_k, y_next, z_here, i)
-    return phi, f_vals
+        y_next = None if y_fit is None else y_fit.evaluate(x_k, design=y_design)[:, 0]
+    s_z = phi[:, None] * cloud.h_at(n)
+    s_y = phi.copy()
+    for k in sorted(f_vals):
+        s_z = s_z + f_vals[k][:, None] * cloud.h_at(k) * grid.steps[k]
+        s_y += f_vals[k] * grid.steps[k]
+    return s_z, s_y, y_next
 
 
 def build_z_response(
@@ -219,11 +228,10 @@ def build_z_response(
     f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k)) H_k Delta_k, shape (M, q).  The sum
     starts at k = i+1 -- there is no weight at the regression index itself.
     """
-    phi, f_vals = _response_terms(cloud, grid, driver, terminal, y_fits, z_fits)
-    response = phi[:, None] * cloud.h_at(grid.N)
-    for k, f_k in f_vals.items():
-        response = response + f_k[:, None] * cloud.h_at(k) * grid.steps[k]
-    return response
+    s_z, _, _ = _responses(
+        cloud, grid, driver, terminal, y_fits, z_fits, with_y_next=False
+    )
+    return s_z
 
 
 def build_y_response(
@@ -240,21 +248,13 @@ def build_y_response(
     The k = i term reads the z estimator of the same index, so z_fits[i]
     must already be fitted (z before y within each index).
     """
-    i, n = cloud.i, grid.N
-    phi, f_vals = _response_terms(cloud, grid, driver, terminal, y_fits, z_fits)
-    response = phi.copy()
-    for k, f_k in f_vals.items():
-        response += f_k * grid.steps[k]
+    _, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
     if not driver.is_zero:
-        z_i = _require_fit(z_fits, i, "z")
-        x_i = cloud.x_at(i)
-        if i + 1 == n:
-            y_next = phi
-        else:
-            y_next = _require_fit(y_fits, i + 1, "y").evaluate(cloud.x_at(i + 1))[:, 0]
-        f_i = _driver_values(driver, i, x_i, y_next, z_i.evaluate(x_i), i)
-        response += f_i * grid.steps[i]
-    return response
+        z_i = _require_fit(z_fits, cloud.i, "z")
+        x_i = cloud.x_at(cloud.i)
+        f_i = _driver_values(driver, cloud.i, x_i, y_next, z_i.evaluate(x_i), cloud.i)
+        s_y += f_i * grid.steps[cloud.i]
+    return s_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,32 +368,24 @@ def mwls_solve(
     for i in range(n - 1, -1, -1):
         cloud = sample_cloud(model, grid, i, sizes[i], seed)
         x_i = cloud.x_at(i)
-        phi, f_vals = _response_terms(cloud, grid, driver, terminal, y_fits, z_fits)
-
-        s_z = phi[:, None] * cloud.h_at(n)
-        s_y = phi.copy()
-        for k, f_k in f_vals.items():
-            s_z = s_z + f_k[:, None] * cloud.h_at(k) * grid.steps[k]
-            s_y += f_k * grid.steps[k]
-
+        s_z, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
+        z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
         try:
             z_fit = truncate_estimator(
-                ols_fit(s_z, z_bases[i], x_i), float(table.C_z[i])
+                ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
             )
             z_fits[i] = z_fit
             if not driver.is_zero:
-                if i + 1 == n:
-                    y_next = phi
-                else:
-                    y_next = y_fits[i + 1].evaluate(cloud.x_at(i + 1))[:, 0]
-                f_i = _driver_values(driver, i, x_i, y_next, z_fit.evaluate(x_i), i)
-                s_y += f_i * grid.steps[i]
+                z_here = z_fit.evaluate(x_i, design=z_design)
+                s_y += _driver_values(driver, i, x_i, y_next, z_here, i) * grid.steps[i]
             y_fits[i] = truncate_estimator(
-                ols_fit(s_y, y_bases[i], x_i), float(table.C_y[i])
+                ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
             )
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"regression failed at time index {i}: {exc}") from exc
         marginals[i] = np.array(x_i)
+        # x_i views the cloud: release both before the next cloud is drawn
+        del cloud, x_i
 
     return MwlsSolution(
         grid=grid,

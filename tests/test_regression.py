@@ -1,7 +1,11 @@
 """Tests for the local-polynomial basis and empirical least squares."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwls.regression import (
     LocalPolynomialBasis,
@@ -230,6 +234,122 @@ def test_fit_validation():
         ols_fit(np.zeros(4), basis, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="at least one"):
         ols_fit(np.zeros(0), basis, np.zeros((0, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the shared design: properties over d, degree and edge-case points
+
+
+@st.composite
+def _bases_and_points(draw):
+    """A basis with d in {1, 2, 3} and degree 0-3, and points that mix
+    interior draws with cell faces, +-R and slightly outside the support."""
+    d = draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    per_axis = draw(st.integers(1, 3))
+    # some edges divide 2R exactly, others leave a partial last cell
+    delta = 2.0 * radius / per_axis * draw(st.sampled_from([1.0, 0.85]))
+    basis = LocalPolynomialBasis(
+        degree=draw(st.integers(0, 3)), delta=delta, radius=radius, d=d,
+        out_dim=draw(st.integers(1, 2)),
+    )
+    faces = [-radius + j * delta for j in range(basis.cells_per_axis + 1)]
+    coordinate = st.one_of(
+        st.floats(-1.1 * radius, 1.1 * radius),
+        st.sampled_from(faces + [-radius, radius]),
+    )
+    m = draw(st.integers(1, 30))
+    coords = draw(st.lists(coordinate, min_size=m * d, max_size=m * d))
+    return basis, np.array(coords).reshape(m, d)
+
+
+def _reference_rows(basis, points):
+    """Cells and rows as computed before the shared design existed: cell
+    midpoints, then u ** powers multiplied across axes."""
+    outside = np.any(np.abs(points) > basis.radius, axis=1)
+    k = np.floor((points + basis.radius) / basis.delta).astype(int)
+    np.clip(k, 0, basis.cells_per_axis - 1, out=k)
+    cells = np.ravel_multi_index(k.T, (basis.cells_per_axis,) * basis.d)
+    mid = -basis.radius + (k[~outside] + 0.5) * basis.delta
+    u = (points[~outside] - mid) / (0.5 * basis.delta)
+    rows = np.prod(u[:, None, :] ** basis.powers[None], axis=2)
+    return np.where(outside, -1, cells), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases_and_points())
+def test_design_rows_are_bitwise_the_pow_reference(case):
+    basis, points = case
+    design = basis.design(points)
+    cells, rows = _reference_rows(basis, points)
+    np.testing.assert_array_equal(design.cells, cells)
+    np.testing.assert_array_equal(design.inside, np.flatnonzero(cells >= 0))
+    assert design.rows.shape == rows.shape
+    assert design.rows.tobytes() == rows.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bases_and_points(), st.integers(0, 2**32 - 1))
+def test_fit_and_evaluate_with_a_design_are_bitwise_unchanged(case, seed):
+    basis, points = case
+    rng = np.random.default_rng(seed)
+    responses = rng.normal(size=(points.shape[0], basis.out_dim))
+    # a design only depends on the cell geometry, not on out_dim
+    other = dataclasses.replace(basis, out_dim=3 - basis.out_dim)
+    design = other.design(points)
+    plain = ols_fit(responses, basis, points)
+    shared = ols_fit(responses, basis, points, design=design)
+    assert shared.coefficients.tobytes() == plain.coefficients.tobytes()
+    assert (
+        plain.evaluate(points, design=design).tobytes()
+        == plain.evaluate(points).tobytes()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_bases_and_points(), st.sampled_from(["degree", "delta", "radius", "d", "rows"]))
+def test_design_of_other_geometry_or_size_is_rejected(case, change):
+    basis, points = case
+    responses = np.zeros((points.shape[0], basis.out_dim))
+    estimator = ols_fit(responses, basis, points)
+    if change == "rows":
+        design = basis.design(np.vstack([points, points[:1]]))
+    elif change == "d":
+        other = dataclasses.replace(basis, d=basis.d % 3 + 1)
+        design = other.design(np.zeros((points.shape[0], other.d)))
+    else:
+        bumped = {"degree": basis.degree + 1, "delta": basis.delta / 2, "radius": basis.radius * 2}
+        design = dataclasses.replace(basis, **{change: bumped[change]}).design(points)
+    with pytest.raises(ValueError, match="design"):
+        ols_fit(responses, basis, points, design=design)
+    with pytest.raises(ValueError, match="design"):
+        estimator.evaluate(points, design=design)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(1, 60),
+    st.lists(st.sampled_from([-1.0, 0.0, 1.0]), max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_is_invariant_to_row_permutation(d, degree, m, specials, seed):
+    # points in general position, plus a few on the faces x = 0 and at +-R:
+    # exactly collinear cells would make the minimal-norm fit ill-posed
+    basis = LocalPolynomialBasis(degree=degree, delta=1.0, radius=1.0, d=d)
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.1, 1.1, size=(m, d))
+    for row, value in enumerate(specials[: m]):
+        points[row] = value
+    responses = rng.normal(size=m)
+    order = rng.permutation(m)
+    base = ols_fit(responses, basis, points)
+    shuffled = ols_fit(responses[order], basis, points[order])
+    scale = max(1.0, float(np.max(np.abs(base.coefficients))))
+    np.testing.assert_allclose(
+        shuffled.coefficients, base.coefficients, rtol=1e-7, atol=1e-9 * scale
+    )
 
 
 # ---------------------------------------------------------------------------

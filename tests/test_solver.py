@@ -225,36 +225,47 @@ def test_solve_order_audit_and_response_envelope():
     must therefore reproduce the stored coefficients bitwise.  This pins the
     exact dataflow: z uses terms k > i only, y additionally reads z at its
     own index.  The y responses must also respect their deterministic
-    envelope Theta_y.
+    envelope Theta_y.  The d=2 case gives the y and z bases different cell
+    edges, so the solver cannot share one design between them.
     """
-    model = brownian_model(x0=0.0, x0_width=3.0)
     grid = make_theta_grid(1.0, 4)
     driver = DriverSpec(fn=lambda k, x, y, z: 0.2 * y + 0.1 * z[:, 0], L_f=0.3, C_f=0.0)
     terminal = _tanh_terminal()
     basis = _linear_basis(delta=1.0, radius=3.0)
+    cases = [
+        (brownian_model(x0=0.0, x0_width=3.0), basis, basis),
+        (
+            brownian_model(d=2, x0=0.0, x0_width=3.0),
+            LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=2),
+            LocalPolynomialBasis(degree=1, delta=1.5, radius=3.0, d=2, out_dim=2),
+        ),
+    ]
     m, seed = 500, 24
-    sol = mwls_solve(model, grid, driver, terminal, basis, basis, cloud_sizes=m, seed=seed)
 
     from mwls.constants import obs_bounds
     from mwls.regression import ols_fit, truncate_estimator
 
-    theta_y, _ = obs_bounds(problem_constants(model, grid, driver, terminal), grid)
-    for i in range(grid.N):
-        cloud = sample_cloud(model, grid, i, m, seed)
-        np.testing.assert_array_equal(cloud.x_at(i), sol.marginals[i])
-        s_z = build_z_response(cloud, grid, driver, terminal, sol.y_fits, sol.z_fits)
-        refit_z = truncate_estimator(
-            ols_fit(s_z, basis, cloud.x_at(i)), float(sol.bounds.C_z[i])
+    for model, y_basis, z_basis in cases:
+        sol = mwls_solve(
+            model, grid, driver, terminal, y_basis, z_basis, cloud_sizes=m, seed=seed
         )
-        np.testing.assert_array_equal(refit_z.coefficients, sol.z_fits[i].coefficients)
-        assert refit_z.level == sol.z_fits[i].level
+        theta_y, _ = obs_bounds(problem_constants(model, grid, driver, terminal), grid)
+        for i in range(grid.N):
+            cloud = sample_cloud(model, grid, i, m, seed)
+            np.testing.assert_array_equal(cloud.x_at(i), sol.marginals[i])
+            s_z = build_z_response(cloud, grid, driver, terminal, sol.y_fits, sol.z_fits)
+            refit_z = truncate_estimator(
+                ols_fit(s_z, z_basis, cloud.x_at(i)), float(sol.bounds.C_z[i])
+            )
+            np.testing.assert_array_equal(refit_z.coefficients, sol.z_fits[i].coefficients)
+            assert refit_z.level == sol.z_fits[i].level
 
-        s_y = build_y_response(cloud, grid, driver, terminal, sol.y_fits, sol.z_fits)
-        refit_y = truncate_estimator(
-            ols_fit(s_y, basis, cloud.x_at(i)), float(sol.bounds.C_y[i])
-        )
-        np.testing.assert_array_equal(refit_y.coefficients, sol.y_fits[i].coefficients)
-        assert np.max(np.abs(s_y)) <= theta_y[i] + 1e-9
+            s_y = build_y_response(cloud, grid, driver, terminal, sol.y_fits, sol.z_fits)
+            refit_y = truncate_estimator(
+                ols_fit(s_y, y_basis, cloud.x_at(i)), float(sol.bounds.C_y[i])
+            )
+            np.testing.assert_array_equal(refit_y.coefficients, sol.y_fits[i].coefficients)
+            assert np.max(np.abs(s_y)) <= theta_y[i] + 1e-9
 
 
 def test_solve_validation():
