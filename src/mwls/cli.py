@@ -391,16 +391,10 @@ def _execute_run(cfg: RunConfig, command: str) -> int:
     _write_table(summary_path, echo, _SUMMARY_COLUMNS, summary_rows)
     written = [summary_path]
 
-    pc = problem_constants(model, grid, bench.driver, bench.terminal)
-    table = bounds_table(
-        pc,
-        grid,
-        k_y=[b.K for b in y_bases],
-        k_z=[b.K for b in z_bases],
-        m=cfg.m,
-    )
     bounds_path = os.path.join(cfg.out_dir, "bounds.csv")
-    _write_table(bounds_path, echo + _bounds_meta(table), _BOUNDS_COLUMNS, _bounds_rows(table))
+    _write_table(
+        bounds_path, echo + _bounds_meta(sol.bounds), _BOUNDS_COLUMNS, _bounds_rows(sol.bounds)
+    )
     written.append(bounds_path)
 
     if cfg.error_enabled:

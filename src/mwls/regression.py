@@ -7,7 +7,10 @@ decouple the least-squares problem: each one is solved independently on the
 sample rows landing in it, with the minimal-norm solution on rank-deficient
 cells and zero coefficients on empty ones.  Points outside the support
 evaluate to zero.  A `Design` holds the cells and monomial rows of one point
-set, so every fit and evaluation at the same points computes them once.
+set, so every fit and evaluation at the same points computes them once.  It
+also eigendecomposes every cell's Gram matrix once: all well-conditioned
+cells of a fit are then solved together through their normal equations, and
+only the other cells go through SVD least squares on their rows.
 """
 
 from __future__ import annotations
@@ -30,6 +33,15 @@ __all__ = [
     "truncate_estimator",
     "save_estimator_csv",
 ]
+
+
+# A cell's normal equations are solved only when its Gram matrix G has
+# lambda_min > _GRAM_RCOND * lambda_max; other cells use SVD least squares.
+# Normal-equation coefficients move from the SVD ones by up to about
+# 2e-16 * cond(G) (relative), so cond(G) <= 1e3 keeps that below 3e-13.
+# Rows are monomials of unit cell coordinates: a well-filled cell has
+# cond(G) <= ~200 up to degree 3, so only sparse or lopsided cells fall back.
+_GRAM_RCOND = 1e-3
 
 
 def _graded_powers(degree: int, d: int) -> np.ndarray:
@@ -176,6 +188,47 @@ class Design:
         starts = np.flatnonzero(np.diff(self.row_cells[order])) + 1
         return self.row_cells[order[np.r_[0, starts]]], np.split(order, starts)
 
+    @cached_property
+    def factors(self) -> CellFactors:
+        """Eigendecomposed Gram matrices of the well-posed occupied cells.
+
+        A cell is well posed when it holds at least `monomials` rows and its
+        Gram matrix has lambda_min > _GRAM_RCOND * lambda_max.
+        """
+        counts = np.bincount(self.row_cells)
+        occupied = np.flatnonzero(counts)
+        mono = self.rows.shape[1]
+        gram = np.empty((occupied.size, mono, mono))
+        for a in range(mono):
+            for b in range(a, mono):
+                weights = self.rows[:, a] * self.rows[:, b]
+                gram[:, a, b] = gram[:, b, a] = np.bincount(self.row_cells, weights)[occupied]
+        candidate = np.flatnonzero(counts[occupied] >= mono)
+        values, vectors = np.linalg.eigh(gram[candidate])
+        posed = values[:, 0] > _GRAM_RCOND * values[:, -1]
+        solved = candidate[posed]
+        return CellFactors(
+            cells=occupied[solved],
+            values=values[posed],
+            vectors=vectors[posed],
+            fallback=np.setdiff1d(np.arange(occupied.size), solved),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class CellFactors:
+    """G = V diag(values) V^T for the Gram matrix G of each well-posed cell.
+
+    `fallback` holds the positions, among the design's occupied cells in
+    ascending order (the order of `Design.groups`), of the cells left to SVD
+    least squares: too few rows, rank-deficient or ill-conditioned.
+    """
+
+    cells: np.ndarray  # (C,) ascending ids of the well-posed cells
+    values: np.ndarray = field(repr=False)  # (C, monomials) ascending eigenvalues
+    vectors: np.ndarray = field(repr=False)  # (C, monomials, monomials) eigenvectors
+    fallback: np.ndarray = field(repr=False)
+
 
 def shared_designs(points, *bases: LocalPolynomialBasis) -> list[Design]:
     """A design of points per basis, built once for each distinct geometry."""
@@ -252,10 +305,13 @@ def ols_fit(
     """Empirical least squares of responses on the basis at sample points.
 
     Minimizes the mean squared residual over the approximation space.  The
-    disjoint cell supports decouple the problem: each cell is solved by
-    SVD-based least squares on its own rows (minimal-norm coefficients when
-    rank-deficient), empty cells keep zero coefficients, and rows outside
-    the support do not influence the fit (their basis row is zero).
+    disjoint cell supports decouple the problem.  The well-posed cells of
+    the design's `factors` are solved together through their normal
+    equations G c = A^T r, with A the cell's rows and r its responses, from
+    the design's eigendecomposition of G = A^T A.  Every other occupied cell is solved by SVD-based least squares on its own rows
+    (minimal-norm coefficients when rank-deficient).  Empty cells keep zero
+    coefficients, and rows outside the support do not influence the fit
+    (their basis row is zero).
 
     Args:
         responses: per-row outputs, shape (M,) or (M, out_dim).
@@ -291,11 +347,25 @@ def ols_fit(
         basis._check_design(design, pts.shape[0])
     coef = np.zeros((basis.n_cells, basis.monomials, basis.out_dim))
     resp = np.take(resp, design.inside, axis=0)
-    for cell, group in zip(*design.groups):
-        rows = design.rows[group]
-        rcond = np.finfo(float).eps * max(rows.shape)
-        solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
-        coef[cell] = solution
+    factors = design.factors
+    if factors.cells.size:
+        rhs = np.empty((factors.cells.size, basis.monomials, basis.out_dim))
+        for a in range(basis.monomials):
+            for o in range(basis.out_dim):
+                weights = design.rows[:, a] * resp[:, o]
+                rhs[:, a, o] = np.bincount(design.row_cells, weights)[factors.cells]
+        # c = V (V^T rhs / lambda)
+        spectral = np.einsum("cak,cao->cko", factors.vectors, rhs)
+        spectral /= factors.values[:, :, None]
+        coef[factors.cells] = np.einsum("cak,cko->cao", factors.vectors, spectral)
+    if factors.fallback.size:
+        occupied, groups = design.groups
+        for position in factors.fallback:
+            group = groups[position]
+            rows = design.rows[group]
+            rcond = np.finfo(float).eps * max(rows.shape)
+            solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
+            coef[occupied[position]] = solution
     return LocalPolynomialEstimator(basis=basis, coefficients=coef, level=None)
 
 

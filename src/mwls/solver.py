@@ -265,7 +265,8 @@ class MwlsSolution:
     the value at index N is the terminal map itself.  marginals[i] holds the
     time-i states of the cloud used for the index-i regressions, so
     empirical norms over the training measure can be recomputed without
-    re-simulating.
+    re-simulating.  bounds is the constants table for the run's basis
+    dimensions and cloud sizes, interdependence columns included.
     """
 
     grid: TimeGrid
@@ -360,7 +361,9 @@ def mwls_solve(
             )
 
     pc = problem_constants(model, grid, driver, terminal)
-    table = bounds_table(pc, grid)
+    table = bounds_table(
+        pc, grid, k_y=[b.K for b in y_bases], k_z=[b.K for b in z_bases], m=sizes
+    )
 
     y_fits: list = [None] * n
     z_fits: list = [None] * n

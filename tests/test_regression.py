@@ -353,6 +353,112 @@ def test_fit_is_invariant_to_row_permutation(d, degree, m, specials, seed):
 
 
 # ---------------------------------------------------------------------------
+# the batched per-cell solve against per-cell SVD least squares
+
+
+def _lstsq_cell(rows, responses):
+    """SVD least squares on one cell's rows, with ols_fit's rcond."""
+    rcond = np.finfo(float).eps * max(rows.shape)
+    return np.linalg.lstsq(rows, responses, rcond=rcond)[0]
+
+
+@st.composite
+def _fallback_prone_fits(draw):
+    """Few rows over up to 27 cells, so many cells are sparse, plus repeated
+    points and points on one line through a cell (rank-deficient for d >= 2
+    and degree >= 1)."""
+    d = draw(st.integers(1, 3))
+    basis = LocalPolynomialBasis(
+        degree=draw(st.integers(0, 3)),
+        delta=2.0 / draw(st.integers(1, 3)),
+        radius=1.0,
+        d=d,
+        out_dim=draw(st.integers(1, 2)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [rng.uniform(-1.1, 1.1, size=(draw(st.integers(1, 80)), d))]
+    repeats = draw(st.integers(0, 20))
+    if repeats:
+        blocks.append(blocks[0][rng.integers(0, blocks[0].shape[0], repeats)])
+    on_line = draw(st.integers(0, 20))
+    if on_line:
+        start = rng.uniform(-0.9, 0.9, size=d)
+        step = rng.normal(size=d) * 0.05
+        blocks.append(start + np.linspace(-1.0, 1.0, on_line)[:, None] * step)
+    points = np.vstack(blocks)[rng.permutation(sum(b.shape[0] for b in blocks))]
+    responses = rng.normal(size=(points.shape[0], basis.out_dim))
+    return basis, points, responses
+
+
+@settings(max_examples=300)
+@given(_fallback_prone_fits())
+def test_fit_matches_per_cell_svd_least_squares(case):
+    basis, points, responses = case
+    cells, rows = _reference_rows(basis, points)
+    inside = cells >= 0
+    cells, inside_responses = cells[inside], responses[inside]
+    expected = np.zeros((basis.n_cells, basis.monomials, basis.out_dim))
+    for cell in np.unique(cells):
+        expected[cell] = _lstsq_cell(rows[cells == cell], inside_responses[cells == cell])
+    fitted = ols_fit(responses, basis, points).coefficients
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(fitted, expected, rtol=1e-7, atol=1e-9 * scale)
+
+
+def test_fallback_cells_are_bitwise_svd_least_squares():
+    # degree 2 on four unit cells of [-2, 2]: 3 monomials per cell
+    basis = LocalPolynomialBasis(degree=2, delta=1.0, radius=2.0, d=1, out_dim=2)
+    cell_points = [
+        np.repeat([-1.5, -1.2], 3),  # two distinct points: rank 2 of 3
+        np.array([-0.7, -0.2]),  # fewer rows than monomials
+        0.5 + 0.05 * np.linspace(-1.0, 1.0, 8),  # full rank, cond(G) near 7e4
+        np.linspace(1.05, 1.95, 40),  # well conditioned
+    ]
+    rng = np.random.default_rng(413)
+    points = np.concatenate(cell_points)
+    order = rng.permutation(points.size)  # interleave the cells' rows
+    points = points[order].reshape(-1, 1)
+    responses = rng.normal(size=(points.shape[0], 2))
+    design = basis.design(points)
+    np.testing.assert_array_equal(design.factors.cells, [3])
+    coefficients = ols_fit(responses, basis, points, design=design).coefficients
+    for cell in range(4):
+        members = design.row_cells == cell
+        expected = _lstsq_cell(design.rows[members], responses[members])
+        if cell < 3:
+            assert coefficients[cell].tobytes() == expected.tobytes()
+        else:
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            np.testing.assert_allclose(coefficients[cell], expected, rtol=1e-10, atol=1e-10 * scale)
+
+
+def test_design_is_factorized_once_for_the_z_and_y_fits(monkeypatch):
+    z_basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=1.0, d=2, out_dim=2)
+    y_basis = dataclasses.replace(z_basis, out_dim=1)
+    rng = np.random.default_rng(414)
+    points = rng.uniform(-1.0, 1.0, size=(400, 2))
+    calls = {"eigh": 0, "lstsq": 0}
+    eigh, lstsq = np.linalg.eigh, np.linalg.lstsq
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
+    design = z_basis.design(points)
+    ols_fit(rng.normal(size=(400, 2)), z_basis, points, design=design)
+    ols_fit(rng.normal(size=400), y_basis, points, design=design)
+    assert calls == {"eigh": 1, "lstsq": 0}
+    # every cell is well posed: no fallback, so no per-cell grouping either
+    assert design.factors.cells.size == z_basis.n_cells
+    assert "groups" not in design.__dict__
+
+
+# ---------------------------------------------------------------------------
 # truncation
 
 

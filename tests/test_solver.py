@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mwls.constants import bounds_table
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
 from mwls.model import brownian_model, sample_cloud
@@ -193,6 +194,22 @@ def test_solve_identity_terminal_smoke():
     # truncation levels for this problem: C_y = 8, C_z = 1 at every index
     np.testing.assert_allclose(sol.bounds.C_y, 8.0)
     np.testing.assert_allclose(sol.bounds.C_z, 1.0)
+
+
+def test_solution_bounds_know_the_basis_dimensions_and_cloud_sizes():
+    model = brownian_model(x0=0.0, x0_width=3.0)
+    grid = make_theta_grid(1.0, 3)
+    y_basis = LocalPolynomialBasis(degree=0, delta=1.0, radius=2.0, d=1)
+    sizes = [200, 300, 400]
+    sol = mwls_solve(
+        model, grid, zero_driver(), _identity_terminal(),
+        y_basis, _linear_basis(), cloud_sizes=sizes, seed=3,
+    )
+    pc = problem_constants(model, grid, zero_driver(), _identity_terminal())
+    expected = bounds_table(pc, grid, k_y=[y_basis.K] * 3, k_z=[_linear_basis().K] * 3, m=sizes)
+    for column in ("C_y", "C_z", "Theta_y", "Theta_z", "E_dep_Y", "E_dep_Z"):
+        np.testing.assert_array_equal(getattr(sol.bounds, column), getattr(expected, column))
+    assert np.all(sol.bounds.E_dep_Y > 0.0) and np.all(sol.bounds.E_dep_Z > 0.0)
 
 
 def test_solve_is_deterministic():
