@@ -18,7 +18,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ def _write_table(path: str, meta, columns, rows) -> None:
 
 
 _PROBLEM_PARAMS = {"b3": ("alpha",), "b4": ("cap", "theta_phi")}
-_PARAM_DEFAULTS = {"alpha": 0.5, "cap": 1.0, "theta_phi": 0.5}
 
 _SCHEMA: dict[str, dict[str, str]] = {
     "problem": {
@@ -102,6 +101,55 @@ _SCHEMA: dict[str, dict[str, str]] = {
     "error": {"enabled": "bool", "fresh_m": "int"},
     "output": {"dir": "str"},
 }
+
+# The defaults of run, bench, sweep and bounds, read by the resolver and by
+# the flags' help.  basis.delta_z defaults to basis.delta; _resolve_config
+# holds the two defaults that depend on the command.
+_DEFAULTS = {
+    ("problem", "alpha"): 0.5,
+    ("problem", "cap"): 1.0,
+    ("problem", "theta_phi"): 0.5,
+    ("problem", "x0_width"): 5.0,
+    ("grid", "t"): 1.0,
+    ("grid", "n"): 10,
+    ("grid", "theta"): 1.0,
+    ("basis", "degree"): 1,
+    ("basis", "delta"): [0.5],
+    ("basis", "radius"): 4.0,
+    ("simulation", "m"): [10_000],
+    ("simulation", "seed"): 0,
+    ("error", "enabled"): True,
+    ("error", "fresh_m"): 20_000,
+    ("output", "dir"): "mwls_out",
+}
+
+# Flags by argparse dest: --dest-with-dashes sets the config key of the same
+# name.  {default} in a help text reads the key's default.
+_FLAGS = {
+    "problem": (("problem", "id"), "benchmark id (b1, b2, b3, b4, zero)"),
+    "alpha": (("problem", "alpha"), "driver slope (b3 only; default {default})"),
+    "theta_phi": (("problem", "theta_phi"), "terminal exponent (b4 only; default {default})"),
+    "cap": (("problem", "cap"), "terminal cap (b4 only; default {default})"),
+    "x0_width": (("problem", "x0_width"), "starting-box edge length (default {default})"),
+    "t": (("grid", "t"), "terminal time (default {default})"),
+    "n": (("grid", "n"), "number of time steps (default {default})"),
+    "theta": (
+        ("grid", "theta"),
+        "grid concentration exponent in (0, 1] (default {default}; bench on b4: theta_phi)",
+    ),
+    "degree": (("basis", "degree"), "local polynomial degree (default {default})"),
+    "delta": (("basis", "delta"), "cell edge length (default {default})"),
+    "delta_z": (("basis", "delta_z"), "z-basis cell edge (default: same as --delta)"),
+    "radius": (("basis", "radius"), "basis half-width (default {default})"),
+    "m": (("simulation", "m"), "cloud size (default {default})"),
+    "seed": (("simulation", "seed"), "root seed (default {default})"),
+    "fresh_m": (("error", "fresh_m"), "fresh-sample count for errors (default {default})"),
+    "out": (
+        ("output", "dir"),
+        "output directory (default {default} for run, mwls_<command>_<problem> otherwise)",
+    ),
+}
+_FLAG_OF = {key: "--" + dest.replace("_", "-") for dest, (key, _) in _FLAGS.items()}
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -129,33 +177,41 @@ def _parse_value(kind: str, raw: str, path: str):
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration: every field has its final value.
+    """Fully resolved configuration of one subcommand: every field has its
+    final value.
 
-    delta, delta_z, and m are per-index lists of length grid.N.  echo_items
-    lists the resolved (key path, value) pairs embedded in every report.
+    delta, delta_z, and m are per-index lists of length grid.N.  echo_prefix
+    lists the (key path, value) pairs every report starts with: the command,
+    the problem keys and the grid keys.  echo_items extends it to the whole
+    configuration, which the run and bench reports embed.
     """
 
+    command: str
     problem_id: str
-    problem_params: dict = field(default_factory=dict)
-    x0_width: float = 5.0
-    grid: TimeGrid | None = None
-    grid_echo: tuple = ()
-    degree: int = 1
-    delta: list = field(default_factory=list)
-    delta_z: list = field(default_factory=list)
-    radius: float = 4.0
-    m: list = field(default_factory=list)
-    seed: int = 0
-    error_enabled: bool = True
-    fresh_m: int = 20_000
-    out_dir: str = "mwls_out"
+    problem_params: dict
+    x0_width: float
+    grid: TimeGrid
+    grid_echo: tuple
+    degree: int
+    delta: list
+    delta_z: list
+    radius: float
+    m: list
+    seed: int
+    error_enabled: bool
+    fresh_m: int
+    out_dir: str
 
-    def echo_items(self) -> list:
-        items = [("problem.id", self.problem_id)]
+    def echo_prefix(self) -> list:
+        items = [("command", self.command), ("problem.id", self.problem_id)]
         for key in sorted(self.problem_params):
             items.append((f"problem.{key}", self.problem_params[key]))
         items.append(("problem.x0_width", self.x0_width))
         items.extend(self.grid_echo)
+        return items
+
+    def echo_items(self) -> list:
+        items = self.echo_prefix()
         items.append(("grid.points", list(self.grid.points)))
         items.extend(
             [
@@ -180,79 +236,102 @@ def _per_index(values, n: int, path: str) -> list:
     return list(values)
 
 
-def _resolve_config(raw: dict) -> RunConfig:
-    """Fill defaults, validate cross-field rules, and build a RunConfig."""
-    problem_id = raw.get(("problem", "id"))
+def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
+    """Fill defaults, validate every entry, and build the command's RunConfig.
+
+    raw holds the config file's entries and flags the entries given as
+    command-line flags, which take precedence.  An error names a flag entry
+    by its flag and a file entry by its section.key.
+    """
+    entries = {**raw, **flags}
+
+    def name(key) -> str:
+        return _FLAG_OF[key] if key in flags else ".".join(key)
+
+    def get(key):
+        return entries.get(key, _DEFAULTS.get(key))
+
+    problem_id = entries.get(("problem", "id"))
     if problem_id is None:
         raise ValueError("problem.id is required")
     registry = register_benchmarks()
     if problem_id not in registry:
         raise ValueError(
-            f"problem.id: unknown problem {problem_id!r}; known: {', '.join(sorted(registry))}"
+            f"{name(('problem', 'id'))}: unknown problem {problem_id!r}; "
+            f"known: {', '.join(sorted(registry))}"
         )
     applicable = _PROBLEM_PARAMS.get(problem_id, ())
-    for key in _PARAM_DEFAULTS:
-        if ("problem", key) in raw and key not in applicable:
-            raise ValueError(f"problem.{key} does not apply to problem {problem_id!r}")
-    params = {key: float(raw.get(("problem", key), _PARAM_DEFAULTS[key])) for key in applicable}
-    x0_width = float(raw.get(("problem", "x0_width"), 5.0))
+    for keys in _PROBLEM_PARAMS.values():
+        for key in keys:
+            if ("problem", key) in entries and key not in applicable:
+                raise ValueError(
+                    f"{name(('problem', key))} does not apply to problem {problem_id!r}"
+                )
+    params = {key: float(get(("problem", key))) for key in applicable}
+    x0_width = float(get(("problem", "x0_width")))
 
-    points = raw.get(("grid", "points"))
+    points = entries.get(("grid", "points"))
     if points is not None:
         for key in ("t", "n", "theta"):
-            if ("grid", key) in raw:
-                raise ValueError(f"grid.points excludes grid.{key}")
+            if ("grid", key) in entries:
+                raise ValueError(f"grid.points excludes {name(('grid', key))}")
         try:
             grid = TimeGrid(np.asarray(points, dtype=float))
         except ValueError as exc:
             raise ValueError(f"grid.points: {exc}") from None
         grid_echo = ()
     else:
-        t = float(raw.get(("grid", "t"), 1.0))
-        n = int(raw.get(("grid", "n"), 10))
-        theta = float(raw.get(("grid", "theta"), 1.0))
+        t = float(get(("grid", "t")))
+        n = int(get(("grid", "n")))
+        # bench runs b4 on the theta_phi-grid that its Hölder terminal calls for
+        if (command, problem_id) == ("bench", "b4"):
+            theta = float(entries.get(("grid", "theta"), params["theta_phi"]))
+        else:
+            theta = float(get(("grid", "theta")))
         try:
             grid = make_theta_grid(t, n, theta)
         except ValueError as exc:
-            raise ValueError(f"grid: {exc}") from None
+            given = [name(key) for key in (("grid", "t"), ("grid", "n"), ("grid", "theta"))
+                     if key in entries]
+            raise ValueError(f"{', '.join(given) or 'grid'}: {exc}") from None
         grid_echo = (("grid.t", t), ("grid.n", n), ("grid.theta", theta))
 
-    degree = int(raw.get(("basis", "degree"), 1))
-    radius = float(raw.get(("basis", "radius"), 4.0))
-    delta = _per_index(raw.get(("basis", "delta"), [0.5]), grid.N, "basis.delta")
-    delta_z_raw = raw.get(("basis", "delta_z"))
-    delta_z = (
-        list(delta)
-        if delta_z_raw is None
-        else _per_index(delta_z_raw, grid.N, "basis.delta_z")
-    )
-    m = _per_index(raw.get(("simulation", "m"), [10_000]), grid.N, "simulation.m")
+    delta = _per_index(get(("basis", "delta")), grid.N, name(("basis", "delta")))
+    delta_z = entries.get(("basis", "delta_z"), delta)
+    delta_z = _per_index(delta_z, grid.N, name(("basis", "delta_z")))
+    m = _per_index(get(("simulation", "m")), grid.N, name(("simulation", "m")))
+    seed = int(get(("simulation", "seed")))
+    if seed < 0:
+        raise ValueError(f"{name(('simulation', 'seed'))} must be >= 0, got {seed}")
+    fresh_m = int(get(("error", "fresh_m")))
+    if fresh_m < 1:
+        raise ValueError(f"{name(('error', 'fresh_m'))} must be >= 1, got {fresh_m}")
+    if command == "run":
+        out_dir = get(("output", "dir"))
+    else:
+        out_dir = entries.get(("output", "dir"), f"mwls_{command}_{problem_id}")
 
     return RunConfig(
+        command=command,
         problem_id=problem_id,
         problem_params=params,
         x0_width=x0_width,
         grid=grid,
         grid_echo=grid_echo,
-        degree=degree,
+        degree=int(get(("basis", "degree"))),
         delta=[float(v) for v in delta],
         delta_z=[float(v) for v in delta_z],
-        radius=radius,
+        radius=float(get(("basis", "radius"))),
         m=[int(v) for v in m],
-        seed=int(raw.get(("simulation", "seed"), 0)),
-        error_enabled=bool(raw.get(("error", "enabled"), True)),
-        fresh_m=int(raw.get(("error", "fresh_m"), 20_000)),
-        out_dir=str(raw.get(("output", "dir"), "mwls_out")),
+        seed=seed,
+        error_enabled=bool(get(("error", "enabled"))),
+        fresh_m=fresh_m,
+        out_dir=str(out_dir),
     )
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse and fully validate an INI config file.
-
-    Unknown sections or keys are errors naming the key path; values are
-    typed per the schema and cross-field rules are checked before any
-    computation.
-    """
+def _read_config(path: str) -> dict:
+    """The typed {(section, key): value} entries of an INI config file."""
     if not os.path.isfile(path):
         raise ValueError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
@@ -269,12 +348,33 @@ def load_config(path: str) -> RunConfig:
             if key not in _SCHEMA[section]:
                 raise ValueError(f"unknown config key {section}.{key}")
             raw[(section, key)] = _parse_value(_SCHEMA[section][key], value, f"{section}.{key}")
-    return _resolve_config(raw)
+    return raw
 
 
-def _build_benchmark(problem_id: str, params: dict, x0_width: float) -> Benchmark:
-    factory = register_benchmarks()[problem_id]
-    return factory(x0_width=x0_width, **params)
+def load_config(path: str) -> RunConfig:
+    """Parse and fully validate an INI config file.
+
+    Unknown sections or keys are errors naming the key path; values are
+    typed per the schema and cross-field rules are checked before any
+    computation.
+    """
+    return _resolve_config(_read_config(path), "run", {})
+
+
+def _flag_entries(args) -> dict:
+    """The config entries of the flags given on the command line."""
+    entries = {}
+    for dest, (key, _) in _FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            is_list = _SCHEMA[key[0]][key[1]].endswith("_list")
+            entries[key] = [value] if is_list else value
+    return entries
+
+
+def _build_benchmark(cfg: RunConfig) -> Benchmark:
+    factory = register_benchmarks()[cfg.problem_id]
+    return factory(x0_width=cfg.x0_width, **cfg.problem_params)
 
 
 def _build_bases(cfg: RunConfig, d: int, q: int):
@@ -362,9 +462,9 @@ def _bounds_rows(table) -> list:
     ]
 
 
-def _execute_run(cfg: RunConfig, command: str) -> int:
+def _execute_run(cfg: RunConfig) -> int:
     """Solve per the config and write the report files; shared by run/bench."""
-    bench = _build_benchmark(cfg.problem_id, cfg.problem_params, cfg.x0_width)
+    bench = _build_benchmark(cfg)
     model = bench.model
     y_bases, z_bases = _build_bases(cfg, model.d, model.q)
     sol = mwls_solve(
@@ -372,7 +472,7 @@ def _execute_run(cfg: RunConfig, command: str) -> int:
     )
 
     os.makedirs(cfg.out_dir, exist_ok=True)
-    echo = [("command", command)] + cfg.echo_items()
+    echo = cfg.echo_items()
     grid = cfg.grid
 
     summary_rows = [
@@ -437,16 +537,7 @@ def _execute_run(cfg: RunConfig, command: str) -> int:
 
 def cmd_run(args) -> int:
     """Solve the configured problem and write the report files."""
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = int(args.seed)
-    if args.fresh_m is not None:
-        if args.fresh_m < 1:
-            raise ValueError(f"--fresh-m must be >= 1, got {args.fresh_m}")
-        cfg.fresh_m = int(args.fresh_m)
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return _execute_run(cfg, "run")
+    return _execute_run(_resolve_config(_read_config(args.config), "run", _flag_entries(args)))
 
 
 def cmd_tune(args) -> int:
@@ -487,133 +578,54 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _problem_kwargs(args) -> tuple[str, dict, float]:
-    """Collect per-problem parameters from flags, rejecting inapplicable ones."""
-    problem_id = args.problem
-    registry = register_benchmarks()
-    if problem_id not in registry:
-        raise ValueError(
-            f"--problem: unknown problem {problem_id!r}; known: {', '.join(sorted(registry))}"
-        )
-    applicable = _PROBLEM_PARAMS.get(problem_id, ())
-    params = {}
-    for key in _PARAM_DEFAULTS:
-        given = getattr(args, key, None)
-        if given is not None and key not in applicable:
-            raise ValueError(f"--{key.replace('_', '-')} does not apply to problem {problem_id!r}")
-        if key in applicable:
-            params[key] = float(given) if given is not None else _PARAM_DEFAULTS[key]
-    x0_width = args.x0_width if getattr(args, "x0_width", None) is not None else 5.0
-    return problem_id, params, float(x0_width)
-
-
 def cmd_bounds(args) -> int:
     """Evaluate and print the constants table; no simulation is involved."""
-    problem_id, params, x0_width = _problem_kwargs(args)
-    bench = _build_benchmark(problem_id, params, x0_width)
-    theta = args.theta if args.theta is not None else 1.0
-    grid = make_theta_grid(args.t, args.n, theta)
-    pc = problem_constants(bench.model, grid, bench.driver, bench.terminal)
-    table = bounds_table(pc, grid)
-    meta = [
-        ("command", "bounds"),
-        ("problem.id", problem_id),
-    ]
-    for key in sorted(params):
-        meta.append((f"problem.{key}", params[key]))
-    meta.extend(
-        [
-            ("problem.x0_width", x0_width),
-            ("grid.t", args.t),
-            ("grid.n", args.n),
-            ("grid.theta", theta),
-        ]
-    )
-    print("\n".join(_table_lines(meta + _bounds_meta(table), _BOUNDS_COLUMNS, _bounds_rows(table))))
+    cfg = _resolve_config({}, "bounds", _flag_entries(args))
+    bench = _build_benchmark(cfg)
+    pc = problem_constants(bench.model, cfg.grid, bench.driver, bench.terminal)
+    table = bounds_table(pc, cfg.grid)
+    meta = cfg.echo_prefix() + _bounds_meta(table)
+    print("\n".join(_table_lines(meta, _BOUNDS_COLUMNS, _bounds_rows(table))))
     return 0
 
 
 def cmd_bench(args) -> int:
     """Run a built-in benchmark with default basis and cloud settings."""
-    problem_id, params, x0_width = _problem_kwargs(args)
-    theta = args.theta
-    if theta is None:
-        theta = params["theta_phi"] if problem_id == "b4" else 1.0
-    grid = make_theta_grid(args.t, args.n, theta)
-    cfg = RunConfig(
-        problem_id=problem_id,
-        problem_params=params,
-        x0_width=x0_width,
-        grid=grid,
-        grid_echo=(("grid.t", args.t), ("grid.n", args.n), ("grid.theta", theta)),
-        degree=args.degree,
-        delta=[float(args.delta)] * grid.N,
-        delta_z=[float(args.delta_z if args.delta_z is not None else args.delta)] * grid.N,
-        radius=args.radius,
-        m=[int(args.m)] * grid.N,
-        seed=int(args.seed),
-        error_enabled=True,
-        fresh_m=int(args.fresh_m),
-        out_dir=args.out if args.out is not None else f"mwls_bench_{problem_id}",
-    )
-    return _execute_run(cfg, "bench")
+    return _execute_run(_resolve_config({}, "bench", _flag_entries(args)))
 
 
 def cmd_sweep(args) -> int:
     """Sweep the cloud size on a benchmark and report errors and slopes."""
-    problem_id, params, x0_width = _problem_kwargs(args)
-    bench = _build_benchmark(problem_id, params, x0_width)
-    theta = args.theta if args.theta is not None else 1.0
-    grid = make_theta_grid(args.t, args.n, theta)
-    m_values = [int(part.strip()) for part in args.m_values.split(",")]
-    delta_z = args.delta_z if args.delta_z is not None else args.delta
-    y_basis = LocalPolynomialBasis(
-        degree=args.degree, delta=args.delta, radius=args.radius, d=bench.model.d, out_dim=1
-    )
-    z_basis = LocalPolynomialBasis(
-        degree=args.degree,
-        delta=delta_z,
-        radius=args.radius,
-        d=bench.model.d,
-        out_dim=bench.model.q,
-    )
+    cfg = _resolve_config({}, "sweep", _flag_entries(args))
+    m_values = _parse_value("int_list", args.m_values, "--m-values")
     threads = _resolve_threads(args.threads)
+    bench = _build_benchmark(cfg)
+    y_bases, z_bases = _build_bases(cfg, bench.model.d, bench.model.q)
     study = convergence_study(
         bench,
-        grid,
-        y_basis,
-        z_basis,
+        cfg.grid,
+        y_bases,
+        z_bases,
         m_values,
-        seed=args.seed,
-        fresh_m=args.fresh_m,
+        seed=cfg.seed,
+        fresh_m=cfg.fresh_m,
         index=args.index,
         threads=threads,
     )
-    meta = [
-        ("command", "sweep"),
-        ("problem.id", problem_id),
+    # one basis serves every index, so the basis keys echo as scalars
+    meta = cfg.echo_prefix() + [
+        ("basis.degree", cfg.degree),
+        ("basis.delta", cfg.delta[0]),
+        ("basis.delta_z", cfg.delta_z[0]),
+        ("basis.radius", cfg.radius),
+        ("simulation.seed", cfg.seed),
+        ("error.fresh_m", cfg.fresh_m),
+        ("error.index", study.index),
+        ("slope_fresh_y", study.slope_y),
+        ("slope_fresh_z", study.slope_z),
+        ("slope_emp_y", study.slope_emp_y),
+        ("slope_emp_z", study.slope_emp_z),
     ]
-    for key in sorted(params):
-        meta.append((f"problem.{key}", params[key]))
-    meta.extend(
-        [
-            ("problem.x0_width", x0_width),
-            ("grid.t", args.t),
-            ("grid.n", args.n),
-            ("grid.theta", theta),
-            ("basis.degree", args.degree),
-            ("basis.delta", float(args.delta)),
-            ("basis.delta_z", float(delta_z)),
-            ("basis.radius", float(args.radius)),
-            ("simulation.seed", args.seed),
-            ("error.fresh_m", args.fresh_m),
-            ("error.index", study.index),
-            ("slope_fresh_y", study.slope_y),
-            ("slope_fresh_z", study.slope_z),
-            ("slope_emp_y", study.slope_emp_y),
-            ("slope_emp_z", study.slope_emp_z),
-        ]
-    )
     rows = [
         [
             study.values[p],
@@ -626,9 +638,8 @@ def cmd_sweep(args) -> int:
         for p in range(len(study.values))
     ]
     columns = ["m", "emp_y", "emp_z", "fresh_y", "fresh_z", "cost"]
-    out_dir = args.out if args.out is not None else f"mwls_sweep_{problem_id}"
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sweep.csv")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, "sweep.csv")
     _write_table(path, meta, columns, rows)
     print(f"wrote {path}")
     return 0
@@ -645,29 +656,19 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_problem_flags(sub) -> None:
-    sub.add_argument("--problem", required=True, help="benchmark id (b1, b2, b3, b4, zero)")
-    sub.add_argument("--alpha", type=float, default=None, help="driver slope (b3 only)")
-    sub.add_argument("--theta-phi", dest="theta_phi", type=float, default=None,
-                     help="terminal exponent (b4 only)")
-    sub.add_argument("--cap", type=float, default=None, help="terminal cap (b4 only)")
-    sub.add_argument("--x0-width", dest="x0_width", type=float, default=None,
-                     help="starting-box edge length (default 5)")
-
-
-def _add_grid_flags(sub) -> None:
-    sub.add_argument("--t", type=float, default=1.0, help="terminal time (default 1)")
-    sub.add_argument("--n", type=int, default=10, help="number of time steps (default 10)")
-    sub.add_argument("--theta", type=float, default=None,
-                     help="grid concentration exponent in (0, 1]")
-
-
-def _add_basis_flags(sub) -> None:
-    sub.add_argument("--degree", type=int, default=1, help="local polynomial degree (default 1)")
-    sub.add_argument("--delta", type=float, default=0.5, help="cell edge length (default 0.5)")
-    sub.add_argument("--delta-z", dest="delta_z", type=float, default=None,
-                     help="z-basis cell edge (default: same as --delta)")
-    sub.add_argument("--radius", type=float, default=4.0, help="basis half-width (default 4)")
+def _add_flags(sub, *dests) -> None:
+    """Add the _FLAGS entries; unset flags stay None and resolve to defaults."""
+    for dest in dests:
+        key, text = _FLAGS[dest]
+        kind = _SCHEMA[key[0]][key[1]].removesuffix("_list")
+        default = _render(_DEFAULTS[key]) if key in _DEFAULTS else None
+        sub.add_argument(
+            _FLAG_OF[key],
+            dest=dest,
+            type={"int": int, "float": float}.get(kind, str),
+            required=key == ("problem", "id"),
+            help=text.format(default=default),
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -676,10 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = commands.add_parser("run", help="solve a configured problem and write reports")
     run_p.add_argument("--config", required=True, help="path to an INI config file")
-    run_p.add_argument("--seed", type=int, default=None, help="override simulation.seed")
-    run_p.add_argument("--out", default=None, help="override output.dir")
-    run_p.add_argument("--fresh-m", dest="fresh_m", type=int, default=None,
-                       help="override error.fresh_m")
+    _add_flags(run_p, "seed", "out", "fresh_m")
     run_p.set_defaults(func=cmd_run)
 
     tune_p = commands.add_parser("tune", help="print the balanced discretization plan")
@@ -697,34 +695,22 @@ def _build_parser() -> argparse.ArgumentParser:
     tune_p.set_defaults(func=cmd_tune)
 
     bounds_p = commands.add_parser("bounds", help="print the constants table (no simulation)")
-    _add_problem_flags(bounds_p)
-    _add_grid_flags(bounds_p)
+    problem_and_grid = [dest for dest, (key, _) in _FLAGS.items() if key[0] in ("problem", "grid")]
+    _add_flags(bounds_p, *problem_and_grid)
     bounds_p.set_defaults(func=cmd_bounds)
 
     bench_p = commands.add_parser("bench", help="run a benchmark with default settings")
-    _add_problem_flags(bench_p)
-    _add_grid_flags(bench_p)
-    _add_basis_flags(bench_p)
-    bench_p.add_argument("--m", type=int, default=10_000, help="cloud size (default 10000)")
-    bench_p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    bench_p.add_argument("--fresh-m", dest="fresh_m", type=int, default=20_000,
-                         help="fresh-sample count for error estimation")
-    bench_p.add_argument("--out", default=None, help="output directory")
+    _add_flags(bench_p, *_FLAGS)
     bench_p.set_defaults(func=cmd_bench)
 
     sweep_p = commands.add_parser("sweep", help="sweep the cloud size and report slopes")
-    _add_problem_flags(sweep_p)
-    _add_grid_flags(sweep_p)
-    _add_basis_flags(sweep_p)
+    # --m-values sets the cloud sizes of a sweep
+    _add_flags(sweep_p, *(dest for dest in _FLAGS if dest != "m"))
     sweep_p.add_argument("--m-values", dest="m_values", required=True,
                          help="comma-separated cloud sizes")
     sweep_p.add_argument("--index", type=int, default=None,
                          help="readout time index (default: middle)")
-    sweep_p.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
-    sweep_p.add_argument("--fresh-m", dest="fresh_m", type=int, default=20_000,
-                         help="fresh-sample count for error estimation")
     sweep_p.add_argument("--threads", type=int, default=None, help="worker threads")
-    sweep_p.add_argument("--out", default=None, help="output directory")
     sweep_p.set_defaults(func=cmd_sweep)
 
     return parser

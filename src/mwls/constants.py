@@ -57,13 +57,12 @@ def _safe_exp(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _scaled(coef: float, arr: np.ndarray) -> np.ndarray:
-    """coef * arr with the 0 * inf corners resolved to 0."""
-    if coef == 0.0:
-        return np.zeros_like(arr)
-    out = np.zeros_like(arr)
-    mask = arr != 0.0
-    out[mask] = coef * arr[mask]
+def _scaled(coef, arr) -> np.ndarray:
+    """Elementwise coef * arr with the 0 * inf corners resolved to 0."""
+    coef, arr = np.broadcast_arrays(np.asarray(coef, dtype=float), np.asarray(arr, dtype=float))
+    out = np.zeros(arr.shape)
+    mask = (coef != 0.0) & (arr != 0.0)
+    out[mask] = coef[mask] * arr[mask]
     return out
 
 
@@ -486,7 +485,8 @@ def global_error_bound(
     Returns (bound_y, bound_z), upper bounds for the empirical-norm errors
     of the fitted y- and z-estimators at every index.  Contributions indexed
     at N are zero: the terminal estimator is the terminal function itself
-    and no regression happens there.
+    and no regression happens there.  The constants C, Theta, E_dep and A_M
+    are those of bounds_table(pc, grid, k_y, k_z, m).
     """
     N = grid.N
     arrays = {}
@@ -509,21 +509,11 @@ def global_error_bound(
     if np.any(arrays["e_app_y"] < 0.0) or np.any(arrays["e_app_z"] < 0.0):
         raise ValueError("approximation errors must be nonnegative")
 
-    theta_y, theta_z = obs_bounds(pc, grid)
-    c_y, c_z = as_bounds(pc, grid)
-    # theta * sqrt(K/M) with the 0-dimension corner resolved to 0 even when
-    # the observation bound overflowed to inf.
-    def _stat(theta: np.ndarray, k_arr: np.ndarray) -> np.ndarray:
-        root = np.sqrt(k_arr / arrays["m"])
-        out = np.zeros(N)
-        mask = root != 0.0
-        out[mask] = theta[mask] * root[mask]
-        return out
-
-    stat_y = _stat(theta_y, arrays["k_y"])
-    stat_z = _stat(theta_z, arrays["k_z"])
-    dep_y = dep_errors(c_y, arrays["k_y"], arrays["m"], pc.q, z_component=False)
-    dep_z = dep_errors(c_z, arrays["k_z"], arrays["m"], pc.q, z_component=True)
+    table = bounds_table(pc, grid, arrays["k_y"], arrays["k_z"], arrays["m"])
+    # Theta sqrt(K/M), 0 at K = 0 even when Theta overflowed to inf
+    stat_y = _scaled(table.Theta_y, np.sqrt(arrays["k_y"] / arrays["m"]))
+    stat_z = _scaled(table.Theta_z, np.sqrt(arrays["k_z"] / arrays["m"]))
+    dep_y, dep_z = table.E_dep_Y, table.E_dep_Z
 
     local_y = arrays["e_app_y"] + stat_y  # per-index y-term of E(k)
     local = np.empty(N)
@@ -537,7 +527,7 @@ def global_error_bound(
             + _safe_prod(pc.L_f, next_dep + dep_z[k])
         )
 
-    a_my, a_mz = propagation_constants(pc)
+    a_my, a_mz = table.AMy, table.AMz
     t = grid.points
     ttg = pc.T - t[:-1]
     sing = ttg ** ((1.0 - pc.theta_L) / 2.0)

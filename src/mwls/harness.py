@@ -312,6 +312,12 @@ class ErrorReport:
     approximation-error estimates, dep_* the interdependence error terms,
     and bound_* the deterministic error-bound evaluation.  cost counts
     simulated path-steps, N * sum of cloud sizes.
+
+    dep_* scale with the observation bounds Theta_y, Theta_z.  The e_dep_*
+    columns of bounds.csv (BoundsTable.E_dep_*), and the interdependence
+    terms inside bound_*, scale with the truncation levels C_y, C_z
+    instead, so errors.csv and bounds.csv show different numbers under
+    similar names.
     """
 
     grid: TimeGrid

@@ -311,7 +311,8 @@ def ols_fit(
     the design's eigendecomposition of G = A^T A.  Every other occupied cell is solved by SVD-based least squares on its own rows
     (minimal-norm coefficients when rank-deficient).  Empty cells keep zero
     coefficients, and rows outside the support do not influence the fit
-    (their basis row is zero).
+    (their basis row is zero).  A non-finite response or point is a
+    ValueError naming its row.
 
     Args:
         responses: per-row outputs, shape (M,) or (M, out_dim).
@@ -337,9 +338,11 @@ def ols_fit(
         )
     if pts.shape[1] != basis.d:
         raise ValueError(f"points have dimension {pts.shape[1]}, basis expects {basis.d}")
-    bad = ~np.all(np.isfinite(resp), axis=1)
-    if np.any(bad):
-        raise ValueError(f"non-finite response at row {int(np.argmax(bad))}")
+    for label, values in (("response", resp), ("point", pts)):
+        # a whole-array test first: all() along a short row axis is slow
+        if not np.isfinite(values).all():
+            bad = ~np.all(np.isfinite(values), axis=1)
+            raise ValueError(f"non-finite {label} at row {int(np.argmax(bad))}")
 
     if design is None:
         design = basis.design(pts)

@@ -214,6 +214,15 @@ def _responses(
     return s_z, s_y, y_next
 
 
+def _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design=None) -> None:
+    """Add the k = i term f_i(X_i, y_{i+1}(X_{i+1}), z_i(X_i)) Delta_i to the
+    y-response s_y in place; z_design, if given, is z_fits[i]'s design of X_i."""
+    if not driver.is_zero:
+        i, x_i = cloud.i, cloud.x_at(cloud.i)
+        z_here = _require_fit(z_fits, i, "z").evaluate(x_i, design=z_design)
+        s_y += _driver_values(driver, i, x_i, y_next, z_here, i) * grid.steps[i]
+
+
 def build_z_response(
     cloud: SimulationCloud,
     grid: TimeGrid,
@@ -249,11 +258,7 @@ def build_y_response(
     must already be fitted (z before y within each index).
     """
     _, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
-    if not driver.is_zero:
-        z_i = _require_fit(z_fits, cloud.i, "z")
-        x_i = cloud.x_at(cloud.i)
-        f_i = _driver_values(driver, cloud.i, x_i, y_next, z_i.evaluate(x_i), cloud.i)
-        s_y += f_i * grid.steps[cloud.i]
+    _add_own_term(s_y, cloud, grid, driver, y_next, z_fits)
     return s_y
 
 
@@ -374,13 +379,10 @@ def mwls_solve(
         s_z, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
         z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
         try:
-            z_fit = truncate_estimator(
+            z_fits[i] = truncate_estimator(
                 ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
             )
-            z_fits[i] = z_fit
-            if not driver.is_zero:
-                z_here = z_fit.evaluate(x_i, design=z_design)
-                s_y += _driver_values(driver, i, x_i, y_next, z_here, i) * grid.steps[i]
+            _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design)
             y_fits[i] = truncate_estimator(
                 ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
             )

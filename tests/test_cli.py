@@ -540,3 +540,243 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("# command=tune")
+
+
+# ---------------------------------------------------------------------------
+# validation before computing
+
+
+def test_run_rejects_negative_seed_naming_the_key(tmp_path, capsys):
+    config = _write_config(tmp_path, ZERO_CONFIG.replace("seed = 11", "seed = -3"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", "--config", config, "--out", str(out_dir)]) == 1
+    assert "error: simulation.seed must be >= 0, got -3" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["run", "--config", "{config}"], "error.fresh_m must be >= 1, got 0"),
+        (
+            ["bench", "--problem", "zero", "--n", "3", "--degree", "0", "--delta", "2.0",
+             "--radius", "2.0", "--m", "50", "--fresh-m", "0"],
+            "--fresh-m must be >= 1, got 0",
+        ),
+    ],
+)
+def test_fresh_m_below_one_fails_before_any_report(tmp_path, capsys, command, message):
+    config = _write_config(tmp_path, ZERO_CONFIG.replace("fresh_m = 200", "fresh_m = 0"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = [arg.format(config=config) for arg in command] + ["--out", str(out_dir)]
+    assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_sweep_rejects_unparsable_m_values(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = main(
+        ["sweep", "--problem", "zero", "--n", "2", "--degree", "0", "--delta", "2.0",
+         "--radius", "2.0", "--m-values", "100,abc", "--out", str(out_dir)]
+    )
+    assert rc == 1
+    assert "error: --m-values: cannot parse '100,abc' as int_list" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# report headers: the '# key=value' lines and the column row, pinned
+
+
+def _header(text):
+    lines = text.splitlines()
+    end = next(n for n, line in enumerate(lines) if not line.startswith("# "))
+    return "\n".join(lines[: end + 1]) + "\n"
+
+
+BOUNDS_B1_STDOUT = """\
+# command=bounds
+# problem.id=b1
+# problem.x0_width=5
+# grid.t=1
+# grid.n=5
+# grid.theta=1
+# a1y=1
+# a2y=1
+# a1z=1
+# a2z=1
+# a3z=0
+# amy=2
+# amz=1
+index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z
+0,0,8,1,8,8,0,0
+1,0.19999999999999996,8,1,8,8.9442719099991592,0,0
+2,0.40000000000000002,8,1,8,10.327955589886445,0,0
+3,0.59999999999999998,8,1,8,12.649110640673516,0,0
+4,0.80000000000000004,8,1,8,17.888543819998322,0,0
+"""
+
+BOUNDS_B4_STDOUT = """\
+# command=bounds
+# problem.id=b4
+# problem.cap=1
+# problem.theta_phi=0.5
+# problem.x0_width=5
+# grid.t=1
+# grid.n=5
+# grid.theta=1
+# a1y=1
+# a2y=1
+# a1z=1
+# a2z=1
+# a3z=0
+# amy=2
+# amz=1
+index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z
+0,0,1,1,1,1,0,0
+1,0.19999999999999996,1,1.0573712634405641,1,1.1180339887498949,0,0
+2,0.40000000000000002,1,1.1362193664674993,1,1.2909944487358056,0,0
+3,0.59999999999999998,1,1.2574334296829353,1,1.5811388300841895,0,0
+4,0.80000000000000004,1,1.4953487812212207,1,2.2360679774997902,0,0
+"""
+
+BOUNDS_CONSTANTS = """\
+# a1y=1
+# a2y=1
+# a1z=1
+# a2z=1
+# a3z=0
+# amy=2
+# amz=1
+"""
+
+SUMMARY_COLUMNS = "index,t_i,m_i,k_y,k_z,level_y,level_z\n"
+BOUNDS_COLUMNS = "index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z\n"
+ERRORS_COLUMNS = (
+    "index,t_i,emp_y,emp_z,fresh_y,fresh_z,fresh_y_se,fresh_z_se,"
+    "e_app_y,e_app_z,dep_y,dep_z,bound_y,bound_z\n"
+)
+
+BENCH_B4_ECHO = """\
+# command=bench
+# problem.id=b4
+# problem.cap=1
+# problem.theta_phi=0.5
+# problem.x0_width=5
+# grid.t=1
+# grid.n=2
+# grid.theta=0.5
+# grid.points=0,0.75,1
+# basis.degree=0
+# basis.delta=2,2
+# basis.delta_z=2,2
+# basis.radius=2
+# simulation.m=60,60
+# simulation.seed=0
+# error.enabled=true
+# error.fresh_m=20
+"""
+
+RUN_B1_ECHO = """\
+# command=run
+# problem.id=b1
+# problem.x0_width=5
+# grid.t=1
+# grid.n=4
+# grid.theta=1
+# grid.points=0,0.25,0.5,0.75,1
+# basis.degree=1
+# basis.delta=1,1,1,1
+# basis.delta_z=1,1,1,1
+# basis.radius=3
+# simulation.m=300,300,300,300
+# simulation.seed=10
+# error.enabled=true
+# error.fresh_m=40
+"""
+
+# the slope values are results, not configuration: only their keys are pinned
+SWEEP_B1_HEADER = """\
+# command=sweep
+# problem.id=b1
+# problem.x0_width=5
+# grid.t=1
+# grid.n=3
+# grid.theta=1
+# basis.degree=0
+# basis.delta=2
+# basis.delta_z=2
+# basis.radius=2
+# simulation.seed=3
+# error.fresh_m=50
+# error.index=1
+# slope_fresh_y=
+# slope_fresh_z=
+# slope_emp_y=
+# slope_emp_z=
+m,emp_y,emp_z,fresh_y,fresh_z,cost
+"""
+
+
+@pytest.mark.parametrize(
+    "problem, expected", [("b1", BOUNDS_B1_STDOUT), ("b4", BOUNDS_B4_STDOUT)]
+)
+def test_bounds_stdout_pinned(capsys, problem, expected):
+    assert main(["bounds", "--problem", problem, "--n", "5"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_bench_b4_headers_pinned_with_theta_phi_grid(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(
+        ["bench", "--problem", "b4", "--n", "2", "--m", "60", "--fresh-m", "20",
+         "--degree", "0", "--delta", "2", "--radius", "2"]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "mwls_bench_b4"
+    summary = (out_dir / "run_summary.csv").read_text()
+    assert _header(summary) == BENCH_B4_ECHO + SUMMARY_COLUMNS
+    assert _header((out_dir / "bounds.csv").read_text()) == (
+        BENCH_B4_ECHO + BOUNDS_CONSTANTS + BOUNDS_COLUMNS
+    )
+    assert _header((out_dir / "errors.csv").read_text()) == (
+        BENCH_B4_ECHO + "# error.fresh_seed=0\n# error.cost=240\n" + ERRORS_COLUMNS
+    )
+
+
+def test_sweep_b1_header_pinned(tmp_path, capsys):
+    rc = main(
+        ["sweep", "--problem", "b1", "--n", "3", "--m-values", "60,120", "--fresh-m", "50",
+         "--degree", "0", "--delta", "2", "--radius", "2", "--seed", "3",
+         "--out", str(tmp_path / "s")]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    header = _header((tmp_path / "s" / "sweep.csv").read_text()).splitlines()
+    for n, line in enumerate(header):
+        if line.startswith("# slope_"):
+            key, value = line.split("=")
+            assert math.isfinite(float(value))
+            header[n] = key + "="
+    assert "\n".join(header) + "\n" == SWEEP_B1_HEADER
+
+
+def test_run_headers_pinned_with_overrides(tmp_path, capsys):
+    config = _write_config(tmp_path, B1_CONFIG)
+    out_dir = tmp_path / "r"
+    rc = main(
+        ["run", "--config", config, "--seed", "10", "--fresh-m", "40", "--out", str(out_dir)]
+    )
+    assert rc == 0
+    capsys.readouterr()
+    assert _header((out_dir / "run_summary.csv").read_text()) == RUN_B1_ECHO + SUMMARY_COLUMNS
+    assert _header((out_dir / "bounds.csv").read_text()) == (
+        RUN_B1_ECHO + BOUNDS_CONSTANTS + BOUNDS_COLUMNS
+    )
+    assert _header((out_dir / "errors.csv").read_text()) == (
+        RUN_B1_ECHO + "# error.fresh_seed=10\n# error.cost=4800\n" + ERRORS_COLUMNS
+    )

@@ -236,6 +236,15 @@ def test_fit_validation():
         ols_fit(np.zeros(0), basis, np.zeros((0, 1)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_points_naming_the_row(bad):
+    basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=1.0, d=2)
+    pts = np.array([[0.1, 0.1], [0.2, 0.3], [0.2, bad], [0.3, -0.4]])
+    with pytest.raises(ValueError, match="non-finite point at row 2"):
+        ols_fit(np.zeros(4), basis, pts)
+
+
 # ---------------------------------------------------------------------------
 # the shared design: properties over d, degree and edge-case points
 
