@@ -53,10 +53,8 @@ from .model import (
     derive_seed,
     euler_sde_model,
     gbm_model,
-    load_cloud,
     sample_cloud,
     sample_marginal,
-    save_cloud,
 )
 from .regression import (
     LocalPolynomialBasis,
@@ -64,7 +62,6 @@ from .regression import (
     cell_index,
     evaluate_basis,
     ols_fit,
-    save_estimator_csv,
     truncate_estimator,
 )
 from .solver import (
@@ -73,7 +70,6 @@ from .solver import (
     TerminalSpec,
     build_y_response,
     build_z_response,
-    evaluate_solution,
     mwls_solve,
     problem_constants,
     zero_driver,
@@ -116,8 +112,6 @@ __all__ = [
     "derive_seed",
     "sample_cloud",
     "sample_marginal",
-    "save_cloud",
-    "load_cloud",
     # regression
     "LocalPolynomialBasis",
     "LocalPolynomialEstimator",
@@ -125,7 +119,6 @@ __all__ = [
     "evaluate_basis",
     "ols_fit",
     "truncate_estimator",
-    "save_estimator_csv",
     # solver
     "DriverSpec",
     "TerminalSpec",
@@ -135,7 +128,6 @@ __all__ = [
     "build_y_response",
     "build_z_response",
     "mwls_solve",
-    "evaluate_solution",
     # harness
     "Benchmark",
     "ErrorReport",

@@ -33,7 +33,7 @@ from .harness import (
     tune_parameters,
 )
 from .regression import LocalPolynomialBasis
-from .solver import mwls_solve, problem_constants
+from .solver import _per_index_inputs, mwls_solve, problem_constants
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -123,6 +123,18 @@ _DEFAULTS = {
     ("output", "dir"): "mwls_out",
 }
 
+# The range of each numeric entry that a constructor of the package would
+# reject without naming the key, with the words of that constructor's check.
+_RANGES = {
+    ("problem", "theta_phi"): (lambda v: 0.0 < v < 1.0, "theta_phi must lie in (0, 1)"),
+    ("problem", "cap"): (lambda v: v > 0.0, "cap must be positive"),
+    ("problem", "x0_width"): (lambda v: v >= 0.0, "starting-box width must be >= 0"),
+    ("basis", "degree"): (lambda v: v >= 0, "degree must be >= 0"),
+    ("basis", "delta"): (lambda v: v > 0.0, "cell edge must be positive"),
+    ("basis", "delta_z"): (lambda v: v > 0.0, "cell edge must be positive"),
+    ("basis", "radius"): (lambda v: v > 0.0, "support half-width must be positive"),
+}
+
 # Flags by argparse dest: --dest-with-dashes sets the config key of the same
 # name.  {default} in a help text reads the key's default.
 _FLAGS = {
@@ -180,7 +192,8 @@ class RunConfig:
     """Fully resolved configuration of one subcommand: every field has its
     final value.
 
-    delta, delta_z, and m are per-index lists of length grid.N.  echo_prefix
+    delta, delta_z, and m are per-index lists of length grid.N; a sweep's
+    m holds its swept cloud sizes instead.  echo_prefix
     lists the (key path, value) pairs every report starts with: the command,
     the problem keys and the grid keys.  echo_items extends it to the whole
     configuration, which the run and bench reports embed.
@@ -241,15 +254,24 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
 
     raw holds the config file's entries and flags the entries given as
     command-line flags, which take precedence.  An error names a flag entry
-    by its flag and a file entry by its section.key.
+    by its flag and a file entry by its section.key.  A sweep passes its
+    --m-values as simulation.m: one solve per value, used at every index.
     """
     entries = {**raw, **flags}
 
     def name(key) -> str:
-        return _FLAG_OF[key] if key in flags else ".".join(key)
+        if key not in flags:
+            return ".".join(key)
+        return "--m-values" if (command, key) == ("sweep", ("simulation", "m")) else _FLAG_OF[key]
 
     def get(key):
         return entries.get(key, _DEFAULTS.get(key))
+
+    def check_range(key, value):
+        in_range, text = _RANGES[key]
+        if not in_range(value):
+            raise ValueError(f"{name(key)}: {text}, got {value}")
+        return value
 
     problem_id = entries.get(("problem", "id"))
     if problem_id is None:
@@ -268,7 +290,10 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
                     f"{name(('problem', key))} does not apply to problem {problem_id!r}"
                 )
     params = {key: float(get(("problem", key))) for key in applicable}
-    x0_width = float(get(("problem", "x0_width")))
+    for key, value in params.items():
+        if ("problem", key) in _RANGES:
+            check_range(("problem", key), value)
+    x0_width = check_range(("problem", "x0_width"), float(get(("problem", "x0_width"))))
 
     points = entries.get(("grid", "points"))
     if points is not None:
@@ -296,10 +321,25 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
             raise ValueError(f"{', '.join(given) or 'grid'}: {exc}") from None
         grid_echo = (("grid.t", t), ("grid.n", n), ("grid.theta", theta))
 
+    degree = check_range(("basis", "degree"), int(get(("basis", "degree"))))
+    radius = check_range(("basis", "radius"), float(get(("basis", "radius"))))
     delta = _per_index(get(("basis", "delta")), grid.N, name(("basis", "delta")))
+    delta = [check_range(("basis", "delta"), float(v)) for v in delta]
     delta_z = entries.get(("basis", "delta_z"), delta)
     delta_z = _per_index(delta_z, grid.N, name(("basis", "delta_z")))
-    m = _per_index(get(("simulation", "m")), grid.N, name(("simulation", "m")))
+    delta_z = [check_range(("basis", "delta_z"), float(v)) for v in delta_z]
+    m = [int(v) for v in get(("simulation", "m"))]
+    if command != "sweep":
+        m = _per_index(m, grid.N, name(("simulation", "m")))
+    if command != "bounds":
+        model = registry[problem_id](x0_width=x0_width, **params).model
+        y_bases = [LocalPolynomialBasis(degree, dy, radius, model.d) for dy in delta]
+        z_bases = [LocalPolynomialBasis(degree, dz, radius, model.d, model.q) for dz in delta_z]
+        for sizes in m if command == "sweep" else [m]:
+            try:  # the bases fit the model: only a cloud size can fail
+                _per_index_inputs(model, grid.N, y_bases, z_bases, sizes)
+            except ValueError as exc:
+                raise ValueError(f"{name(('simulation', 'm'))}: {exc}") from None
     seed = int(get(("simulation", "seed")))
     if seed < 0:
         raise ValueError(f"{name(('simulation', 'seed'))} must be >= 0, got {seed}")
@@ -318,11 +358,11 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
         x0_width=x0_width,
         grid=grid,
         grid_echo=grid_echo,
-        degree=int(get(("basis", "degree"))),
-        delta=[float(v) for v in delta],
-        delta_z=[float(v) for v in delta_z],
-        radius=float(get(("basis", "radius"))),
-        m=[int(v) for v in m],
+        degree=degree,
+        delta=delta,
+        delta_z=delta_z,
+        radius=radius,
+        m=m,
         seed=seed,
         error_enabled=bool(get(("error", "enabled"))),
         fresh_m=fresh_m,
@@ -499,23 +539,9 @@ def _execute_run(cfg: RunConfig) -> int:
 
     if cfg.error_enabled:
         report = estimate_errors(sol, bench, fresh_m=cfg.fresh_m, seed=cfg.seed)
+        # after index and t_i, each column is the ErrorReport field of its name
         error_rows = [
-            [
-                i,
-                grid.points[i],
-                report.emp_y[i],
-                report.emp_z[i],
-                report.fresh_y[i],
-                report.fresh_z[i],
-                report.fresh_y_se[i],
-                report.fresh_z_se[i],
-                report.e_app_y[i],
-                report.e_app_z[i],
-                report.dep_y[i],
-                report.dep_z[i],
-                report.bound_y[i],
-                report.bound_z[i],
-            ]
+            [i, grid.points[i]] + [getattr(report, column)[i] for column in _ERROR_COLUMNS[2:]]
             for i in range(grid.N)
         ]
         errors_path = os.path.join(cfg.out_dir, "errors.csv")
@@ -596,8 +622,9 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Sweep the cloud size on a benchmark and report errors and slopes."""
-    cfg = _resolve_config({}, "sweep", _flag_entries(args))
-    m_values = _parse_value("int_list", args.m_values, "--m-values")
+    flags = _flag_entries(args)
+    flags[("simulation", "m")] = _parse_value("int_list", args.m_values, "--m-values")
+    cfg = _resolve_config({}, "sweep", flags)
     threads = _resolve_threads(args.threads)
     bench = _build_benchmark(cfg)
     y_bases, z_bases = _build_bases(cfg, bench.model.d, bench.model.q)
@@ -606,7 +633,7 @@ def cmd_sweep(args) -> int:
         cfg.grid,
         y_bases,
         z_bases,
-        m_values,
+        cfg.m,
         seed=cfg.seed,
         fresh_m=cfg.fresh_m,
         index=args.index,

@@ -414,11 +414,13 @@ def obs_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     return theta_y, theta_z
 
 
-def dep_errors(C_bound, K, M, q: int = 1, z_component: bool = False):
+def dep_errors(C_bound, K, M, q: int = 1):
     """Interdependence error of one nested regression:
 
-        C_bound * sqrt(2028 (K+1) log(3M) / M)          (y-component)
-        C_bound * sqrt(2028 (K+1) q log(3M) / M)        (z-component)
+        C_bound * sqrt(2028 (K+1) q log(3M) / M)
+
+    with q = 1 for the y-component and q the weight dimension for the
+    z-component.
 
     Accepts scalars or aligned arrays.  The switch between the empirical
     norm of a fit and the true-measure norm costs at most sqrt(2) times the
@@ -435,8 +437,7 @@ def dep_errors(C_bound, K, M, q: int = 1, z_component: bool = False):
         raise ValueError("sample count must be >= 1")
     if q < 1:
         raise ValueError(f"weight dimension must be >= 1, got {q}")
-    factor = float(q) if z_component else 1.0
-    out = C_arr * np.sqrt(2028.0 * (K_arr + 1.0) * factor * np.log(3.0 * M_arr) / M_arr)
+    out = C_arr * np.sqrt(2028.0 * (K_arr + 1.0) * float(q) * np.log(3.0 * M_arr) / M_arr)
     return float(out) if np.isscalar(C_bound) and out.ndim == 0 else out
 
 
@@ -579,10 +580,8 @@ def bounds_table(
     c_y, c_z = as_bounds(pc, grid)
     theta_y, theta_z = obs_bounds(pc, grid)
     if k_y is not None and m is not None and k_z is not None:
-        dep_y = dep_errors(c_y, np.asarray(k_y, float), np.asarray(m, float), pc.q)
-        dep_z = dep_errors(
-            c_z, np.asarray(k_z, float), np.asarray(m, float), pc.q, z_component=True
-        )
+        dep_y = dep_errors(c_y, np.asarray(k_y, float), np.asarray(m, float))
+        dep_z = dep_errors(c_z, np.asarray(k_z, float), np.asarray(m, float), pc.q)
     else:
         dep_y = np.zeros(grid.N)
         dep_z = np.zeros(grid.N)

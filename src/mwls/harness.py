@@ -26,6 +26,7 @@ from .solver import (
     DriverSpec,
     MwlsSolution,
     TerminalSpec,
+    _per_index_inputs,
     mwls_solve,
     problem_constants,
     zero_driver,
@@ -432,7 +433,7 @@ def estimate_errors(
     k_z = np.array([fit.basis.K for fit in sol.z_fits], dtype=float)
     m = np.asarray(sol.cloud_sizes, dtype=float)
     dep_y = np.asarray(dep_errors(sol.bounds.Theta_y, k_y, m))
-    dep_z = np.asarray(dep_errors(sol.bounds.Theta_z, k_z, m, q=q, z_component=True))
+    dep_z = np.asarray(dep_errors(sol.bounds.Theta_z, k_z, m, q=q))
 
     pc = problem_constants(model, grid, sol.driver, sol.terminal)
     bound_y, bound_z = global_error_bound(pc, grid, e_app_y, e_app_z, k_y, k_z, m)
@@ -625,6 +626,8 @@ def convergence_study(
     readout = grid.N // 2 if index is None else int(index)
     if not 0 <= readout < grid.N:
         raise ValueError(f"readout index {readout} out of range [0, {grid.N - 1}]")
+    for m in m_values:  # all of them, before any point is solved
+        _per_index_inputs(benchmark.model, grid.N, y_basis, z_basis, m)
 
     def run_point(point: int) -> ErrorReport:
         point_seed = derive_seed(seed, point)

@@ -32,8 +32,6 @@ __all__ = [
     "derive_seed",
     "sample_cloud",
     "sample_marginal",
-    "save_cloud",
-    "load_cloud",
 ]
 
 # Stream purposes: disjoint random streams per (time index, purpose).
@@ -71,7 +69,8 @@ class MarkovModel:
     """Base path/weight sampler.
 
     Subclasses implement `sample_paths` (trajectories on a grid prefix) and
-    `malliavin_weights` (H^(i)_j for all j > i from a full path batch).
+    `malliavin_weights` (H^(i)_j for all j > i from a full path batch), with
+    as many Brownian factors as states (q = d).
     """
 
     d: int
@@ -85,6 +84,10 @@ class MarkovModel:
             raise ValueError(f"state dimension must be >= 1, got {self.d}")
         if self.q < 1:
             raise ValueError(f"weight dimension must be >= 1, got {self.q}")
+        if self.d != self.q:
+            raise ValueError(
+                f"weights require matching dimensions d = q, got d={self.d}, q={self.q}"
+            )
         if self.C_M <= 0.0:
             raise ValueError(f"weight moment constant must be positive, got {self.C_M}")
         if self.x0.shape != (self.d,):
@@ -125,8 +128,6 @@ class BrownianModel(MarkovModel):
 
     def __post_init__(self) -> None:
         self._validate_base()
-        if self.d != self.q:
-            raise ValueError("Brownian weights require matching dimensions d = q")
         if self.drift.shape != (self.d,):
             raise ValueError(
                 f"drift must have shape ({self.d},), got {self.drift.shape}"
@@ -159,8 +160,6 @@ class GeometricBrownianModel(MarkovModel):
 
     def __post_init__(self) -> None:
         self._validate_base()
-        if self.d != self.q:
-            raise ValueError("Brownian weights require matching dimensions d = q")
         for name in ("mu", "sigma"):
             if getattr(self, name).shape != (self.d,):
                 raise ValueError(
@@ -206,8 +205,6 @@ class EulerSdeModel(MarkovModel):
 
     def __post_init__(self) -> None:
         self._validate_base()
-        if self.d != self.q:
-            raise ValueError("tangent-process weights require d = q")
 
     def sample_paths(self, grid, M, rng, last=None):
         n = grid.N if last is None else last
@@ -362,7 +359,6 @@ class SimulationCloud:
     i: int
     X: np.ndarray = field(repr=False)
     H: np.ndarray = field(repr=False)
-    seed: int
 
     @property
     def M(self) -> int:
@@ -382,19 +378,18 @@ class SimulationCloud:
 
 
 def sample_cloud(
-    model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int,
-    purpose: int = STREAM_CLOUD,
+    model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int
 ) -> SimulationCloud:
     """One simulation cloud: M_i i.i.d. rows of (X_i..X_N, H^(i)_{i+1..N}).
 
-    Clouds at distinct indices (or purposes) consume disjoint random
-    streams; the same (seed, i, M_i) reproduces the cloud bit for bit.
+    Clouds at distinct indices consume disjoint random streams; the same
+    (seed, i, M_i) reproduces the cloud bit for bit.
     """
     if not 0 <= i < grid.N:
         raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
     if M_i < 1:
         raise ValueError(f"cloud size must be >= 1, got {M_i}")
-    rng = cloud_rng(seed, i, purpose)
+    rng = cloud_rng(seed, i, STREAM_CLOUD)
     batch = model.sample_paths(grid, M_i, rng)
     weights = model.malliavin_weights(grid, i, batch)
     states = batch.X[:, i:, :]
@@ -402,70 +397,19 @@ def sample_cloud(
         raise NumericalError(
             f"non-finite values in the simulation cloud at index {i}"
         )
-    return SimulationCloud(i=i, X=states, H=weights, seed=seed)
+    return SimulationCloud(i=i, X=states, H=weights)
 
 
 def sample_marginal(
-    model: MarkovModel, grid: TimeGrid, i: int, M: int, seed: int,
-    purpose: int = STREAM_FRESH,
+    model: MarkovModel, grid: TimeGrid, i: int, M: int, seed: int
 ) -> np.ndarray:
     """M fresh i.i.d. draws of X_i, shape (M, d), from their own stream."""
     if not 0 <= i <= grid.N:
         raise ValueError(f"marginal index must lie in 0..{grid.N}, got {i}")
     if M < 1:
         raise ValueError(f"draw count must be >= 1, got {M}")
-    rng = cloud_rng(seed, i, purpose)
+    rng = cloud_rng(seed, i, STREAM_FRESH)
     if i == 0:
         return model._draw_start(M, rng)
     batch = model.sample_paths(grid, M, rng, last=i)
     return batch.X[:, i, :]
-
-
-_CLOUD_MAGIC = 0x4D574C53  # "MWLS"
-_CLOUD_VERSION = 1
-
-
-def save_cloud(cloud: SimulationCloud, path: str) -> None:
-    """Dump a cloud as a flat binary table (row-major, little-endian).
-
-    Layout: int64 header [magic, version, i, M, n_times, d, q], then per
-    row the X block (n_times * d doubles) followed by the H block
-    ((n_times - 1) * q doubles).
-    """
-    M, n_times, d = cloud.X.shape
-    q = cloud.H.shape[2]
-    header = np.array(
-        [_CLOUD_MAGIC, _CLOUD_VERSION, cloud.i, M, n_times, d, q], dtype="<i8"
-    )
-    rows = np.concatenate(
-        [cloud.X.reshape(M, n_times * d), cloud.H.reshape(M, (n_times - 1) * q)],
-        axis=1,
-    ).astype("<f8")
-    with open(path, "wb") as fh:
-        header.tofile(fh)
-        rows.tofile(fh)
-
-
-def load_cloud(path: str, seed: int = -1) -> SimulationCloud:
-    """Restore a cloud written by `save_cloud`.
-
-    The seed is provenance only and is not stored in the table; pass it
-    when known, else the cloud carries -1.
-    """
-    with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype="<i8", count=7)
-        if header.size != 7 or header[0] != _CLOUD_MAGIC:
-            raise ValueError(f"not a cloud table: {path}")
-        if header[1] != _CLOUD_VERSION:
-            raise ValueError(f"unsupported cloud table version {header[1]}")
-        i, M, n_times, d, q = (int(v) for v in header[2:])
-        rows = np.fromfile(fh, dtype="<f8")
-    expected = M * (n_times * d + (n_times - 1) * q)
-    if rows.size != expected:
-        raise ValueError(
-            f"cloud table truncated: expected {expected} values, got {rows.size}"
-        )
-    rows = rows.reshape(M, n_times * d + (n_times - 1) * q)
-    X = rows[:, : n_times * d].reshape(M, n_times, d)
-    H = rows[:, n_times * d :].reshape(M, n_times - 1, q)
-    return SimulationCloud(i=i, X=X, H=H, seed=seed)

@@ -31,7 +31,6 @@ __all__ = [
     "ols_fit",
     "shared_designs",
     "truncate_estimator",
-    "save_estimator_csv",
 ]
 
 
@@ -120,8 +119,11 @@ class LocalPolynomialBasis:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.d)
-        in_support = ~np.any(np.abs(pts) > self.radius, axis=1)
-        inside = np.flatnonzero(in_support)
+        # per axis, not a reduction along the short row axis; NaN stays inside
+        outside = np.abs(pts[:, 0]) > self.radius
+        for axis in range(1, self.d):
+            outside |= np.abs(pts[:, axis]) > self.radius
+        inside = np.flatnonzero(~outside)
         k = np.floor((pts + self.radius) / self.delta).astype(int)
         np.clip(k, 0, self.cells_per_axis - 1, out=k)
         flat = k[:, 0]
@@ -145,7 +147,7 @@ class LocalPolynomialBasis:
         rows = np.take(table, columns[:, 0], axis=1)
         for axis in range(1, self.d):
             rows *= np.take(table, columns[:, axis], axis=1)
-        return Design(self.geometry, np.where(in_support, flat, -1), inside, rows)
+        return Design(self.geometry, np.where(outside, -1, flat), inside, rows)
 
     def _check_design(self, design: Design, m: int) -> None:
         """Raise ValueError unless the design fits this geometry and m rows."""
@@ -295,9 +297,6 @@ class LocalPolynomialEstimator:
             np.clip(out, -self.level, self.level, out=out)
         return out
 
-    def __call__(self, points) -> np.ndarray:
-        return self.evaluate(points)
-
 
 def ols_fit(
     responses, basis: LocalPolynomialBasis, points, design: Design | None = None
@@ -308,8 +307,9 @@ def ols_fit(
     disjoint cell supports decouple the problem.  The well-posed cells of
     the design's `factors` are solved together through their normal
     equations G c = A^T r, with A the cell's rows and r its responses, from
-    the design's eigendecomposition of G = A^T A.  Every other occupied cell is solved by SVD-based least squares on its own rows
-    (minimal-norm coefficients when rank-deficient).  Empty cells keep zero
+    the design's eigendecomposition of G = A^T A.  Every other occupied cell
+    is solved by SVD-based least squares on its own rows (minimal-norm
+    coefficients when rank-deficient).  Empty cells keep zero
     coefficients, and rows outside the support do not influence the fit
     (their basis row is zero).  A non-finite response or point is a
     ValueError naming its row.
@@ -383,27 +383,3 @@ def truncate_estimator(
     if level < 0.0:
         raise ValueError(f"truncation level must be >= 0, got {level}")
     return replace(estimator, level=float(level))
-
-
-def save_estimator_csv(estimator: LocalPolynomialEstimator, path: str, **provenance) -> None:
-    """Dump the coefficient table (cell, multi-index, component, coefficient).
-
-    Provenance keyword pairs are written as leading `# key=value` lines.
-    """
-    basis = estimator.basis
-    with open(path, "w") as fh:
-        fh.write(f"# degree={basis.degree}\n")
-        fh.write(f"# delta={basis.delta!r}\n")
-        fh.write(f"# radius={basis.radius!r}\n")
-        fh.write(f"# d={basis.d}\n")
-        fh.write(f"# out_dim={basis.out_dim}\n")
-        fh.write(f"# level={estimator.level!r}\n")
-        for key, value in provenance.items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("cell,multi_index,component,coefficient\n")
-        for cell in range(basis.n_cells):
-            for j, power in enumerate(basis.powers):
-                tag = "-".join(str(p) for p in power)
-                for comp in range(basis.out_dim):
-                    value = estimator.coefficients[cell, j, comp]
-                    fh.write(f"{cell},{tag},{comp},{value:.17g}\n")

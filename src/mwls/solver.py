@@ -20,7 +20,6 @@ from .errors import NumericalError
 from .grid import TimeGrid
 from .model import MarkovModel, SimulationCloud, sample_cloud
 from .regression import (
-    LocalPolynomialBasis,
     LocalPolynomialEstimator,
     ols_fit,
     shared_designs,
@@ -36,7 +35,6 @@ __all__ = [
     "build_z_response",
     "build_y_response",
     "mwls_solve",
-    "evaluate_solution",
 ]
 
 
@@ -129,43 +127,22 @@ def problem_constants(
     )
 
 
-def _terminal_values(
-    terminal: TerminalSpec, x_last: np.ndarray, i: int
-) -> np.ndarray:
-    values = np.asarray(terminal.fn(x_last), dtype=float)
+def _callback_values(values, m: int, i: int, k: int | None = None) -> np.ndarray:
+    """Checked (m,) values of the terminal map (k None) or of the driver's
+    sum term k in the response at time index i; a scalar broadcasts."""
+    values = np.asarray(values, dtype=float)
     if values.ndim == 0:
-        values = np.full(x_last.shape[0], float(values))
+        values = np.full(m, float(values))
     values = values.reshape(-1)
-    if values.shape[0] != x_last.shape[0]:
-        raise ValueError(
-            f"terminal map returned {values.shape[0]} values for {x_last.shape[0]} states"
-        )
+    if k is None:
+        source, label, at, term = "terminal map", "terminal", "", ""
+    else:
+        source, label, at, term = "driver", "driver", f" at k={k}", f", sum term k={k}"
+    if values.shape[0] != m:
+        raise ValueError(f"{source} returned {values.shape[0]} values for {m} states{at}")
     if not np.all(np.isfinite(values)):
         raise NumericalError(
-            f"non-finite terminal value in the response at time index {i}"
-        )
-    return values
-
-
-def _driver_values(
-    driver: DriverSpec,
-    k: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    z: np.ndarray,
-    i: int,
-) -> np.ndarray:
-    values = np.asarray(driver.fn(k, x, y, z), dtype=float)
-    if values.ndim == 0:
-        values = np.full(x.shape[0], float(values))
-    values = values.reshape(-1)
-    if values.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"driver returned {values.shape[0]} values for {x.shape[0]} states at k={k}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(
-            f"non-finite driver value in the response at time index {i}, sum term k={k}"
+            f"non-finite {label} value in the response at time index {i}{term}"
         )
     return values
 
@@ -194,7 +171,8 @@ def _responses(
     driver or when with_y_next is false.
     """
     i, n = cloud.i, grid.N
-    phi = _terminal_values(terminal, cloud.x_at(n), i)
+    x_n = cloud.x_at(n)
+    phi = _callback_values(terminal.fn(x_n), x_n.shape[0], i)
     f_vals: dict[int, np.ndarray] = {}
     y_next = None if driver.is_zero else phi
     for k in () if driver.is_zero else range(n - 1, i, -1):
@@ -204,7 +182,7 @@ def _responses(
         y_fit = _require_fit(y_fits, k, "y") if with_y_next or k > i + 1 else None
         z_design, y_design = shared_designs(x_k, z_fit.basis, (y_fit or z_fit).basis)
         z_here = z_fit.evaluate(x_k, design=z_design)
-        f_vals[k] = _driver_values(driver, k, x_k, y_next, z_here, i)
+        f_vals[k] = _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k)
         y_next = None if y_fit is None else y_fit.evaluate(x_k, design=y_design)[:, 0]
     s_z = phi[:, None] * cloud.h_at(n)
     s_y = phi.copy()
@@ -220,7 +198,8 @@ def _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design=None) -> No
     if not driver.is_zero:
         i, x_i = cloud.i, cloud.x_at(cloud.i)
         z_here = _require_fit(z_fits, i, "z").evaluate(x_i, design=z_design)
-        s_y += _driver_values(driver, i, x_i, y_next, z_here, i) * grid.steps[i]
+        f_i = _callback_values(driver.fn(i, x_i, y_next, z_here), x_i.shape[0], i, i)
+        s_y += f_i * grid.steps[i]
 
 
 def build_z_response(
@@ -297,17 +276,14 @@ class MwlsSolution:
         if not 0 <= i <= self.N:
             raise ValueError(f"time index {i} out of range [0, {self.N}]")
         if i == self.N:
-            return _terminal_values(self.terminal, pts, i)
+            return _callback_values(self.terminal.fn(pts), pts.shape[0], i)
         return self.y_fits[i].evaluate(pts)[:, 0]
 
     def z_values(self, i: int, points) -> np.ndarray:
         """z estimator values at time index i = 0 .. N-1, shape (M, q)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, self.model.d)
         if not 0 <= i < self.N:
             raise ValueError(f"time index {i} out of range [0, {self.N - 1}]")
-        return self.z_fits[i].evaluate(pts)
+        return self.z_fits[i].evaluate(points)
 
 
 def _per_index(value, n: int, label: str) -> list:
@@ -317,6 +293,31 @@ def _per_index(value, n: int, label: str) -> list:
             raise ValueError(f"{label} list has {len(value)} entries, expected {n}")
         return list(value)
     return [value] * n
+
+
+def _per_index_inputs(model: MarkovModel, n: int, y_basis, z_basis, cloud_sizes):
+    """The y bases, z bases and cloud sizes of the n indices, each checked
+    against the model and each cloud size against its basis dimensions."""
+    y_bases = _per_index(y_basis, n, "y basis")
+    z_bases = _per_index(z_basis, n, "z basis")
+    sizes = [int(m) for m in _per_index(cloud_sizes, n, "cloud size")]
+    for i in range(n):
+        if y_bases[i].out_dim != 1:
+            raise ValueError(
+                f"y basis at index {i} fits {y_bases[i].out_dim} components, expected 1"
+            )
+        if z_bases[i].out_dim != model.q:
+            raise ValueError(
+                f"z basis at index {i} fits {z_bases[i].out_dim} components, expected q={model.q}"
+            )
+        if y_bases[i].d != model.d or z_bases[i].d != model.d:
+            raise ValueError(f"basis dimension at index {i} does not match d={model.d}")
+        needed = max(y_bases[i].K, z_bases[i].K)
+        if sizes[i] < needed:
+            raise ValueError(
+                f"cloud size {sizes[i]} at time index {i} is below the basis dimension {needed}"
+            )
+    return y_bases, z_bases, sizes
 
 
 def mwls_solve(
@@ -345,26 +346,7 @@ def mwls_solve(
     are drawn per index and released after the two regressions.
     """
     n = grid.N
-    y_bases = _per_index(y_basis, n, "y basis")
-    z_bases = _per_index(z_basis, n, "z basis")
-    sizes = [int(m) for m in _per_index(cloud_sizes, n, "cloud size")]
-    for i in range(n):
-        if y_bases[i].out_dim != 1:
-            raise ValueError(
-                f"y basis at index {i} fits {y_bases[i].out_dim} components, expected 1"
-            )
-        if z_bases[i].out_dim != model.q:
-            raise ValueError(
-                f"z basis at index {i} fits {z_bases[i].out_dim} components, expected q={model.q}"
-            )
-        if y_bases[i].d != model.d or z_bases[i].d != model.d:
-            raise ValueError(f"basis dimension at index {i} does not match d={model.d}")
-        needed = max(y_bases[i].K, z_bases[i].K)
-        if sizes[i] < needed:
-            raise ValueError(
-                f"cloud size {sizes[i]} at time index {i} is below the basis dimension {needed}"
-            )
-
+    y_bases, z_bases, sizes = _per_index_inputs(model, n, y_basis, z_basis, cloud_sizes)
     pc = problem_constants(model, grid, driver, terminal)
     table = bounds_table(
         pc, grid, k_y=[b.K for b in y_bases], k_z=[b.K for b in z_bases], m=sizes
@@ -404,15 +386,3 @@ def mwls_solve(
         cloud_sizes=tuple(sizes),
         marginals=tuple(marginals),
     )
-
-
-def evaluate_solution(sol: MwlsSolution, i: int, x) -> tuple[float, np.ndarray | None]:
-    """Query the solution at one point: (y value, z vector or None at i = N)."""
-    if not 0 <= i <= sol.N:
-        raise ValueError(f"time index {i} out of range [0, {sol.N}]")
-    point = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, sol.model.d)
-    if i == sol.N:
-        return float(_terminal_values(sol.terminal, point, i)[0]), None
-    y = float(sol.y_fits[i].evaluate(point)[0, 0])
-    z = sol.z_fits[i].evaluate(point)[0]
-    return y, z

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mwls.cli as cli
+import mwls.harness
 from mwls.cli import load_config, main
 from mwls.constants import as_bounds, obs_bounds
 from mwls.errors import NumericalError
@@ -584,6 +585,90 @@ def test_sweep_rejects_unparsable_m_values(tmp_path, capsys):
     )
     assert rc == 1
     assert "error: --m-values: cannot parse '100,abc' as int_list" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# A bad value names its flag, or its section.key in a config file, before
+# the text the package's own check would print; at the defaults (n = 10,
+# degree 1, delta 0.5, radius 4) the basis dimension is 16 cells * 2 = 32.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--problem", "b1", "--degree", "-1"], "--degree: degree must be >= 0, got -1"),
+        (
+            ["bench", "--problem", "b1", "--delta", "0"],
+            "--delta: cell edge must be positive, got 0.0",
+        ),
+        (
+            ["bench", "--problem", "b1", "--delta-z", "0"],
+            "--delta-z: cell edge must be positive, got 0.0",
+        ),
+        (
+            ["bench", "--problem", "b1", "--radius", "0"],
+            "--radius: support half-width must be positive, got 0.0",
+        ),
+        (
+            ["bench", "--problem", "b1", "--x0-width", "-1"],
+            "--x0-width: starting-box width must be >= 0, got -1.0",
+        ),
+        (["bench", "--problem", "b4", "--cap", "-1"], "--cap: cap must be positive, got -1.0"),
+        (
+            ["bench", "--problem", "b4", "--theta-phi", "1.5"],
+            "--theta-phi: theta_phi must lie in (0, 1), got 1.5",
+        ),
+        (["bounds", "--problem", "b4", "--cap", "-1"], "--cap: cap must be positive, got -1.0"),
+        (
+            ["bounds", "--problem", "b4", "--theta-phi", "1.5"],
+            "--theta-phi: theta_phi must lie in (0, 1), got 1.5",
+        ),
+        (
+            ["bench", "--problem", "b1", "--m", "5"],
+            "--m: cloud size 5 at time index 0 is below the basis dimension 32",
+        ),
+        (
+            ["sweep", "--problem", "b1", "--m-values", "200000,1"],
+            "--m-values: cloud size 1 at time index 0 is below the basis dimension 32",
+        ),
+        (
+            ["run", "[simulation]\nm = 5\n"],
+            "simulation.m: cloud size 5 at time index 0 is below the basis dimension 32",
+        ),
+        (["run", "[basis]\ndegree = -1\n"], "basis.degree: degree must be >= 0, got -1"),
+        (
+            ["run", "[basis]\ndelta = " + "0.5, " * 9 + "-1\n"],
+            "basis.delta: cell edge must be positive, got -1.0",
+        ),
+    ],
+)
+def test_bad_value_names_its_flag_or_key(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    if argv[0] == "run":  # the second entry is the config file's text
+        config = _write_config(tmp_path, "[problem]\nid = b1\n\n" + argv[1])
+        argv = ["run", "--config", config]
+    if argv[0] != "bounds":
+        argv = argv + ["--out", str(out_dir)]
+    assert main(argv) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_sweep_checks_every_cloud_size_before_solving(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = mwls.harness.mwls_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mwls.harness, "mwls_solve", counted)
+    out_dir = tmp_path / "out"
+    rc = main(
+        ["sweep", "--problem", "b1", "--n", "10", "--m-values", "200000,1",
+         "--fresh-m", "100", "--out", str(out_dir)]
+    )
+    assert rc == 1
+    assert calls == []
+    assert "--m-values" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -332,8 +332,8 @@ def test_pipeline_monotone_in_problem_constants():
             hi_y, hi_z = fn(bumped, grid)
             assert np.all(hi_y >= lo_y * (1.0 - 1e-13))
             assert np.all(hi_z >= lo_z * (1.0 - 1e-13))
-        d0 = dep_errors(as_bounds(base, grid)[0], k, m, base.q)
-        d1 = dep_errors(as_bounds(bumped, grid)[0], k, m, bumped.q)
+        d0 = dep_errors(as_bounds(base, grid)[0], k, m)
+        d1 = dep_errors(as_bounds(bumped, grid)[0], k, m)
         assert np.all(d1 >= d0 * (1.0 - 1e-13))
 
 
@@ -515,8 +515,8 @@ def test_dep_errors_fixture():
 
 
 def test_dep_errors_z_flag_scales_with_weight_dimension():
-    y = dep_errors(1.0, 3, 500, q=4, z_component=False)
-    z = dep_errors(1.0, 3, 500, q=4, z_component=True)
+    y = dep_errors(1.0, 3, 500)
+    z = dep_errors(1.0, 3, 500, q=4)
     np.testing.assert_allclose(z, 2.0 * y, rtol=1e-15)
 
 
@@ -654,10 +654,8 @@ def test_bounds_table_matches_components():
     np.testing.assert_array_equal(table.C_z, c_z)
     np.testing.assert_array_equal(table.Theta_y, theta_y)
     np.testing.assert_array_equal(table.Theta_z, theta_z)
-    np.testing.assert_allclose(table.E_dep_Y, dep_errors(c_y, k, m, pc.q), rtol=1e-15)
-    np.testing.assert_allclose(
-        table.E_dep_Z, dep_errors(c_z, k, m, pc.q, z_component=True), rtol=1e-15
-    )
+    np.testing.assert_allclose(table.E_dep_Y, dep_errors(c_y, k, m), rtol=1e-15)
+    np.testing.assert_allclose(table.E_dep_Z, dep_errors(c_z, k, m, pc.q), rtol=1e-15)
     assert (table.A1y, table.A2y, table.A1z, table.A2z, table.A3z) == (
         a.A1y, a.A2y, a.A1z, a.A2z, a.A3z,
     )

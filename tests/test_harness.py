@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mwls.harness
 from mwls.grid import make_theta_grid
 from mwls.harness import (
     approximation_study,
@@ -380,6 +381,24 @@ def test_convergence_study_m_sweep():
         convergence_study(
             bench, grid, basis, basis, m_values=[400, 800], seed=71, index=9
         )
+
+
+def test_convergence_study_checks_every_cloud_size_before_solving(monkeypatch):
+    calls = []
+    solve = mwls.harness.mwls_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mwls.harness, "mwls_solve", counted)
+    basis = _linear_basis()  # K = 8 cells * 2 monomials
+    with pytest.raises(ValueError, match="cloud size 1 at time index 0 .* dimension 16"):
+        convergence_study(
+            benchmark_b1(), make_theta_grid(1.0, 10), basis, basis,
+            m_values=[200_000, 1], seed=0, fresh_m=100,
+        )
+    assert calls == []
 
 
 def test_approximation_study_quadratic_rate():

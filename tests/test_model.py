@@ -7,15 +7,16 @@ from scipy import stats
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
 from mwls.model import (
+    BrownianModel,
+    EulerSdeModel,
+    GeometricBrownianModel,
     brownian_model,
     cloud_rng,
     derive_seed,
     euler_sde_model,
     gbm_model,
-    load_cloud,
     sample_cloud,
     sample_marginal,
-    save_cloud,
 )
 
 # ---------------------------------------------------------------------------
@@ -329,42 +330,6 @@ def test_sample_marginal_validation():
 
 
 # ---------------------------------------------------------------------------
-# dump / restore
-
-
-def test_cloud_roundtrip(tmp_path):
-    model = brownian_model(d=2)
-    grid = make_theta_grid(T=1.0, N=5, theta=0.7)
-    cloud = sample_cloud(model, grid, i=2, M_i=33, seed=81)
-    path = str(tmp_path / "cloud.bin")
-    save_cloud(cloud, path)
-    back = load_cloud(path, seed=81)
-    assert back.i == 2
-    assert back.seed == 81
-    np.testing.assert_array_equal(back.X, cloud.X)
-    np.testing.assert_array_equal(back.H, cloud.H)
-
-
-def test_cloud_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a cloud table")
-    with pytest.raises(ValueError, match="not a cloud table"):
-        load_cloud(str(path))
-
-
-def test_cloud_load_rejects_truncation(tmp_path):
-    model = brownian_model(d=1)
-    grid = make_theta_grid(T=1.0, N=3, theta=1.0)
-    cloud = sample_cloud(model, grid, i=0, M_i=10, seed=1)
-    path = tmp_path / "cloud.bin"
-    save_cloud(cloud, str(path))
-    data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError, match="truncated"):
-        load_cloud(str(path))
-
-
-# ---------------------------------------------------------------------------
 # model validation
 
 
@@ -375,3 +340,16 @@ def test_model_validation():
         brownian_model(d=2, x0=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         brownian_model(d=1, x0_width=-1.0)
+
+
+@pytest.mark.parametrize(
+    "model_class, coefficients",
+    [
+        (BrownianModel, dict(drift=np.zeros(2))),
+        (GeometricBrownianModel, dict(mu=np.zeros(2), sigma=np.ones(2))),
+        (EulerSdeModel, dict(b=None, sigma=lambda t, x: None, db=None, dsigma=None)),
+    ],
+)
+def test_weights_require_matching_dimensions(model_class, coefficients):
+    with pytest.raises(ValueError, match="d = q, got d=2, q=1"):
+        model_class(d=2, q=1, C_M=1.0, x0=np.zeros(2), x0_width=0.0, **coefficients)

@@ -1,6 +1,7 @@
 """Tests for the local-polynomial basis and empirical least squares."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from mwls.regression import (
     cell_index,
     evaluate_basis,
     ols_fit,
-    save_estimator_csv,
     truncate_estimator,
 )
 
@@ -297,6 +297,20 @@ def test_design_rows_are_bitwise_the_pow_reference(case):
     assert design.rows.tobytes() == rows.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_design_support_of_nan_and_infinite_points_is_the_any_reference(d):
+    # a NaN coordinate compares False against R: the point stays inside
+    # unless another coordinate is outside
+    basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=1.0, d=d)
+    specials = [0.3, -1.0, 1.0, 1.2, np.nan, np.inf, -np.inf]
+    points = np.array(list(itertools.product(specials, repeat=d)))
+    with np.errstate(invalid="ignore"):
+        design = basis.design(points)
+        cells, _ = _reference_rows(basis, points)
+    np.testing.assert_array_equal(design.cells, cells)
+    np.testing.assert_array_equal(design.inside, np.flatnonzero(cells >= 0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_bases_and_points(), st.integers(0, 2**32 - 1))
 def test_fit_and_evaluate_with_a_design_are_bitwise_unchanged(case, seed):
@@ -520,25 +534,3 @@ def test_smooth_target_error_decays_at_expected_rate():
         errors.append(np.max(np.abs(estimator.evaluate(probe)[:, 0] - target(probe[:, 0]))))
     slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
     assert slope >= 2.0 - 0.3
-
-
-# ---------------------------------------------------------------------------
-# coefficient dump
-
-
-def test_save_estimator_csv_roundtrip(tmp_path):
-    estimator = truncate_estimator(_step_estimator(), 4.0)
-    path = tmp_path / "estimator.csv"
-    save_estimator_csv(estimator, str(path), time_index=3)
-    lines = path.read_text().splitlines()
-    headers = [line for line in lines if line.startswith("#")]
-    assert "# degree=0" in headers
-    assert "# time_index=3" in headers
-    body = [line for line in lines if not line.startswith("#")]
-    assert body[0] == "cell,multi_index,component,coefficient"
-    rows = [line.split(",") for line in body[1:]]
-    assert len(rows) == estimator.basis.K * estimator.basis.out_dim
-    # the %.17g rendering round-trips the stored coefficients exactly
-    parsed = {(int(r[0]), r[1], int(r[2])): float(r[3]) for r in rows}
-    assert parsed[(0, "0", 0)] == estimator.coefficients[0, 0, 0]
-    assert parsed[(1, "0", 0)] == estimator.coefficients[1, 0, 0]

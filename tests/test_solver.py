@@ -13,7 +13,6 @@ from mwls.solver import (
     TerminalSpec,
     build_y_response,
     build_z_response,
-    evaluate_solution,
     mwls_solve,
     problem_constants,
     zero_driver,
@@ -325,22 +324,20 @@ def test_evaluate_solution_contracts():
     sol = mwls_solve(
         model, grid, zero_driver(), terminal, basis, basis, cloud_sizes=400, seed=31
     )
-    # terminal index returns the exact map and no z component
-    y_n, z_n = evaluate_solution(sol, grid.N, 0.3)
-    assert y_n == np.tanh(0.3) and z_n is None
-    # truncation envelopes hold everywhere, including outside the support
-    rng = np.random.default_rng(32)
-    for x in rng.uniform(-5.0, 5.0, size=20):
-        for i in range(grid.N):
-            y, z = evaluate_solution(sol, i, x)
-            assert abs(y) <= sol.bounds.C_y[i] + 1e-12
-            assert np.all(np.abs(z) <= sol.bounds.C_z[i] + 1e-12)
-    # outside the basis support the clamped value is exactly zero
-    y_out, z_out = evaluate_solution(sol, 1, 4.9)
-    assert y_out == 0.0 and np.all(z_out == 0.0)
-    with pytest.raises(ValueError, match="out of range"):
-        evaluate_solution(sol, grid.N + 1, 0.0)
-    with pytest.raises(ValueError, match="out of range"):
-        evaluate_solution(sol, -1, 0.0)
+    # terminal index returns the exact map and has no z component
+    assert sol.y_values(grid.N, [0.3])[0] == np.tanh(0.3)
     with pytest.raises(ValueError, match="out of range"):
         sol.z_values(grid.N, np.zeros((1, 1)))
+    # truncation envelopes hold everywhere, including outside the support
+    rng = np.random.default_rng(32)
+    xs = rng.uniform(-5.0, 5.0, size=20)
+    for i in range(grid.N):
+        assert np.all(np.abs(sol.y_values(i, xs)) <= sol.bounds.C_y[i] + 1e-12)
+        assert np.all(np.abs(sol.z_values(i, xs)) <= sol.bounds.C_z[i] + 1e-12)
+    # outside the basis support the clamped value is exactly zero
+    assert sol.y_values(1, [4.9])[0] == 0.0
+    assert np.all(sol.z_values(1, [4.9]) == 0.0)
+    with pytest.raises(ValueError, match="out of range"):
+        sol.y_values(grid.N + 1, [0.0])
+    with pytest.raises(ValueError, match="out of range"):
+        sol.y_values(-1, [0.0])
