@@ -59,7 +59,6 @@ from .model import (
 from .regression import (
     LocalPolynomialBasis,
     LocalPolynomialEstimator,
-    cell_index,
     evaluate_basis,
     ols_fit,
     truncate_estimator,
@@ -68,8 +67,6 @@ from .solver import (
     DriverSpec,
     MwlsSolution,
     TerminalSpec,
-    build_y_response,
-    build_z_response,
     mwls_solve,
     problem_constants,
     zero_driver,
@@ -115,7 +112,6 @@ __all__ = [
     # regression
     "LocalPolynomialBasis",
     "LocalPolynomialEstimator",
-    "cell_index",
     "evaluate_basis",
     "ols_fit",
     "truncate_estimator",
@@ -125,8 +121,6 @@ __all__ = [
     "MwlsSolution",
     "zero_driver",
     "problem_constants",
-    "build_y_response",
-    "build_z_response",
     "mwls_solve",
     # harness
     "Benchmark",

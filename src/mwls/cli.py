@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .harness import (
     tune_parameters,
 )
 from .regression import LocalPolynomialBasis
-from .solver import _per_index_inputs, mwls_solve, problem_constants
+from .solver import _per_index, _per_index_inputs, mwls_solve, problem_constants
 
 __all__ = ["RunConfig", "load_config", "main"]
 
@@ -123,17 +124,30 @@ _DEFAULTS = {
     ("output", "dir"): "mwls_out",
 }
 
-# The range of each numeric entry that a constructor of the package would
-# reject without naming the key, with the words of that constructor's check.
+# The numeric entries that a constructor of the package would reject without
+# naming the key: (subject, rule, rejects) with the words and the test of that
+# constructor's range check, if it has one.  A value in range must still be
+# finite, which each of these constructors checks next.
 _RANGES = {
-    ("problem", "theta_phi"): (lambda v: 0.0 < v < 1.0, "theta_phi must lie in (0, 1)"),
-    ("problem", "cap"): (lambda v: v > 0.0, "cap must be positive"),
-    ("problem", "x0_width"): (lambda v: v >= 0.0, "starting-box width must be >= 0"),
-    ("basis", "degree"): (lambda v: v >= 0, "degree must be >= 0"),
-    ("basis", "delta"): (lambda v: v > 0.0, "cell edge must be positive"),
-    ("basis", "delta_z"): (lambda v: v > 0.0, "cell edge must be positive"),
-    ("basis", "radius"): (lambda v: v > 0.0, "support half-width must be positive"),
+    ("problem", "alpha"): ("alpha", None, None),
+    ("problem", "theta_phi"): ("theta_phi", "must lie in (0, 1)", lambda v: not 0.0 < v < 1.0),
+    ("problem", "cap"): ("cap", "must be positive", lambda v: v <= 0.0),
+    ("problem", "x0_width"): ("starting-box width", "must be >= 0", lambda v: v < 0.0),
+    ("basis", "degree"): ("degree", "must be >= 0", lambda v: v < 0),
+    ("basis", "delta"): ("cell edge", "must be positive", lambda v: v <= 0.0),
+    ("basis", "delta_z"): ("cell edge", "must be positive", lambda v: v <= 0.0),
+    ("basis", "radius"): ("support half-width", "must be positive", lambda v: v <= 0.0),
 }
+
+
+def _range_error(key, value) -> str | None:
+    """What the constructor check of a _RANGES entry says of value, or None."""
+    subject, rule, rejects = _RANGES[key]
+    if rejects is not None and rejects(value):
+        return f"{subject} {rule}, got {value}"
+    if not math.isfinite(value):
+        return f"{subject} must be finite, got {value}"
+    return None
 
 # Flags by argparse dest: --dest-with-dashes sets the config key of the same
 # name.  {default} in a help text reads the key's default.
@@ -193,7 +207,9 @@ class RunConfig:
     final value.
 
     delta, delta_z, and m are per-index lists of length grid.N; a sweep's
-    m holds its swept cloud sizes instead.  echo_prefix
+    m holds its swept cloud sizes instead.  benchmark is the problem built
+    from the problem keys, and y_bases and z_bases are the per-index bases
+    of delta and delta_z; each is built once, by the resolver.  echo_prefix
     lists the (key path, value) pairs every report starts with: the command,
     the problem keys and the grid keys.  echo_items extends it to the whole
     configuration, which the run and bench reports embed.
@@ -214,6 +230,9 @@ class RunConfig:
     error_enabled: bool
     fresh_m: int
     out_dir: str
+    benchmark: Benchmark
+    y_bases: list
+    z_bases: list
 
     def echo_prefix(self) -> list:
         items = [("command", self.command), ("problem.id", self.problem_id)]
@@ -224,29 +243,17 @@ class RunConfig:
         return items
 
     def echo_items(self) -> list:
-        items = self.echo_prefix()
-        items.append(("grid.points", list(self.grid.points)))
-        items.extend(
-            [
-                ("basis.degree", self.degree),
-                ("basis.delta", self.delta),
-                ("basis.delta_z", self.delta_z),
-                ("basis.radius", self.radius),
-                ("simulation.m", self.m),
-                ("simulation.seed", self.seed),
-                ("error.enabled", self.error_enabled),
-                ("error.fresh_m", self.fresh_m),
-            ]
-        )
-        return items
-
-
-def _per_index(values, n: int, path: str) -> list:
-    if len(values) == 1:
-        return list(values) * n
-    if len(values) != n:
-        raise ValueError(f"{path} has {len(values)} entries, expected 1 or {n}")
-    return list(values)
+        return self.echo_prefix() + [
+            ("grid.points", list(self.grid.points)),
+            ("basis.degree", self.degree),
+            ("basis.delta", self.delta),
+            ("basis.delta_z", self.delta_z),
+            ("basis.radius", self.radius),
+            ("simulation.m", self.m),
+            ("simulation.seed", self.seed),
+            ("error.enabled", self.error_enabled),
+            ("error.fresh_m", self.fresh_m),
+        ]
 
 
 def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
@@ -268,9 +275,9 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
         return entries.get(key, _DEFAULTS.get(key))
 
     def check_range(key, value):
-        in_range, text = _RANGES[key]
-        if not in_range(value):
-            raise ValueError(f"{name(key)}: {text}, got {value}")
+        error = _range_error(key, value)
+        if error is not None:
+            raise ValueError(f"{name(key)}: {error}")
         return value
 
     problem_id = entries.get(("problem", "id"))
@@ -289,10 +296,8 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
                 raise ValueError(
                     f"{name(('problem', key))} does not apply to problem {problem_id!r}"
                 )
-    params = {key: float(get(("problem", key))) for key in applicable}
-    for key, value in params.items():
-        if ("problem", key) in _RANGES:
-            check_range(("problem", key), value)
+    params = {key: check_range(("problem", key), float(get(("problem", key))))
+              for key in applicable}
     x0_width = check_range(("problem", "x0_width"), float(get(("problem", "x0_width"))))
 
     points = entries.get(("grid", "points"))
@@ -331,10 +336,11 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
     m = [int(v) for v in get(("simulation", "m"))]
     if command != "sweep":
         m = _per_index(m, grid.N, name(("simulation", "m")))
+    benchmark = registry[problem_id](x0_width=x0_width, **params)
+    model = benchmark.model
+    y_bases = [LocalPolynomialBasis(degree, dy, radius, model.d) for dy in delta]
+    z_bases = [LocalPolynomialBasis(degree, dz, radius, model.d, model.q) for dz in delta_z]
     if command != "bounds":
-        model = registry[problem_id](x0_width=x0_width, **params).model
-        y_bases = [LocalPolynomialBasis(degree, dy, radius, model.d) for dy in delta]
-        z_bases = [LocalPolynomialBasis(degree, dz, radius, model.d, model.q) for dz in delta_z]
         for sizes in m if command == "sweep" else [m]:
             try:  # the bases fit the model: only a cloud size can fail
                 _per_index_inputs(model, grid.N, y_bases, z_bases, sizes)
@@ -367,6 +373,9 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
         error_enabled=bool(get(("error", "enabled"))),
         fresh_m=fresh_m,
         out_dir=str(out_dir),
+        benchmark=benchmark,
+        y_bases=y_bases,
+        z_bases=z_bases,
     )
 
 
@@ -410,23 +419,6 @@ def _flag_entries(args) -> dict:
             is_list = _SCHEMA[key[0]][key[1]].endswith("_list")
             entries[key] = [value] if is_list else value
     return entries
-
-
-def _build_benchmark(cfg: RunConfig) -> Benchmark:
-    factory = register_benchmarks()[cfg.problem_id]
-    return factory(x0_width=cfg.x0_width, **cfg.problem_params)
-
-
-def _build_bases(cfg: RunConfig, d: int, q: int):
-    y_bases = [
-        LocalPolynomialBasis(degree=cfg.degree, delta=dy, radius=cfg.radius, d=d, out_dim=1)
-        for dy in cfg.delta
-    ]
-    z_bases = [
-        LocalPolynomialBasis(degree=cfg.degree, delta=dz, radius=cfg.radius, d=d, out_dim=q)
-        for dz in cfg.delta_z
-    ]
-    return y_bases, z_bases
 
 
 def _resolve_threads(requested: int | None) -> int | None:
@@ -486,29 +478,17 @@ def _bounds_meta(table) -> list:
 
 
 def _bounds_rows(table) -> list:
-    grid = table.grid
-    return [
-        [
-            i,
-            grid.points[i],
-            table.C_y[i],
-            table.C_z[i],
-            table.Theta_y[i],
-            table.Theta_z[i],
-            table.E_dep_Y[i],
-            table.E_dep_Z[i],
-        ]
-        for i in range(grid.N)
-    ]
+    # after index and t_i, the BoundsTable fields in _BOUNDS_COLUMNS order
+    fields = (table.C_y, table.C_z, table.Theta_y, table.Theta_z, table.E_dep_Y, table.E_dep_Z)
+    return [[i, table.grid.points[i]] + [f[i] for f in fields] for i in range(table.grid.N)]
 
 
 def _execute_run(cfg: RunConfig) -> int:
     """Solve per the config and write the report files; shared by run/bench."""
-    bench = _build_benchmark(cfg)
-    model = bench.model
-    y_bases, z_bases = _build_bases(cfg, model.d, model.q)
+    bench = cfg.benchmark
     sol = mwls_solve(
-        model, cfg.grid, bench.driver, bench.terminal, y_bases, z_bases, cfg.m, cfg.seed
+        bench.model, cfg.grid, bench.driver, bench.terminal, cfg.y_bases, cfg.z_bases,
+        cfg.m, cfg.seed,
     )
 
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -520,8 +500,8 @@ def _execute_run(cfg: RunConfig) -> int:
             i,
             grid.points[i],
             cfg.m[i],
-            y_bases[i].K,
-            z_bases[i].K,
+            cfg.y_bases[i].K,
+            cfg.z_bases[i].K,
             sol.y_fits[i].level,
             sol.z_fits[i].level,
         ]
@@ -586,16 +566,11 @@ def cmd_tune(args) -> int:
         ("l", plan.l),
         ("d", plan.d),
         ("lambda", plan.lam),
+        *([("theta_pi", plan.theta_pi)] if plan.regime == "holder" else []),
+        ("t", plan.grid.T),
+        ("r", plan.R),
+        ("complexity_exponent", plan.complexity_exponent),
     ]
-    if plan.regime == "holder":
-        meta.append(("theta_pi", plan.theta_pi))
-    meta.extend(
-        [
-            ("t", plan.grid.T),
-            ("r", plan.R),
-            ("complexity_exponent", plan.complexity_exponent),
-        ]
-    )
     rows = [
         [i, plan.grid.points[i], plan.delta_y[i], plan.delta_z[i], plan.m[i]]
         for i in range(plan.N)
@@ -607,7 +582,7 @@ def cmd_tune(args) -> int:
 def cmd_bounds(args) -> int:
     """Evaluate and print the constants table; no simulation is involved."""
     cfg = _resolve_config({}, "bounds", _flag_entries(args))
-    bench = _build_benchmark(cfg)
+    bench = cfg.benchmark
     pc = problem_constants(bench.model, cfg.grid, bench.driver, bench.terminal)
     table = bounds_table(pc, cfg.grid)
     meta = cfg.echo_prefix() + _bounds_meta(table)
@@ -625,14 +600,16 @@ def cmd_sweep(args) -> int:
     flags = _flag_entries(args)
     flags[("simulation", "m")] = _parse_value("int_list", args.m_values, "--m-values")
     cfg = _resolve_config({}, "sweep", flags)
+    if args.index is not None and not 0 <= args.index < cfg.grid.N:
+        raise ValueError(
+            f"--index: readout index {args.index} out of range [0, {cfg.grid.N - 1}]"
+        )
     threads = _resolve_threads(args.threads)
-    bench = _build_benchmark(cfg)
-    y_bases, z_bases = _build_bases(cfg, bench.model.d, bench.model.q)
     study = convergence_study(
-        bench,
+        cfg.benchmark,
         cfg.grid,
-        y_bases,
-        z_bases,
+        cfg.y_bases,
+        cfg.z_bases,
         cfg.m,
         seed=cfg.seed,
         fresh_m=cfg.fresh_m,

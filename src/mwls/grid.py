@@ -65,9 +65,6 @@ class TimeGrid:
         """Number of steps (the grid has N + 1 points)."""
         return self.points.size - 1
 
-    def __len__(self) -> int:
-        return self.points.size
-
 
 def make_theta_grid(T: float, N: int, theta: float = 1.0) -> TimeGrid:
     """Grid t_i = T - T (1 - i/N)^(1/theta).
@@ -82,6 +79,8 @@ def make_theta_grid(T: float, N: int, theta: float = 1.0) -> TimeGrid:
     """
     if T <= 0.0:
         raise ValueError(f"terminal time must be positive, got {T}")
+    if not np.isfinite(T):
+        raise ValueError(f"terminal time must be finite, got {T}")
     if N < 1:
         raise ValueError(f"need at least one time step, got N = {N}")
     if not 0.0 < theta <= 1.0:

@@ -158,6 +158,8 @@ def _b3_coefficients(grid: TimeGrid, alpha: float) -> tuple[np.ndarray, np.ndarr
 
 def benchmark_b3(alpha: float = 0.5, x0_width: float = 5.0) -> Benchmark:
     """Linear driver f = alpha*y with terminal phi(x) = x; exact recursion."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
     driver = DriverSpec(
         fn=lambda k, x, y, z: alpha * y, L_f=abs(alpha), C_f=0.0, theta_L=1.0, theta_C=1.0
@@ -199,6 +201,8 @@ def benchmark_b4(theta_phi: float = 0.5, cap: float = 1.0, x0_width: float = 5.0
         raise ValueError(f"theta_phi must lie in (0, 1), got {theta_phi}")
     if cap <= 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
+    if not math.isfinite(cap):
+        raise ValueError(f"cap must be finite, got {cap}")
     model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
 
     def phi(values):
@@ -516,12 +520,16 @@ def tune_parameters(
         raise ValueError(f"N must be >= 1, got {N}")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     if l < 1:
         raise ValueError(f"l must be >= 1 (degree-l z basis), got {l}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if lam <= 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if regime not in ("smooth", "holder"):
         raise ValueError(f"regime must be 'smooth' or 'holder', got {regime!r}")
     if regime == "holder":
@@ -606,8 +614,8 @@ class StudyTable:
 def convergence_study(
     benchmark: Benchmark,
     grid: TimeGrid,
-    y_basis: LocalPolynomialBasis,
-    z_basis: LocalPolynomialBasis,
+    y_basis: LocalPolynomialBasis | Sequence[LocalPolynomialBasis],
+    z_basis: LocalPolynomialBasis | Sequence[LocalPolynomialBasis],
     m_values: Sequence[int],
     seed: int,
     fresh_m: int = 20_000,
@@ -616,6 +624,8 @@ def convergence_study(
 ) -> StudyTable:
     """Sweep the cloud size M: one solver run per value, errors and slopes.
 
+    y_basis and z_basis are one basis for every index or per-index lists,
+    as in `mwls_solve`; each value of m_values is used at every index.
     Each sweep point runs with its own derived seed, so points are
     independent and the study is reproducible regardless of thread count.
     The readout errors are taken at one time index (default: the middle);

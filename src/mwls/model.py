@@ -96,6 +96,8 @@ class MarkovModel:
             )
         if self.x0_width < 0.0:
             raise ValueError(f"starting-box width must be >= 0, got {self.x0_width}")
+        if not np.isfinite(self.x0_width):
+            raise ValueError(f"starting-box width must be finite, got {self.x0_width}")
 
     def _draw_start(self, M: int, rng: np.random.Generator) -> np.ndarray:
         """Initial states: x0, or a uniform box of edge x0_width around it."""

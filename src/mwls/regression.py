@@ -26,7 +26,6 @@ __all__ = [
     "Design",
     "LocalPolynomialBasis",
     "LocalPolynomialEstimator",
-    "cell_index",
     "evaluate_basis",
     "ols_fit",
     "shared_designs",
@@ -80,8 +79,12 @@ class LocalPolynomialBasis:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
         if self.delta <= 0.0:
             raise ValueError(f"cell edge must be positive, got {self.delta}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"cell edge must be finite, got {self.delta}")
         if self.radius <= 0.0:
             raise ValueError(f"support half-width must be positive, got {self.radius}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"support half-width must be finite, got {self.radius}")
         if self.d < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.d}")
         if self.out_dim < 1:
@@ -239,16 +242,6 @@ def shared_designs(points, *bases: LocalPolynomialBasis) -> list[Design]:
         if basis.geometry not in built:
             built[basis.geometry] = basis.design(points)
     return [built[basis.geometry] for basis in bases]
-
-
-def cell_index(basis: LocalPolynomialBasis, x) -> int:
-    """Cell id of a point, or -1 outside [-R, R]^d.
-
-    Cells are half-open along each axis; the boundary x_k = R falls into
-    the last cell.
-    """
-    point = np.atleast_1d(np.asarray(x, dtype=float)).reshape(1, basis.d)
-    return int(basis.design(point).cells[0])
 
 
 def evaluate_basis(basis: LocalPolynomialBasis, x) -> np.ndarray:

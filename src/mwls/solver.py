@@ -10,6 +10,7 @@ estimators feed the response sums of all earlier indices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,8 +33,6 @@ __all__ = [
     "MwlsSolution",
     "zero_driver",
     "problem_constants",
-    "build_z_response",
-    "build_y_response",
     "mwls_solve",
 ]
 
@@ -63,6 +62,10 @@ class DriverSpec:
         if self.L_f < 0.0 or self.C_f < 0.0:
             raise ValueError(
                 f"driver constants must be >= 0, got L_f={self.L_f}, C_f={self.C_f}"
+            )
+        if not (math.isfinite(self.L_f) and math.isfinite(self.C_f)):
+            raise ValueError(
+                f"driver constants must be finite, got L_f={self.L_f}, C_f={self.C_f}"
             )
         for name in ("theta_L", "theta_C"):
             value = getattr(self, name)
@@ -160,15 +163,17 @@ def _responses(
     terminal: TerminalSpec,
     y_fits: Sequence,
     z_fits: Sequence,
-    with_y_next: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The z-response, the y-response less its k = i term, and y_{i+1}(X_{i+1}).
 
-    The sums over k = i+1 .. N-1 of f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k))
-    run in ascending k.  The terms are evaluated from k = N-1 down: one
-    design of X_k serves z_k(X_k) and y_k(X_k), and y_k(X_k) feeds term
-    k-1.  The last value is phi(X_N) when i = N-1, and None for the zero
-    driver or when with_y_next is false.
+    Per row the z-response is phi(X_N) H_N + sum over k = i+1 .. N-1 of
+    f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k)) H_k Delta_k, shape (M, q); there is
+    no weight at the regression index itself.  The y-response is phi(X_N)
+    plus the same sum without the weights, shape (M,); `_add_own_term` adds
+    its k = i term once z_fits[i] is fitted.  The sums run in ascending k.
+    The terms are evaluated from k = N-1 down: one design of X_k serves
+    z_k(X_k) and y_k(X_k), and y_k(X_k) feeds term k-1.  The last value is
+    phi(X_N) when i = N-1, and None for the zero driver.
     """
     i, n = cloud.i, grid.N
     x_n = cloud.x_at(n)
@@ -178,12 +183,11 @@ def _responses(
     for k in () if driver.is_zero else range(n - 1, i, -1):
         x_k = cloud.x_at(k)
         z_fit = _require_fit(z_fits, k, "z")
-        # y_{i+1}(X_{i+1}) enters the y-response only
-        y_fit = _require_fit(y_fits, k, "y") if with_y_next or k > i + 1 else None
-        z_design, y_design = shared_designs(x_k, z_fit.basis, (y_fit or z_fit).basis)
+        y_fit = _require_fit(y_fits, k, "y")
+        z_design, y_design = shared_designs(x_k, z_fit.basis, y_fit.basis)
         z_here = z_fit.evaluate(x_k, design=z_design)
         f_vals[k] = _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k)
-        y_next = None if y_fit is None else y_fit.evaluate(x_k, design=y_design)[:, 0]
+        y_next = y_fit.evaluate(x_k, design=y_design)[:, 0]
     s_z = phi[:, None] * cloud.h_at(n)
     s_y = phi.copy()
     for k in sorted(f_vals):
@@ -192,53 +196,14 @@ def _responses(
     return s_z, s_y, y_next
 
 
-def _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design=None) -> None:
+def _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design) -> None:
     """Add the k = i term f_i(X_i, y_{i+1}(X_{i+1}), z_i(X_i)) Delta_i to the
-    y-response s_y in place; z_design, if given, is z_fits[i]'s design of X_i."""
+    y-response s_y in place; z_design is z_fits[i]'s design of X_i."""
     if not driver.is_zero:
         i, x_i = cloud.i, cloud.x_at(cloud.i)
         z_here = _require_fit(z_fits, i, "z").evaluate(x_i, design=z_design)
         f_i = _callback_values(driver.fn(i, x_i, y_next, z_here), x_i.shape[0], i, i)
         s_y += f_i * grid.steps[i]
-
-
-def build_z_response(
-    cloud: SimulationCloud,
-    grid: TimeGrid,
-    driver: DriverSpec,
-    terminal: TerminalSpec,
-    y_fits: Sequence,
-    z_fits: Sequence,
-) -> np.ndarray:
-    """Weighted response for the z regression at the cloud's index i.
-
-    Per row: phi(X_N) H_N + sum over k = i+1 .. N-1 of
-    f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k)) H_k Delta_k, shape (M, q).  The sum
-    starts at k = i+1 -- there is no weight at the regression index itself.
-    """
-    s_z, _, _ = _responses(
-        cloud, grid, driver, terminal, y_fits, z_fits, with_y_next=False
-    )
-    return s_z
-
-
-def build_y_response(
-    cloud: SimulationCloud,
-    grid: TimeGrid,
-    driver: DriverSpec,
-    terminal: TerminalSpec,
-    y_fits: Sequence,
-    z_fits: Sequence,
-) -> np.ndarray:
-    """Plain response for the y regression at the cloud's index i.
-
-    Per row: phi(X_N) + sum over k = i .. N-1 of f_k Delta_k, shape (M,).
-    The k = i term reads the z estimator of the same index, so z_fits[i]
-    must already be fitted (z before y within each index).
-    """
-    _, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
-    _add_own_term(s_y, cloud, grid, driver, y_next, z_fits)
-    return s_y
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,20 +252,22 @@ class MwlsSolution:
 
 
 def _per_index(value, n: int, label: str) -> list:
-    """Broadcast a single spec to all indices or validate a per-index list."""
-    if isinstance(value, (list, tuple)):
-        if len(value) != n:
-            raise ValueError(f"{label} list has {len(value)} entries, expected {n}")
-        return list(value)
-    return [value] * n
+    """The n per-index entries of a scalar, a 1-entry list or an n-entry list."""
+    if not isinstance(value, (list, tuple)):
+        return [value] * n
+    if len(value) == 1:
+        return list(value) * n
+    if len(value) != n:
+        raise ValueError(f"{label} has {len(value)} entries, expected {n} or 1")
+    return list(value)
 
 
 def _per_index_inputs(model: MarkovModel, n: int, y_basis, z_basis, cloud_sizes):
     """The y bases, z bases and cloud sizes of the n indices, each checked
     against the model and each cloud size against its basis dimensions."""
-    y_bases = _per_index(y_basis, n, "y basis")
-    z_bases = _per_index(z_basis, n, "z basis")
-    sizes = [int(m) for m in _per_index(cloud_sizes, n, "cloud size")]
+    y_bases = _per_index(y_basis, n, "y basis list")
+    z_bases = _per_index(z_basis, n, "z basis list")
+    sizes = [int(m) for m in _per_index(cloud_sizes, n, "cloud size list")]
     for i in range(n):
         if y_bases[i].out_dim != 1:
             raise ValueError(
@@ -337,8 +304,10 @@ def mwls_solve(
         grid: time grid with N steps.
         driver, terminal: problem data.
         y_basis, z_basis: one basis used at every index, or per-index lists
-            of length N.  The z basis must fit q components, the y basis one.
-        cloud_sizes: per-index cloud size M_i (scalar broadcasts).
+            of length N (a 1-entry list broadcasts).  The z basis must fit q
+            components, the y basis one.
+        cloud_sizes: per-index cloud size M_i (a scalar or 1-entry list
+            broadcasts).
         seed: root seed; index i draws its cloud from the (seed, i) stream.
 
     At each index i = N-1 .. 0 the z response is fitted and truncated first,

@@ -15,7 +15,8 @@ from mwls.cli import load_config, main
 from mwls.constants import as_bounds, obs_bounds
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
-from mwls.harness import benchmark_b1
+from mwls.harness import benchmark_b1, benchmark_b3, benchmark_b4
+from mwls.regression import LocalPolynomialBasis
 from mwls.solver import problem_constants
 
 
@@ -360,13 +361,19 @@ def test_tune_holder_stdout_rows(capsys):
         assert int(row[4]) == math.ceil(base_m * ttg ** -0.5)
 
 
-def test_tune_rejects_bad_parameters(capsys):
-    rc = main(
-        ["tune", "--n", "5", "--kappa", "1", "--l", "1", "--d", "1",
-         "--lambda", "1", "--regime", "holder"]
-    )
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kappa", "1", "--lambda", "1", "--regime", "holder"], "holder regime requires theta_pi"),
+        (["--kappa", "inf", "--lambda", "1", "--regime", "smooth"], "kappa must be finite, got inf"),
+        (["--kappa", "nan", "--lambda", "1", "--regime", "smooth"], "kappa must be finite, got nan"),
+        (["--kappa", "1", "--lambda", "nan", "--regime", "smooth"], "lambda must be finite, got nan"),
+    ],
+)
+def test_tune_rejects_bad_parameters(capsys, argv, message):
+    rc = main(["tune", "--n", "5", "--l", "1", "--d", "1"] + argv)
     assert rc == 1
-    assert "theta_pi" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +645,26 @@ def test_sweep_rejects_unparsable_m_values(tmp_path, capsys):
             ["run", "[basis]\ndelta = " + "0.5, " * 9 + "-1\n"],
             "basis.delta: cell edge must be positive, got -1.0",
         ),
+        (["bounds", "--problem", "b3", "--alpha", "nan"], "--alpha: alpha must be finite, got nan"),
+        (["bench", "--problem", "b3", "--alpha", "nan"], "--alpha: alpha must be finite, got nan"),
+        (
+            ["bench", "--problem", "b1", "--radius", "inf"],
+            "--radius: support half-width must be finite, got inf",
+        ),
+        (["bench", "--problem", "b1", "--delta", "inf"], "--delta: cell edge must be finite, got inf"),
+        (
+            ["bench", "--problem", "b1", "--x0-width", "inf"],
+            "--x0-width: starting-box width must be finite, got inf",
+        ),
+        (["bench", "--problem", "b1", "--t", "inf"], "--t: terminal time must be finite, got inf"),
+        (
+            ["run", "[basis]\nradius = nan\n"],
+            "basis.radius: support half-width must be finite, got nan",
+        ),
+        (
+            ["sweep", "--problem", "b1", "--n", "4", "--m-values", "100,200", "--index", "9"],
+            "--index: readout index 9 out of range [0, 3]",
+        ),
     ],
 )
 def test_bad_value_names_its_flag_or_key(tmp_path, capsys, argv, message):
@@ -650,6 +677,62 @@ def test_bad_value_names_its_flag_or_key(tmp_path, capsys, argv, message):
     assert main(argv) == 1
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# The constructor whose range check each _RANGES entry stands in for.
+_RANGE_OWNERS = {
+    ("problem", "alpha"): lambda v: benchmark_b3(alpha=v),
+    ("problem", "theta_phi"): lambda v: benchmark_b4(theta_phi=v),
+    ("problem", "cap"): lambda v: benchmark_b4(cap=v),
+    ("problem", "x0_width"): lambda v: benchmark_b1(x0_width=v),
+    ("basis", "degree"): lambda v: LocalPolynomialBasis(degree=v, delta=0.5, radius=4.0, d=1),
+    ("basis", "delta"): lambda v: LocalPolynomialBasis(degree=1, delta=v, radius=4.0, d=1),
+    ("basis", "delta_z"): lambda v: LocalPolynomialBasis(degree=1, delta=v, radius=4.0, d=1),
+    ("basis", "radius"): lambda v: LocalPolynomialBasis(degree=1, delta=0.5, radius=v, d=1),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._RANGES), ids=".".join)
+def test_ranges_keep_the_constructors_words(key):
+    """The resolver rejects exactly the values the constructor rejects, in
+    the constructor's words, so an edit to either side cannot drift."""
+    build = _RANGE_OWNERS[key]
+    if key == ("basis", "degree"):
+        values = [-1, 0, 2]
+    else:
+        values = [-1.5, 0.0, 0.5, 1.5, math.inf, -math.inf, math.nan]
+    for value in values:
+        text = cli._range_error(key, value)
+        if text is None:
+            build(value)
+        else:
+            with pytest.raises(ValueError) as err:
+                build(value)
+            assert str(err.value) == text
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "sweep", "bounds"])
+def test_each_command_builds_its_benchmark_once(tmp_path, capsys, monkeypatch, command):
+    registry = mwls.harness.register_benchmarks()
+    calls = []
+
+    def counted(**params):
+        calls.append(params)
+        return registry["zero"](**params)
+
+    monkeypatch.setattr(cli, "register_benchmarks", lambda: {**registry, "zero": counted})
+    small = ["--problem", "zero", "--n", "2", "--degree", "0", "--delta", "2.0",
+             "--radius", "2.0", "--fresh-m", "100", "--out", str(tmp_path / "out")]
+    argv = {
+        "run": ["run", "--config", _write_config(tmp_path, ZERO_CONFIG),
+                "--out", str(tmp_path / "out")],
+        "bench": ["bench", "--m", "50"] + small,
+        "sweep": ["sweep", "--m-values", "30,60"] + small,
+        "bounds": ["bounds", "--problem", "zero", "--n", "2"],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_sweep_checks_every_cloud_size_before_solving(tmp_path, capsys, monkeypatch):

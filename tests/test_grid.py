@@ -1,5 +1,7 @@
 """Tests for time grids and the singular weighted step sums."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ def test_uniform_grid_points():
     np.testing.assert_allclose(grid.points, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
     assert grid.N == 4
     assert grid.T == 1.0
-    assert len(grid) == 5
 
 
 def test_theta_grid_concentrates_near_horizon():
@@ -61,6 +62,11 @@ def test_grid_validation_errors():
         make_theta_grid(T=1.0, N=4, theta=0.0)
     with pytest.raises(ValueError):
         make_theta_grid(T=1.0, N=4, theta=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        for T in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="terminal time must be finite"):
+                make_theta_grid(T=T, N=4)
 
 
 def test_weighted_step_sum_alpha_one_is_plain_length():

@@ -335,6 +335,10 @@ def test_tune_validation():
         tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="holder")
     with pytest.raises(ValueError, match="lambda"):
         tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=0.0, regime="smooth")
+    with pytest.raises(ValueError, match="kappa must be finite, got inf"):
+        tune_parameters(N=10, kappa=float("inf"), l=1, d=1, lam=1.0, regime="smooth")
+    with pytest.raises(ValueError, match="lambda must be finite, got nan"):
+        tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=float("nan"), regime="smooth")
     with pytest.raises(ValueError, match="not self-consistent at index 0"):
         tune_parameters(N=1, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth")
     grid = make_theta_grid(1.0, 5)

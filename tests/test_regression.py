@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mwls.regression import (
     LocalPolynomialBasis,
-    cell_index,
     evaluate_basis,
     ols_fit,
     truncate_estimator,
@@ -74,22 +73,16 @@ def test_powers_graded_order():
 
 def test_cell_index_fixtures():
     basis = LocalPolynomialBasis(degree=1, delta=1.0, radius=1.0, d=1)
-    assert cell_index(basis, -0.5) == 0
-    assert cell_index(basis, 0.5) == 1
-    assert cell_index(basis, 1.0) == 1  # boundary point joins the last cell
-    assert cell_index(basis, -1.0) == 0
-    assert cell_index(basis, 1.5) == -1
-    assert cell_index(basis, -1.0000001) == -1
+    # the boundary point 1.0 joins the last cell
+    cells = basis.design([-0.5, 0.5, 1.0, -1.0, 1.5, -1.0000001]).cells
+    assert cells.tolist() == [0, 1, 1, 0, -1, -1]
 
 
 def test_cell_index_multidim_raveling():
     basis = LocalPolynomialBasis(degree=0, delta=1.0, radius=1.0, d=2)
     # row-major over axes: cell = k0 * cells_per_axis + k1
-    assert cell_index(basis, [-0.5, -0.5]) == 0
-    assert cell_index(basis, [-0.5, 0.5]) == 1
-    assert cell_index(basis, [0.5, -0.5]) == 2
-    assert cell_index(basis, [0.5, 0.5]) == 3
-    assert cell_index(basis, [0.5, 1.5]) == -1
+    points = [[-0.5, -0.5], [-0.5, 0.5], [0.5, -0.5], [0.5, 0.5], [0.5, 1.5]]
+    assert basis.design(points).cells.tolist() == [0, 1, 2, 3, -1]
 
 
 def test_evaluate_basis_block_structure():

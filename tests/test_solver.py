@@ -1,4 +1,4 @@
-"""Tests for the backward least-squares solver and its response builders."""
+"""Tests for the backward least-squares solver and its response assembly."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from mwls.regression import LocalPolynomialBasis, LocalPolynomialEstimator
 from mwls.solver import (
     DriverSpec,
     TerminalSpec,
-    build_y_response,
-    build_z_response,
+    _add_own_term,
+    _responses,
     mwls_solve,
     problem_constants,
     zero_driver,
@@ -33,6 +33,21 @@ def _tanh_terminal():
     return TerminalSpec(fn=lambda x: np.tanh(x[:, 0]), C_xi=1.0, C_phi=1.0, theta_phi=1.0)
 
 
+def _z_response(cloud, grid, driver, terminal, y_fits, z_fits):
+    s_z, _, _ = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
+    return s_z
+
+
+def _y_response(cloud, grid, driver, terminal, y_fits, z_fits):
+    """The y-response as mwls_solve assembles it, own k = i term included;
+    z_fits[i] must be fitted (z before y within each index)."""
+    _, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
+    z_fit = z_fits[cloud.i]
+    z_design = None if z_fit is None else z_fit.basis.design(cloud.x_at(cloud.i))
+    _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design)
+    return s_y
+
+
 # ---------------------------------------------------------------------------
 # specs and constants assembly
 
@@ -42,6 +57,10 @@ def test_driver_and_terminal_validation():
     assert not DriverSpec(fn=lambda i, x, y, z: y, L_f=1.0, C_f=0.0).is_zero
     with pytest.raises(ValueError, match="driver constants"):
         DriverSpec(fn=None, L_f=-1.0, C_f=0.0)
+    with pytest.raises(ValueError, match="driver constants must be finite"):
+        DriverSpec(fn=None, L_f=np.nan, C_f=0.0)
+    with pytest.raises(ValueError, match="driver constants must be finite"):
+        DriverSpec(fn=None, L_f=0.0, C_f=np.inf)
     with pytest.raises(ValueError, match="theta_L"):
         DriverSpec(fn=None, L_f=0.0, C_f=0.0, theta_L=0.0)
     with pytest.raises(ValueError, match="theta_C"):
@@ -69,7 +88,7 @@ def test_problem_constants_assembly():
 
 
 # ---------------------------------------------------------------------------
-# response builders
+# response assembly
 
 
 def test_z_response_zero_driver_is_weighted_terminal():
@@ -77,7 +96,7 @@ def test_z_response_zero_driver_is_weighted_terminal():
     grid = make_theta_grid(1.0, 4)
     cloud = sample_cloud(model, grid, 1, 50, seed=7)
     none_fits = [None] * grid.N
-    resp = build_z_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
+    resp = _z_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
     expected = cloud.x_at(4)[:, 0][:, None] * cloud.h_at(4)
     np.testing.assert_array_equal(resp, expected)
 
@@ -92,7 +111,7 @@ def test_z_response_last_index_has_empty_driver_sum():
 
     driver = DriverSpec(fn=exploding, L_f=1.0, C_f=1.0)
     none_fits = [None] * grid.N
-    resp = build_z_response(cloud, grid, driver, _identity_terminal(), none_fits, none_fits)
+    resp = _z_response(cloud, grid, driver, _identity_terminal(), none_fits, none_fits)
     expected = cloud.x_at(4)[:, 0][:, None] * cloud.h_at(4)
     np.testing.assert_array_equal(resp, expected)
 
@@ -103,7 +122,7 @@ def test_z_response_gaussian_identity():
     grid = make_theta_grid(1.0, 10)
     cloud = sample_cloud(model, grid, 2, 200_000, seed=9)
     none_fits = [None] * grid.N
-    resp = build_z_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
+    resp = _z_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
     mean = float(np.mean(resp[:, 0]))
     tol = 4.0 * float(np.std(resp[:, 0])) / np.sqrt(cloud.M)
     assert abs(mean - 1.0) <= tol
@@ -114,7 +133,7 @@ def test_y_response_zero_driver_is_terminal():
     grid = make_theta_grid(1.0, 4)
     cloud = sample_cloud(model, grid, 1, 40, seed=10)
     none_fits = [None] * grid.N
-    resp = build_y_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
+    resp = _y_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
     np.testing.assert_array_equal(resp, cloud.x_at(4)[:, 0])
 
 
@@ -127,7 +146,7 @@ def test_y_response_constant_driver_is_riemann_sum():
     terminal = TerminalSpec(fn=lambda x: np.zeros(x.shape[0]), C_xi=0.0)
     basis = LocalPolynomialBasis(degree=0, delta=1.0, radius=3.0, d=1)
     fits = [_zero_estimator(basis)] * grid.N
-    resp = build_y_response(cloud, grid, driver, terminal, fits, fits)
+    resp = _y_response(cloud, grid, driver, terminal, fits, fits)
     np.testing.assert_allclose(resp, 0.7 * (grid.T - grid.points[i]), rtol=1e-12)
 
 
@@ -138,7 +157,7 @@ def test_y_response_requires_z_at_own_index():
     driver = DriverSpec(fn=lambda k, x, y, z: y, L_f=1.0, C_f=0.0)
     none_fits = [None] * grid.N
     with pytest.raises(ValueError, match="missing fitted z estimator at index 2"):
-        build_y_response(cloud, grid, driver, _tanh_terminal(), none_fits, none_fits)
+        _y_response(cloud, grid, driver, _tanh_terminal(), none_fits, none_fits)
 
 
 def test_response_builders_flag_nonfinite_driver_terms():
@@ -153,7 +172,7 @@ def test_response_builders_flag_nonfinite_driver_terms():
 
     driver = DriverSpec(fn=bad_at_two, L_f=1.0, C_f=1.0)
     with pytest.raises(NumericalError, match=r"time index 0, sum term k=2"):
-        build_z_response(cloud, grid, driver, _tanh_terminal(), fits, fits)
+        _z_response(cloud, grid, driver, _tanh_terminal(), fits, fits)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +288,19 @@ def test_solve_order_audit_and_response_envelope():
         for i in range(grid.N):
             cloud = sample_cloud(model, grid, i, m, seed)
             np.testing.assert_array_equal(cloud.x_at(i), sol.marginals[i])
-            s_z = build_z_response(cloud, grid, driver, terminal, sol.y_fits, sol.z_fits)
+            s_z, s_y, y_next = _responses(
+                cloud, grid, driver, terminal, sol.y_fits, sol.z_fits
+            )
             refit_z = truncate_estimator(
                 ols_fit(s_z, z_basis, cloud.x_at(i)), float(sol.bounds.C_z[i])
             )
             np.testing.assert_array_equal(refit_z.coefficients, sol.z_fits[i].coefficients)
             assert refit_z.level == sol.z_fits[i].level
 
-            s_y = build_y_response(cloud, grid, driver, terminal, sol.y_fits, sol.z_fits)
+            # the k = i term reads the z fit of the same index
+            _add_own_term(
+                s_y, cloud, grid, driver, y_next, sol.z_fits, z_basis.design(cloud.x_at(i))
+            )
             refit_y = truncate_estimator(
                 ols_fit(s_y, y_basis, cloud.x_at(i)), float(sol.bounds.C_y[i])
             )
@@ -313,6 +337,20 @@ def test_solve_validation():
         mwls_solve(
             model, grid, zero_driver(), _tanh_terminal(),
             wrong_d, basis, cloud_sizes=50, seed=1,
+        )
+
+
+def test_single_entry_lists_broadcast_like_scalars():
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=2.0)
+    args = (model, grid, zero_driver(), _tanh_terminal())
+    scalar = mwls_solve(*args, basis, basis, cloud_sizes=60, seed=2)
+    listed = mwls_solve(*args, [basis], [basis], cloud_sizes=[60], seed=2)
+    assert listed.cloud_sizes == scalar.cloud_sizes == (60, 60, 60)
+    for i in range(grid.N):
+        np.testing.assert_array_equal(
+            listed.y_fits[i].coefficients, scalar.y_fits[i].coefficients
         )
 
 
