@@ -41,6 +41,9 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("a time grid needs at least two points")
+        if not np.all(np.isfinite(pts)):
+            j = int(np.argmin(np.isfinite(pts)))
+            raise ValueError(f"grid points must be finite, got t_{j} = {pts[j]}")
         if pts[0] != 0.0:
             raise ValueError(f"a time grid must start at 0, got t_0 = {pts[0]}")
         steps = np.diff(pts)

@@ -466,6 +466,10 @@ def estimate_errors(
 # parameter tuning
 
 
+# Cloud sizes are stored as 64-bit integers.
+_M_LIMIT = 2.0**63
+
+
 @dataclass(frozen=True)
 class TuningPlan:
     """Per-index discretization parameters from the balancing rules.
@@ -546,18 +550,28 @@ def tune_parameters(
     radius = 2.0 * kappa * log_n1 / lam
     base_dy = float(N) ** (-kappa / (l + 1.0))
     base_dz = float(N) ** (-kappa / l)
-    base_m = log_n1 ** (d + 1.0) * float(N) ** (kappa * (2.0 + d / l))
+    try:
+        base_m = log_n1 ** (d + 1.0) * float(N) ** (kappa * (2.0 + d / l))
+    except OverflowError:
+        base_m = math.inf
 
     ttg = grid.T - grid.points[:-1]
     if regime == "smooth":
         delta_y = np.full(N, base_dy)
         delta_z = np.full(N, base_dz)
-        m = np.full(N, math.ceil(base_m), dtype=int)
+        m_real = np.full(N, base_m)
     else:
         scale = np.sqrt(ttg)
         delta_y = scale * base_dy
         delta_z = scale * base_dz
-        m = np.array([math.ceil(base_m * t ** (-d / 2.0)) for t in ttg], dtype=int)
+        with np.errstate(over="ignore"):
+            m_real = np.array([base_m * t ** (-d / 2.0) for t in ttg])
+    if not np.all(m_real < _M_LIMIT):
+        raise ValueError(
+            f"cloud size out of range: N={N}, kappa={kappa}, l={l}, d={d}, "
+            f"lambda={lam} give M={m_real.max():.3g}, above {_M_LIMIT:.3g}"
+        )
+    m = np.ceil(m_real).astype(int)
 
     for i in range(N):
         k_y = LocalPolynomialBasis(degree=l, delta=float(delta_y[i]), radius=radius, d=d).K

@@ -70,7 +70,9 @@ class MarkovModel:
 
     Subclasses implement `sample_paths` (trajectories on a grid prefix) and
     `malliavin_weights` (H^(i)_j for all j > i from a full path batch), with
-    as many Brownian factors as states (q = d).
+    as many Brownian factors as states (q = d).  `draw_state` gives draws
+    of a single X_i: by default the end of a simulated path, overridden by
+    an exact one-step draw where the transition law is known.
     """
 
     d: int
@@ -111,6 +113,12 @@ class MarkovModel:
     ) -> _PathBatch:
         raise NotImplementedError
 
+    def draw_state(
+        self, grid: TimeGrid, i: int, M: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """M draws of X_i for 1 <= i <= N, shape (M, d): path simulation to t_i."""
+        return self.sample_paths(grid, M, rng, last=i).X[:, i, :]
+
     def malliavin_weights(self, grid: TimeGrid, i: int, batch: _PathBatch) -> np.ndarray:
         """Weights H^(i)_j, shape (M, N - i, q), entry j-i-1 holding H^(i)_j."""
         raise NotImplementedError
@@ -148,6 +156,12 @@ class BrownianModel(MarkovModel):
         )
         return _PathBatch(X=X, dW=dW)
 
+    def draw_state(self, grid, i, M, rng):
+        """Exact draw X_i = X_0 + drift * t_i + sqrt(t_i) Z."""
+        t = grid.points[i]
+        starts = self._draw_start(M, rng)
+        return starts + self.drift * t + np.sqrt(t) * rng.standard_normal((M, self.d))
+
     def malliavin_weights(self, grid, i, batch):
         return _increment_weights(grid, i, batch.dW)
 
@@ -183,6 +197,15 @@ class GeometricBrownianModel(MarkovModel):
             + self.sigma[None, None, :] * W
         )
         return _PathBatch(X=X, dW=dW)
+
+    def draw_state(self, grid, i, M, rng):
+        """Exact draw X_i = X_0 exp((mu - sigma^2/2) t_i + sigma sqrt(t_i) Z)."""
+        t = grid.points[i]
+        starts = self._draw_start(M, rng)
+        return starts * np.exp(
+            (self.mu - 0.5 * self.sigma**2) * t
+            + self.sigma * np.sqrt(t) * rng.standard_normal((M, self.d))
+        )
 
     def malliavin_weights(self, grid, i, batch):
         return _increment_weights(grid, i, batch.dW)
@@ -405,7 +428,12 @@ def sample_cloud(
 def sample_marginal(
     model: MarkovModel, grid: TimeGrid, i: int, M: int, seed: int
 ) -> np.ndarray:
-    """M fresh i.i.d. draws of X_i, shape (M, d), from their own stream."""
+    """M fresh i.i.d. draws of X_i, shape (M, d), from their own stream.
+
+    X_0 comes from the start law; X_i for i >= 1 from `model.draw_state`,
+    an exact one-step draw for Brownian and geometric Brownian models and
+    the end of an Euler path simulated to t_i otherwise.
+    """
     if not 0 <= i <= grid.N:
         raise ValueError(f"marginal index must lie in 0..{grid.N}, got {i}")
     if M < 1:
@@ -413,5 +441,4 @@ def sample_marginal(
     rng = cloud_rng(seed, i, STREAM_FRESH)
     if i == 0:
         return model._draw_start(M, rng)
-    batch = model.sample_paths(grid, M, rng, last=i)
-    return batch.X[:, i, :]
+    return model.draw_state(grid, i, M, rng)

@@ -368,6 +368,16 @@ def test_tune_holder_stdout_rows(capsys):
         (["--kappa", "inf", "--lambda", "1", "--regime", "smooth"], "kappa must be finite, got inf"),
         (["--kappa", "nan", "--lambda", "1", "--regime", "smooth"], "kappa must be finite, got nan"),
         (["--kappa", "1", "--lambda", "nan", "--regime", "smooth"], "lambda must be finite, got nan"),
+        (
+            ["--kappa", "10", "--lambda", "1", "--regime", "smooth"],
+            "cloud size out of range: N=5, kappa=10.0, l=1, d=1, lambda=1.0 give M=2.99e+21, "
+            "above 9.22e+18",
+        ),
+        (
+            ["--kappa", "10", "--lambda", "1", "--regime", "holder", "--theta-pi", "0.5"],
+            "cloud size out of range: N=5, kappa=10.0, l=1, d=1, lambda=1.0 give M=1.49e+22, "
+            "above 9.22e+18",
+        ),
     ],
 )
 def test_tune_rejects_bad_parameters(capsys, argv, message):
@@ -664,6 +674,10 @@ def test_sweep_rejects_unparsable_m_values(tmp_path, capsys):
         (
             ["sweep", "--problem", "b1", "--n", "4", "--m-values", "100,200", "--index", "9"],
             "--index: readout index 9 out of range [0, 3]",
+        ),
+        (
+            ["run", "[grid]\npoints = 0, 0.5, inf\n"],
+            "grid.points: grid points must be finite, got t_2 = inf",
         ),
     ],
 )

@@ -69,6 +69,22 @@ def test_grid_validation_errors():
                 make_theta_grid(T=T, N=4)
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([0.0, 0.5, np.inf], "t_2 = inf"),
+        ([0.0, np.nan, 1.0], "t_1 = nan"),
+        ([np.nan, 0.5, 1.0], "t_0 = nan"),
+    ],
+)
+def test_grid_rejects_non_finite_points(points, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        with pytest.raises(ValueError, match="grid points must be finite") as err:
+            TimeGrid(points=np.array(points))
+    assert message in str(err.value)
+
+
 def test_weighted_step_sum_alpha_one_is_plain_length():
     # alpha = 1 removes the singular factor: the sum telescopes to t_k - t_i.
     rng = np.random.default_rng(7)

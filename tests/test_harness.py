@@ -19,6 +19,7 @@ from mwls.harness import (
     register_benchmarks,
     tune_parameters,
 )
+from mwls.model import BrownianModel, sample_cloud
 from mwls.regression import LocalPolynomialBasis
 from mwls.solver import mwls_solve
 
@@ -263,6 +264,28 @@ def test_estimate_errors_b1_report():
     np.testing.assert_array_equal(report.fresh_z, again.fresh_z)
 
 
+def test_estimate_errors_draws_brownian_fresh_states_without_paths(monkeypatch):
+    bench = benchmark_b3()
+    grid = make_theta_grid(1.0, 4)
+    basis = _linear_basis(delta=1.0, radius=4.0)
+    sol = mwls_solve(
+        bench.model, grid, bench.driver, bench.terminal, basis, basis,
+        cloud_sizes=400, seed=64,
+    )
+    calls = []
+    simulate = BrownianModel.sample_paths
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(BrownianModel, "sample_paths", counted)
+    estimate_errors(sol, bench, fresh_m=500)
+    assert calls == []
+    sample_cloud(bench.model, grid, 0, 10, seed=64)  # the counter does count
+    assert len(calls) == 1
+
+
 def test_estimate_errors_validation():
     bench = benchmark_b1()
     grid = make_theta_grid(1.0, 3)
@@ -322,6 +345,13 @@ def test_tune_holder_scaling():
         assert plan.m[i] >= k_z
     expected = 1.0 / ((2.0 + 1.0) + (1.0 + max(1.0 / (2.0 * 0.5), 1.0)) / kappa)
     assert plan.complexity_exponent == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("regime", [{"regime": "smooth"}, {"regime": "holder", "theta_pi": 0.5}])
+@pytest.mark.parametrize("kappa", [5.0, 500.0])  # M near 4e225; a power past the float range
+def test_tune_rejects_out_of_range_cloud_size(kappa, regime):
+    with pytest.raises(ValueError, match="cloud size out of range: N=10, kappa="):
+        tune_parameters(N=10, kappa=kappa, l=1, d=40, lam=1.0, **regime)
 
 
 def test_tune_validation():

@@ -7,6 +7,7 @@ from scipy import stats
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
 from mwls.model import (
+    STREAM_FRESH,
     BrownianModel,
     EulerSdeModel,
     GeometricBrownianModel,
@@ -327,6 +328,80 @@ def test_sample_marginal_validation():
         sample_marginal(model, grid, i=5, M=10, seed=0)
     with pytest.raises(ValueError):
         sample_marginal(model, grid, i=0, M=0, seed=0)
+
+
+# Models with an exact one-step draw of X_i: drift and a start box in
+# d = 1 and d = 2, and geometric Brownian motion with a start box.
+_ONE_STEP_MODELS = {
+    "brownian-1d": lambda: brownian_model(d=1, drift=0.4, x0=0.5, x0_width=1.0),
+    "brownian-2d": lambda: brownian_model(
+        d=2, drift=[0.4, -0.3], x0=[0.5, -1.0], x0_width=1.0
+    ),
+    "gbm": lambda: gbm_model(mu=0.1, sigma=0.3, x0=1.0, x0_width=0.4),
+}
+
+
+def _path_end(model, grid, i, M, seed):
+    """X_i as the end of a path simulated to t_i on the fresh stream."""
+    return model.sample_paths(grid, M, cloud_rng(seed, i, STREAM_FRESH), last=i).X[:, i, :]
+
+
+def _mean_var_se(x):
+    """Sample mean and variance with their standard errors."""
+    m = x.shape[0]
+    dev2 = (x - x.mean()) ** 2
+    return x.mean(), x.std() / np.sqrt(m), dev2.mean(), dev2.std() / np.sqrt(m)
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_STEP_MODELS))
+def test_one_step_marginal_matches_path_end_law(name):
+    model = _ONE_STEP_MODELS[name]()
+    grid = make_theta_grid(T=1.0, N=6, theta=0.6)  # non-uniform steps
+    m = 20_000
+    for i in (1, 3, 6):
+        one_step = sample_marginal(model, grid, i=i, M=m, seed=91)
+        path_end = _path_end(model, grid, i, m, seed=92)
+        assert one_step.shape == path_end.shape == (m, model.d)
+        for c in range(model.d):
+            a, b = one_step[:, c], path_end[:, c]
+            assert stats.ks_2samp(a, b).pvalue > 0.01
+            mean_a, mean_se_a, var_a, var_se_a = _mean_var_se(a)
+            mean_b, mean_se_b, var_b, var_se_b = _mean_var_se(b)
+            assert abs(mean_a - mean_b) <= 4.0 * np.hypot(mean_se_a, mean_se_b)
+            assert abs(var_a - var_b) <= 4.0 * np.hypot(var_se_a, var_se_b)
+
+
+def test_euler_marginal_is_the_path_end_draw():
+    # No exact transition: fresh draws stay the ends of simulated paths,
+    # bit for bit.
+    def b(t, x):
+        return -0.5 * x
+
+    def sigma(t, x):
+        return (0.2 + 0.1 * np.tanh(x))[:, :, None]
+
+    model = euler_sde_model(b=b, sigma=sigma, x0=0.3, x0_width=0.5)
+    grid = make_theta_grid(T=1.0, N=5, theta=1.0)
+    for i in (1, 3, 5):
+        np.testing.assert_array_equal(
+            sample_marginal(model, grid, i=i, M=400, seed=95),
+            _path_end(model, grid, i, 400, seed=95),
+        )
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_STEP_MODELS))
+def test_one_step_marginal_start_and_reproducibility(name):
+    model = _ONE_STEP_MODELS[name]()
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    # index 0 is the start draw itself, with the same bits
+    np.testing.assert_array_equal(
+        sample_marginal(model, grid, i=0, M=300, seed=96),
+        model._draw_start(300, cloud_rng(96, 0, STREAM_FRESH)),
+    )
+    first = sample_marginal(model, grid, i=2, M=300, seed=97)
+    np.testing.assert_array_equal(first, sample_marginal(model, grid, i=2, M=300, seed=97))
+    assert not np.array_equal(first, sample_marginal(model, grid, i=2, M=300, seed=98))
+    assert not np.array_equal(first, sample_marginal(model, grid, i=3, M=300, seed=97))
 
 
 # ---------------------------------------------------------------------------
