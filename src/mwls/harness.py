@@ -323,6 +323,13 @@ class ErrorReport:
     terms inside bound_*, scale with the truncation levels C_y, C_z
     instead, so errors.csv and bounds.csv show different numbers under
     similar names.
+
+    fresh_*_se treats the squared errors as well-behaved samples, and it
+    understates the spread when a few fresh points land in edge cells that
+    the training cloud leaves (nearly) empty: their squared errors are heavy
+    tailed.  On b3 (N = 20, M = 50k, seed 5) fresh_y[2] reads 0.0407 +-
+    0.0005 at fresh seed 5 and 0.0488 +- 0.0072 at fresh seed 6, where one
+    point at x = 3.78 carries 31% of the squared error.
     """
 
     grid: TimeGrid

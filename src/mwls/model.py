@@ -56,23 +56,36 @@ def derive_seed(seed: int, k: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# Rows of normals drawn at a time by the Brownian and geometric Brownian
+# samplers.  A block's prefix steps are summed and dropped, so the draw
+# buffer stays this many rows whatever the cloud size.
+_ROW_BLOCK = 4096
+
+
 @dataclass(frozen=True)
 class _PathBatch:
-    """Full simulated trajectories plus their driving Brownian increments."""
+    """Trajectory tails X_first..X_last and their driving Brownian increments
+    dW_first..dW_{last-1}.
 
-    X: np.ndarray  # (M, n_times, d)
-    dW: np.ndarray  # (M, n_times - 1, q)
+    Both arrays are (M, n_times, .) transposed views of time-major buffers,
+    so each time slice X[:, k, :] is one contiguous (M, d) block.
+    """
+
+    X: np.ndarray  # (M, last - first + 1, d)
+    dW: np.ndarray  # (M, last - first, q)
+    first: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
     """Base path/weight sampler.
 
-    Subclasses implement `sample_paths` (trajectories on a grid prefix) and
-    `malliavin_weights` (H^(i)_j for all j > i from a full path batch), with
-    as many Brownian factors as states (q = d).  `draw_state` gives draws
-    of a single X_i: by default the end of a simulated path, overridden by
-    an exact one-step draw where the transition law is known.
+    Subclasses implement `sample_paths` (the stretch X_first..X_last of
+    trajectories on the grid) and `malliavin_weights` (H^(i)_j for all j > i
+    from a batch that runs to t_N), with as many Brownian factors as states
+    (q = d).  `draw_state` gives draws of a single X_i: by default the end
+    of a simulated path, overridden by an exact one-step draw where the
+    transition law is known.
     """
 
     d: int
@@ -109,25 +122,102 @@ class MarkovModel:
         return starts
 
     def sample_paths(
-        self, grid: TimeGrid, M: int, rng: np.random.Generator, last: int | None = None
+        self,
+        grid: TimeGrid,
+        M: int,
+        rng: np.random.Generator,
+        last: int | None = None,
+        first: int = 0,
     ) -> _PathBatch:
+        """M paths from t_0 to t_last (default t_N), keeping X_first..X_last.
+
+        Every start and increment of the M paths is drawn from rng, in the
+        same order whatever first is, so the kept stretch is bit for bit
+        the same as in a batch with first = 0.  Only X_first..X_last,
+        shape (M, last - first + 1, d), and dW_first..dW_{last-1},
+        shape (M, last - first, q), are stored, time-major.
+        """
         raise NotImplementedError
 
     def draw_state(
         self, grid: TimeGrid, i: int, M: int, rng: np.random.Generator
     ) -> np.ndarray:
         """M draws of X_i for 1 <= i <= N, shape (M, d): path simulation to t_i."""
-        return self.sample_paths(grid, M, rng, last=i).X[:, i, :]
+        return self.sample_paths(grid, M, rng, last=i, first=i).X[:, 0, :]
 
     def malliavin_weights(self, grid: TimeGrid, i: int, batch: _PathBatch) -> np.ndarray:
-        """Weights H^(i)_j, shape (M, N - i, q), entry j-i-1 holding H^(i)_j."""
+        """Weights H^(i)_j, shape (M, N - i, q), entry j-i-1 holding H^(i)_j,
+        for i >= batch.first; the batch must run to t_N."""
         raise NotImplementedError
 
 
-def _increment_weights(grid: TimeGrid, i: int, dW: np.ndarray) -> np.ndarray:
-    """Brownian-increment weights H^(i)_j = (W_j - W_i) / (t_j - t_i)."""
+def _tail_increments(
+    grid: TimeGrid, M: int, d: int, rng: np.random.Generator, first: int, last: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Increments dW_first..dW_{last-1}, time-major (last - first, M, d), and
+    W_first = dW_0 + .. + dW_{first-1} per row, (M, d) (None when first = 0).
+
+    The M x last x d normals are drawn block by block of consecutive rows,
+    which consumes the stream exactly as one draw of them all.  Each block's
+    prefix steps are summed in cumsum's sequential order and then dropped.
+    """
+    root = np.sqrt(grid.steps[:last])[:, None]
+    tail = np.empty((last - first, M, d))
+    prefix = np.empty((M, d)) if first else None
+    for start in range(0, M, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, M)
+        block = rng.standard_normal((stop - start, last, d))
+        block *= root
+        if first:
+            running = prefix[start:stop]
+            running[...] = block[:, 0]
+            for k in range(1, first):
+                running += block[:, k]
+        tail[:, start:stop] = block[:, first:].transpose(1, 0, 2)
+    return tail, prefix
+
+
+def _brownian_paths(model, grid, M, rng, last, first, state) -> _PathBatch:
+    """Batch of a model driven by the Brownian path itself: X_0 is the start
+    draw and state(X_0, W_k, t_k, out) writes X_k, k >= 1, into out.
+
+    W_k runs from W_first through the stored increments, updated in place
+    in cumsum's sequential order.
+    """
+    last = grid.N if last is None else last
+    starts = model._draw_start(M, rng)
+    tail, W = _tail_increments(grid, M, model.d, rng, first, last)
+    X = np.empty((last - first + 1, M, model.d))
+    for k in range(first, last + 1):
+        if k > first:
+            step = tail[k - first - 1]
+            if W is None:
+                W = step.copy()
+            else:
+                W += step
+        if k == 0:
+            X[0] = starts
+        else:
+            state(starts, W, grid.points[k], X[k - first])
+    return _PathBatch(X=X.transpose(1, 0, 2), dW=tail.transpose(1, 0, 2), first=first)
+
+
+def _cumulative_weights(grid: TimeGrid, i: int, tail: np.ndarray) -> np.ndarray:
+    """H^(i)_j = (sum of tail[0..j-i-1]) / (t_j - t_i), built in place in the
+    time-major (N - i, M, q) buffer tail and returned as an (M, N - i, q) view.
+    """
     spans = grid.points[i + 1 :] - grid.points[i]  # (N - i,)
-    return np.cumsum(dW[:, i:, :], axis=1) / spans[None, :, None]
+    np.cumsum(tail, axis=0, out=tail)
+    tail /= spans[:, None, None]
+    return tail.transpose(1, 0, 2)
+
+
+def _increment_weights(grid: TimeGrid, i: int, batch: _PathBatch) -> np.ndarray:
+    """Brownian-increment weights H^(i)_j = (W_j - W_i) / (t_j - t_i), built
+    in the batch's increment buffer, which they consume."""
+    return _cumulative_weights(
+        grid, i, batch.dW[:, i - batch.first :, :].transpose(1, 0, 2)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,18 +233,12 @@ class BrownianModel(MarkovModel):
                 f"drift must have shape ({self.d},), got {self.drift.shape}"
             )
 
-    def sample_paths(self, grid, M, rng, last=None):
-        n = grid.N if last is None else last
-        starts = self._draw_start(M, rng)
-        dW = rng.standard_normal((M, n, self.d)) * np.sqrt(grid.steps[:n])[None, :, None]
-        X = np.empty((M, n + 1, self.d))
-        X[:, 0, :] = starts
-        X[:, 1:, :] = (
-            starts[:, None, :]
-            + self.drift[None, None, :] * grid.points[1 : n + 1, None]
-            + np.cumsum(dW, axis=1)
-        )
-        return _PathBatch(X=X, dW=dW)
+    def sample_paths(self, grid, M, rng, last=None, first=0):
+        def state(starts, W, t, out):  # (X_0 + drift * t) + W_t
+            np.add(starts, self.drift * t, out=out)
+            out += W
+
+        return _brownian_paths(self, grid, M, rng, last, first, state)
 
     def draw_state(self, grid, i, M, rng):
         """Exact draw X_i = X_0 + drift * t_i + sqrt(t_i) Z."""
@@ -163,7 +247,7 @@ class BrownianModel(MarkovModel):
         return starts + self.drift * t + np.sqrt(t) * rng.standard_normal((M, self.d))
 
     def malliavin_weights(self, grid, i, batch):
-        return _increment_weights(grid, i, batch.dW)
+        return _increment_weights(grid, i, batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,19 +268,16 @@ class GeometricBrownianModel(MarkovModel):
         if np.any(self.sigma <= 0.0):
             raise ValueError("volatility must be positive componentwise")
 
-    def sample_paths(self, grid, M, rng, last=None):
-        n = grid.N if last is None else last
-        starts = self._draw_start(M, rng)
-        dW = rng.standard_normal((M, n, self.d)) * np.sqrt(grid.steps[:n])[None, :, None]
-        W = np.cumsum(dW, axis=1)
-        t = grid.points[1 : n + 1, None]
-        X = np.empty((M, n + 1, self.d))
-        X[:, 0, :] = starts
-        X[:, 1:, :] = starts[:, None, :] * np.exp(
-            (self.mu - 0.5 * self.sigma**2)[None, None, :] * t
-            + self.sigma[None, None, :] * W
-        )
-        return _PathBatch(X=X, dW=dW)
+    def sample_paths(self, grid, M, rng, last=None, first=0):
+        rate = self.mu - 0.5 * self.sigma**2
+
+        def state(starts, W, t, out):  # X_0 * exp(rate * t + sigma * W_t)
+            np.multiply(self.sigma, W, out=out)
+            out += rate * t
+            np.exp(out, out=out)
+            out *= starts
+
+        return _brownian_paths(self, grid, M, rng, last, first, state)
 
     def draw_state(self, grid, i, M, rng):
         """Exact draw X_i = X_0 exp((mu - sigma^2/2) t_i + sigma sqrt(t_i) Z)."""
@@ -208,7 +289,7 @@ class GeometricBrownianModel(MarkovModel):
         )
 
     def malliavin_weights(self, grid, i, batch):
-        return _increment_weights(grid, i, batch.dW)
+        return _increment_weights(grid, i, batch)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,19 +312,23 @@ class EulerSdeModel(MarkovModel):
     def __post_init__(self) -> None:
         self._validate_base()
 
-    def sample_paths(self, grid, M, rng, last=None):
-        n = grid.N if last is None else last
+    def sample_paths(self, grid, M, rng, last=None, first=0):
+        last = grid.N if last is None else last
         starts = self._draw_start(M, rng)
-        dW = rng.standard_normal((M, n, self.q)) * np.sqrt(grid.steps[:n])[None, :, None]
-        X = np.empty((M, n + 1, self.d))
-        X[:, 0, :] = starts
-        for k in range(n):
-            xk = X[:, k, :]
+        dW = rng.standard_normal((M, last, self.q)) * np.sqrt(grid.steps[:last])[None, :, None]
+        X = np.empty((last - first + 1, M, self.d))
+        xk = starts
+        for k in range(last + 1):
+            if k >= first:
+                X[k - first] = xk
+            if k == last:
+                break
             step = np.einsum("mdq,mq->md", self.sigma(grid.points[k], xk), dW[:, k, :])
             if self.b is not None:
                 step = step + self.b(grid.points[k], xk) * grid.steps[k]
-            X[:, k + 1, :] = xk + step
-        return _PathBatch(X=X, dW=dW)
+            xk = xk + step
+        tail = np.ascontiguousarray(dW[:, first:, :].transpose(1, 0, 2))
+        return _PathBatch(X=X.transpose(1, 0, 2), dW=tail.transpose(1, 0, 2), first=first)
 
     def malliavin_weights(self, grid, i, batch):
         M = batch.X.shape[0]
@@ -251,10 +336,11 @@ class EulerSdeModel(MarkovModel):
         t = grid.points
         eye = np.broadcast_to(np.eye(self.d), (M, self.d, self.d))
         psi = eye.copy()  # tangent process started at index i
-        sig_i = self.sigma(t[i], batch.X[:, i, :])  # (M, d, q)
-        increments = np.empty((M, N - i, self.d))
+        X, dW = batch.X[:, i - batch.first :], batch.dW[:, i - batch.first :]
+        sig_i = self.sigma(t[i], X[:, 0, :])  # (M, d, q)
+        increments = np.empty((N - i, M, self.d))
         for k in range(i, N):
-            xk = batch.X[:, k, :]
+            xk = X[:, k - i, :]
             sig_k = self.sigma(t[k], xk)
             try:
                 inv_k = np.linalg.inv(sig_k)
@@ -265,8 +351,8 @@ class EulerSdeModel(MarkovModel):
                     f"singular diffusion matrix at time index {k}, path {m_bad}"
                 ) from None
             a_k = inv_k @ psi @ sig_i  # (M, d, d)
-            increments[:, k - i, :] = np.einsum(
-                "mad,ma->md", a_k, batch.dW[:, k, :]
+            increments[k - i] = np.einsum(
+                "mad,ma->md", a_k, dW[:, k - i, :]
             )
             if k + 1 < N:
                 update = eye.copy()
@@ -274,11 +360,10 @@ class EulerSdeModel(MarkovModel):
                     update = update + self.db(t[k], xk) * grid.steps[k]
                 if self.dsigma is not None:
                     update = update + np.einsum(
-                        "mlab,ml->mab", self.dsigma(t[k], xk), batch.dW[:, k, :]
+                        "mlab,ml->mab", self.dsigma(t[k], xk), dW[:, k - i, :]
                     )
                 psi = update @ psi
-        spans = t[i + 1 :] - t[i]
-        return np.cumsum(increments, axis=1) / spans[None, :, None]
+        return _cumulative_weights(grid, i, increments)
 
 
 def _as_vector(value, d: int, name: str) -> np.ndarray:
@@ -378,7 +463,9 @@ class SimulationCloud:
     """Independent simulation rows for the regressions at one time index.
 
     X holds the path tail (X_i..X_N) per row, shape (M, N-i+1, d); H holds
-    the weights (H^(i)_{i+1}..H^(i)_N) per row, shape (M, N-i, q).
+    the weights (H^(i)_{i+1}..H^(i)_N) per row, shape (M, N-i, q).  Only the
+    tail is stored, time-major: both are transposed views of (n_times, M, .)
+    buffers, so `x_at(k)` and `h_at(j)` are contiguous (M, .) blocks.
     """
 
     i: int
@@ -389,16 +476,25 @@ class SimulationCloud:
     def M(self) -> int:
         return self.X.shape[0]
 
+    @property
+    def N(self) -> int:
+        """Last time index of the tail."""
+        return self.i + self.X.shape[1] - 1
+
     def x_at(self, k: int) -> np.ndarray:
-        """States X_k, shape (M, d), for any absolute index k >= i."""
-        if k < self.i:
-            raise ValueError(f"cloud at index {self.i} has no states before it, got {k}")
+        """States X_k, shape (M, d), for any absolute index i <= k <= N."""
+        if not self.i <= k <= self.N:
+            raise ValueError(
+                f"cloud at index {self.i} holds states at {self.i}..{self.N}, got {k}"
+            )
         return self.X[:, k - self.i, :]
 
     def h_at(self, j: int) -> np.ndarray:
-        """Weights H^(i)_j, shape (M, q), for any absolute index j > i."""
-        if j <= self.i:
-            raise ValueError(f"weights start at index {self.i + 1}, got {j}")
+        """Weights H^(i)_j, shape (M, q), for any absolute index i < j <= N."""
+        if not self.i < j <= self.N:
+            raise ValueError(
+                f"cloud at index {self.i} holds weights at {self.i + 1}..{self.N}, got {j}"
+            )
         return self.H[:, j - self.i - 1, :]
 
 
@@ -407,22 +503,24 @@ def sample_cloud(
 ) -> SimulationCloud:
     """One simulation cloud: M_i i.i.d. rows of (X_i..X_N, H^(i)_{i+1..N}).
 
-    Clouds at distinct indices consume disjoint random streams; the same
-    (seed, i, M_i) reproduces the cloud bit for bit.
+    Each row is a whole path from t_0, drawn from the (seed, i) stream, but
+    only its tail from t_i is stored, time-major (see `SimulationCloud`);
+    the shapes are those of the tail.  Clouds at distinct indices consume
+    disjoint random streams; the same (seed, i, M_i) reproduces the cloud
+    bit for bit.
     """
     if not 0 <= i < grid.N:
         raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
     if M_i < 1:
         raise ValueError(f"cloud size must be >= 1, got {M_i}")
     rng = cloud_rng(seed, i, STREAM_CLOUD)
-    batch = model.sample_paths(grid, M_i, rng)
+    batch = model.sample_paths(grid, M_i, rng, first=i)
     weights = model.malliavin_weights(grid, i, batch)
-    states = batch.X[:, i:, :]
-    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(weights))):
+    if not (np.all(np.isfinite(batch.X)) and np.all(np.isfinite(weights))):
         raise NumericalError(
             f"non-finite values in the simulation cloud at index {i}"
         )
-    return SimulationCloud(i=i, X=states, H=weights)
+    return SimulationCloud(i=i, X=batch.X, H=weights)
 
 
 def sample_marginal(

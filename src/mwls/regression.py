@@ -127,29 +127,39 @@ class LocalPolynomialBasis:
         for axis in range(1, self.d):
             outside |= np.abs(pts[:, axis]) > self.radius
         inside = np.flatnonzero(~outside)
-        k = np.floor((pts + self.radius) / self.delta).astype(int)
+        # k = floor((x + R) / delta), clipped to the grid of cells
+        scaled = pts + self.radius
+        scaled /= self.delta
+        k = np.floor(scaled, out=scaled).astype(int)
         np.clip(k, 0, self.cells_per_axis - 1, out=k)
         flat = k[:, 0]
         for axis in range(1, self.d):
             flat = flat * self.cells_per_axis + k[:, axis]
-        u = (pts - (-self.radius + (k + 0.5) * self.delta)) / (0.5 * self.delta)
-        u = np.take(u, inside, axis=0)
-        # table[m, a, p] = u[m, a] ** p
-        if self.degree >= 2:
-            # pow along the exponent axis, never repeated products: those
-            # move the last bit of u ** p for p >= 2
-            table = u[:, :, None] ** np.arange(self.degree + 1)
+        # u = (x - (-R + (k + 0.5) delta)) / (delta / 2)
+        u = k + 0.5
+        u *= self.delta
+        u += -self.radius
+        np.subtract(pts, u, out=u)
+        u /= 0.5 * self.delta
+        if inside.size < pts.shape[0]:
+            u = np.take(u, inside, axis=0)
+        if self.degree <= 1:
+            # u ** 0 = 1 and u ** 1 = u exactly, and so are their products
+            # with 1: column 0 is 1 and column 1 + a is u_a, with no pow calls
+            rows = np.empty((inside.size, self.monomials))
+            rows[:, 0] = 1.0
+            rows[:, 1:] = u[:, : self.monomials - 1]
         else:
-            # u ** 0 = 1 and u ** 1 = u exactly, as numpy itself returns for
-            # a scalar exponent; no pow calls
-            table = np.stack((np.ones_like(u), u), axis=2)[:, :, : self.degree + 1]
-        table = table.reshape(inside.size, self.d * (self.degree + 1))
-        # row factor of axis a is column a*(n+1) + p_a; multiplied left to
-        # right like np.prod(u ** powers, axis=-1)
-        columns = np.arange(self.d) * (self.degree + 1) + self.powers
-        rows = np.take(table, columns[:, 0], axis=1)
-        for axis in range(1, self.d):
-            rows *= np.take(table, columns[:, axis], axis=1)
+            # table[m, a, p] = u[m, a] ** p, by pow along the exponent axis
+            # and never by repeated products: those move the last bit of u ** p
+            table = u[:, :, None] ** np.arange(self.degree + 1)
+            table = table.reshape(inside.size, self.d * (self.degree + 1))
+            # row factor of axis a is column a*(n+1) + p_a; multiplied left
+            # to right like np.prod(u ** powers, axis=-1)
+            columns = np.arange(self.d) * (self.degree + 1) + self.powers
+            rows = np.take(table, columns[:, 0], axis=1)
+            for axis in range(1, self.d):
+                rows *= np.take(table, columns[:, axis], axis=1)
         return Design(self.geometry, np.where(outside, -1, flat), inside, rows)
 
     def _check_design(self, design: Design, m: int) -> None:

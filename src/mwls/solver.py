@@ -196,11 +196,11 @@ def _responses(
     return s_z, s_y, y_next
 
 
-def _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design) -> None:
+def _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design) -> None:
     """Add the k = i term f_i(X_i, y_{i+1}(X_{i+1}), z_i(X_i)) Delta_i to the
-    y-response s_y in place; z_design is z_fits[i]'s design of X_i."""
+    y-response s_y in place; x_i holds the cloud's states X_i and z_design
+    is z_fits[i]'s design of them."""
     if not driver.is_zero:
-        i, x_i = cloud.i, cloud.x_at(cloud.i)
         z_here = _require_fit(z_fits, i, "z").evaluate(x_i, design=z_design)
         f_i = _callback_values(driver.fn(i, x_i, y_next, z_here), x_i.shape[0], i, i)
         s_y += f_i * grid.steps[i]
@@ -312,7 +312,8 @@ def mwls_solve(
 
     At each index i = N-1 .. 0 the z response is fitted and truncated first,
     then the y response (whose k = i term reads the fresh z fit).  Clouds
-    are drawn per index and released after the two regressions.
+    are drawn per index and released once the responses are built; the fits
+    read a copy of the cloud's X_i, kept as the index's marginal.
     """
     n = grid.N
     y_bases, z_bases, sizes = _per_index_inputs(model, n, y_basis, z_basis, cloud_sizes)
@@ -326,22 +327,21 @@ def mwls_solve(
     marginals: list = [None] * n
     for i in range(n - 1, -1, -1):
         cloud = sample_cloud(model, grid, i, sizes[i], seed)
-        x_i = cloud.x_at(i)
         s_z, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
+        # a copy of X_i, so that the cloud is released before the fits
+        x_i = marginals[i] = np.array(cloud.x_at(i))
+        del cloud
         z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
         try:
             z_fits[i] = truncate_estimator(
                 ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
             )
-            _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design)
+            _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design)
             y_fits[i] = truncate_estimator(
                 ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
             )
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"regression failed at time index {i}: {exc}") from exc
-        marginals[i] = np.array(x_i)
-        # x_i views the cloud: release both before the next cloud is drawn
-        del cloud, x_i
 
     return MwlsSolution(
         grid=grid,

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,11 +551,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point_runs():
+    # run from the directory holding the imported package, which `-m` puts
+    # first on the path, so the child process finds the same sources
     result = subprocess.run(
         [sys.executable, "-m", "mwls.cli", "tune", "--n", "10", "--kappa", "0.5",
          "--l", "1", "--d", "1", "--lambda", "1", "--regime", "smooth"],
         capture_output=True,
         text=True,
+        cwd=Path(cli.__file__).parents[1],
     )
     assert result.returncode == 0
     assert result.stdout.startswith("# command=tune")

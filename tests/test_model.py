@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mwls.solver
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
+from mwls.harness import benchmark_b3
 from mwls.model import (
+    _ROW_BLOCK,
+    STREAM_CLOUD,
     STREAM_FRESH,
     BrownianModel,
     EulerSdeModel,
     GeometricBrownianModel,
+    SimulationCloud,
     brownian_model,
     cloud_rng,
     derive_seed,
@@ -19,6 +24,7 @@ from mwls.model import (
     sample_cloud,
     sample_marginal,
 )
+from mwls.regression import LocalPolynomialBasis
 
 # ---------------------------------------------------------------------------
 # random streams
@@ -69,6 +75,21 @@ def test_cloud_shapes_and_indexing():
         cloud.h_at(2)
 
 
+def test_cloud_indexing_past_the_horizon_names_the_index():
+    model = brownian_model(d=1)
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    cloud = sample_cloud(model, grid, i=2, M_i=5, seed=1)
+    assert cloud.N == 4
+    np.testing.assert_array_equal(cloud.x_at(4), cloud.X[:, 2, :])
+    np.testing.assert_array_equal(cloud.h_at(4), cloud.H[:, 1, :])
+    with pytest.raises(ValueError, match=r"cloud at index 2 holds states at 2\.\.4, got 5"):
+        cloud.x_at(5)
+    with pytest.raises(ValueError, match=r"cloud at index 2 holds weights at 3\.\.4, got 5"):
+        cloud.h_at(5)
+    with pytest.raises(ValueError, match="got 1"):
+        cloud.x_at(1)
+
+
 def test_clouds_at_distinct_indices_use_disjoint_streams():
     model = brownian_model(d=1)
     grid = make_theta_grid(T=1.0, N=4, theta=1.0)
@@ -97,6 +118,144 @@ def test_cloud_validation():
         sample_cloud(model, grid, i=-1, M_i=10, seed=0)
     with pytest.raises(ValueError):
         sample_cloud(model, grid, i=0, M_i=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# tail clouds against whole simulated paths
+
+
+def _full_paths(model, grid, M, rng):
+    """X_0..X_N and dW_0..dW_{N-1}, path-major, simulated and stored whole
+    from t_0: the reference the tail-only samplers must match bit for bit."""
+    n = grid.N
+    starts = model._draw_start(M, rng)
+    dW = rng.standard_normal((M, n, model.q)) * np.sqrt(grid.steps)[None, :, None]
+    X = np.empty((M, n + 1, model.d))
+    X[:, 0, :] = starts
+    t = grid.points[1:, None]
+    if isinstance(model, BrownianModel):
+        X[:, 1:, :] = (
+            starts[:, None, :] + model.drift[None, None, :] * t + np.cumsum(dW, axis=1)
+        )
+    elif isinstance(model, GeometricBrownianModel):
+        X[:, 1:, :] = starts[:, None, :] * np.exp(
+            (model.mu - 0.5 * model.sigma**2)[None, None, :] * t
+            + model.sigma[None, None, :] * np.cumsum(dW, axis=1)
+        )
+    else:
+        for k in range(n):
+            xk = X[:, k, :]
+            step = np.einsum("mdq,mq->md", model.sigma(grid.points[k], xk), dW[:, k, :])
+            if model.b is not None:
+                step = step + model.b(grid.points[k], xk) * grid.steps[k]
+            X[:, k + 1, :] = xk + step
+    return X, dW
+
+
+def _euler_reference_weights(model, grid, i, X, dW):
+    """Tangent-process weights H^(i) from whole paths."""
+    M, N, t = X.shape[0], grid.N, grid.points
+    eye = np.broadcast_to(np.eye(model.d), (M, model.d, model.d))
+    psi = eye.copy()
+    sig_i = model.sigma(t[i], X[:, i, :])
+    increments = np.empty((M, N - i, model.d))
+    for k in range(i, N):
+        xk = X[:, k, :]
+        a_k = np.linalg.inv(model.sigma(t[k], xk)) @ psi @ sig_i
+        increments[:, k - i, :] = np.einsum("mad,ma->md", a_k, dW[:, k, :])
+        if k + 1 < N:
+            update = eye.copy()
+            if model.db is not None:
+                update = update + model.db(t[k], xk) * grid.steps[k]
+            if model.dsigma is not None:
+                update = update + np.einsum(
+                    "mlab,ml->mab", model.dsigma(t[k], xk), dW[:, k, :]
+                )
+            psi = update @ psi
+    return np.cumsum(increments, axis=1) / (t[i + 1 :] - t[i])[None, :, None]
+
+
+def _reference_cloud(model, grid, i, M_i, seed):
+    """The index-i cloud cut from whole simulated paths: X[:, i:] and the
+    weights from dW[:, i:]."""
+    X, dW = _full_paths(model, grid, M_i, cloud_rng(seed, i, STREAM_CLOUD))
+    if isinstance(model, EulerSdeModel):
+        H = _euler_reference_weights(model, grid, i, X, dW)
+    else:
+        spans = grid.points[i + 1 :] - grid.points[i]
+        H = np.cumsum(dW[:, i:], axis=1) / spans[None, :, None]
+    return SimulationCloud(i=i, X=X[:, i:], H=H)
+
+
+def _tanh_sigma(t, x):
+    """State-dependent diagonal diffusion 0.3 + 0.1 tanh(x)."""
+    m, d = x.shape
+    out = np.zeros((m, d, d))
+    idx = np.arange(d)
+    out[:, idx, idx] = 0.3 + 0.1 * np.tanh(x)
+    return out
+
+
+def _tanh_dsigma(t, x):
+    m, d = x.shape
+    out = np.zeros((m, d, d, d))
+    idx = np.arange(d)
+    out[:, idx, idx, idx] = 0.1 / np.cosh(x) ** 2
+    return out
+
+
+_TAIL_MODELS = {
+    "brownian-1d": lambda: brownian_model(d=1, drift=0.4, x0=0.5, x0_width=1.0),
+    "brownian-2d": lambda: brownian_model(
+        d=2, drift=[0.4, -0.3], x0=[0.5, -1.0], x0_width=1.0
+    ),
+    "gbm": lambda: gbm_model(mu=0.1, sigma=0.3, x0=1.0, x0_width=0.4),
+    "euler-1d": lambda: euler_sde_model(
+        b=lambda t, x: -0.5 * x, sigma=_tanh_sigma, dsigma=_tanh_dsigma,
+        db=lambda t, x: np.full((x.shape[0], 1, 1), -0.5), x0=0.3, x0_width=0.5,
+    ),
+    "euler-2d": lambda: euler_sde_model(
+        b=None, sigma=_tanh_sigma, dsigma=_tanh_dsigma, x0=[0.3, -0.2], d=2,
+        x0_width=0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAIL_MODELS))
+def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
+    model = _TAIL_MODELS[name]()
+    grid = make_theta_grid(T=1.0, N=5, theta=0.6)  # non-uniform steps
+    m = _ROW_BLOCK + 37  # two row blocks, the second one partial
+    for i in (0, 1, grid.N - 1):
+        cloud = sample_cloud(model, grid, i=i, M_i=m, seed=81)
+        reference = _reference_cloud(model, grid, i, m, seed=81)
+        assert cloud.X.shape == reference.X.shape == (m, grid.N - i + 1, model.d)
+        assert cloud.H.shape == reference.H.shape == (m, grid.N - i, model.q)
+        np.testing.assert_array_equal(cloud.X, reference.X, strict=True)
+        np.testing.assert_array_equal(cloud.H, reference.H, strict=True)
+        # the tail alone is stored, one contiguous block per time index
+        assert cloud.X.base.shape == (grid.N - i + 1, m, model.d)
+        for k in range(i, grid.N + 1):
+            assert cloud.x_at(k).flags.c_contiguous
+        for j in range(i + 1, grid.N + 1):
+            assert cloud.h_at(j).flags.c_contiguous
+
+
+def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
+    bench = benchmark_b3()
+    grid = make_theta_grid(1.0, 6)
+    basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=4.0, d=1)
+    args = (bench.model, grid, bench.driver, bench.terminal, basis, basis)
+    m = _ROW_BLOCK + 37
+    tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
+    monkeypatch.setattr(mwls.solver, "sample_cloud", _reference_cloud)
+    full = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
+    for fits, reference in ((tail.y_fits, full.y_fits), (tail.z_fits, full.z_fits)):
+        for fit, expected in zip(fits, reference, strict=True):
+            assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+            assert fit.level == expected.level
+    for x_i, expected in zip(tail.marginals, full.marginals, strict=True):
+        np.testing.assert_array_equal(x_i, expected, strict=True)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,10 @@ def _y_response(cloud, grid, driver, terminal, y_fits, z_fits):
     """The y-response as mwls_solve assembles it, own k = i term included;
     z_fits[i] must be fitted (z before y within each index)."""
     _, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
-    z_fit = z_fits[cloud.i]
-    z_design = None if z_fit is None else z_fit.basis.design(cloud.x_at(cloud.i))
-    _add_own_term(s_y, cloud, grid, driver, y_next, z_fits, z_design)
+    i, x_i = cloud.i, cloud.x_at(cloud.i)
+    z_fit = z_fits[i]
+    z_design = None if z_fit is None else z_fit.basis.design(x_i)
+    _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design)
     return s_y
 
 
@@ -299,7 +300,8 @@ def test_solve_order_audit_and_response_envelope():
 
             # the k = i term reads the z fit of the same index
             _add_own_term(
-                s_y, cloud, grid, driver, y_next, sol.z_fits, z_basis.design(cloud.x_at(i))
+                s_y, i, cloud.x_at(i), grid, driver, y_next, sol.z_fits,
+                z_basis.design(cloud.x_at(i)),
             )
             refit_y = truncate_estimator(
                 ols_fit(s_y, y_basis, cloud.x_at(i)), float(sol.bounds.C_y[i])
