@@ -83,46 +83,43 @@ def _write_table(path: str, meta, columns, rows) -> None:
 
 _PROBLEM_PARAMS = {"b3": ("alpha",), "b4": ("cap", "theta_phi")}
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "problem": {
-        "id": "str",
-        "alpha": "float",
-        "theta_phi": "float",
-        "cap": "float",
-        "x0_width": "float",
-    },
-    "grid": {"t": "float", "n": "int", "theta": "float", "points": "float_list"},
-    "basis": {
-        "degree": "int",
-        "delta": "float_list",
-        "delta_z": "float_list",
-        "radius": "float",
-    },
-    "simulation": {"m": "int_list", "seed": "int"},
-    "error": {"enabled": "bool", "fresh_m": "int"},
-    "output": {"dir": "str"},
+# Every config key, in flag order: (section, key) -> (kind, default, dest,
+# help).  The flag --dest-with-dashes sets the key, and {default} in its help
+# reads the key's default; grid.points and error.enabled have no flag.  Of
+# the keys without a default, problem.id is required, grid.points gives way
+# to t, n and theta, and basis.delta_z follows basis.delta.  _resolve_config
+# holds these rules and the two defaults that depend on the command.
+_KEYS = {
+    ("problem", "id"): ("str", None, "problem", "benchmark id (b1, b2, b3, b4, zero)"),
+    ("problem", "alpha"): ("float", 0.5, "alpha", "driver slope (b3 only; default {default})"),
+    ("problem", "theta_phi"): ("float", 0.5, "theta_phi",
+                               "terminal exponent (b4 only; default {default})"),
+    ("problem", "cap"): ("float", 1.0, "cap", "terminal cap (b4 only; default {default})"),
+    ("problem", "x0_width"): ("float", 5.0, "x0_width",
+                              "starting-box edge length (default {default})"),
+    ("grid", "t"): ("float", 1.0, "t", "terminal time (default {default})"),
+    ("grid", "n"): ("int", 10, "n", "number of time steps (default {default})"),
+    ("grid", "theta"): ("float", 1.0, "theta", "grid concentration exponent in (0, 1] "
+                        "(default {default}; bench on b4: theta_phi)"),
+    ("grid", "points"): ("float_list", None, None, None),
+    ("basis", "degree"): ("int", 1, "degree", "local polynomial degree (default {default})"),
+    ("basis", "delta"): ("float_list", [0.5], "delta", "cell edge length (default {default})"),
+    ("basis", "delta_z"): ("float_list", None, "delta_z",
+                           "z-basis cell edge (default: same as --delta)"),
+    ("basis", "radius"): ("float", 4.0, "radius", "basis half-width (default {default})"),
+    ("simulation", "m"): ("int_list", [10_000], "m", "cloud size (default {default})"),
+    ("simulation", "seed"): ("int", 0, "seed", "root seed (default {default})"),
+    ("error", "enabled"): ("bool", True, None, None),
+    ("error", "fresh_m"): ("int", 20_000, "fresh_m",
+                           "fresh-sample count for errors (default {default})"),
+    ("output", "dir"): ("str", "mwls_out", "out", "output directory (default {default} for "
+                        "run, mwls_<command>_<problem> otherwise)"),
 }
 
-# The defaults of run, bench, sweep and bounds, read by the resolver and by
-# the flags' help.  basis.delta_z defaults to basis.delta; _resolve_config
-# holds the two defaults that depend on the command.
-_DEFAULTS = {
-    ("problem", "alpha"): 0.5,
-    ("problem", "cap"): 1.0,
-    ("problem", "theta_phi"): 0.5,
-    ("problem", "x0_width"): 5.0,
-    ("grid", "t"): 1.0,
-    ("grid", "n"): 10,
-    ("grid", "theta"): 1.0,
-    ("basis", "degree"): 1,
-    ("basis", "delta"): [0.5],
-    ("basis", "radius"): 4.0,
-    ("simulation", "m"): [10_000],
-    ("simulation", "seed"): 0,
-    ("error", "enabled"): True,
-    ("error", "fresh_m"): 20_000,
-    ("output", "dir"): "mwls_out",
-}
+
+def _flag(key) -> str:
+    return "--" + _KEYS[key][2].replace("_", "-")
+
 
 # The numeric entries that a constructor of the package would reject without
 # naming the key: (subject, rule, rejects) with the words and the test of that
@@ -149,33 +146,6 @@ def _range_error(key, value) -> str | None:
         return f"{subject} must be finite, got {value}"
     return None
 
-# Flags by argparse dest: --dest-with-dashes sets the config key of the same
-# name.  {default} in a help text reads the key's default.
-_FLAGS = {
-    "problem": (("problem", "id"), "benchmark id (b1, b2, b3, b4, zero)"),
-    "alpha": (("problem", "alpha"), "driver slope (b3 only; default {default})"),
-    "theta_phi": (("problem", "theta_phi"), "terminal exponent (b4 only; default {default})"),
-    "cap": (("problem", "cap"), "terminal cap (b4 only; default {default})"),
-    "x0_width": (("problem", "x0_width"), "starting-box edge length (default {default})"),
-    "t": (("grid", "t"), "terminal time (default {default})"),
-    "n": (("grid", "n"), "number of time steps (default {default})"),
-    "theta": (
-        ("grid", "theta"),
-        "grid concentration exponent in (0, 1] (default {default}; bench on b4: theta_phi)",
-    ),
-    "degree": (("basis", "degree"), "local polynomial degree (default {default})"),
-    "delta": (("basis", "delta"), "cell edge length (default {default})"),
-    "delta_z": (("basis", "delta_z"), "z-basis cell edge (default: same as --delta)"),
-    "radius": (("basis", "radius"), "basis half-width (default {default})"),
-    "m": (("simulation", "m"), "cloud size (default {default})"),
-    "seed": (("simulation", "seed"), "root seed (default {default})"),
-    "fresh_m": (("error", "fresh_m"), "fresh-sample count for errors (default {default})"),
-    "out": (
-        ("output", "dir"),
-        "output directory (default {default} for run, mwls_<command>_<problem> otherwise)",
-    ),
-}
-_FLAG_OF = {key: "--" + dest.replace("_", "-") for dest, (key, _) in _FLAGS.items()}
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -269,10 +239,10 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
     def name(key) -> str:
         if key not in flags:
             return ".".join(key)
-        return "--m-values" if (command, key) == ("sweep", ("simulation", "m")) else _FLAG_OF[key]
+        return "--m-values" if (command, key) == ("sweep", ("simulation", "m")) else _flag(key)
 
     def get(key):
-        return entries.get(key, _DEFAULTS.get(key))
+        return entries.get(key, _KEYS[key][1])
 
     def check_range(key, value):
         error = _range_error(key, value)
@@ -296,9 +266,8 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
                 raise ValueError(
                     f"{name(('problem', key))} does not apply to problem {problem_id!r}"
                 )
-    params = {key: check_range(("problem", key), float(get(("problem", key))))
-              for key in applicable}
-    x0_width = check_range(("problem", "x0_width"), float(get(("problem", "x0_width"))))
+    params = {key: check_range(("problem", key), get(("problem", key))) for key in applicable}
+    x0_width = check_range(("problem", "x0_width"), get(("problem", "x0_width")))
 
     points = entries.get(("grid", "points"))
     if points is not None:
@@ -311,13 +280,13 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
             raise ValueError(f"grid.points: {exc}") from None
         grid_echo = ()
     else:
-        t = float(get(("grid", "t")))
-        n = int(get(("grid", "n")))
+        t = get(("grid", "t"))
+        n = get(("grid", "n"))
         # bench runs b4 on the theta_phi-grid that its Hölder terminal calls for
         if (command, problem_id) == ("bench", "b4"):
-            theta = float(entries.get(("grid", "theta"), params["theta_phi"]))
+            theta = entries.get(("grid", "theta"), params["theta_phi"])
         else:
-            theta = float(get(("grid", "theta")))
+            theta = get(("grid", "theta"))
         try:
             grid = make_theta_grid(t, n, theta)
         except ValueError as exc:
@@ -326,14 +295,14 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
             raise ValueError(f"{', '.join(given) or 'grid'}: {exc}") from None
         grid_echo = (("grid.t", t), ("grid.n", n), ("grid.theta", theta))
 
-    degree = check_range(("basis", "degree"), int(get(("basis", "degree"))))
-    radius = check_range(("basis", "radius"), float(get(("basis", "radius"))))
+    degree = check_range(("basis", "degree"), get(("basis", "degree")))
+    radius = check_range(("basis", "radius"), get(("basis", "radius")))
     delta = _per_index(get(("basis", "delta")), grid.N, name(("basis", "delta")))
-    delta = [check_range(("basis", "delta"), float(v)) for v in delta]
+    delta = [check_range(("basis", "delta"), v) for v in delta]
     delta_z = entries.get(("basis", "delta_z"), delta)
     delta_z = _per_index(delta_z, grid.N, name(("basis", "delta_z")))
-    delta_z = [check_range(("basis", "delta_z"), float(v)) for v in delta_z]
-    m = [int(v) for v in get(("simulation", "m"))]
+    delta_z = [check_range(("basis", "delta_z"), v) for v in delta_z]
+    m = get(("simulation", "m"))
     if command != "sweep":
         m = _per_index(m, grid.N, name(("simulation", "m")))
     benchmark = registry[problem_id](x0_width=x0_width, **params)
@@ -346,10 +315,10 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
                 _per_index_inputs(model, grid.N, y_bases, z_bases, sizes)
             except ValueError as exc:
                 raise ValueError(f"{name(('simulation', 'm'))}: {exc}") from None
-    seed = int(get(("simulation", "seed")))
+    seed = get(("simulation", "seed"))
     if seed < 0:
         raise ValueError(f"{name(('simulation', 'seed'))} must be >= 0, got {seed}")
-    fresh_m = int(get(("error", "fresh_m")))
+    fresh_m = get(("error", "fresh_m"))
     if fresh_m < 1:
         raise ValueError(f"{name(('error', 'fresh_m'))} must be >= 1, got {fresh_m}")
     if command == "run":
@@ -370,9 +339,9 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
         radius=radius,
         m=m,
         seed=seed,
-        error_enabled=bool(get(("error", "enabled"))),
+        error_enabled=get(("error", "enabled")),
         fresh_m=fresh_m,
-        out_dir=str(out_dir),
+        out_dir=out_dir,
         benchmark=benchmark,
         y_bases=y_bases,
         z_bases=z_bases,
@@ -391,12 +360,12 @@ def _read_config(path: str) -> dict:
         raise ValueError(f"config parse error: {exc}") from None
     raw: dict = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {known for known, _ in _KEYS}:
             raise ValueError(f"unknown config section [{section}]")
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise ValueError(f"unknown config key {section}.{key}")
-            raw[(section, key)] = _parse_value(_SCHEMA[section][key], value, f"{section}.{key}")
+            raw[(section, key)] = _parse_value(_KEYS[(section, key)][0], value, f"{section}.{key}")
     return raw
 
 
@@ -404,20 +373,20 @@ def load_config(path: str) -> RunConfig:
     """Parse and fully validate an INI config file.
 
     Unknown sections or keys are errors naming the key path; values are
-    typed per the schema and cross-field rules are checked before any
+    typed per the key table and cross-field rules are checked before any
     computation.
     """
     return _resolve_config(_read_config(path), "run", {})
 
 
 def _flag_entries(args) -> dict:
-    """The config entries of the flags given on the command line."""
+    """The config entries of the flags given on the command line, each
+    parsed like the file entry of its key."""
     entries = {}
-    for dest, (key, _) in _FLAGS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            is_list = _SCHEMA[key[0]][key[1]].endswith("_list")
-            entries[key] = [value] if is_list else value
+    for key, (kind, _, dest, _) in _KEYS.items():
+        raw = None if dest is None else getattr(args, dest, None)
+        if raw is not None:
+            entries[key] = _parse_value(kind, raw, _flag(key))
     return entries
 
 
@@ -616,11 +585,13 @@ def cmd_sweep(args) -> int:
         index=args.index,
         threads=threads,
     )
-    # one basis serves every index, so the basis keys echo as scalars
+    def echo(values):  # a per-index list of one repeated value echoes as that value
+        return values[0] if len(set(values)) == 1 else values
+
     meta = cfg.echo_prefix() + [
         ("basis.degree", cfg.degree),
-        ("basis.delta", cfg.delta[0]),
-        ("basis.delta_z", cfg.delta_z[0]),
+        ("basis.delta", echo(cfg.delta)),
+        ("basis.delta_z", echo(cfg.delta_z)),
         ("basis.radius", cfg.radius),
         ("simulation.seed", cfg.seed),
         ("error.fresh_m", cfg.fresh_m),
@@ -660,19 +631,14 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_flags(sub, *dests) -> None:
-    """Add the _FLAGS entries; unset flags stay None and resolve to defaults."""
-    for dest in dests:
-        key, text = _FLAGS[dest]
-        kind = _SCHEMA[key[0]][key[1]].removesuffix("_list")
-        default = _render(_DEFAULTS[key]) if key in _DEFAULTS else None
-        sub.add_argument(
-            _FLAG_OF[key],
-            dest=dest,
-            type={"int": int, "float": float}.get(kind, str),
-            required=key == ("problem", "id"),
-            help=text.format(default=default),
-        )
+def _add_flags(sub, *keys) -> None:
+    """Add the flags of the keys that have one; a flag's value stays text,
+    and an unset flag stays None and resolves to the key's default."""
+    for key in keys:
+        _, default, dest, text = _KEYS[key]
+        if dest is not None:
+            sub.add_argument(_flag(key), dest=dest, required=key == ("problem", "id"),
+                             help=text.format(default=_render(default)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -681,7 +647,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = commands.add_parser("run", help="solve a configured problem and write reports")
     run_p.add_argument("--config", required=True, help="path to an INI config file")
-    _add_flags(run_p, "seed", "out", "fresh_m")
+    _add_flags(run_p, ("simulation", "seed"), ("output", "dir"), ("error", "fresh_m"))
     run_p.set_defaults(func=cmd_run)
 
     tune_p = commands.add_parser("tune", help="print the balanced discretization plan")
@@ -699,17 +665,16 @@ def _build_parser() -> argparse.ArgumentParser:
     tune_p.set_defaults(func=cmd_tune)
 
     bounds_p = commands.add_parser("bounds", help="print the constants table (no simulation)")
-    problem_and_grid = [dest for dest, (key, _) in _FLAGS.items() if key[0] in ("problem", "grid")]
-    _add_flags(bounds_p, *problem_and_grid)
+    _add_flags(bounds_p, *(key for key in _KEYS if key[0] in ("problem", "grid")))
     bounds_p.set_defaults(func=cmd_bounds)
 
     bench_p = commands.add_parser("bench", help="run a benchmark with default settings")
-    _add_flags(bench_p, *_FLAGS)
+    _add_flags(bench_p, *_KEYS)
     bench_p.set_defaults(func=cmd_bench)
 
     sweep_p = commands.add_parser("sweep", help="sweep the cloud size and report slopes")
     # --m-values sets the cloud sizes of a sweep
-    _add_flags(sweep_p, *(dest for dest in _FLAGS if dest != "m"))
+    _add_flags(sweep_p, *(key for key in _KEYS if key != ("simulation", "m")))
     sweep_p.add_argument("--m-values", dest="m_values", required=True,
                          help="comma-separated cloud sizes")
     sweep_p.add_argument("--index", type=int, default=None,

@@ -467,6 +467,17 @@ def propagation_constants(pc: ProblemConstants) -> tuple[float, float]:
     return a_my, a_mz
 
 
+def _per_index_array(name: str, values, n: int) -> np.ndarray:
+    """values as a float array, checked to hold one value per index."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(
+            f"{name} must supply one value per index 0..N-1 "
+            f"(expected length {n}, got shape {arr.shape})"
+        )
+    return arr
+
+
 def global_error_bound(
     pc: ProblemConstants,
     grid: TimeGrid,
@@ -490,43 +501,24 @@ def global_error_bound(
     are those of bounds_table(pc, grid, k_y, k_z, m).
     """
     N = grid.N
-    arrays = {}
-    for name, values in (
-        ("e_app_y", e_app_y),
-        ("e_app_z", e_app_z),
-        ("k_y", k_y),
-        ("k_z", k_z),
-        ("m", m),
-    ):
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (N,):
-            raise ValueError(
-                f"{name} must supply one value per index 0..N-1 "
-                f"(expected length {N}, got shape {arr.shape})"
-            )
-        arrays[name] = arr
-    if np.any(arrays["m"] < 1.0):
-        raise ValueError("cloud sizes must be >= 1")
-    if np.any(arrays["e_app_y"] < 0.0) or np.any(arrays["e_app_z"] < 0.0):
+    e_app_y = _per_index_array("e_app_y", e_app_y, N)
+    e_app_z = _per_index_array("e_app_z", e_app_z, N)
+    if np.any(e_app_y < 0.0) or np.any(e_app_z < 0.0):
         raise ValueError("approximation errors must be nonnegative")
 
-    table = bounds_table(pc, grid, arrays["k_y"], arrays["k_z"], arrays["m"])
+    k_y, k_z, m = (np.asarray(v, dtype=float) for v in (k_y, k_z, m))
+    table = bounds_table(pc, grid, k_y, k_z, m)  # checks k_y, k_z and m
     # Theta sqrt(K/M), 0 at K = 0 even when Theta overflowed to inf
-    stat_y = _scaled(table.Theta_y, np.sqrt(arrays["k_y"] / arrays["m"]))
-    stat_z = _scaled(table.Theta_z, np.sqrt(arrays["k_z"] / arrays["m"]))
+    stat_y = _scaled(table.Theta_y, np.sqrt(k_y / m))
+    stat_z = _scaled(table.Theta_z, np.sqrt(k_z / m))
     dep_y, dep_z = table.E_dep_Y, table.E_dep_Z
 
-    local_y = arrays["e_app_y"] + stat_y  # per-index y-term of E(k)
+    local_y = e_app_y + stat_y  # per-index y-term of E(k)
     local = np.empty(N)
     for k in range(N):
         next_y = local_y[k + 1] if k + 1 < N else 0.0
         next_dep = dep_y[k + 1] if k + 1 < N else 0.0
-        local[k] = (
-            next_y
-            + arrays["e_app_z"][k]
-            + stat_z[k]
-            + _safe_prod(pc.L_f, next_dep + dep_z[k])
-        )
+        local[k] = next_y + e_app_z[k] + stat_z[k] + _safe_prod(pc.L_f, next_dep + dep_z[k])
 
     a_my, a_mz = table.AMy, table.AMz
     t = grid.points
@@ -540,7 +532,7 @@ def global_error_bound(
         bound_y[k] = local_y[k] + a_my * weighted[k:].sum()
         j = np.arange(k + 1, N)
         tail = (weighted[j] / np.sqrt(t[j] - t[k])).sum() if j.size else 0.0
-        bound_z[k] = arrays["e_app_z"][k] + stat_z[k] + a_mz * tail
+        bound_z[k] = e_app_z[k] + stat_z[k] + a_mz * tail
     return bound_y, bound_z
 
 
@@ -574,17 +566,22 @@ def bounds_table(
 ) -> BoundsTable:
     """Assemble the full per-index constants table.
 
-    The interdependence-error columns need the basis dimensions and cloud
-    sizes; when those are omitted the columns are zero.
+    The interdependence-error columns need the basis dimensions k_y, k_z and
+    the cloud sizes m, each with one value per index; given none of the
+    three, the columns are zero.
     """
     c_y, c_z = as_bounds(pc, grid)
     theta_y, theta_z = obs_bounds(pc, grid)
-    if k_y is not None and m is not None and k_z is not None:
-        dep_y = dep_errors(c_y, np.asarray(k_y, float), np.asarray(m, float))
-        dep_z = dep_errors(c_z, np.asarray(k_z, float), np.asarray(m, float), pc.q)
-    else:
+    if k_y is None and k_z is None and m is None:
         dep_y = np.zeros(grid.N)
         dep_z = np.zeros(grid.N)
+    else:
+        k_y, k_z, m = (
+            _per_index_array(name, values, grid.N)
+            for name, values in (("k_y", k_y), ("k_z", k_z), ("m", m))
+        )
+        dep_y = dep_errors(c_y, k_y, m)
+        dep_z = dep_errors(c_z, k_z, m, pc.q)
     a = apriori_constants(pc)
     a_my, a_mz = propagation_constants(pc)
     return BoundsTable(

@@ -89,20 +89,18 @@ class MarkovModel:
     """
 
     d: int
-    q: int
     C_M: float
     x0: np.ndarray = field(repr=False)
     x0_width: float
 
+    @property
+    def q(self) -> int:
+        """The weight dimension, which equals the state dimension d."""
+        return self.d
+
     def _validate_base(self) -> None:
         if self.d < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.d}")
-        if self.q < 1:
-            raise ValueError(f"weight dimension must be >= 1, got {self.q}")
-        if self.d != self.q:
-            raise ValueError(
-                f"weights require matching dimensions d = q, got d={self.d}, q={self.q}"
-            )
         if self.C_M <= 0.0:
             raise ValueError(f"weight moment constant must be positive, got {self.C_M}")
         if self.x0.shape != (self.d,):
@@ -389,7 +387,6 @@ def brownian_model(
     """
     return BrownianModel(
         d=d,
-        q=d,
         C_M=float(np.sqrt(d)),
         x0=_as_vector(x0, d, "x0"),
         x0_width=float(x0_width),
@@ -411,7 +408,6 @@ def gbm_model(
     """
     return GeometricBrownianModel(
         d=d,
-        q=d,
         C_M=float(np.sqrt(d)),
         x0=_as_vector(x0, d, "x0"),
         x0_width=float(x0_width),
@@ -447,7 +443,6 @@ def euler_sde_model(
     """
     return EulerSdeModel(
         d=d,
-        q=d,
         C_M=float(np.sqrt(d)) if C_M is None else float(C_M),
         x0=_as_vector(x0, d, "x0"),
         x0_width=float(x0_width),

@@ -464,6 +464,29 @@ def test_bench_zero_problem(tmp_path, capsys):
     assert "# command=bench" in (out_dir / "run_summary.csv").read_text()
 
 
+
+# A list flag takes the comma-separated per-index list of its file key, and
+# the report echoes the list.
+@pytest.mark.parametrize(
+    "argv, report, echo",
+    [
+        (["bench", "--n", "3", "--delta", "0.5,1,1", "--m", "50"], "run_summary.csv",
+         "# basis.delta=0.5,1,1\n"),
+        (["bench", "--n", "2", "--delta", "2.0", "--m", "200,300"], "run_summary.csv",
+         "# simulation.m=200,300\n"),
+        (["sweep", "--n", "3", "--delta", "0.5,1,1", "--m-values", "60,120"], "sweep.csv",
+         "# basis.delta=0.5,1,1\n# basis.delta_z=0.5,1,1\n"),
+    ],
+)
+def test_list_flags_take_per_index_values(tmp_path, capsys, argv, report, echo):
+    out_dir = tmp_path / "out"
+    flags = ["--problem", "b1", "--degree", "0", "--radius", "2.0", "--fresh-m", "100",
+             "--out", str(out_dir)]
+    assert main(argv + flags) == 0
+    capsys.readouterr()
+    assert echo in (out_dir / report).read_text()
+
+
 def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, monkeypatch):
     args = [
         "sweep",
@@ -682,6 +705,11 @@ def test_sweep_rejects_unparsable_m_values(tmp_path, capsys):
         (
             ["run", "[grid]\npoints = 0, 0.5, inf\n"],
             "grid.points: grid points must be finite, got t_2 = inf",
+        ),
+        (["bench", "--problem", "b1", "--n", "1e1"], "--n: cannot parse '1e1' as int"),
+        (
+            ["bench", "--problem", "b1", "--n", "3", "--delta", "0.5,1.0"],
+            "--delta has 2 entries, expected 3 or 1",
         ),
     ],
 )

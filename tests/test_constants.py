@@ -8,6 +8,7 @@ pairs that satisfy the hypothesis inequality and verifying the conclusion.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -388,6 +389,24 @@ def test_as_bounds_second_evaluator():
             np.testing.assert_allclose(c_z[i], exp_z, rtol=1e-13)
 
 
+@pytest.mark.parametrize("theta_L", [1.0, 0.6])
+@pytest.mark.parametrize("smooth", [False, True], ids=["crude_oscillation", "C_phi"])
+def test_driver_output_terms_restate_the_truncation_levels(theta_L, smooth):
+    """Apart from its last (C_f zero-point) term, the driver term list is
+    L_f (C_y + C_z) (T-t)^((theta_L-1)/2) written out term by term, so the
+    two copies of the truncation levels cannot drift apart.  L_f stays small:
+    at L_f = 1, theta_L = 0.6 the constants overflow to inf."""
+    smoothness = dict(C_phi=0.7, theta_phi=0.6) if smooth else dict(C_phi=None, theta_phi=None)
+    pc = _random_pc(np.random.default_rng(19), L_f=0.2, theta_L=theta_L, **smoothness)
+    grid = make_theta_grid(T=pc.T, N=8, theta=0.8)
+    c_y, c_z = as_bounds(pc, grid)
+    ttg = pc.T - grid.points[:-1]
+    sing = (pc.theta_L - 1.0) / 2.0
+    terms = _driver_output_terms(pc)[:-1]
+    restated = sum(coef * ttg ** (power - sing) for coef, power, _ in terms) / pc.L_f
+    np.testing.assert_allclose(restated, c_y + c_z, rtol=1e-12)
+
+
 def test_as_bounds_improved_z_singularity_exponent():
     # With declared smoothness the z-bound grows no faster than
     # (T-t_i)^(-1/2 + min(theta_C, theta_phi/2)) toward the horizon.
@@ -663,6 +682,24 @@ def test_bounds_table_matches_components():
     bare = bounds_table(pc, grid)
     np.testing.assert_array_equal(bare.E_dep_Y, np.zeros(6))
     np.testing.assert_array_equal(bare.E_dep_Z, np.zeros(6))
+
+
+@pytest.mark.parametrize(
+    "inputs, name, shape",
+    [
+        (dict(k_y=[16], k_z=[16], m=[100]), "k_y", "(1,)"),  # not broadcast
+        (dict(k_y=[16] * 4, m=[100] * 4), "k_z", "()"),  # not read as zero
+    ],
+    ids=["one_entry_lists", "k_z_omitted"],
+)
+def test_bounds_table_takes_every_per_index_input_or_none(inputs, name, shape):
+    pc = _random_pc(np.random.default_rng(20), T=1.0)
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    message = (
+        f"{name} must supply one value per index 0..N-1 (expected length 4, got shape {shape})"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bounds_table(pc, grid, **inputs)
 
 
 # ---------------------------------------------------------------------------

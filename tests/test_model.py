@@ -574,16 +574,3 @@ def test_model_validation():
         brownian_model(d=2, x0=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         brownian_model(d=1, x0_width=-1.0)
-
-
-@pytest.mark.parametrize(
-    "model_class, coefficients",
-    [
-        (BrownianModel, dict(drift=np.zeros(2))),
-        (GeometricBrownianModel, dict(mu=np.zeros(2), sigma=np.ones(2))),
-        (EulerSdeModel, dict(b=None, sigma=lambda t, x: None, db=None, dsigma=None)),
-    ],
-)
-def test_weights_require_matching_dimensions(model_class, coefficients):
-    with pytest.raises(ValueError, match="d = q, got d=2, q=1"):
-        model_class(d=2, q=1, C_M=1.0, x0=np.zeros(2), x0_width=0.0, **coefficients)
