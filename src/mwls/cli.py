@@ -325,6 +325,17 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
         out_dir = get(("output", "dir"))
     else:
         out_dir = entries.get(("output", "dir"), f"mwls_{command}_{problem_id}")
+    if command != "bounds":  # checked, not created: nothing is written before the solve
+        if not out_dir:
+            raise ValueError(f"{name(('output', 'dir'))}: output directory must not be empty")
+        ancestor = os.path.abspath(out_dir)
+        while not os.path.exists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise ValueError(
+                f"{name(('output', 'dir'))}: cannot create {out_dir!r}, "
+                f"{ancestor!r} is not a directory"
+            )
 
     return RunConfig(
         command=command,
@@ -695,7 +706,7 @@ def main(argv=None) -> int:
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: the output directory or a report
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

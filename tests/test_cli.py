@@ -632,6 +632,10 @@ def test_sweep_rejects_unparsable_m_values(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+# An output directory below a regular file (this one) cannot be created.
+_UNDER_A_FILE = str(Path(__file__) / "out")
+
+
 # A bad value names its flag, or its section.key in a config file, before
 # the text the package's own check would print; at the defaults (n = 10,
 # degree 1, delta 0.5, radius 4) the basis dimension is 16 cells * 2 = 32.
@@ -711,18 +715,41 @@ def test_sweep_rejects_unparsable_m_values(tmp_path, capsys):
             ["bench", "--problem", "b1", "--n", "3", "--delta", "0.5,1.0"],
             "--delta has 2 entries, expected 3 or 1",
         ),
+        (["bench", "--problem", "b1", "--out", ""], "--out: output directory must not be empty"),
+        (
+            ["sweep", "--problem", "b1", "--m-values", "100", "--out", ""],
+            "--out: output directory must not be empty",
+        ),
+        (["run", "[output]\ndir =\n"], "output.dir: output directory must not be empty"),
+        (
+            ["bench", "--problem", "b1", "--out", _UNDER_A_FILE],
+            f"--out: cannot create {_UNDER_A_FILE!r}, {__file__!r} is not a directory",
+        ),
     ],
 )
 def test_bad_value_names_its_flag_or_key(tmp_path, capsys, argv, message):
     out_dir = tmp_path / "out"
+    sets_out = "--out" in argv or (argv[0] == "run" and "[output]" in argv[1])
     if argv[0] == "run":  # the second entry is the config file's text
         config = _write_config(tmp_path, "[problem]\nid = b1\n\n" + argv[1])
         argv = ["run", "--config", config]
-    if argv[0] != "bounds":
+    if argv[0] != "bounds" and not sets_out:
         argv = argv + ["--out", str(out_dir)]
     assert main(argv) == 1
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_a_failed_report_write_is_an_error_line(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(tmp_path / "out"))
+
+    monkeypatch.setattr(cli.os, "makedirs", refuse)
+    rc = main(["bench", "--problem", "zero", "--n", "2", "--degree", "0", "--delta", "2.0",
+               "--radius", "2.0", "--m", "50", "--fresh-m", "50", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 13] Permission denied: {str(tmp_path / 'out')!r}\n"
 
 
 # The constructor whose range check each _RANGES entry stands in for.

@@ -16,6 +16,7 @@ from mwls.model import (
     EulerSdeModel,
     GeometricBrownianModel,
     SimulationCloud,
+    _cloud_blocks,
     brownian_model,
     cloud_rng,
     derive_seed,
@@ -241,21 +242,84 @@ def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
             assert cloud.h_at(j).flags.c_contiguous
 
 
+@pytest.mark.parametrize("rows, m", [
+    (1, 97),
+    (_ROW_BLOCK - 1, 2 * _ROW_BLOCK + 37),
+    (_ROW_BLOCK + 37, 2 * _ROW_BLOCK + 37),
+])
+@pytest.mark.parametrize("name", sorted(_TAIL_MODELS))
+def test_cloud_blocks_are_bitwise_the_cloud(name, rows, m):
+    model = _TAIL_MODELS[name]()
+    grid = make_theta_grid(T=1.0, N=5, theta=0.6)
+    for i in (0, 1, grid.N - 1):
+        cloud = sample_cloud(model, grid, i=i, M_i=m, seed=81)
+        blocks = list(_cloud_blocks(model, grid, i, m, seed=81, rows=rows))
+        assert [b.M for b in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
+        assert all(b.i == i for b in blocks)
+        for stored, whole in (("X", cloud.X), ("H", cloud.H)):
+            joined = np.concatenate([getattr(b, stored) for b in blocks])
+            np.testing.assert_array_equal(joined, whole, strict=True)
+
+
 def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
     bench = benchmark_b3()
     grid = make_theta_grid(1.0, 6)
     basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=4.0, d=1)
     args = (bench.model, grid, bench.driver, bench.terminal, basis, basis)
     m = _ROW_BLOCK + 37
+    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", _ROW_BLOCK)  # two blocks a cloud
     tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
-    monkeypatch.setattr(mwls.solver, "sample_cloud", _reference_cloud)
+    served = []
+
+    def reference_blocks(model, grid, i, M_i, seed, rows):  # cut from whole paths
+        cloud = _reference_cloud(model, grid, i, M_i, seed)
+        for start in range(0, M_i, rows):
+            here = slice(start, start + rows)
+            served.append(cloud.X[here].shape[0])
+            yield SimulationCloud(i=i, X=cloud.X[here], H=cloud.H[here])
+
+    monkeypatch.setattr(mwls.solver, "_cloud_blocks", reference_blocks)
     full = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
+    assert served == [_ROW_BLOCK, 37] * grid.N
     for fits, reference in ((tail.y_fits, full.y_fits), (tail.z_fits, full.z_fits)):
         for fit, expected in zip(fits, reference, strict=True):
             assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
             assert fit.level == expected.level
     for x_i, expected in zip(tail.marginals, full.marginals, strict=True):
         np.testing.assert_array_equal(x_i, expected, strict=True)
+
+
+def test_cloud_errors_name_the_row_of_the_whole_cloud():
+    """A failing row in a later block is named by its row in the whole
+    cloud, in the words of the one-block draw."""
+    grid = make_theta_grid(T=1.0, N=3, theta=1.0)
+    m, rows, row, seed = 30, 7, 17, 5
+    probe = euler_sde_model(b=None, sigma=_identity_sigma, x0=0.0, x0_width=2.0)
+    target = probe._draw_start(m, cloud_rng(seed, 0, STREAM_CLOUD))[row]
+
+    def singular_at_target(t, x):  # zero diffusion on the target row only
+        return np.where(x == target, 0.0, 1.0)[:, :, None]
+
+    def infinite_at_target(t, x):
+        return np.where(x == target, np.inf, 0.0)
+
+    cases = [
+        (
+            euler_sde_model(b=None, sigma=singular_at_target, x0=0.0, x0_width=2.0),
+            f"singular diffusion matrix at time index 0, path {row}",
+        ),
+        (
+            euler_sde_model(b=infinite_at_target, sigma=_identity_sigma, x0=0.0, x0_width=2.0),
+            f"non-finite values in the simulation cloud at index 0, path {row}",
+        ),
+    ]
+    for model, message in cases:
+        with pytest.raises(NumericalError) as whole:
+            sample_cloud(model, grid, 0, m, seed)
+        assert str(whole.value) == message
+        with pytest.raises(NumericalError) as streamed:
+            list(_cloud_blocks(model, grid, 0, m, seed, rows=rows))
+        assert str(streamed.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Tests for the backward least-squares solver and its response assembly."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import mwls.solver
 from mwls.constants import bounds_table
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
-from mwls.model import brownian_model, sample_cloud
+from mwls.harness import benchmark_b3
+from mwls.model import brownian_model, euler_sde_model, sample_cloud
 from mwls.regression import LocalPolynomialBasis, LocalPolynomialEstimator
 from mwls.solver import (
     DriverSpec,
@@ -354,6 +358,75 @@ def test_single_entry_lists_broadcast_like_scalars():
         np.testing.assert_array_equal(
             listed.y_fits[i].coefficients, scalar.y_fits[i].coefficients
         )
+
+
+# ---------------------------------------------------------------------------
+# clouds streamed in blocks from the producer thread
+
+
+def test_solve_does_not_depend_on_the_block_size(monkeypatch):
+    bench = benchmark_b3()
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=0.5, radius=4.0)
+    args = (bench.model, grid, bench.driver, bench.terminal, basis, basis)
+    m = 2 * mwls.solver._BLOCK_ROWS + 37  # three blocks, the last one partial
+    streamed = mwls_solve(*args, cloud_sizes=m, seed=41)
+    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", m)
+    whole = mwls_solve(*args, cloud_sizes=m, seed=41)
+    for fits, reference in (
+        (streamed.y_fits, whole.y_fits), (streamed.z_fits, whole.z_fits)
+    ):
+        for fit, expected in zip(fits, reference, strict=True):
+            assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+            assert fit.level == expected.level
+    for x_i, expected in zip(streamed.marginals, whole.marginals, strict=True):
+        np.testing.assert_array_equal(x_i, expected, strict=True)
+
+
+def test_a_failing_driver_stops_the_producer(monkeypatch):
+    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 64)  # many blocks a cloud
+    grid = make_theta_grid(1.0, 4)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    failure = RuntimeError("driver failed at k=1")
+
+    def fn(k, x, y, z):
+        if k == 1:
+            raise failure
+        return 0.2 * y
+
+    driver = DriverSpec(fn=fn, L_f=0.2, C_f=0.0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        mwls_solve(
+            brownian_model(x0=0.0, x0_width=2.0), grid, driver, _tanh_terminal(),
+            basis, basis, cloud_sizes=1000, seed=42,
+        )
+    assert err.value is failure
+    assert threading.active_count() == before
+
+
+def test_a_failing_draw_reaches_the_caller(monkeypatch):
+    """The producer's error at index 0, raised after the later indices are
+    fitted, is the one-block draw's error."""
+    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 64)
+
+    def sigma(t, x):  # singular at t = 0 only, so only the weights at i = 0 fail
+        return np.full((x.shape[0], 1, 1), 0.0 if t == 0.0 else 1.0)
+
+    model = euler_sde_model(b=None, sigma=sigma, x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 4)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    with pytest.raises(NumericalError) as expected:
+        sample_cloud(model, grid, 0, 1000, seed=43)
+    before = threading.active_count()
+    with pytest.raises(NumericalError) as err:
+        mwls_solve(
+            model, grid, zero_driver(), _tanh_terminal(), basis, basis,
+            cloud_sizes=1000, seed=43,
+        )
+    assert str(err.value) == str(expected.value)
+    assert "time index 0, path 0" in str(err.value)
+    assert threading.active_count() == before
 
 
 def test_evaluate_solution_contracts():
