@@ -6,12 +6,15 @@ weights H^(i)_j for j > i satisfying the moment conditions
     E[H^(i)_j | F_i] = 0,   (E[|H^(i)_j|^2 | F_i])^(1/2) <= C_M / sqrt(t_j - t_i).
 
 A simulation cloud at index i holds M_i independent rows of
-(X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.  It
-can be drawn whole or as blocks of consecutive rows, with the same bits.
+(X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.  Its
+random input (starts and normals) is drawn in one go, apart from the
+arithmetic that builds the paths and weights from it, which runs whole or
+block by block of consecutive rows, with the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -133,11 +136,12 @@ class MarkovModel:
         """M paths from t_0 to t_last (default t_N), keeping X_first..X_last.
 
         The (M, d) initial states are starts, or drawn from rng first when
-        starts is None; every increment of the M paths is drawn from rng
-        next, in the same order whatever first is, so the kept stretch is
-        bit for bit the same as in a batch with first = 0.  Only
-        X_first..X_last, shape (M, last - first + 1, d), and
-        dW_first..dW_{last-1}, shape (M, last - first, q), are stored,
+        starts is None; the increments of the M paths then take
+        M x last x q standard normals from rng, row by row (only its
+        standard_normal is called), in the same order whatever first is,
+        so the kept stretch is bit for bit the same as in a batch with
+        first = 0.  Only X_first..X_last, shape (M, last - first + 1, d),
+        and dW_first..dW_{last-1}, shape (M, last - first, q), are stored,
         time-major.
         """
         raise NotImplementedError
@@ -502,15 +506,36 @@ class SimulationCloud:
         return self.H[:, j - self.i - 1, :]
 
 
-def _cloud_blocks(
-    model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int, rows: int
-) -> Iterator[SimulationCloud]:
-    """The index-i cloud of `sample_cloud` as consecutive blocks of up to
-    rows rows; concatenated, the blocks are that cloud bit for bit.
+class _DrawnNormals:
+    """Stands in for a block's generator in `sample_paths` once the block's
+    starts are given: it serves the block's standard normals, drawn
+    beforehand, in the order the model asks for them."""
 
-    The starts of all M_i rows are drawn from the (seed, i) stream first,
-    as in one batch, and each block then draws the increments of its rows
-    in order.  A numerical error names its row in the whole cloud.
+    def __init__(self, normals: np.ndarray) -> None:
+        self._flat = normals.reshape(-1)
+        self._used = 0
+
+    def standard_normal(self, size) -> np.ndarray:
+        stop = self._used + math.prod(size)
+        if stop > self._flat.size:
+            raise RuntimeError("the paths drew more normals than their rows were given")
+        out = self._flat[self._used : stop].reshape(size)
+        self._used = stop
+        return out
+
+    @property
+    def unused(self) -> int:
+        return self._flat.size - self._used
+
+
+def _cloud_draws(
+    model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The random input of the index-i cloud, from the (seed, i) stream: the
+    (M_i, d) starts, then the (M_i, N, q) normals of the paths' increments.
+
+    Given its starts, a row's path from t_0 to t_N draws N * q normals, so
+    row r of the normals is row r's, whatever the rows are split into.
     """
     if not 0 <= i < grid.N:
         raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
@@ -518,9 +543,32 @@ def _cloud_blocks(
         raise ValueError(f"cloud size must be >= 1, got {M_i}")
     rng = cloud_rng(seed, i, STREAM_CLOUD)
     starts = model._draw_start(M_i, rng)
+    return starts, rng.standard_normal((M_i, grid.N, model.q))
+
+
+def _cloud_blocks(
+    model: MarkovModel,
+    grid: TimeGrid,
+    i: int,
+    M_i: int,
+    seed: int,
+    rows: int,
+    draws: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Iterator[SimulationCloud]:
+    """The index-i cloud of `sample_cloud` as consecutive blocks of up to
+    rows rows; concatenated, the blocks are that cloud bit for bit.
+
+    draws is the cloud's `_cloud_draws`, drawn here when None.  Each block
+    builds its paths and weights from its rows of it.  A numerical error
+    names its row in the whole cloud.
+    """
+    starts, normals = _cloud_draws(model, grid, i, M_i, seed) if draws is None else draws
     for row0 in range(0, M_i, rows):
         block_starts = starts[row0 : row0 + rows]
-        batch = model.sample_paths(grid, block_starts.shape[0], rng, first=i, starts=block_starts)
+        drawn = _DrawnNormals(normals[row0 : row0 + rows])
+        batch = model.sample_paths(grid, block_starts.shape[0], drawn, first=i, starts=block_starts)
+        if drawn.unused:
+            raise RuntimeError("the paths drew fewer normals than their rows were given")
         weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
         if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
             finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))

@@ -7,26 +7,29 @@ local-polynomial bases over the cloud's time-i states, and clamps the fits
 to the a-priori envelopes from the constants pipeline.  The truncated
 estimators feed the response sums of all earlier indices.
 
-A cloud depends only on its (seed, i) stream, never on a fit, so the clouds
-are drawn on one producer thread in blocks of consecutive rows, a few blocks
-ahead of the responses that the calling thread assembles from them.  No
-whole cloud is held, and the results are those of whole clouds, bit for bit.
+A cloud depends only on its (seed, i) stream, never on a fit, so one
+producer thread draws the random input of index i - 1's cloud (one call that
+releases the GIL) while the calling thread works on index i: it builds the
+paths, weights and responses block by block of consecutive rows, and fits.
+That arithmetic is many short numpy calls; split over two threads it would
+pass the GIL back and forth thousands of times a solve.  No whole cloud of
+paths and weights is held, and the results are those of whole clouds, bit
+for bit.
 """
 
 from __future__ import annotations
 
-import collections
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .constants import BoundsTable, ProblemConstants, bounds_table
 from .errors import NumericalError
 from .grid import TimeGrid
-from .model import _ROW_BLOCK, MarkovModel, SimulationCloud, _cloud_blocks
+from .model import _ROW_BLOCK, MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
     LocalPolynomialEstimator,
@@ -44,12 +47,9 @@ __all__ = [
     "mwls_solve",
 ]
 
-# Rows per cloud block, and how many blocks the producer thread may draw
-# ahead of the block whose responses are being assembled.  Measured on the
-# benchmark's workloads: twice the rows was 5-15% faster on b3-deep (not on
-# bm2d-cells), and it or one more block ahead raised peak memory by 8-14 MB.
+# Rows per cloud block: the paths, weights and responses of this many rows
+# are built at a time, so no whole cloud of paths and weights is held.
 _BLOCK_ROWS = 4 * _ROW_BLOCK
-_LOOKAHEAD = 1
 
 
 @dataclass(frozen=True)
@@ -302,38 +302,14 @@ def _per_index_inputs(model: MarkovModel, n: int, y_basis, z_basis, cloud_sizes)
     return y_bases, z_bases, sizes
 
 
-def _cloud_stream(
-    model: MarkovModel, grid: TimeGrid, sizes: Sequence[int], seed: int
-) -> Iterator[SimulationCloud]:
-    """The blocks of the clouds at indices N-1 .. 0, in the order they are used."""
-    for i in range(len(sizes) - 1, -1, -1):
-        yield from _cloud_blocks(model, grid, i, sizes[i], seed, _BLOCK_ROWS)
-
-
-def _drawn_ahead(
-    producer: ThreadPoolExecutor, blocks: Iterator[SimulationCloud]
-) -> Iterator[SimulationCloud]:
-    """The blocks, each drawn on the producer's one thread up to _LOOKAHEAD
-    blocks before it is asked for; an exception in a draw is raised here.
-
-    The caller asks for exactly the blocks there are; past their end the
-    stream yields None.
-    """
-    pending: collections.deque = collections.deque()
-    while True:
-        while len(pending) <= _LOOKAHEAD:
-            pending.append(producer.submit(next, blocks, None))
-        yield pending.popleft().result()
-
-
 def _streamed_responses(blocks, m, model, grid, driver, terminal, y_fits, z_fits):
-    """X_i and the `_responses` of the next m cloud rows, shapes (m, d),
-    (m, q), (m,) and (m,) (None for the zero driver), filled block by block."""
+    """X_i and the `_responses` of a cloud of m rows given as blocks, shapes
+    (m, d), (m, q), (m,) and (m,) (None for the zero driver), filled block
+    by block."""
     x_i, s_z, s_y = np.empty((m, model.d)), np.empty((m, model.q)), np.empty(m)
     y_next = None if driver.is_zero else np.empty(m)
     start = 0
-    while start < m:
-        block = next(blocks)
+    for block in blocks:
         rows = slice(start, start + block.M)
         s_z[rows], s_y[rows], next_rows = _responses(
             block, grid, driver, terminal, y_fits, z_fits
@@ -371,9 +347,9 @@ def mwls_solve(
     At each index i = N-1 .. 0 the z response is fitted and truncated first,
     then the y response (whose k = i term reads the fresh z fit).  The
     responses and X_i, kept as the index's marginal, are filled block by
-    block while one producer thread draws the next blocks (see the module
-    docstring).  An exception from either thread is raised here, once the
-    producer thread has stopped.
+    block while one producer thread draws the next index's random input
+    (see the module docstring).  An exception from either thread is raised
+    here, once the producer thread has stopped.
     """
     n = grid.N
     y_bases, z_bases, sizes = _per_index_inputs(model, n, y_basis, z_basis, cloud_sizes)
@@ -387,11 +363,16 @@ def mwls_solve(
     marginals: list = [None] * n
     producer = ThreadPoolExecutor(max_workers=1)
     try:
-        blocks = _drawn_ahead(producer, _cloud_stream(model, grid, sizes, seed))
+        ahead = producer.submit(_cloud_draws, model, grid, n - 1, sizes[n - 1], seed)
         for i in range(n - 1, -1, -1):
+            draws = ahead.result()
+            if i > 0:
+                ahead = producer.submit(_cloud_draws, model, grid, i - 1, sizes[i - 1], seed)
+            blocks = _cloud_blocks(model, grid, i, sizes[i], seed, _BLOCK_ROWS, draws)
             x_i, s_z, s_y, y_next = _streamed_responses(
                 blocks, sizes[i], model, grid, driver, terminal, y_fits, z_fits
             )
+            del draws, blocks  # the normals, before the fits
             marginals[i] = x_i
             z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
             try:

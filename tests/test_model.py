@@ -1,5 +1,7 @@
 """Tests for path samplers, Malliavin weights, and simulation clouds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -271,7 +273,7 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
     tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
     served = []
 
-    def reference_blocks(model, grid, i, M_i, seed, rows):  # cut from whole paths
+    def reference_blocks(model, grid, i, M_i, seed, rows, draws):  # cut from whole paths
         cloud = _reference_cloud(model, grid, i, M_i, seed)
         for start in range(0, M_i, rows):
             here = slice(start, start + rows)
@@ -320,6 +322,27 @@ def test_cloud_errors_name_the_row_of_the_whole_cloud():
         with pytest.raises(NumericalError) as streamed:
             list(_cloud_blocks(model, grid, 0, m, seed, rows=rows))
         assert str(streamed.value) == message
+
+
+def test_a_model_must_take_its_rows_normals():
+    """A block's rows come with N * q normals each; paths that take more or
+    fewer are stopped, so a block split cannot shift a row's normals."""
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    base = brownian_model(d=1, x0_width=1.0)
+    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+
+    class Greedy(BrownianModel):
+        def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
+            rng.standard_normal((1,))
+            return super().sample_paths(grid, M, rng, last, first, starts)
+
+    class Short(BrownianModel):
+        def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
+            return super().sample_paths(grid, M, rng, grid.N - 1, first, starts)
+
+    for model, words in ((Greedy(**fields), "more"), (Short(**fields), "fewer")):
+        with pytest.raises(RuntimeError, match=f"drew {words} normals"):
+            sample_cloud(model, grid, 0, 50, seed=3)
 
 
 # ---------------------------------------------------------------------------

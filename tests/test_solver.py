@@ -406,7 +406,7 @@ def test_a_failing_driver_stops_the_producer(monkeypatch):
 
 
 def test_a_failing_draw_reaches_the_caller(monkeypatch):
-    """The producer's error at index 0, raised after the later indices are
+    """A block's error at index 0, raised after the later indices are
     fitted, is the one-block draw's error."""
     monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 64)
 
@@ -454,3 +454,31 @@ def test_evaluate_solution_contracts():
         sol.y_values(grid.N + 1, [0.0])
     with pytest.raises(ValueError, match="out of range"):
         sol.y_values(-1, [0.0])
+
+
+def test_the_producer_draws_apart_and_its_error_reaches_the_caller(monkeypatch):
+    """Every index's random input is drawn on one thread other than the
+    caller's; an error there is raised by the solve once that thread has
+    stopped."""
+    draw = mwls.solver._cloud_draws
+    failure = RuntimeError("draw failed at index 1")
+    drawn_on = set()
+
+    def failing_draw(model, grid, i, M_i, seed):
+        drawn_on.add(threading.get_ident())
+        if i == 1:
+            raise failure
+        return draw(model, grid, i, M_i, seed)
+
+    monkeypatch.setattr(mwls.solver, "_cloud_draws", failing_draw)
+    grid = make_theta_grid(1.0, 4)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        mwls_solve(
+            brownian_model(x0=0.0, x0_width=2.0), grid, zero_driver(), _tanh_terminal(),
+            basis, basis, cloud_sizes=1000, seed=44,
+        )
+    assert err.value is failure
+    assert threading.active_count() == before
+    assert len(drawn_on) == 1 and threading.get_ident() not in drawn_on
