@@ -1,20 +1,21 @@
 """Markov-chain path samplers, Malliavin weights, and simulation clouds.
 
-A model samples paths (X_{t_i})_{i=0..N} along a time grid together with
-weights H^(i)_j for j > i satisfying the moment conditions
+A model samples paths (X_{t_i})_{i=0..N} along a time grid, one step at a
+time from given states and standard normals (a model holds no generator),
+together with weights H^(i)_j for j > i satisfying the moment conditions
 
     E[H^(i)_j | F_i] = 0,   (E[|H^(i)_j|^2 | F_i])^(1/2) <= C_M / sqrt(t_j - t_i).
 
 A simulation cloud at index i holds M_i independent rows of
 (X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.  Its
-random input (starts and normals) is drawn in one go, apart from the
-arithmetic that builds the paths and weights from it, which runs whole or
-block by block of consecutive rows, with the same bits.
+random input (starts X_0, then N q-vectors of normals per row) is drawn in
+one go, apart from the arithmetic that builds the paths and weights from
+it, which runs whole or block by block of consecutive rows, with the same
+bits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
@@ -60,37 +61,40 @@ def derive_seed(seed: int, k: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# Rows of normals drawn at a time by the Brownian and geometric Brownian
-# samplers.  A block's prefix steps are summed and dropped, so the draw
-# buffer stays this many rows whatever the cloud size.
-_ROW_BLOCK = 4096
-
-
 @dataclass(frozen=True)
 class _PathBatch:
-    """Trajectory tails X_first..X_last and their driving Brownian increments
-    dW_first..dW_{last-1}.
+    """Trajectory tails X_i..X_{i+n} and their driving Brownian increments
+    dW_i..dW_{i+n-1}.
 
     Both arrays are (M, n_times, .) transposed views of time-major buffers,
     so each time slice X[:, k, :] is one contiguous (M, d) block.
     """
 
-    X: np.ndarray  # (M, last - first + 1, d)
-    dW: np.ndarray  # (M, last - first, q)
-    first: int = 0
+    X: np.ndarray  # (M, n + 1, d)
+    dW: np.ndarray  # (M, n, q)
     row0: int = 0  # position of the first row in its whole cloud, for messages
+
+
+def _check_vector(subject: str, value: np.ndarray, d: int) -> None:
+    """Reject a model parameter that is not a finite vector of length d."""
+    if value.shape != (d,):
+        raise ValueError(f"{subject} must have shape ({d},), got {value.shape}")
+    bad = value[~np.isfinite(value)]
+    if bad.size:
+        raise ValueError(f"{subject} must be finite, got {bad[0]}")
 
 
 @dataclass(frozen=True, eq=False)
 class MarkovModel:
     """Base path/weight sampler.
 
-    Subclasses implement `sample_paths` (the stretch X_first..X_last of
-    trajectories on the grid) and `malliavin_weights` (H^(i)_j for all j > i
-    from a batch that runs to t_N), with as many Brownian factors as states
-    (q = d).  `draw_state` gives draws of a single X_i: by default the end
-    of a simulated path, overridden by an exact one-step draw where the
-    transition law is known.
+    A model is its one-step map `step` (X_{k+1} from X_k and the Brownian
+    increment dW_k) and its `malliavin_weights` (H^(i)_j for all j > i from
+    a batch that starts at t_i and runs to t_N), with as many Brownian
+    factors as states (q = d).  `sample_paths` runs the step map from given
+    states X_i on given standard normals.  `draw_state` gives draws of a
+    single X_i: by default the end of a path simulated from the start law,
+    overridden by an exact one-step draw where the transition law is known.
     """
 
     d: int
@@ -106,12 +110,11 @@ class MarkovModel:
     def _validate_base(self) -> None:
         if self.d < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.d}")
+        if not np.isfinite(self.C_M):
+            raise ValueError(f"weight moment constant must be finite, got {self.C_M}")
         if self.C_M <= 0.0:
             raise ValueError(f"weight moment constant must be positive, got {self.C_M}")
-        if self.x0.shape != (self.d,):
-            raise ValueError(
-                f"starting point must have shape ({self.d},), got {self.x0.shape}"
-            )
+        _check_vector("starting point", self.x0, self.d)
         if self.x0_width < 0.0:
             raise ValueError(f"starting-box width must be >= 0, got {self.x0_width}")
         if not np.isfinite(self.x0_width):
@@ -124,91 +127,69 @@ class MarkovModel:
             starts += self.x0_width * (rng.random((M, self.d)) - 0.5)
         return starts
 
-    def sample_paths(
-        self,
-        grid: TimeGrid,
-        M: int,
-        rng: np.random.Generator,
-        last: int | None = None,
-        first: int = 0,
-        starts: np.ndarray | None = None,
-    ) -> _PathBatch:
-        """M paths from t_0 to t_last (default t_N), keeping X_first..X_last.
-
-        The (M, d) initial states are starts, or drawn from rng first when
-        starts is None; the increments of the M paths then take
-        M x last x q standard normals from rng, row by row (only its
-        standard_normal is called), in the same order whatever first is,
-        so the kept stretch is bit for bit the same as in a batch with
-        first = 0.  Only X_first..X_last, shape (M, last - first + 1, d),
-        and dW_first..dW_{last-1}, shape (M, last - first, q), are stored,
-        time-major.
-        """
+    def step(
+        self, grid: TimeGrid, k: int, x_k: np.ndarray, dW_k: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Write X_{k+1}, shape (M, d), into out from the (M, d) states X_k
+        and the (M, q) Brownian increments dW_k over [t_k, t_{k+1}]."""
         raise NotImplementedError
+
+    def sample_paths(
+        self, grid: TimeGrid, i: int, x_i: np.ndarray, normals: np.ndarray
+    ) -> _PathBatch:
+        """Paths from the (M, d) states X_i driven by the (M, n, q) standard
+        normals: X_i..X_{i+n}, shape (M, n + 1, d), and dW_i..dW_{i+n-1},
+        dW_k = sqrt(t_{k+1} - t_k) normals[:, k - i], shape (M, n, q), both
+        stored time-major.
+        """
+        if not (
+            x_i.ndim == 2 and normals.ndim == 3 and x_i.shape[1] == self.d
+            and normals.shape[::2] == (x_i.shape[0], self.q)
+        ):
+            raise ValueError(
+                f"paths take (M, {self.d}) states and (M, n, {self.q}) normals, "
+                f"got {x_i.shape} and {normals.shape}"
+            )
+        M, n = normals.shape[:2]
+        if not 0 <= i <= i + n <= grid.N:
+            raise ValueError(f"{n} steps from index {i} leave the grid's indices 0..{grid.N}")
+        # Written through out=, so the increments are time-major like X.
+        dW = np.empty((n, M, self.q))
+        np.multiply(
+            normals.transpose(1, 0, 2), np.sqrt(grid.steps[i : i + n])[:, None, None], out=dW
+        )
+        X = np.empty((n + 1, M, self.d))
+        X[0] = x_i
+        for k in range(n):
+            self.step(grid, i + k, X[k], dW[k], X[k + 1])
+        return _PathBatch(X=X.transpose(1, 0, 2), dW=dW.transpose(1, 0, 2))
 
     def draw_state(
         self, grid: TimeGrid, i: int, M: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """M draws of X_i for 1 <= i <= N, shape (M, d): path simulation to t_i."""
-        return self.sample_paths(grid, M, rng, last=i, first=i).X[:, 0, :]
+        """M draws of X_i for 1 <= i <= N, shape (M, d): the starts, then
+        (M, i, q) normals from rng, and path simulation to t_i."""
+        starts = self._draw_start(M, rng)
+        return _path_end(self, grid, i, starts, rng.standard_normal((M, i, self.q)))
 
     def malliavin_weights(self, grid: TimeGrid, i: int, batch: _PathBatch) -> np.ndarray:
         """Weights H^(i)_j, shape (M, N - i, q), entry j-i-1 holding H^(i)_j,
-        for i >= batch.first; the batch must run to t_N."""
+        from the batch `sample_paths(grid, i, ...)`, which must run to t_N."""
         raise NotImplementedError
 
 
-def _tail_increments(
-    grid: TimeGrid, M: int, d: int, rng: np.random.Generator, first: int, last: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Increments dW_first..dW_{last-1}, time-major (last - first, M, d), and
-    W_first = dW_0 + .. + dW_{first-1} per row, (M, d) (None when first = 0).
-
-    The M x last x d normals are drawn block by block of consecutive rows,
-    which consumes the stream exactly as one draw of them all.  Each block's
-    prefix steps are summed in cumsum's sequential order and then dropped.
-    """
-    root = np.sqrt(grid.steps[:last])[:, None]
-    tail = np.empty((last - first, M, d))
-    prefix = np.empty((M, d)) if first else None
-    for start in range(0, M, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, M)
-        block = rng.standard_normal((stop - start, last, d))
-        block *= root
-        if first:
-            running = prefix[start:stop]
-            running[...] = block[:, 0]
-            for k in range(1, first):
-                running += block[:, k]
-        tail[:, start:stop] = block[:, first:].transpose(1, 0, 2)
-    return tail, prefix
-
-
-def _brownian_paths(model, grid, M, rng, last, first, starts, state) -> _PathBatch:
-    """Batch of a model driven by the Brownian path itself: X_0 is the start
-    (drawn when starts is None) and state(X_0, W_k, t_k, out) writes X_k,
-    k >= 1, into out.
-
-    W_k runs from W_first through the stored increments, updated in place
-    in cumsum's sequential order.
-    """
-    last = grid.N if last is None else last
-    if starts is None:
-        starts = model._draw_start(M, rng)
-    tail, W = _tail_increments(grid, M, model.d, rng, first, last)
-    X = np.empty((last - first + 1, M, model.d))
-    for k in range(first, last + 1):
-        if k > first:
-            step = tail[k - first - 1]
-            if W is None:
-                W = step.copy()
-            else:
-                W += step
-        if k == 0:
-            X[0] = starts
-        else:
-            state(starts, W, grid.points[k], X[k - first])
-    return _PathBatch(X=X.transpose(1, 0, 2), dW=tail.transpose(1, 0, 2), first=first)
+def _path_end(
+    model: MarkovModel, grid: TimeGrid, i: int, starts: np.ndarray, normals: np.ndarray
+) -> np.ndarray:
+    """X_i, shape (M, d), of the paths from the (M, d) starts X_0 driven by
+    the (M, i, q) normals, by the model's step map; only the running state
+    is kept, not the path."""
+    x = starts
+    for k in range(i):
+        out = np.empty_like(x)
+        model.step(grid, k, x, normals[:, k] * np.sqrt(grid.steps[k]), out)
+        x = out
+    return x
 
 
 def _cumulative_weights(grid: TimeGrid, i: int, tail: np.ndarray) -> np.ndarray:
@@ -221,14 +202,6 @@ def _cumulative_weights(grid: TimeGrid, i: int, tail: np.ndarray) -> np.ndarray:
     return tail.transpose(1, 0, 2)
 
 
-def _increment_weights(grid: TimeGrid, i: int, batch: _PathBatch) -> np.ndarray:
-    """Brownian-increment weights H^(i)_j = (W_j - W_i) / (t_j - t_i), built
-    in the batch's increment buffer, which they consume."""
-    return _cumulative_weights(
-        grid, i, batch.dW[:, i - batch.first :, :].transpose(1, 0, 2)
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class BrownianModel(MarkovModel):
     """Arithmetic Brownian motion X_t = x0 + drift * t + W_t (d = q)."""
@@ -237,17 +210,17 @@ class BrownianModel(MarkovModel):
 
     def __post_init__(self) -> None:
         self._validate_base()
-        if self.drift.shape != (self.d,):
-            raise ValueError(
-                f"drift must have shape ({self.d},), got {self.drift.shape}"
-            )
+        _check_vector("drift", self.drift, self.d)
 
-    def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
-        def state(starts, W, t, out):  # (X_0 + drift * t) + W_t
-            np.add(starts, self.drift * t, out=out)
-            out += W
+    def step(self, grid, k, x_k, dW_k, out):
+        """X_{k+1} = X_k + (dW_k + drift * (t_{k+1} - t_k)): the Euler step
+        with unit diffusion and drift b = drift, bit for bit."""
+        np.add(dW_k, self.drift * grid.steps[k], out=out)
+        out += x_k
 
-        return _brownian_paths(self, grid, M, rng, last, first, starts, state)
+    # Each model class holds sample_paths and malliavin_weights in its own
+    # body, where the benchmark's tracer wraps them.
+    sample_paths = MarkovModel.sample_paths
 
     def draw_state(self, grid, i, M, rng):
         """Exact draw X_i = X_0 + drift * t_i + sqrt(t_i) Z."""
@@ -256,7 +229,9 @@ class BrownianModel(MarkovModel):
         return starts + self.drift * t + np.sqrt(t) * rng.standard_normal((M, self.d))
 
     def malliavin_weights(self, grid, i, batch):
-        return _increment_weights(grid, i, batch)
+        """Brownian-increment weights H^(i)_j = (W_j - W_i) / (t_j - t_i),
+        built in the batch's increment buffer, which they consume."""
+        return _cumulative_weights(grid, i, batch.dW.transpose(1, 0, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,23 +245,18 @@ class GeometricBrownianModel(MarkovModel):
     def __post_init__(self) -> None:
         self._validate_base()
         for name in ("mu", "sigma"):
-            if getattr(self, name).shape != (self.d,):
-                raise ValueError(
-                    f"{name} must have shape ({self.d},), got {getattr(self, name).shape}"
-                )
+            _check_vector(name, getattr(self, name), self.d)
         if np.any(self.sigma <= 0.0):
             raise ValueError("volatility must be positive componentwise")
 
-    def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
-        rate = self.mu - 0.5 * self.sigma**2
+    def step(self, grid, k, x_k, dW_k, out):
+        """X_{k+1} = X_k * exp(sigma dW_k + (mu - sigma^2/2) (t_{k+1} - t_k))."""
+        np.multiply(self.sigma, dW_k, out=out)
+        out += (self.mu - 0.5 * self.sigma**2) * grid.steps[k]
+        np.exp(out, out=out)
+        out *= x_k
 
-        def state(starts, W, t, out):  # X_0 * exp(rate * t + sigma * W_t)
-            np.multiply(self.sigma, W, out=out)
-            out += rate * t
-            np.exp(out, out=out)
-            out *= starts
-
-        return _brownian_paths(self, grid, M, rng, last, first, starts, state)
+    sample_paths = MarkovModel.sample_paths
 
     def draw_state(self, grid, i, M, rng):
         """Exact draw X_i = X_0 exp((mu - sigma^2/2) t_i + sigma sqrt(t_i) Z)."""
@@ -297,8 +267,7 @@ class GeometricBrownianModel(MarkovModel):
             + self.sigma * np.sqrt(t) * rng.standard_normal((M, self.d))
         )
 
-    def malliavin_weights(self, grid, i, batch):
-        return _increment_weights(grid, i, batch)
+    malliavin_weights = BrownianModel.malliavin_weights
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,24 +290,15 @@ class EulerSdeModel(MarkovModel):
     def __post_init__(self) -> None:
         self._validate_base()
 
-    def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
-        last = grid.N if last is None else last
-        if starts is None:
-            starts = self._draw_start(M, rng)
-        dW = rng.standard_normal((M, last, self.q)) * np.sqrt(grid.steps[:last])[None, :, None]
-        X = np.empty((last - first + 1, M, self.d))
-        xk = starts
-        for k in range(last + 1):
-            if k >= first:
-                X[k - first] = xk
-            if k == last:
-                break
-            step = np.einsum("mdq,mq->md", self.sigma(grid.points[k], xk), dW[:, k, :])
-            if self.b is not None:
-                step = step + self.b(grid.points[k], xk) * grid.steps[k]
-            xk = xk + step
-        tail = np.ascontiguousarray(dW[:, first:, :].transpose(1, 0, 2))
-        return _PathBatch(X=X.transpose(1, 0, 2), dW=tail.transpose(1, 0, 2), first=first)
+    def step(self, grid, k, x_k, dW_k, out):
+        """X_{k+1} = X_k + sigma(t_k, X_k) dW_k + b(t_k, X_k) (t_{k+1} - t_k)."""
+        t = grid.points[k]
+        step = np.einsum("mdq,mq->md", self.sigma(t, x_k), dW_k)
+        if self.b is not None:
+            step = step + self.b(t, x_k) * grid.steps[k]
+        np.add(x_k, step, out=out)
+
+    sample_paths = MarkovModel.sample_paths
 
     def malliavin_weights(self, grid, i, batch):
         M = batch.X.shape[0]
@@ -346,7 +306,7 @@ class EulerSdeModel(MarkovModel):
         t = grid.points
         eye = np.broadcast_to(np.eye(self.d), (M, self.d, self.d))
         psi = eye.copy()  # tangent process started at index i
-        X, dW = batch.X[:, i - batch.first :], batch.dW[:, i - batch.first :]
+        X, dW = batch.X, batch.dW
         sig_i = self.sigma(t[i], X[:, 0, :])  # (M, d, q)
         increments = np.empty((N - i, M, self.d))
         for k in range(i, N):
@@ -506,36 +466,15 @@ class SimulationCloud:
         return self.H[:, j - self.i - 1, :]
 
 
-class _DrawnNormals:
-    """Stands in for a block's generator in `sample_paths` once the block's
-    starts are given: it serves the block's standard normals, drawn
-    beforehand, in the order the model asks for them."""
-
-    def __init__(self, normals: np.ndarray) -> None:
-        self._flat = normals.reshape(-1)
-        self._used = 0
-
-    def standard_normal(self, size) -> np.ndarray:
-        stop = self._used + math.prod(size)
-        if stop > self._flat.size:
-            raise RuntimeError("the paths drew more normals than their rows were given")
-        out = self._flat[self._used : stop].reshape(size)
-        self._used = stop
-        return out
-
-    @property
-    def unused(self) -> int:
-        return self._flat.size - self._used
-
-
 def _cloud_draws(
     model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The random input of the index-i cloud, from the (seed, i) stream: the
-    (M_i, d) starts, then the (M_i, N, q) normals of the paths' increments.
+    (M_i, d) starts X_0, then the (M_i, N, q) standard normals that drive
+    each row's path from t_0 to t_N.
 
-    Given its starts, a row's path from t_0 to t_N draws N * q normals, so
-    row r of the normals is row r's, whatever the rows are split into.
+    Row r of both arrays belongs to row r of the cloud, whatever the rows
+    are split into.
     """
     if not 0 <= i < grid.N:
         raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
@@ -558,17 +497,17 @@ def _cloud_blocks(
     """The index-i cloud of `sample_cloud` as consecutive blocks of up to
     rows rows; concatenated, the blocks are that cloud bit for bit.
 
-    draws is the cloud's `_cloud_draws`, drawn here when None.  Each block
-    builds its paths and weights from its rows of it.  A numerical error
+    draws is the cloud's `_cloud_draws`, drawn here when None.  For each
+    block, X_i is the end of the path from its starts on its first i
+    normals; `sample_paths` builds the tail from X_i on the other N - i,
+    then come the weights and the finiteness check.  A numerical error
     names its row in the whole cloud.
     """
     starts, normals = _cloud_draws(model, grid, i, M_i, seed) if draws is None else draws
     for row0 in range(0, M_i, rows):
-        block_starts = starts[row0 : row0 + rows]
-        drawn = _DrawnNormals(normals[row0 : row0 + rows])
-        batch = model.sample_paths(grid, block_starts.shape[0], drawn, first=i, starts=block_starts)
-        if drawn.unused:
-            raise RuntimeError("the paths drew fewer normals than their rows were given")
+        here = slice(row0, row0 + rows)
+        x_i = _path_end(model, grid, i, starts[here], normals[here, :i])
+        batch = model.sample_paths(grid, i, x_i, normals[here, i:])
         weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
         if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
             finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))
@@ -584,11 +523,12 @@ def sample_cloud(
 ) -> SimulationCloud:
     """One simulation cloud: M_i i.i.d. rows of (X_i..X_N, H^(i)_{i+1..N}).
 
-    Each row is a whole path from t_0, drawn from the (seed, i) stream, but
-    only its tail from t_i is stored, time-major (see `SimulationCloud`);
-    the shapes are those of the tail.  Clouds at distinct indices consume
-    disjoint random streams; the same (seed, i, M_i) reproduces the cloud
-    bit for bit.  It is the one-block case of the solver's blocked draw.
+    Each row is a path from a start X_0 on N q-vectors of normals, drawn
+    from the (seed, i) stream (see `_cloud_draws`); X_i is its running
+    state at t_i, and only the tail from t_i is stored, time-major (see
+    `SimulationCloud`).  Clouds at distinct indices consume disjoint random
+    streams; the same (seed, i, M_i) reproduces the cloud bit for bit.  It
+    is the one-block case of the solver's blocked draw.
     """
     return next(_cloud_blocks(model, grid, i, M_i, seed, rows=M_i))
 

@@ -29,7 +29,7 @@ import numpy as np
 from .constants import BoundsTable, ProblemConstants, bounds_table
 from .errors import NumericalError
 from .grid import TimeGrid
-from .model import _ROW_BLOCK, MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
+from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
     LocalPolynomialEstimator,
@@ -49,7 +49,7 @@ __all__ = [
 
 # Rows per cloud block: the paths, weights and responses of this many rows
 # are built at a time, so no whole cloud of paths and weights is held.
-_BLOCK_ROWS = 4 * _ROW_BLOCK
+_BLOCK_ROWS = 16384
 
 
 @dataclass(frozen=True)

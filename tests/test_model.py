@@ -1,7 +1,5 @@
 """Tests for path samplers, Malliavin weights, and simulation clouds."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,7 +9,6 @@ from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
 from mwls.harness import benchmark_b3
 from mwls.model import (
-    _ROW_BLOCK,
     STREAM_CLOUD,
     STREAM_FRESH,
     BrownianModel,
@@ -19,6 +16,7 @@ from mwls.model import (
     GeometricBrownianModel,
     SimulationCloud,
     _cloud_blocks,
+    _cloud_draws,
     brownian_model,
     cloud_rng,
     derive_seed,
@@ -129,28 +127,24 @@ def test_cloud_validation():
 
 def _full_paths(model, grid, M, rng):
     """X_0..X_N and dW_0..dW_{N-1}, path-major, simulated and stored whole
-    from t_0: the reference the tail-only samplers must match bit for bit."""
+    from t_0 by each model's one-step recursion: the reference the
+    tail-only samplers must match bit for bit."""
     n = grid.N
     starts = model._draw_start(M, rng)
     dW = rng.standard_normal((M, n, model.q)) * np.sqrt(grid.steps)[None, :, None]
     X = np.empty((M, n + 1, model.d))
     X[:, 0, :] = starts
-    t = grid.points[1:, None]
-    if isinstance(model, BrownianModel):
-        X[:, 1:, :] = (
-            starts[:, None, :] + model.drift[None, None, :] * t + np.cumsum(dW, axis=1)
-        )
-    elif isinstance(model, GeometricBrownianModel):
-        X[:, 1:, :] = starts[:, None, :] * np.exp(
-            (model.mu - 0.5 * model.sigma**2)[None, None, :] * t
-            + model.sigma[None, None, :] * np.cumsum(dW, axis=1)
-        )
-    else:
-        for k in range(n):
-            xk = X[:, k, :]
+    for k in range(n):
+        xk, dt = X[:, k, :], grid.steps[k]
+        if isinstance(model, BrownianModel):
+            X[:, k + 1, :] = xk + (dW[:, k, :] + model.drift * dt)
+        elif isinstance(model, GeometricBrownianModel):
+            rate = model.mu - 0.5 * model.sigma**2
+            X[:, k + 1, :] = xk * np.exp(model.sigma * dW[:, k, :] + rate * dt)
+        else:
             step = np.einsum("mdq,mq->md", model.sigma(grid.points[k], xk), dW[:, k, :])
             if model.b is not None:
-                step = step + model.b(grid.points[k], xk) * grid.steps[k]
+                step = step + model.b(grid.points[k], xk) * dt
             X[:, k + 1, :] = xk + step
     return X, dW
 
@@ -228,7 +222,7 @@ _TAIL_MODELS = {
 def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
     model = _TAIL_MODELS[name]()
     grid = make_theta_grid(T=1.0, N=5, theta=0.6)  # non-uniform steps
-    m = _ROW_BLOCK + 37  # two row blocks, the second one partial
+    m = 1037
     for i in (0, 1, grid.N - 1):
         cloud = sample_cloud(model, grid, i=i, M_i=m, seed=81)
         reference = _reference_cloud(model, grid, i, m, seed=81)
@@ -244,11 +238,7 @@ def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
             assert cloud.h_at(j).flags.c_contiguous
 
 
-@pytest.mark.parametrize("rows, m", [
-    (1, 97),
-    (_ROW_BLOCK - 1, 2 * _ROW_BLOCK + 37),
-    (_ROW_BLOCK + 37, 2 * _ROW_BLOCK + 37),
-])
+@pytest.mark.parametrize("rows, m", [(1, 97), (4095, 8229), (4133, 8229)])
 @pytest.mark.parametrize("name", sorted(_TAIL_MODELS))
 def test_cloud_blocks_are_bitwise_the_cloud(name, rows, m):
     model = _TAIL_MODELS[name]()
@@ -268,8 +258,8 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
     grid = make_theta_grid(1.0, 6)
     basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=4.0, d=1)
     args = (bench.model, grid, bench.driver, bench.terminal, basis, basis)
-    m = _ROW_BLOCK + 37
-    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", _ROW_BLOCK)  # two blocks a cloud
+    m = 1061
+    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 1024)  # two blocks a cloud
     tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
     served = []
 
@@ -282,7 +272,7 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
 
     monkeypatch.setattr(mwls.solver, "_cloud_blocks", reference_blocks)
     full = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
-    assert served == [_ROW_BLOCK, 37] * grid.N
+    assert served == [1024, 37] * grid.N
     for fits, reference in ((tail.y_fits, full.y_fits), (tail.z_fits, full.z_fits)):
         for fit, expected in zip(fits, reference, strict=True):
             assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
@@ -324,25 +314,47 @@ def test_cloud_errors_name_the_row_of_the_whole_cloud():
         assert str(streamed.value) == message
 
 
-def test_a_model_must_take_its_rows_normals():
-    """A block's rows come with N * q normals each; paths that take more or
-    fewer are stopped, so a block split cannot shift a row's normals."""
+def test_sample_paths_checks_the_shapes_of_its_arrays():
     grid = make_theta_grid(T=1.0, N=4, theta=1.0)
-    base = brownian_model(d=1, x0_width=1.0)
-    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(base)}
+    model = brownian_model(d=2)
+    x_i, normals = np.zeros((5, 2)), np.zeros((5, 3, 2))
+    assert model.sample_paths(grid, 1, x_i, normals).X.shape == (5, 4, 2)
+    shapes = r"paths take \(M, 2\) states and \(M, n, 2\) normals, got "
+    cases = [
+        (1, np.zeros((5, 1)), normals, shapes + r"\(5, 1\) and \(5, 3, 2\)"),
+        (1, np.zeros(5), normals, shapes + r"\(5,\) and \(5, 3, 2\)"),
+        (1, x_i, np.zeros((4, 3, 2)), shapes + r"\(5, 2\) and \(4, 3, 2\)"),
+        (1, x_i, np.zeros((5, 3, 1)), shapes + r"\(5, 2\) and \(5, 3, 1\)"),
+        (1, x_i, np.zeros((5, 3)), shapes + r"\(5, 2\) and \(5, 3\)"),
+        (2, x_i, normals, r"3 steps from index 2 leave the grid's indices 0\.\.4"),
+        (-1, x_i, normals, r"3 steps from index -1 leave"),
+    ]
+    for i, states, drawn, message in cases:
+        with pytest.raises(ValueError, match=message):
+            model.sample_paths(grid, i, states, drawn)
 
-    class Greedy(BrownianModel):
-        def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
-            rng.standard_normal((1,))
-            return super().sample_paths(grid, M, rng, last, first, starts)
 
-    class Short(BrownianModel):
-        def sample_paths(self, grid, M, rng, last=None, first=0, starts=None):
-            return super().sample_paths(grid, M, rng, grid.N - 1, first, starts)
-
-    for model, words in ((Greedy(**fields), "more"), (Short(**fields), "fewer")):
-        with pytest.raises(RuntimeError, match=f"drew {words} normals"):
-            sample_cloud(model, grid, 0, 50, seed=3)
+def test_step_recursion_matches_the_closed_forms():
+    """Brownian and geometric Brownian clouds build X_k step by step; on a
+    long non-uniform grid they stay within round-off of the closed forms
+    X_0 + drift t_k + W_k and X_0 exp((mu - sigma^2/2) t_k + sigma W_k)."""
+    grid = make_theta_grid(T=1.0, N=50, theta=0.6)
+    t = grid.points
+    for name in ("brownian-1d", "brownian-2d", "gbm"):
+        model = _TAIL_MODELS[name]()
+        for i in (0, 25):
+            starts, normals = _cloud_draws(model, grid, i, 2000, seed=12)
+            W = np.cumsum(normals * np.sqrt(grid.steps)[None, :, None], axis=1)
+            W = np.concatenate([np.zeros_like(W[:, :1]), W], axis=1)[:, i:]
+            if isinstance(model, BrownianModel):
+                closed = starts[:, None, :] + model.drift * t[i:, None] + W
+            else:
+                rate = model.mu - 0.5 * model.sigma**2
+                closed = starts[:, None, :] * np.exp(rate * t[i:, None] + model.sigma * W)
+            X = sample_cloud(model, grid, i, 2000, seed=12).X
+            assert np.max(np.abs(X - closed)) <= 1e-13 * np.max(np.abs(closed))
+            if isinstance(model, GeometricBrownianModel):
+                np.testing.assert_allclose(X, closed, rtol=1e-13, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +443,21 @@ def _identity_sigma(t, x):
 
 
 def test_euler_identity_diffusion_matches_brownian():
-    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
-    for d in (1, 2):
-        e = sample_cloud(
-            euler_sde_model(b=None, sigma=_identity_sigma, x0=0.0, d=d),
-            grid, i=1, M_i=300, seed=31,
+    """Euler with unit diffusion and drift b = drift is Brownian motion
+    with that drift, bit for bit, from a start box too."""
+    grid = make_theta_grid(T=1.0, N=4, theta=0.6)
+    for d, drift in ((1, [0.0]), (1, [0.7]), (2, [0.0, 0.0]), (2, [0.4, -0.3])):
+        drift = np.array(drift)
+        euler = euler_sde_model(
+            b=lambda t, x: np.broadcast_to(drift, x.shape), sigma=_identity_sigma,
+            x0=0.5, d=d, x0_width=1.0,
         )
-        b = sample_cloud(brownian_model(d=d), grid, i=1, M_i=300, seed=31)
-        np.testing.assert_allclose(e.X, b.X, rtol=0.0, atol=0.0)
-        np.testing.assert_allclose(e.H, b.H, rtol=1e-12, atol=1e-12)
+        brownian = brownian_model(d=d, drift=drift, x0=0.5, x0_width=1.0)
+        for i in (0, 1, 3):
+            e = sample_cloud(euler, grid, i=i, M_i=300, seed=31)
+            b = sample_cloud(brownian, grid, i=i, M_i=300, seed=31)
+            np.testing.assert_array_equal(e.X, b.X, strict=True)
+            np.testing.assert_array_equal(e.H, b.H, strict=True)
 
 
 def test_euler_linear_sde_weights():
@@ -588,8 +606,11 @@ _ONE_STEP_MODELS = {
 
 
 def _path_end(model, grid, i, M, seed):
-    """X_i as the end of a path simulated to t_i on the fresh stream."""
-    return model.sample_paths(grid, M, cloud_rng(seed, i, STREAM_FRESH), last=i).X[:, i, :]
+    """X_i as the end of a path simulated and stored from t_0 to t_i on the
+    fresh stream: the starts, then (M, i, q) normals."""
+    rng = cloud_rng(seed, i, STREAM_FRESH)
+    starts = model._draw_start(M, rng)
+    return model.sample_paths(grid, 0, starts, rng.standard_normal((M, i, model.q))).X[:, i, :]
 
 
 def _mean_var_se(x):
@@ -661,3 +682,26 @@ def test_model_validation():
         brownian_model(d=2, x0=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         brownian_model(d=1, x0_width=-1.0)
+
+
+def _unit_euler(**kwargs):
+    return euler_sde_model(b=None, sigma=_identity_sigma, **{"x0": 0.0, **kwargs})
+
+
+@pytest.mark.parametrize("factory, kwargs, message", [
+    (brownian_model, {"drift": np.nan}, "drift must be finite, got nan"),
+    (brownian_model, {"drift": [0.1, -np.inf], "d": 2}, "drift must be finite, got -inf"),
+    (brownian_model, {"x0": np.inf}, "starting point must be finite, got inf"),
+    (brownian_model, {"x0_width": np.inf}, "starting-box width must be finite, got inf"),
+    (gbm_model, {"mu": np.nan}, "mu must be finite, got nan"),
+    (gbm_model, {"sigma": np.nan}, "sigma must be finite, got nan"),
+    (gbm_model, {"sigma": np.inf}, "sigma must be finite, got inf"),
+    (gbm_model, {"x0": np.nan}, "starting point must be finite, got nan"),
+    (_unit_euler, {"C_M": np.nan}, "weight moment constant must be finite, got nan"),
+    (_unit_euler, {"C_M": np.inf}, "weight moment constant must be finite, got inf"),
+    (_unit_euler, {"x0": [0.0, np.nan], "d": 2}, "starting point must be finite, got nan"),
+])
+def test_model_parameters_must_be_finite(factory, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        factory(**kwargs)
+    assert str(err.value) == message
