@@ -192,6 +192,16 @@ def _path_end(
     return x
 
 
+def _check_tail(grid: TimeGrid, i: int, batch: _PathBatch) -> None:
+    """Raise ValueError unless the batch from index i runs to t_N."""
+    steps = batch.dW.shape[1]
+    if i + steps != grid.N:
+        raise ValueError(
+            f"weights from index {i} need a batch that runs to t_N: "
+            f"it has {steps} steps, N = {grid.N} needs {grid.N - i}"
+        )
+
+
 def _cumulative_weights(grid: TimeGrid, i: int, tail: np.ndarray) -> np.ndarray:
     """H^(i)_j = (sum of tail[0..j-i-1]) / (t_j - t_i), built in place in the
     time-major (N - i, M, q) buffer tail and returned as an (M, N - i, q) view.
@@ -231,6 +241,7 @@ class BrownianModel(MarkovModel):
     def malliavin_weights(self, grid, i, batch):
         """Brownian-increment weights H^(i)_j = (W_j - W_i) / (t_j - t_i),
         built in the batch's increment buffer, which they consume."""
+        _check_tail(grid, i, batch)
         return _cumulative_weights(grid, i, batch.dW.transpose(1, 0, 2))
 
 
@@ -301,6 +312,7 @@ class EulerSdeModel(MarkovModel):
     sample_paths = MarkovModel.sample_paths
 
     def malliavin_weights(self, grid, i, batch):
+        _check_tail(grid, i, batch)
         M = batch.X.shape[0]
         N = grid.N
         t = grid.points

@@ -5,12 +5,13 @@ length delta and carries all monomials of total degree <= n on each cell,
 centered at the cell midpoint and scaled to unit cell coordinates.  Cells
 decouple the least-squares problem: each one is solved independently on the
 sample rows landing in it, with the minimal-norm solution on rank-deficient
-cells and zero coefficients on empty ones.  Points outside the support
-evaluate to zero.  A `Design` holds the cells and monomial rows of one point
-set, so every fit and evaluation at the same points computes them once.  It
-also eigendecomposes every cell's Gram matrix once: all well-conditioned
-cells of a fit are then solved together through their normal equations, and
-only the other cells go through SVD least squares on their rows.
+cells and zero coefficients on empty ones.  A `Design` holds the cells and
+monomial rows of every point, once for all fits and evaluations at them.
+Cell -1 marks a point outside the support: fits leave it out, and it reads
+zero coefficients, so it evaluates to +0.0.  Evaluation adds row c times
+coefficient c in ascending c.  A design also eigendecomposes each cell's
+Gram matrix once: well-conditioned cells are solved together by their
+normal equations, the others by SVD least squares on their rows.
 """
 
 from __future__ import annotations
@@ -126,41 +127,44 @@ class LocalPolynomialBasis:
         outside = np.abs(pts[:, 0]) > self.radius
         for axis in range(1, self.d):
             outside |= np.abs(pts[:, axis]) > self.radius
-        inside = np.flatnonzero(~outside)
-        # k = floor((x + R) / delta), clipped to the grid of cells
+        # k = floor((x + R) / delta), clipped to the cells before the cast:
+        # +-inf goes to an edge cell and NaN to cell 0, with no cast warning
         scaled = pts + self.radius
         scaled /= self.delta
-        k = np.floor(scaled, out=scaled).astype(int)
-        np.clip(k, 0, self.cells_per_axis - 1, out=k)
+        np.fmax(np.floor(scaled, out=scaled), 0.0, out=scaled)
+        k = np.fmin(scaled, self.cells_per_axis - 1, out=scaled).astype(int)
         flat = k[:, 0]
         for axis in range(1, self.d):
             flat = flat * self.cells_per_axis + k[:, axis]
-        # u = (x - (-R + (k + 0.5) delta)) / (delta / 2)
-        u = k + 0.5
+        # u = (x - (-R + (k + 0.5) delta)) / (delta / 2), on scaled's float k
+        u = scaled
+        u += 0.5
         u *= self.delta
         u += -self.radius
         np.subtract(pts, u, out=u)
         u /= 0.5 * self.delta
-        if inside.size < pts.shape[0]:
-            u = np.take(u, inside, axis=0)
+        # an outside point gets cell -1 and u = 0: a finite row no fit reads
+        outside = np.flatnonzero(outside)  # indexing u by a mask is ~8x slower
+        u[outside] = 0.0
+        flat[outside] = -1
         if self.degree <= 1:
             # u ** 0 = 1 and u ** 1 = u exactly, and so are their products
             # with 1: column 0 is 1 and column 1 + a is u_a, with no pow calls
-            rows = np.empty((inside.size, self.monomials))
+            rows = np.empty((pts.shape[0], self.monomials))
             rows[:, 0] = 1.0
             rows[:, 1:] = u[:, : self.monomials - 1]
         else:
             # table[m, a, p] = u[m, a] ** p, by pow along the exponent axis
             # and never by repeated products: those move the last bit of u ** p
             table = u[:, :, None] ** np.arange(self.degree + 1)
-            table = table.reshape(inside.size, self.d * (self.degree + 1))
+            table = table.reshape(pts.shape[0], self.d * (self.degree + 1))
             # row factor of axis a is column a*(n+1) + p_a; multiplied left
             # to right like np.prod(u ** powers, axis=-1)
             columns = np.arange(self.d) * (self.degree + 1) + self.powers
             rows = np.take(table, columns[:, 0], axis=1)
             for axis in range(1, self.d):
                 rows *= np.take(table, columns[:, axis], axis=1)
-        return Design(self.geometry, np.where(outside, -1, flat), inside, rows)
+        return Design(self.geometry, flat, rows)
 
     def _check_design(self, design: Design, m: int) -> None:
         """Raise ValueError unless the design fits this geometry and m rows."""
@@ -178,30 +182,26 @@ class Design:
     """Cells and design rows of one point set under one cell geometry.
 
     Every fit and evaluation at the same points and geometry can share one
-    design.  `rows` holds the scaled monomial rows of the in-support points
-    only, in their original order; the per-cell grouping is index arrays
-    into `rows`, built on first use.
+    design.  `rows` holds the scaled monomial rows of all points, in order;
+    an outside point has cell -1 and the row of u = 0.  The fits bin rows by
+    `bins` = cells + 1 and drop bin 0.  The grouping is built on first use.
     """
 
     geometry: tuple
     cells: np.ndarray = field(repr=False)  # (M,) cell id per point, -1 outside
-    inside: np.ndarray = field(repr=False)  # ascending positions of in-support points
-    rows: np.ndarray = field(repr=False)  # (inside.size, monomials)
+    rows: np.ndarray = field(repr=False)  # (M, monomials)
 
     @cached_property
-    def row_cells(self) -> np.ndarray:
-        """Cell id of each row of `rows`."""
-        return np.take(self.cells, self.inside)
+    def bins(self) -> np.ndarray:
+        """Bin of each row: its cell + 1, so outside rows fall in bin 0."""
+        return self.cells + 1
 
     @cached_property
-    def groups(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Occupied cells in ascending order and, per cell, the positions of
-        its rows in `rows`, in their original order."""
-        order = np.argsort(self.row_cells, kind="stable")
-        if order.size == 0:
-            return self.row_cells, []
-        starts = np.flatnonzero(np.diff(self.row_cells[order])) + 1
-        return self.row_cells[order[np.r_[0, starts]]], np.split(order, starts)
+    def groups(self) -> list[np.ndarray]:
+        """Per bin, the positions of its rows in `rows`, in their original
+        order: cell c is bin c + 1, and bin 0 (outside) is never read."""
+        order = np.argsort(self.bins, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.bins))[:-1])
 
     @cached_property
     def factors(self) -> CellFactors:
@@ -210,14 +210,14 @@ class Design:
         A cell is well posed when it holds at least `monomials` rows and its
         Gram matrix has lambda_min > _GRAM_RCOND * lambda_max.
         """
-        counts = np.bincount(self.row_cells)
+        counts = np.bincount(self.bins)[1:]
         occupied = np.flatnonzero(counts)
         mono = self.rows.shape[1]
         gram = np.empty((occupied.size, mono, mono))
         for a in range(mono):
             for b in range(a, mono):
                 weights = self.rows[:, a] * self.rows[:, b]
-                gram[:, a, b] = gram[:, b, a] = np.bincount(self.row_cells, weights)[occupied]
+                gram[:, a, b] = gram[:, b, a] = np.bincount(self.bins, weights)[1:][occupied]
         candidate = np.flatnonzero(counts[occupied] >= mono)
         values, vectors = np.linalg.eigh(gram[candidate])
         posed = values[:, 0] > _GRAM_RCOND * values[:, -1]
@@ -226,7 +226,7 @@ class Design:
             cells=occupied[solved],
             values=values[posed],
             vectors=vectors[posed],
-            fallback=np.setdiff1d(np.arange(occupied.size), solved),
+            fallback=np.setdiff1d(occupied, occupied[solved]),
         )
 
 
@@ -234,8 +234,7 @@ class Design:
 class CellFactors:
     """G = V diag(values) V^T for the Gram matrix G of each well-posed cell.
 
-    `fallback` holds the positions, among the design's occupied cells in
-    ascending order (the order of `Design.groups`), of the cells left to SVD
+    `fallback` holds the ascending ids of the occupied cells left to SVD
     least squares: too few rows, rank-deficient or ill-conditioned.
     """
 
@@ -280,6 +279,11 @@ class LocalPolynomialEstimator:
     coefficients: np.ndarray = field(repr=False)  # (n_cells, monomials, out_dim)
     level: float | None = None
 
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """Coefficient c of every cell at [c], then a zero row for cell -1."""
+        return np.pad(self.coefficients.transpose(1, 0, 2), ((0, 0), (0, 1), (0, 0)))
+
     def evaluate(self, points, design: Design | None = None) -> np.ndarray:
         """Estimator values, shape (M, out_dim), for (M, d) points.
 
@@ -292,13 +296,11 @@ class LocalPolynomialEstimator:
             design = self.basis.design(pts)
         else:
             self.basis._check_design(design, pts.shape[0])
-        blocks = np.take(self.coefficients, design.row_cells, axis=0)
-        values = np.einsum("mc,mco->mo", design.rows, blocks)
-        if design.inside.size == pts.shape[0]:  # every point inside: no scatter
-            out = values
-        else:
-            out = np.zeros((pts.shape[0], self.basis.out_dim))
-            out[design.inside] = values
+        rows, cells = design.rows, design.cells
+        # row column 0 is the monomial 1, so its term is the coefficient itself
+        out = np.take(self._columns[0], cells, axis=0)
+        for c in range(1, rows.shape[1]):
+            out += rows[:, c : c + 1] * np.take(self._columns[c], cells, axis=0)
         if self.level is not None:
             np.clip(out, -self.level, self.level, out=out)
         return out
@@ -316,9 +318,8 @@ def ols_fit(
     the design's eigendecomposition of G = A^T A.  Every other occupied cell
     is solved by SVD-based least squares on its own rows (minimal-norm
     coefficients when rank-deficient).  Empty cells keep zero
-    coefficients, and rows outside the support do not influence the fit
-    (their basis row is zero).  A non-finite response or point is a
-    ValueError naming its row.
+    coefficients, and rows outside the support (cell -1) do not influence
+    the fit.  A non-finite response or point is a ValueError naming its row.
 
     Args:
         responses: per-row outputs, shape (M,) or (M, out_dim).
@@ -355,26 +356,23 @@ def ols_fit(
     else:
         basis._check_design(design, pts.shape[0])
     coef = np.zeros((basis.n_cells, basis.monomials, basis.out_dim))
-    resp = np.take(resp, design.inside, axis=0)
     factors = design.factors
     if factors.cells.size:
         rhs = np.empty((factors.cells.size, basis.monomials, basis.out_dim))
         for a in range(basis.monomials):
             for o in range(basis.out_dim):
                 weights = design.rows[:, a] * resp[:, o]
-                rhs[:, a, o] = np.bincount(design.row_cells, weights)[factors.cells]
+                rhs[:, a, o] = np.bincount(design.bins, weights)[1:][factors.cells]
         # c = V (V^T rhs / lambda)
         spectral = np.einsum("cak,cao->cko", factors.vectors, rhs)
         spectral /= factors.values[:, :, None]
         coef[factors.cells] = np.einsum("cak,cko->cao", factors.vectors, spectral)
-    if factors.fallback.size:
-        occupied, groups = design.groups
-        for position in factors.fallback:
-            group = groups[position]
-            rows = design.rows[group]
-            rcond = np.finfo(float).eps * max(rows.shape)
-            solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
-            coef[occupied[position]] = solution
+    for cell in factors.fallback:
+        group = design.groups[cell + 1]
+        rows = design.rows[group]
+        rcond = np.finfo(float).eps * max(rows.shape)
+        solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
+        coef[cell] = solution
     return LocalPolynomialEstimator(basis=basis, coefficients=coef, level=None)
 
 

@@ -206,7 +206,7 @@ def _responses(
     s_z = phi[:, None] * cloud.h_at(n)
     s_y = phi.copy()
     for k in sorted(f_vals):
-        s_z = s_z + f_vals[k][:, None] * cloud.h_at(k) * grid.steps[k]
+        s_z += f_vals[k][:, None] * cloud.h_at(k) * grid.steps[k]
         s_y += f_vals[k] * grid.steps[k]
     return s_z, s_y, y_next
 

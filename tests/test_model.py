@@ -334,6 +334,16 @@ def test_sample_paths_checks_the_shapes_of_its_arrays():
             model.sample_paths(grid, i, states, drawn)
 
 
+@pytest.mark.parametrize("name", ["brownian-1d", "gbm", "euler-1d"])
+def test_weights_of_a_batch_short_of_the_horizon_name_the_indices(name):
+    model = _TAIL_MODELS[name]()
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    batch = model.sample_paths(grid, 1, np.full((5, 1), 0.5), np.zeros((5, 2, 1)))
+    message = r"weights from index 1 need a batch that runs to t_N: it has 2 steps, N = 4 needs 3"
+    with pytest.raises(ValueError, match=message):
+        model.malliavin_weights(grid, 1, batch)
+
+
 def test_step_recursion_matches_the_closed_forms():
     """Brownian and geometric Brownian clouds build X_k step by step; on a
     long non-uniform grid they stay within round-off of the closed forms

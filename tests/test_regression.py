@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mwls.regression import (
     LocalPolynomialBasis,
+    LocalPolynomialEstimator,
     evaluate_basis,
     ols_fit,
     truncate_estimator,
@@ -285,9 +286,14 @@ def test_design_rows_are_bitwise_the_pow_reference(case):
     design = basis.design(points)
     cells, rows = _reference_rows(basis, points)
     np.testing.assert_array_equal(design.cells, cells)
-    np.testing.assert_array_equal(design.inside, np.flatnonzero(cells >= 0))
-    assert design.rows.shape == rows.shape
-    assert design.rows.tobytes() == rows.tobytes()
+    assert design.rows.shape == (points.shape[0], basis.monomials)
+    inside = design.rows[cells >= 0]
+    assert inside.shape == rows.shape
+    assert inside.tobytes() == rows.tobytes()
+    # an outside point has the row of u = 0: one in column 0, zeros after
+    outside = np.zeros(basis.monomials)
+    outside[0] = 1.0
+    assert np.all(design.rows[cells < 0] == outside)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -301,7 +307,8 @@ def test_design_support_of_nan_and_infinite_points_is_the_any_reference(d):
         design = basis.design(points)
         cells, _ = _reference_rows(basis, points)
     np.testing.assert_array_equal(design.cells, cells)
-    np.testing.assert_array_equal(design.inside, np.flatnonzero(cells >= 0))
+    assert design.rows.shape == (points.shape[0], basis.monomials)
+    assert np.all(np.isfinite(design.rows[cells < 0]))
 
 
 @settings(max_examples=100, deadline=None)
@@ -320,6 +327,43 @@ def test_fit_and_evaluate_with_a_design_are_bitwise_unchanged(case, seed):
         plain.evaluate(points, design=design).tobytes()
         == plain.evaluate(points).tobytes()
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases_and_points(), st.integers(0, 2**32 - 1))
+def test_evaluate_is_bitwise_the_ascending_column_sum(case, seed):
+    basis, points = case
+    rng = np.random.default_rng(seed)
+    coefficients = rng.normal(size=(basis.n_cells, basis.monomials, basis.out_dim))
+    estimator = LocalPolynomialEstimator(basis=basis, coefficients=coefficients)
+    cells, rows = _reference_rows(basis, points)
+    inside = cells >= 0
+    blocks = coefficients[cells[inside]]
+    total = rows[:, 0:1] * blocks[:, 0]
+    for c in range(1, basis.monomials):
+        total = total + rows[:, c : c + 1] * blocks[:, c]
+    expected = np.zeros((points.shape[0], basis.out_dim))
+    expected[inside] = total
+    values = estimator.evaluate(points)
+    assert values.tobytes() == expected.tobytes()
+    # outside points read +0.0, sign bit clear
+    assert not np.any(np.signbit(values[~inside]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_infinite_points_evaluate_to_zero_without_warnings(degree):
+    basis = LocalPolynomialBasis(degree=degree, delta=0.5, radius=1.0, d=2, out_dim=2)
+    rng = np.random.default_rng(415)
+    points = rng.uniform(-1.0, 1.0, size=(200, 2))
+    estimator = ols_fit(rng.normal(size=(200, 2)) + 3.0, basis, points)
+    probe = np.array(
+        [[np.inf, 0.1], [0.1, -np.inf], [-np.inf, np.inf], [np.inf, np.inf], [0.1, 0.2]]
+    )
+    values = estimator.evaluate(probe)
+    assert values[:4].tobytes() == np.zeros((4, 2)).tobytes()
+    assert np.all(values[4] != 0.0)
+    assert basis.design(probe).cells[:4].tolist() == [-1, -1, -1, -1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,6 +465,19 @@ def test_fit_matches_per_cell_svd_least_squares(case):
     np.testing.assert_allclose(fitted, expected, rtol=1e-7, atol=1e-9 * scale)
 
 
+@settings(max_examples=200)
+@given(_fallback_prone_fits())
+def test_fit_with_outside_rows_is_bitwise_the_fit_of_the_inside_rows(case):
+    basis, points, responses = case
+    inside = np.all(np.abs(points) <= basis.radius, axis=1)
+    fitted = ols_fit(responses, basis, points).coefficients
+    if not inside.any():
+        assert not np.any(fitted)
+        return
+    alone = ols_fit(responses[inside], basis, points[inside]).coefficients
+    assert fitted.tobytes() == alone.tobytes()
+
+
 def test_fallback_cells_are_bitwise_svd_least_squares():
     # degree 2 on four unit cells of [-2, 2]: 3 monomials per cell
     basis = LocalPolynomialBasis(degree=2, delta=1.0, radius=2.0, d=1, out_dim=2)
@@ -439,7 +496,7 @@ def test_fallback_cells_are_bitwise_svd_least_squares():
     np.testing.assert_array_equal(design.factors.cells, [3])
     coefficients = ols_fit(responses, basis, points, design=design).coefficients
     for cell in range(4):
-        members = design.row_cells == cell
+        members = design.cells == cell
         expected = _lstsq_cell(design.rows[members], responses[members])
         if cell < 3:
             assert coefficients[cell].tobytes() == expected.tobytes()
