@@ -11,6 +11,7 @@ and evaluate the deterministic error bound alongside.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -71,20 +72,31 @@ class Benchmark:
 # ---------------------------------------------------------------------------
 # benchmark problems
 
-_HERMITE_NODES, _HERMITE_WEIGHTS = np.polynomial.hermite_e.hermegauss(96)
-_HERMITE_WEIGHTS = _HERMITE_WEIGHTS / math.sqrt(2.0 * math.pi)
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """96-point Gauss-Hermite rule for the standard normal: (nodes, weights).
+
+    Built on first use: only the b2 oracles read it, and numpy.polynomial
+    is not worth loading for the other problems.
+    """
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(96)
+    return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
 def _gauss_mean(fn: Callable, x: np.ndarray, scale: float) -> np.ndarray:
     """E[fn(x + scale*G)] for standard normal G, per row of x."""
-    spread = x[:, None] + scale * _HERMITE_NODES[None, :]
-    return fn(spread) @ _HERMITE_WEIGHTS
+    nodes, weights = _hermite_rule()
+    spread = x[:, None] + scale * nodes[None, :]
+    return fn(spread) @ weights
 
 
 def _gauss_weighted_mean(fn: Callable, x: np.ndarray, scale: float) -> np.ndarray:
     """E[fn(x + scale*G) * G] for standard normal G, per row of x."""
-    spread = x[:, None] + scale * _HERMITE_NODES[None, :]
-    return (fn(spread) * _HERMITE_NODES[None, :]) @ _HERMITE_WEIGHTS
+    nodes, weights = _hermite_rule()
+    spread = x[:, None] + scale * nodes[None, :]
+    return (fn(spread) * nodes[None, :]) @ weights
 
 
 def benchmark_b1(x0_width: float = 5.0) -> Benchmark:

@@ -128,9 +128,14 @@ class LocalPolynomialBasis:
         for axis in range(1, self.d):
             outside |= np.abs(pts[:, axis]) > self.radius
         # k = floor((x + R) / delta), clipped to the cells before the cast:
-        # +-inf goes to an edge cell and NaN to cell 0, with no cast warning
+        # +-inf goes to an edge cell and NaN to cell 0, with no cast warning.
+        # The two divisions may overflow only for outside points, and that is
+        # exact: an inside quotient is at most 2R/delta, finite for any basis
+        # that can be built; an overflowed `scaled` is clipped to an edge
+        # cell like +-inf; outside rows get u = 0 below.
         scaled = pts + self.radius
-        scaled /= self.delta
+        with np.errstate(over="ignore"):
+            scaled /= self.delta
         np.fmax(np.floor(scaled, out=scaled), 0.0, out=scaled)
         k = np.fmin(scaled, self.cells_per_axis - 1, out=scaled).astype(int)
         flat = k[:, 0]
@@ -142,7 +147,8 @@ class LocalPolynomialBasis:
         u *= self.delta
         u += -self.radius
         np.subtract(pts, u, out=u)
-        u /= 0.5 * self.delta
+        with np.errstate(over="ignore"):
+            u /= 0.5 * self.delta
         # an outside point gets cell -1 and u = 0: a finite row no fit reads
         outside = np.flatnonzero(outside)  # indexing u by a mask is ~8x slower
         u[outside] = 0.0

@@ -104,6 +104,34 @@ def test_b_const_general_branch_matches_trapezoid_quadrature():
             )
 
 
+def test_b_const_matches_scipy_beta_on_the_unit_range():
+    from scipy.special import beta
+
+    # the exact cases (both >= 1, or beta == 1) are pinned above
+    grid = np.concatenate([np.geomspace(1e-3, 3.0, 25), [0.5, 0.25, 1.5, 2.5, 3.0]])
+    for a in grid:
+        for b in grid:
+            if (a >= 1.0 and b >= 1.0) or b == 1.0:
+                continue
+            for r in (1.0, 2.5):
+                np.testing.assert_allclose(
+                    B_const(a, b, r), (1.0 + r) * beta(a, b), rtol=4e-15
+                )
+
+
+def test_b_const_past_the_gamma_range_falls_back_without_overflow():
+    from scipy.special import beta
+
+    pairs = [(0.5, 170.0), (0.5, 171.5), (0.3, 250.0), (200.0, 0.75), (0.5, 399.5)]
+    pairs += [(1e-300, b) for b in (1e-300, 0.5, 3.0, 399.0)]
+    for a, b in pairs:
+        np.testing.assert_allclose(B_const(a, b), 2.0 * beta(a, b), rtol=1e-11)
+    # a Beta past the double range is inf, not an OverflowError
+    assert B_const(1e-320, 0.5) == math.inf
+    # Gamma(0.5) * 1e308**-0.5, past lgamma's own overflow
+    np.testing.assert_allclose(B_const(0.5, 1e308), 2.0 * math.sqrt(math.pi) * 1e-154, rtol=1e-13)
+
+
 def test_b_const_validation():
     with pytest.raises(ValueError):
         B_const(0.0, 1.0)

@@ -584,3 +584,22 @@ def test_smooth_target_error_decays_at_expected_rate():
         errors.append(np.max(np.abs(estimator.evaluate(probe)[:, 0] - target(probe[:, 0]))))
     slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
     assert slope >= 2.0 - 0.3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_huge_finite_points_are_outside_without_overflow_warnings(degree, d):
+    basis = LocalPolynomialBasis(degree=degree, delta=0.5, radius=1.0, d=d, out_dim=2)
+    rng = np.random.default_rng(416)
+    points = rng.uniform(-1.0, 1.0, size=(200, d))
+    estimator = ols_fit(rng.normal(size=(200, 2)) + 3.0, basis, points)
+    huge = [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max]
+    probe = np.full((4 * d, d), 0.1)
+    for axis in range(d):
+        probe[4 * axis : 4 * axis + 4, axis] = huge
+    design = basis.design(probe)
+    assert design.cells.tolist() == [-1] * probe.shape[0]
+    assert np.all(np.isfinite(design.rows))
+    # +0.0 bytes: the sign bit is clear
+    assert estimator.evaluate(probe).tobytes() == np.zeros((probe.shape[0], 2)).tobytes()
