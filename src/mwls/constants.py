@@ -98,9 +98,9 @@ class ProblemConstants:
     theta_phi: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("L_f", "C_f", "C_M", "C_xi"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("L_f", "C_f", "C_M"):
+            _check_constant(name, getattr(self, name))
+        _check_terminal_constants(self.C_xi, self.C_phi, self.theta_phi)
         if not 0.0 < self.theta_L <= 1.0:
             raise ValueError(f"theta_L must lie in (0, 1], got {self.theta_L}")
         if not 0.0 < self.theta_C <= 1.0:
@@ -111,13 +111,28 @@ class ProblemConstants:
             raise ValueError(f"step-ratio bound R_pi must be >= 1, got {self.R_pi}")
         if self.q < 1:
             raise ValueError(f"weight dimension q must be >= 1, got {self.q}")
-        if (self.C_phi is None) != (self.theta_phi is None):
-            raise ValueError("C_phi and theta_phi must be supplied together")
-        if self.C_phi is not None:
-            if self.C_phi < 0.0:
-                raise ValueError(f"C_phi must be nonnegative, got {self.C_phi}")
-            if not 0.0 < self.theta_phi <= 1.0:
-                raise ValueError(f"theta_phi must lie in (0, 1], got {self.theta_phi}")
+
+
+def _check_constant(name: str, value: float) -> None:
+    """Raise ValueError, naming the constant, unless it is finite and >= 0."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _check_terminal_constants(
+    C_xi: float, C_phi: float | None, theta_phi: float | None
+) -> None:
+    """Raise ValueError unless C_xi is finite and >= 0, and (C_phi, theta_phi)
+    is either absent or a finite C_phi >= 0 with theta_phi in (0, 1]."""
+    _check_constant("C_xi", C_xi)
+    if (C_phi is None) != (theta_phi is None):
+        raise ValueError("C_phi and theta_phi must be supplied together")
+    if C_phi is not None:
+        _check_constant("C_phi", C_phi)
+        if not 0.0 < theta_phi <= 1.0:
+            raise ValueError(f"theta_phi must lie in (0, 1], got {theta_phi}")
 
 
 def _beta_function(a: float, b: float) -> float:

@@ -362,19 +362,26 @@ class ErrorReport:
     seed: int
 
 
+def _row_squares(residual: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of an (M,) or (M, q) residual, adding the
+    components in ascending order, which is sum(axis=1)'s order for them,
+    in one pass over the M rows per component."""
+    if residual.ndim == 1:
+        return residual**2
+    sq = residual[:, 0] ** 2
+    for a in range(1, residual.shape[1]):
+        sq += residual[:, a] ** 2
+    return sq
+
+
 def _rms(residual: np.ndarray) -> float:
     """Root mean square of rows; rows may be vectors (summed over components)."""
-    sq = residual**2
-    if sq.ndim > 1:
-        sq = sq.sum(axis=1)
-    return float(np.sqrt(np.mean(sq)))
+    return float(np.sqrt(np.mean(_row_squares(residual))))
 
 
 def _norm_and_se(residual: np.ndarray) -> tuple[float, float]:
     """RMS norm of rows and the Monte Carlo standard error of that norm."""
-    sq = residual**2
-    if sq.ndim > 1:
-        sq = sq.sum(axis=1)
+    sq = _row_squares(residual)
     mean_sq = float(np.mean(sq))
     se_sq = float(np.std(sq)) / math.sqrt(sq.size)
     norm = math.sqrt(mean_sq)

@@ -8,10 +8,14 @@ together with weights H^(i)_j for j > i satisfying the moment conditions
 
 A simulation cloud at index i holds M_i independent rows of
 (X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.  Its
-random input (starts X_0, then N q-vectors of normals per row) is drawn in
-one go, apart from the arithmetic that builds the paths and weights from
-it, which runs whole or block by block of consecutive rows, with the same
-bits.
+random input (starts X_0, then N q-vectors of normals per row) is drawn
+apart from the arithmetic that builds the paths and weights from it, which
+runs whole or block by block of consecutive rows, with the same bits.
+
+Every per-row pass runs along the long row axis: normals and paths are
+stored time-major, and a length-d parameter vector is applied one state
+coordinate at a time.  A numpy pass whose innermost loop runs over d or q
+elements per row costs several times one over the M rows of a column.
 """
 
 from __future__ import annotations
@@ -75,6 +79,38 @@ class _PathBatch:
     row0: int = 0  # position of the first row in its whole cloud, for messages
 
 
+# Rows per chunk of a time-major normals draw: each chunk is drawn into one
+# reused row-major buffer, small enough to stay in cache, and copied out.
+_DRAW_ROWS = 2048
+
+
+def _time_major_normals(rng: np.random.Generator, M: int, n: int, q: int) -> np.ndarray:
+    """The (M, n, q) standard normals of one `rng.standard_normal((M, n, q))`
+    call, bit for bit, stored time-major: the (M, n, q) view of an (n, M, q)
+    buffer, so each time slice [:, k] is one contiguous (M, q) block.
+
+    The rows are drawn in consecutive chunks of `_DRAW_ROWS`, which consumes
+    the stream as the one call does.
+    """
+    normals = np.empty((n, M, q))
+    chunk = np.empty((min(M, _DRAW_ROWS), n, q))
+    for row0 in range(0, M, _DRAW_ROWS):
+        rows = chunk[: min(_DRAW_ROWS, M - row0)]
+        rng.standard_normal(out=rows)
+        normals[:, row0 : row0 + rows.shape[0]] = rows.transpose(1, 0, 2)
+    return normals.transpose(1, 0, 2)
+
+
+def _by_column(
+    ufunc: np.ufunc, x: np.ndarray, vector: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """out = ufunc(x, vector) for (M, d) x and a length-d vector, one column
+    at a time: the broadcast's bits with the M rows in each inner loop."""
+    for a, value in enumerate(vector):
+        ufunc(x[:, a], value, out=out[:, a])
+    return out
+
+
 def _check_vector(subject: str, value: np.ndarray, d: int) -> None:
     """Reject a model parameter that is not a finite vector of length d."""
     if value.shape != (d,):
@@ -122,9 +158,14 @@ class MarkovModel:
 
     def _draw_start(self, M: int, rng: np.random.Generator) -> np.ndarray:
         """Initial states: x0, or a uniform box of edge x0_width around it."""
-        starts = np.broadcast_to(self.x0, (M, self.d)).copy()
         if self.x0_width > 0.0:
-            starts += self.x0_width * (rng.random((M, self.d)) - 0.5)
+            offsets = rng.random((M, self.d))
+            offsets -= 0.5
+            offsets *= self.x0_width
+            return _by_column(np.add, offsets, self.x0, offsets)
+        starts = np.empty((M, self.d))
+        for a, value in enumerate(self.x0):
+            starts[:, a] = value
         return starts
 
     def step(
@@ -170,7 +211,7 @@ class MarkovModel:
         """M draws of X_i for 1 <= i <= N, shape (M, d): the starts, then
         (M, i, q) normals from rng, and path simulation to t_i."""
         starts = self._draw_start(M, rng)
-        return _path_end(self, grid, i, starts, rng.standard_normal((M, i, self.q)))
+        return _path_end(self, grid, i, starts, _time_major_normals(rng, M, i, self.q))
 
     def malliavin_weights(self, grid: TimeGrid, i: int, batch: _PathBatch) -> np.ndarray:
         """Weights H^(i)_j, shape (M, N - i, q), entry j-i-1 holding H^(i)_j,
@@ -207,7 +248,9 @@ def _cumulative_weights(grid: TimeGrid, i: int, tail: np.ndarray) -> np.ndarray:
     time-major (N - i, M, q) buffer tail and returned as an (M, N - i, q) view.
     """
     spans = grid.points[i + 1 :] - grid.points[i]  # (N - i,)
-    np.cumsum(tail, axis=0, out=tail)
+    # ascending in-place adds: np.cumsum(axis=0)'s bits, in whole-slice passes
+    for k in range(1, tail.shape[0]):
+        tail[k] += tail[k - 1]
     tail /= spans[:, None, None]
     return tail.transpose(1, 0, 2)
 
@@ -225,7 +268,7 @@ class BrownianModel(MarkovModel):
     def step(self, grid, k, x_k, dW_k, out):
         """X_{k+1} = X_k + (dW_k + drift * (t_{k+1} - t_k)): the Euler step
         with unit diffusion and drift b = drift, bit for bit."""
-        np.add(dW_k, self.drift * grid.steps[k], out=out)
+        _by_column(np.add, dW_k, self.drift * grid.steps[k], out)
         out += x_k
 
     # Each model class holds sample_paths and malliavin_weights in its own
@@ -236,7 +279,9 @@ class BrownianModel(MarkovModel):
         """Exact draw X_i = X_0 + drift * t_i + sqrt(t_i) Z."""
         t = grid.points[i]
         starts = self._draw_start(M, rng)
-        return starts + self.drift * t + np.sqrt(t) * rng.standard_normal((M, self.d))
+        _by_column(np.add, starts, self.drift * t, starts)
+        starts += np.sqrt(t) * rng.standard_normal((M, self.d))
+        return starts
 
     def malliavin_weights(self, grid, i, batch):
         """Brownian-increment weights H^(i)_j = (W_j - W_i) / (t_j - t_i),
@@ -262,8 +307,8 @@ class GeometricBrownianModel(MarkovModel):
 
     def step(self, grid, k, x_k, dW_k, out):
         """X_{k+1} = X_k * exp(sigma dW_k + (mu - sigma^2/2) (t_{k+1} - t_k))."""
-        np.multiply(self.sigma, dW_k, out=out)
-        out += (self.mu - 0.5 * self.sigma**2) * grid.steps[k]
+        _by_column(np.multiply, dW_k, self.sigma, out)
+        _by_column(np.add, out, (self.mu - 0.5 * self.sigma**2) * grid.steps[k], out)
         np.exp(out, out=out)
         out *= x_k
 
@@ -273,10 +318,12 @@ class GeometricBrownianModel(MarkovModel):
         """Exact draw X_i = X_0 exp((mu - sigma^2/2) t_i + sigma sqrt(t_i) Z)."""
         t = grid.points[i]
         starts = self._draw_start(M, rng)
-        return starts * np.exp(
-            (self.mu - 0.5 * self.sigma**2) * t
-            + self.sigma * np.sqrt(t) * rng.standard_normal((M, self.d))
-        )
+        growth = rng.standard_normal((M, self.d))
+        _by_column(np.multiply, growth, self.sigma * np.sqrt(t), growth)
+        _by_column(np.add, growth, (self.mu - 0.5 * self.sigma**2) * t, growth)
+        np.exp(growth, out=growth)
+        growth *= starts
+        return growth
 
     malliavin_weights = BrownianModel.malliavin_weights
 
@@ -483,7 +530,8 @@ def _cloud_draws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The random input of the index-i cloud, from the (seed, i) stream: the
     (M_i, d) starts X_0, then the (M_i, N, q) standard normals that drive
-    each row's path from t_0 to t_N.
+    each row's path from t_0 to t_N, stored time-major (see
+    `_time_major_normals`).
 
     Row r of both arrays belongs to row r of the cloud, whatever the rows
     are split into.
@@ -494,7 +542,7 @@ def _cloud_draws(
         raise ValueError(f"cloud size must be >= 1, got {M_i}")
     rng = cloud_rng(seed, i, STREAM_CLOUD)
     starts = model._draw_start(M_i, rng)
-    return starts, rng.standard_normal((M_i, grid.N, model.q))
+    return starts, _time_major_normals(rng, M_i, grid.N, model.q)
 
 
 def _cloud_blocks(

@@ -11,7 +11,10 @@ Cell -1 marks a point outside the support: fits leave it out, and it reads
 zero coefficients, so it evaluates to +0.0.  Evaluation adds row c times
 coefficient c in ascending c.  A design also eigendecomposes each cell's
 Gram matrix once: well-conditioned cells are solved together by their
-normal equations, the others by SVD least squares on their rows.
+normal equations, the others by SVD least squares on their rows.  Per-row
+passes run down one column at a time, not across a row's d coordinates or
+out_dim components: a numpy inner loop that short costs several times one
+over the M rows.
 """
 
 from __future__ import annotations
@@ -151,14 +154,16 @@ class LocalPolynomialBasis:
             u /= 0.5 * self.delta
         # an outside point gets cell -1 and u = 0: a finite row no fit reads
         outside = np.flatnonzero(outside)  # indexing u by a mask is ~8x slower
-        u[outside] = 0.0
+        for axis in range(self.d):
+            u[:, axis][outside] = 0.0
         flat[outside] = -1
         if self.degree <= 1:
             # u ** 0 = 1 and u ** 1 = u exactly, and so are their products
             # with 1: column 0 is 1 and column 1 + a is u_a, with no pow calls
             rows = np.empty((pts.shape[0], self.monomials))
             rows[:, 0] = 1.0
-            rows[:, 1:] = u[:, : self.monomials - 1]
+            for a in range(self.monomials - 1):
+                rows[:, 1 + a] = u[:, a]
         else:
             # table[m, a, p] = u[m, a] ** p, by pow along the exponent axis
             # and never by repeated products: those move the last bit of u ** p
@@ -306,7 +311,10 @@ class LocalPolynomialEstimator:
         # row column 0 is the monomial 1, so its term is the coefficient itself
         out = np.take(self._columns[0], cells, axis=0)
         for c in range(1, rows.shape[1]):
-            out += rows[:, c : c + 1] * np.take(self._columns[c], cells, axis=0)
+            term = np.take(self._columns[c], cells, axis=0)
+            for o in range(term.shape[1]):
+                term[:, o] *= rows[:, c]
+            out += term
         if self.level is not None:
             np.clip(out, -self.level, self.level, out=out)
         return out
@@ -388,8 +396,9 @@ def truncate_estimator(
     """Clamp the estimator's values componentwise to [-level, level].
 
     The clamp is 1-Lipschitz on values, so truncation never increases the
-    distance to any function already bounded by the level.
+    distance to any function already bounded by the level.  level = inf
+    leaves the values as they are; a negative or NaN level is a ValueError.
     """
-    if level < 0.0:
+    if not level >= 0.0:
         raise ValueError(f"truncation level must be >= 0, got {level}")
     return replace(estimator, level=float(level))

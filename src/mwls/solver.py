@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .constants import BoundsTable, ProblemConstants, bounds_table
+from .constants import BoundsTable, ProblemConstants, _check_terminal_constants, bounds_table
 from .errors import NumericalError
 from .grid import TimeGrid
 from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
@@ -117,10 +117,7 @@ class TerminalSpec:
     def __post_init__(self) -> None:
         if self.fn is None:
             raise ValueError("terminal map fn is required")
-        if self.C_xi < 0.0:
-            raise ValueError(f"C_xi must be >= 0, got {self.C_xi}")
-        if (self.C_phi is None) != (self.theta_phi is None):
-            raise ValueError("C_phi and theta_phi must be supplied together")
+        _check_terminal_constants(self.C_xi, self.C_phi, self.theta_phi)
 
 
 def problem_constants(
@@ -203,12 +200,24 @@ def _responses(
         z_here = z_fit.evaluate(x_k, design=z_design)
         f_vals[k] = _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k)
         y_next = y_fit.evaluate(x_k, design=y_design)[:, 0]
-    s_z = phi[:, None] * cloud.h_at(n)
+    h_n = cloud.h_at(n)
+    s_z = _times_columns(phi, h_n, np.empty(h_n.shape))
     s_y = phi.copy()
+    term = np.empty(h_n.shape)
     for k in sorted(f_vals):
-        s_z += f_vals[k][:, None] * cloud.h_at(k) * grid.steps[k]
+        _times_columns(f_vals[k], cloud.h_at(k), term)
+        term *= grid.steps[k]
+        s_z += term
         s_y += f_vals[k] * grid.steps[k]
     return s_z, s_y, y_next
+
+
+def _times_columns(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = values[:, None] * h for (M,) values and (M, q) h, one column at
+    a time: the broadcast's bits with the M rows in each inner loop."""
+    for a in range(h.shape[1]):
+        np.multiply(values, h[:, a], out=out[:, a])
+    return out
 
 
 def _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design) -> None:

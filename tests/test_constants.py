@@ -754,6 +754,13 @@ def test_problem_constants_validation():
         dict(theta_phi=0.5),  # missing C_phi
         dict(C_phi=-1.0, theta_phi=0.5),
         dict(C_phi=1.0, theta_phi=0.0),
+        dict(C_phi=1.0, theta_phi=np.nan),
     ):
         with pytest.raises(ValueError):
             ProblemConstants(**{**good, **bad})
+    # a non-finite constant is rejected by name; nan < 0 alone is False
+    for name in ("L_f", "C_f", "C_M", "C_xi", "C_phi"):
+        for value in (np.nan, np.inf):
+            bad = {name: value, "theta_phi": 0.5} if name == "C_phi" else {name: value}
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ProblemConstants(**{**good, **bad})

@@ -310,6 +310,21 @@ def test_estimate_errors_validation():
         estimate_errors(sol, nan_oracle, fresh_m=100)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_row_norms_are_bitwise_the_axis_sum_forms(q):
+    # magnitudes spread over decades, so a change in the order of the
+    # component sums would move last bits
+    rng = np.random.default_rng(70 + q)
+    residual = rng.standard_normal((5003, q)) * np.exp(4.0 * rng.standard_normal((5003, q)))
+    sq = (residual**2).sum(axis=1)
+    assert mwls.harness._row_squares(residual).tobytes() == sq.tobytes()
+    assert mwls.harness._row_squares(residual[:, 0]).tobytes() == (residual[:, 0] ** 2).tobytes()
+    norm = math.sqrt(float(np.mean(sq)))
+    assert mwls.harness._rms(residual) == float(np.sqrt(np.mean(sq)))
+    se = float(np.std(sq)) / math.sqrt(sq.size) / (2.0 * norm)
+    assert mwls.harness._norm_and_se(residual) == (norm, se)
+
+
 # ---------------------------------------------------------------------------
 # tuning rules
 

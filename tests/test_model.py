@@ -1,5 +1,7 @@
 """Tests for path samplers, Malliavin weights, and simulation clouds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,6 +17,7 @@ from mwls.model import (
     EulerSdeModel,
     GeometricBrownianModel,
     SimulationCloud,
+    _DRAW_ROWS,
     _cloud_blocks,
     _cloud_draws,
     brownian_model,
@@ -365,6 +368,79 @@ def test_step_recursion_matches_the_closed_forms():
             assert np.max(np.abs(X - closed)) <= 1e-13 * np.max(np.abs(closed))
             if isinstance(model, GeometricBrownianModel):
                 np.testing.assert_allclose(X, closed, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("m", [1, _DRAW_ROWS - 1, _DRAW_ROWS, 2 * _DRAW_ROWS + 37])
+def test_cloud_normals_are_one_draw_stored_time_major(m, q):
+    # drawn chunk by chunk, the normals are those of one (M, N, q) call on
+    # the stream after the starts, and each time slice is contiguous
+    model = brownian_model(d=q, x0=0.0, x0_width=1.0)
+    grid = make_theta_grid(T=1.0, N=4, theta=0.6)
+    starts, normals = _cloud_draws(model, grid, 1, m, seed=33)
+    rng = cloud_rng(33, 1, STREAM_CLOUD)
+    np.testing.assert_array_equal(starts, model._draw_start(m, rng), strict=True)
+    expected = rng.standard_normal((m, grid.N, q))
+    assert normals.shape == expected.shape
+    assert normals.tobytes() == expected.tobytes()
+    assert normals.base.shape == (grid.N, m, q)
+    for k in range(grid.N):
+        assert normals[:, k].flags.c_contiguous
+
+
+# Componentwise models at d = q = 3, whose parameter vectors the kernels
+# apply one state coordinate at a time.
+_D3_MODELS = {
+    "brownian-3d": lambda: brownian_model(
+        d=3, drift=[0.4, -0.3, 0.1], x0=[0.5, -1.0, 2.0], x0_width=1.5
+    ),
+    "gbm-3d": lambda: gbm_model(
+        mu=[0.1, -0.2, 0.05], sigma=[0.3, 0.2, 0.5], x0=[1.0, 2.0, 0.5], d=3, x0_width=0.4
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_D3_MODELS))
+def test_column_kernels_are_bitwise_their_broadcast_forms(name):
+    model = _D3_MODELS[name]()
+    grid = make_theta_grid(T=1.0, N=4, theta=0.6)
+    m = 5003
+    rng = np.random.default_rng(21)
+    x_k = rng.uniform(0.5, 2.0, (m, 3))
+    dW_k = 0.3 * rng.standard_normal((m, 3))
+    brownian = isinstance(model, BrownianModel)
+    for k in range(grid.N):
+        out = np.empty((m, 3))
+        model.step(grid, k, x_k, dW_k, out)
+        if brownian:
+            expected = dW_k + model.drift * grid.steps[k] + x_k
+        else:
+            rate = (model.mu - 0.5 * model.sigma**2) * grid.steps[k]
+            expected = np.exp(model.sigma * dW_k + rate) * x_k
+        assert out.tobytes() == expected.tobytes()
+
+    def broadcast_start(model, rng):
+        starts = np.broadcast_to(model.x0, (m, 3)).copy()
+        if model.x0_width > 0.0:
+            starts += model.x0_width * (rng.random((m, 3)) - 0.5)
+        return starts
+
+    for width in (model.x0_width, 0.0):
+        variant = dataclasses.replace(model, x0_width=width)
+        starts = variant._draw_start(m, np.random.default_rng(22))
+        assert starts.tobytes() == broadcast_start(variant, np.random.default_rng(22)).tobytes()
+    for i in (1, grid.N):
+        drawn = model.draw_state(grid, i, m, np.random.default_rng(23))
+        rng = np.random.default_rng(23)
+        t = grid.points[i]
+        starts = broadcast_start(model, rng)
+        normals = rng.standard_normal((m, 3))
+        if brownian:
+            expected = starts + model.drift * t + np.sqrt(t) * normals
+        else:
+            rate = (model.mu - 0.5 * model.sigma**2) * t
+            expected = starts * np.exp(rate + model.sigma * np.sqrt(t) * normals)
+        assert drawn.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

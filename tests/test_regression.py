@@ -329,13 +329,10 @@ def test_fit_and_evaluate_with_a_design_are_bitwise_unchanged(case, seed):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(_bases_and_points(), st.integers(0, 2**32 - 1))
-def test_evaluate_is_bitwise_the_ascending_column_sum(case, seed):
-    basis, points = case
-    rng = np.random.default_rng(seed)
-    coefficients = rng.normal(size=(basis.n_cells, basis.monomials, basis.out_dim))
-    estimator = LocalPolynomialEstimator(basis=basis, coefficients=coefficients)
+def _reference_values(basis, coefficients, points):
+    """Estimator values as the broadcast column sum over the reference rows:
+    row c, as an (M, 1) column, times coefficient c, in ascending c; zero
+    outside the support."""
     cells, rows = _reference_rows(basis, points)
     inside = cells >= 0
     blocks = coefficients[cells[inside]]
@@ -344,10 +341,39 @@ def test_evaluate_is_bitwise_the_ascending_column_sum(case, seed):
         total = total + rows[:, c : c + 1] * blocks[:, c]
     expected = np.zeros((points.shape[0], basis.out_dim))
     expected[inside] = total
+    return expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bases_and_points(), st.integers(0, 2**32 - 1))
+def test_evaluate_is_bitwise_the_ascending_column_sum(case, seed):
+    basis, points = case
+    rng = np.random.default_rng(seed)
+    coefficients = rng.normal(size=(basis.n_cells, basis.monomials, basis.out_dim))
+    estimator = LocalPolynomialEstimator(basis=basis, coefficients=coefficients)
     values = estimator.evaluate(points)
-    assert values.tobytes() == expected.tobytes()
+    assert values.tobytes() == _reference_values(basis, coefficients, points).tobytes()
     # outside points read +0.0, sign bit clear
+    inside = _reference_rows(basis, points)[0] >= 0
     assert not np.any(np.signbit(values[~inside]))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_design_and_evaluate_at_d3_are_bitwise_the_broadcast_forms(degree):
+    # thousands of rows, so the column passes run their long inner loops,
+    # with a fifth of the points outside the support
+    basis = LocalPolynomialBasis(degree=degree, delta=0.5, radius=2.0, d=3, out_dim=3)
+    rng = np.random.default_rng(31)
+    points = rng.uniform(-2.15, 2.15, size=(5003, 3))
+    design = basis.design(points)
+    cells, rows = _reference_rows(basis, points)
+    np.testing.assert_array_equal(design.cells, cells)
+    assert design.rows[cells >= 0].tobytes() == rows.tobytes()
+    assert np.all(design.rows[cells < 0] == np.eye(1, basis.monomials))
+    coefficients = rng.normal(size=(basis.n_cells, basis.monomials, 3))
+    estimator = LocalPolynomialEstimator(basis=basis, coefficients=coefficients)
+    expected = _reference_values(basis, coefficients, points)
+    assert estimator.evaluate(points, design=design).tobytes() == expected.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -555,6 +581,11 @@ def test_truncation_fixture():
     np.testing.assert_allclose(estimator.evaluate(probe).ravel(), [3.0, -5.0])
     with pytest.raises(ValueError, match="level"):
         truncate_estimator(estimator, -1.0)
+    with pytest.raises(ValueError, match="truncation level must be >= 0, got nan"):
+        truncate_estimator(estimator, np.nan)
+    # an infinite level is no clamp at all
+    unclamped = truncate_estimator(estimator, np.inf)
+    assert unclamped.evaluate(probe).tobytes() == estimator.evaluate(probe).tobytes()
 
 
 def test_truncation_is_one_lipschitz():

@@ -1,5 +1,6 @@
 """Tests for the backward least-squares solver and its response assembly."""
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -72,6 +73,16 @@ def test_driver_and_terminal_validation():
         DriverSpec(fn=None, L_f=0.0, C_f=0.0, theta_C=1.5)
     with pytest.raises(ValueError, match="C_xi"):
         TerminalSpec(fn=lambda x: x[:, 0], C_xi=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="C_xi must be finite"):
+            TerminalSpec(fn=lambda x: x[:, 0], C_xi=bad)
+        with pytest.raises(ValueError, match="C_phi must be finite"):
+            TerminalSpec(fn=lambda x: x[:, 0], C_xi=1.0, C_phi=bad, theta_phi=1.0)
+    with pytest.raises(ValueError, match="C_phi must be nonnegative"):
+        TerminalSpec(fn=lambda x: x[:, 0], C_xi=1.0, C_phi=-1.0, theta_phi=1.0)
+    for bad in (0.0, 2.0, np.nan):
+        with pytest.raises(ValueError, match="theta_phi must lie in"):
+            TerminalSpec(fn=lambda x: x[:, 0], C_xi=1.0, C_phi=1.0, theta_phi=bad)
     with pytest.raises(ValueError, match="together"):
         TerminalSpec(fn=lambda x: x[:, 0], C_xi=1.0, C_phi=1.0)
     with pytest.raises(ValueError, match="required"):
@@ -163,6 +174,34 @@ def test_y_response_requires_z_at_own_index():
     none_fits = [None] * grid.N
     with pytest.raises(ValueError, match="missing fitted z estimator at index 2"):
         _y_response(cloud, grid, driver, _tanh_terminal(), none_fits, none_fits)
+
+
+def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
+    model = brownian_model(d=3, drift=[0.2, -0.1, 0.3], x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 5, theta=0.7)
+    i = 1
+    cloud = sample_cloud(model, grid, i, 4001, seed=14)
+    rng = np.random.default_rng(15)
+    fits = {}
+    for out_dim in (1, 3):
+        basis = LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=3, out_dim=out_dim)
+        coefficients = rng.normal(size=(basis.n_cells, basis.monomials, out_dim))
+        fits[out_dim] = [LocalPolynomialEstimator(basis, coefficients)] * grid.N
+    terms = {}
+
+    def fn(k, x, y, z):
+        terms[k] = 0.3 * y + z[:, 0] - z[:, 2]
+        return terms[k]
+
+    driver = DriverSpec(fn=fn, L_f=1.0, C_f=0.0)
+    terminal = TerminalSpec(fn=lambda x: np.tanh(x.sum(axis=1)), C_xi=1.0)
+    s_z = _z_response(cloud, grid, driver, terminal, fits[1], fits[3])
+    phi = terminal.fn(cloud.x_at(grid.N))
+    expected = phi[:, None] * cloud.h_at(grid.N)
+    assert sorted(terms) == list(range(i + 1, grid.N))
+    for k in sorted(terms):
+        expected += terms[k][:, None] * cloud.h_at(k) * grid.steps[k]
+    assert s_z.tobytes() == expected.tobytes()
 
 
 def test_response_builders_flag_nonfinite_driver_terms():
@@ -368,19 +407,32 @@ def test_solve_does_not_depend_on_the_block_size(monkeypatch):
     bench = benchmark_b3()
     grid = make_theta_grid(1.0, 3)
     basis = _linear_basis(delta=0.5, radius=4.0)
-    args = (bench.model, grid, bench.driver, bench.terminal, basis, basis)
-    m = 2 * mwls.solver._BLOCK_ROWS + 37  # three blocks, the last one partial
-    streamed = mwls_solve(*args, cloud_sizes=m, seed=41)
-    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", m)
-    whole = mwls_solve(*args, cloud_sizes=m, seed=41)
-    for fits, reference in (
-        (streamed.y_fits, whole.y_fits), (streamed.z_fits, whole.z_fits)
-    ):
-        for fit, expected in zip(fits, reference, strict=True):
-            assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
-            assert fit.level == expected.level
-    for x_i, expected in zip(streamed.marginals, whole.marginals, strict=True):
-        np.testing.assert_array_equal(x_i, expected, strict=True)
+    # a d = 2 Brownian problem, whose kernels run column by column
+    square = LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=2)
+    driver_2d = DriverSpec(fn=lambda k, x, y, z: 0.5 * y - 0.2 * z[:, 1], L_f=0.6, C_f=0.0)
+    problems = [
+        (bench.model, grid, bench.driver, bench.terminal, basis, basis),
+        (
+            brownian_model(d=2, drift=[0.3, -0.2], x0=0.0, x0_width=3.0), grid, driver_2d,
+            TerminalSpec(fn=lambda x: np.tanh(x[:, 0] - x[:, 1]), C_xi=1.0), square,
+            dataclasses.replace(square, out_dim=2),
+        ),
+    ]
+    block_rows = mwls.solver._BLOCK_ROWS
+    m = 2 * block_rows + 37  # three blocks, the last one partial
+    for args in problems:
+        monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", block_rows)
+        streamed = mwls_solve(*args, cloud_sizes=m, seed=41)
+        monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", m)
+        whole = mwls_solve(*args, cloud_sizes=m, seed=41)
+        for fits, reference in (
+            (streamed.y_fits, whole.y_fits), (streamed.z_fits, whole.z_fits)
+        ):
+            for fit, expected in zip(fits, reference, strict=True):
+                assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+                assert fit.level == expected.level
+        for x_i, expected in zip(streamed.marginals, whole.marginals, strict=True):
+            np.testing.assert_array_equal(x_i, expected, strict=True)
 
 
 def test_a_failing_driver_stops_the_producer(monkeypatch):
