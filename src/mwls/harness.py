@@ -363,11 +363,15 @@ class ErrorReport:
 
 
 def _row_squares(residual: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of an (M,) or (M, q) residual, adding the
-    components in ascending order, which is sum(axis=1)'s order for them,
-    in one pass over the M rows per component."""
+    """Squared norm of each row of an (M,) or (M, q) residual, with the bits
+    of (residual**2).sum(axis=1).  numpy adds up to 7 components of a row in
+    ascending order, so those are added one column at a time, in one pass
+    over the M rows each; wider rows, which numpy sums pairwise, keep the
+    row sum."""
     if residual.ndim == 1:
         return residual**2
+    if residual.shape[1] >= 8:
+        return (residual**2).sum(axis=1)
     sq = residual[:, 0] ** 2
     for a in range(1, residual.shape[1]):
         sq += residual[:, a] ** 2

@@ -12,10 +12,11 @@ random input (starts X_0, then N q-vectors of normals per row) is drawn
 apart from the arithmetic that builds the paths and weights from it, which
 runs whole or block by block of consecutive rows, with the same bits.
 
-Every per-row pass runs along the long row axis: normals and paths are
-stored time-major, and a length-d parameter vector is applied one state
-coordinate at a time.  A numpy pass whose innermost loop runs over d or q
-elements per row costs several times one over the M rows of a column.
+The per-row passes of the benchmarked Brownian path run along the long
+row axis: normals and paths are stored time-major, and the drift and the
+start box are applied one state coordinate at a time.  A numpy pass whose
+innermost loop runs over d or q elements per row costs several times one
+over the M rows of a column.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ def _by_column(
     return out
 
 
+def _times_columns(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = values[:, None] * h for (M,) values and (M, q) h, one column at
+    a time: the broadcast's bits with the M rows in each inner loop."""
+    for a in range(h.shape[1]):
+        np.multiply(values, h[:, a], out=out[:, a])
+    return out
+
+
 def _check_vector(subject: str, value: np.ndarray, d: int) -> None:
     """Reject a model parameter that is not a finite vector of length d."""
     if value.shape != (d,):
@@ -163,10 +172,7 @@ class MarkovModel:
             offsets -= 0.5
             offsets *= self.x0_width
             return _by_column(np.add, offsets, self.x0, offsets)
-        starts = np.empty((M, self.d))
-        for a, value in enumerate(self.x0):
-            starts[:, a] = value
-        return starts
+        return np.broadcast_to(self.x0, (M, self.d)).copy()
 
     def step(
         self, grid: TimeGrid, k: int, x_k: np.ndarray, dW_k: np.ndarray, out: np.ndarray
@@ -307,8 +313,8 @@ class GeometricBrownianModel(MarkovModel):
 
     def step(self, grid, k, x_k, dW_k, out):
         """X_{k+1} = X_k * exp(sigma dW_k + (mu - sigma^2/2) (t_{k+1} - t_k))."""
-        _by_column(np.multiply, dW_k, self.sigma, out)
-        _by_column(np.add, out, (self.mu - 0.5 * self.sigma**2) * grid.steps[k], out)
+        np.multiply(self.sigma, dW_k, out=out)
+        out += (self.mu - 0.5 * self.sigma**2) * grid.steps[k]
         np.exp(out, out=out)
         out *= x_k
 
@@ -318,12 +324,10 @@ class GeometricBrownianModel(MarkovModel):
         """Exact draw X_i = X_0 exp((mu - sigma^2/2) t_i + sigma sqrt(t_i) Z)."""
         t = grid.points[i]
         starts = self._draw_start(M, rng)
-        growth = rng.standard_normal((M, self.d))
-        _by_column(np.multiply, growth, self.sigma * np.sqrt(t), growth)
-        _by_column(np.add, growth, (self.mu - 0.5 * self.sigma**2) * t, growth)
-        np.exp(growth, out=growth)
-        growth *= starts
-        return growth
+        return starts * np.exp(
+            (self.mu - 0.5 * self.sigma**2) * t
+            + self.sigma * np.sqrt(t) * rng.standard_normal((M, self.d))
+        )
 
     malliavin_weights = BrownianModel.malliavin_weights
 

@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .model import _times_columns
+
 __all__ = [
     "Design",
     "LocalPolynomialBasis",
@@ -312,9 +314,7 @@ class LocalPolynomialEstimator:
         out = np.take(self._columns[0], cells, axis=0)
         for c in range(1, rows.shape[1]):
             term = np.take(self._columns[c], cells, axis=0)
-            for o in range(term.shape[1]):
-                term[:, o] *= rows[:, c]
-            out += term
+            out += _times_columns(rows[:, c], term, term)
         if self.level is not None:
             np.clip(out, -self.level, self.level, out=out)
         return out

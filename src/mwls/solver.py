@@ -29,7 +29,7 @@ import numpy as np
 from .constants import BoundsTable, ProblemConstants, _check_terminal_constants, bounds_table
 from .errors import NumericalError
 from .grid import TimeGrid
-from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
+from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws, _times_columns
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
     LocalPolynomialEstimator,
@@ -210,14 +210,6 @@ def _responses(
         s_z += term
         s_y += f_vals[k] * grid.steps[k]
     return s_z, s_y, y_next
-
-
-def _times_columns(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = values[:, None] * h for (M,) values and (M, q) h, one column at
-    a time: the broadcast's bits with the M rows in each inner loop."""
-    for a in range(h.shape[1]):
-        np.multiply(values, h[:, a], out=out[:, a])
-    return out
 
 
 def _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design) -> None:

@@ -310,7 +310,7 @@ def test_estimate_errors_validation():
         estimate_errors(sol, nan_oracle, fresh_m=100)
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 8, 9, 16])
 def test_row_norms_are_bitwise_the_axis_sum_forms(q):
     # magnitudes spread over decades, so a change in the order of the
     # component sums would move last bits

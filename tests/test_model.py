@@ -388,8 +388,8 @@ def test_cloud_normals_are_one_draw_stored_time_major(m, q):
         assert normals[:, k].flags.c_contiguous
 
 
-# Componentwise models at d = q = 3, whose parameter vectors the kernels
-# apply one state coordinate at a time.
+# Componentwise models at d = q = 3: the Brownian kernels apply the drift
+# and start box one state coordinate at a time, the GBM kernels broadcast.
 _D3_MODELS = {
     "brownian-3d": lambda: brownian_model(
         d=3, drift=[0.4, -0.3, 0.1], x0=[0.5, -1.0, 2.0], x0_width=1.5
