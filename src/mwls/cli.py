@@ -28,6 +28,7 @@ from .errors import NumericalError
 from .grid import TimeGrid, make_theta_grid
 from .harness import (
     Benchmark,
+    _check_m_sweep,
     convergence_study,
     estimate_errors,
     register_benchmarks,
@@ -37,8 +38,6 @@ from .regression import LocalPolynomialBasis
 from .solver import _per_index, _per_index_inputs, mwls_solve, problem_constants
 
 __all__ = ["RunConfig", "load_config", "main"]
-
-THREADS_ENV_VAR = "MWLS_MAX_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +308,6 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
     model = benchmark.model
     y_bases = [LocalPolynomialBasis(degree, dy, radius, model.d) for dy in delta]
     z_bases = [LocalPolynomialBasis(degree, dz, radius, model.d, model.q) for dz in delta_z]
-    if command != "bounds":
-        for sizes in m if command == "sweep" else [m]:
-            try:  # the bases fit the model: only a cloud size can fail
-                _per_index_inputs(model, grid.N, y_bases, z_bases, sizes)
-            except ValueError as exc:
-                raise ValueError(f"{name(('simulation', 'm'))}: {exc}") from None
     seed = get(("simulation", "seed"))
     if seed < 0:
         raise ValueError(f"{name(('simulation', 'seed'))} must be >= 0, got {seed}")
@@ -336,6 +329,11 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
                 f"{name(('output', 'dir'))}: cannot create {out_dir!r}, "
                 f"{ancestor!r} is not a directory"
             )
+        check = _check_m_sweep if command == "sweep" else _per_index_inputs
+        try:  # the bases fit the model: only a cloud size can fail
+            check(model, grid.N, y_bases, z_bases, m)
+        except ValueError as exc:
+            raise ValueError(f"{name(('simulation', 'm'))}: {exc}") from None
 
     return RunConfig(
         command=command,
@@ -399,26 +397,6 @@ def _flag_entries(args) -> dict:
         if raw is not None:
             entries[key] = _parse_value(kind, raw, _flag(key))
     return entries
-
-
-def _resolve_threads(requested: int | None) -> int | None:
-    """Apply the environment thread cap to a requested worker count."""
-    cap_raw = os.environ.get(THREADS_ENV_VAR)
-    cap = None
-    if cap_raw is not None:
-        try:
-            cap = int(cap_raw)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR}: cannot parse {cap_raw!r} as int") from None
-        if cap < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-    if requested is not None and requested < 1:
-        raise ValueError(f"--threads must be >= 1, got {requested}")
-    if cap is None:
-        return requested
-    if requested is None:
-        return cap
-    return min(requested, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +562,6 @@ def cmd_sweep(args) -> int:
         raise ValueError(
             f"--index: readout index {args.index} out of range [0, {cfg.grid.N - 1}]"
         )
-    threads = _resolve_threads(args.threads)
     study = convergence_study(
         cfg.benchmark,
         cfg.grid,
@@ -594,7 +571,6 @@ def cmd_sweep(args) -> int:
         seed=cfg.seed,
         fresh_m=cfg.fresh_m,
         index=args.index,
-        threads=threads,
     )
     def echo(values):  # a per-index list of one repeated value echoes as that value
         return values[0] if len(set(values)) == 1 else values
@@ -690,7 +666,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated cloud sizes")
     sweep_p.add_argument("--index", type=int, default=None,
                          help="readout time index (default: middle)")
-    sweep_p.add_argument("--threads", type=int, default=None, help="worker threads")
     sweep_p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -333,6 +333,15 @@ def _oscillation(pc: ProblemConstants, ttg: np.ndarray) -> np.ndarray:
     return np.full_like(ttg, 2.0 * pc.C_xi)
 
 
+def _time_to_go(pc: ProblemConstants, grid: TimeGrid) -> np.ndarray:
+    """T - t_i for i = 0..N-1, once the grid's horizon matches pc.T."""
+    if abs(grid.T - pc.T) > 1e-12 * max(1.0, pc.T):
+        raise ValueError(
+            f"grid horizon {grid.T} does not match declared horizon {pc.T}"
+        )
+    return pc.T - grid.points[:-1]
+
+
 def as_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Almost-sure bounds (C_y[i], C_z[i]) on the solution, i = 0..N-1.
 
@@ -345,12 +354,8 @@ def as_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.ndar
 
     with osc_i the conditional-oscillation bound (see `_oscillation`).
     """
-    if abs(grid.T - pc.T) > 1e-12 * max(1.0, pc.T):
-        raise ValueError(
-            f"grid horizon {grid.T} does not match declared horizon {pc.T}"
-        )
+    ttg = _time_to_go(pc, grid)
     a = apriori_constants(pc)
-    ttg = pc.T - grid.points[:-1]
     c_y = _safe_prod(a.A1y, pc.C_xi) + _scaled(
         _safe_prod(a.A2y, pc.C_f, B_const(pc.theta_C, 1.0, pc.R_pi)),
         ttg**pc.theta_C,
@@ -455,12 +460,8 @@ def obs_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.nda
         Theta_y[i] = c1 + c2 (T-t_i)^theta_C,
         Theta_z[i] = c3 (T-t_i)^(-1/2) + c4 (T-t_i)^(theta_C-1/2).
     """
-    if abs(grid.T - pc.T) > 1e-12 * max(1.0, pc.T):
-        raise ValueError(
-            f"grid horizon {grid.T} does not match declared horizon {pc.T}"
-        )
+    ttg = _time_to_go(pc, grid)
     c1, c2, c3, c4 = _theta_coefficients(pc)
-    ttg = pc.T - grid.points[:-1]
     theta_y = c1 + c2 * ttg**pc.theta_C
     theta_z = c3 / np.sqrt(ttg) + c4 * ttg ** (pc.theta_C - 0.5)
     return theta_y, theta_z

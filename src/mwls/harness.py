@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -540,15 +541,15 @@ def tune_parameters(
     regime: str,
     theta_pi: float | None = None,
     T: float = 1.0,
-    grid: TimeGrid | None = None,
 ) -> TuningPlan:
     """Evaluate the balancing rules for basis sizes and cloud sizes.
 
     Smooth regime: delta_y = N^(-kappa/(l+1)), delta_z = N^(-kappa/l), and
     M = ceil((log(N+1))^(d+1) N^(kappa(2+d/l))), all uniform in i.  Hölder
     regime: the same scaled by sqrt(T-t_i) per index, with M_i additionally
-    multiplied by (T-t_i)^(-d/2); the default grid concentrates points near
-    the horizon with exponent theta_pi.  R = 2 kappa log(N+1) / lam in both.
+    multiplied by (T-t_i)^(-d/2), on a grid that concentrates points near
+    the horizon with exponent theta_pi, which only this regime takes.
+    R = 2 kappa log(N+1) / lam in both.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -571,10 +572,9 @@ def tune_parameters(
             raise ValueError("holder regime requires theta_pi")
         if not 0.0 < theta_pi <= 1.0:
             raise ValueError(f"theta_pi must lie in (0, 1], got {theta_pi}")
-    if grid is None:
-        grid = make_theta_grid(T, N, theta=theta_pi if regime == "holder" else 1.0)
-    elif grid.N != N:
-        raise ValueError(f"grid has {grid.N} steps, expected N={N}")
+    elif theta_pi is not None:
+        raise ValueError(f"theta_pi applies to the holder regime only, got {theta_pi}")
+    grid = make_theta_grid(T, N, theta=theta_pi if regime == "holder" else 1.0)
 
     log_n1 = math.log(N + 1.0)
     radius = 2.0 * kappa * log_n1 / lam
@@ -655,6 +655,21 @@ class StudyTable:
     reports: tuple
 
 
+def _check_m_sweep(
+    model: MarkovModel,
+    N: int,
+    y_basis: LocalPolynomialBasis | Sequence[LocalPolynomialBasis],
+    z_basis: LocalPolynomialBasis | Sequence[LocalPolynomialBasis],
+    m_values: Sequence[int],
+) -> None:
+    """Reject the cloud sizes of an M sweep before any point is solved:
+    fewer than two distinct values, or any value the bases cannot fit."""
+    if len(set(m_values)) < 2:
+        raise ValueError("an M sweep needs at least two distinct values")
+    for m in m_values:
+        _per_index_inputs(model, N, y_basis, z_basis, m)
+
+
 def convergence_study(
     benchmark: Benchmark,
     grid: TimeGrid,
@@ -664,24 +679,23 @@ def convergence_study(
     seed: int,
     fresh_m: int = 20_000,
     index: int | None = None,
-    threads: int | None = None,
 ) -> StudyTable:
     """Sweep the cloud size M: one solver run per value, errors and slopes.
 
     y_basis and z_basis are one basis for every index or per-index lists,
     as in `mwls_solve`; each value of m_values is used at every index.
     Each sweep point runs with its own derived seed, so points are
-    independent and the study is reproducible regardless of thread count.
-    The readout errors are taken at one time index (default: the middle);
-    slopes are least-squares fits of log error against log M.
+    independent and the study is reproducible regardless of how many run
+    at once: min(points, CPUs this process may run on).  The exception of
+    the first failed point in sweep order is raised here unchanged; the
+    points not yet started by then are cancelled.  The readout errors are
+    taken at one time index (default: the middle); slopes are least-squares
+    fits of log error against log M.
     """
-    if len(m_values) < 2:
-        raise ValueError("an M sweep needs at least two values")
+    _check_m_sweep(benchmark.model, grid.N, y_basis, z_basis, m_values)
     readout = grid.N // 2 if index is None else int(index)
     if not 0 <= readout < grid.N:
         raise ValueError(f"readout index {readout} out of range [0, {grid.N - 1}]")
-    for m in m_values:  # all of them, before any point is solved
-        _per_index_inputs(benchmark.model, grid.N, y_basis, z_basis, m)
 
     def run_point(point: int) -> ErrorReport:
         point_seed = derive_seed(seed, point)
@@ -697,12 +711,12 @@ def convergence_study(
         )
         return estimate_errors(sol, benchmark, fresh_m=fresh_m, seed=point_seed)
 
-    workers = threads if threads else min(len(m_values), 4)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_point, range(len(m_values))))
+    if hasattr(os, "sched_getaffinity"):  # the CPU set, which `taskset` narrows
+        cpus = len(os.sched_getaffinity(0))
     else:
-        reports = [run_point(point) for point in range(len(m_values))]
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(len(m_values), cpus)) as pool:
+        reports = list(pool.map(run_point, range(len(m_values))))
 
     emp_y = np.array([r.emp_y[readout] for r in reports])
     emp_z = np.array([r.emp_z[readout] for r in reports])

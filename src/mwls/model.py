@@ -112,14 +112,6 @@ def _by_column(
     return out
 
 
-def _times_columns(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = values[:, None] * h for (M,) values and (M, q) h, one column at
-    a time: the broadcast's bits with the M rows in each inner loop."""
-    for a in range(h.shape[1]):
-        np.multiply(values, h[:, a], out=out[:, a])
-    return out
-
-
 def _check_vector(subject: str, value: np.ndarray, d: int) -> None:
     """Reject a model parameter that is not a finite vector of length d."""
     if value.shape != (d,):

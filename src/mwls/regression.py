@@ -26,8 +26,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import _times_columns
-
 __all__ = [
     "Design",
     "LocalPolynomialBasis",
@@ -46,6 +44,14 @@ __all__ = [
 # Rows are monomials of unit cell coordinates: a well-filled cell has
 # cond(G) <= ~200 up to degree 3, so only sparse or lopsided cells fall back.
 _GRAM_RCOND = 1e-3
+
+
+def _times_columns(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = values[:, None] * h for (M,) values and (M, q) h, one column at
+    a time: the broadcast's bits with the M rows in each inner loop."""
+    for a in range(h.shape[1]):
+        np.multiply(values, h[:, a], out=out[:, a])
+    return out
 
 
 def _graded_powers(degree: int, d: int) -> np.ndarray:

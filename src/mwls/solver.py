@@ -29,10 +29,11 @@ import numpy as np
 from .constants import BoundsTable, ProblemConstants, _check_terminal_constants, bounds_table
 from .errors import NumericalError
 from .grid import TimeGrid
-from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws, _times_columns
+from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
     LocalPolynomialEstimator,
+    _times_columns,
     ols_fit,
     shared_designs,
     truncate_estimator,

@@ -379,6 +379,10 @@ def test_tune_holder_stdout_rows(capsys):
             "cloud size out of range: N=5, kappa=10.0, l=1, d=1, lambda=1.0 give M=1.49e+22, "
             "above 9.22e+18",
         ),
+        (
+            ["--kappa", "0.5", "--lambda", "1", "--regime", "smooth", "--theta-pi", "7"],
+            "theta_pi applies to the holder regime only, got 7.0",
+        ),
     ],
 )
 def test_tune_rejects_bad_parameters(capsys, argv, message):
@@ -487,7 +491,9 @@ def test_list_flags_take_per_index_values(tmp_path, capsys, argv, report, echo):
     assert echo in (out_dir / report).read_text()
 
 
-def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, monkeypatch):
+def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, use_cpus, sweep_pools):
+    """The sweep runs min(points, usable CPUs) points at once, so `taskset`
+    caps it; the report does not depend on the count."""
     args = [
         "sweep",
         "--problem", "b1",
@@ -499,13 +505,11 @@ def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, monkeypatc
         "--fresh-m", "400",
         "--seed", "5",
     ]
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "1")
-    rc = main(args + ["--out", str(tmp_path / "s1"), "--threads", "8"])
-    assert rc == 0
-    monkeypatch.delenv(cli.THREADS_ENV_VAR)
-    rc = main(args + ["--out", str(tmp_path / "s2"), "--threads", "2"])
-    assert rc == 0
+    for cpus, out in ((1, "s1"), (3, "s2")):
+        use_cpus(cpus)
+        assert main(args + ["--out", str(tmp_path / out)]) == 0
     capsys.readouterr()
+    assert sweep_pools == [1, 2]
 
     text = (tmp_path / "s1" / "sweep.csv").read_text()
     lines = text.splitlines()
@@ -516,16 +520,6 @@ def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, monkeypatc
     assert any(line.startswith("# slope_fresh_z=") for line in lines)
     # results do not depend on the worker count
     assert _read(tmp_path / "s1" / "sweep.csv") == _read(tmp_path / "s2" / "sweep.csv")
-
-
-def test_sweep_rejects_bad_thread_cap(monkeypatch, capsys):
-    monkeypatch.setenv(cli.THREADS_ENV_VAR, "zero")
-    rc = main(
-        ["sweep", "--problem", "zero", "--n", "2", "--degree", "0", "--delta", "2.0",
-         "--radius", "2.0", "--m-values", "30,60"]
-    )
-    assert rc == 1
-    assert "MWLS_MAX_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +718,18 @@ _UNDER_A_FILE = str(Path(__file__) / "out")
         (
             ["bench", "--problem", "b1", "--out", _UNDER_A_FILE],
             f"--out: cannot create {_UNDER_A_FILE!r}, {__file__!r} is not a directory",
+        ),
+        (
+            ["sweep", "--problem", "b1", "--n", "4", "--m-values", "150,150"],
+            "--m-values: an M sweep needs at least two distinct values",
+        ),
+        (
+            ["sweep", "--problem", "b1", "--n", "4", "--m-values", "150"],
+            "--m-values: an M sweep needs at least two distinct values",
+        ),
+        (
+            ["sweep", "--problem", "b1", "--m-values", "100,200", "--threads", "2"],
+            "unrecognized arguments: --threads 2",
         ),
     ],
 )

@@ -1,12 +1,16 @@
 """Tests for benchmarks, error reports, tuning rules, and sweep studies."""
 
 import math
+import os
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import mwls.harness
+from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
 from mwls.harness import (
     approximation_study,
@@ -386,24 +390,23 @@ def test_tune_validation():
         tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=float("nan"), regime="smooth")
     with pytest.raises(ValueError, match="not self-consistent at index 0"):
         tune_parameters(N=1, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth")
-    grid = make_theta_grid(1.0, 5)
-    with pytest.raises(ValueError, match="expected N=10"):
-        tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth", grid=grid)
+    with pytest.raises(ValueError, match="theta_pi applies to the holder regime only, got 0.5"):
+        tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth", theta_pi=0.5)
 
 
 # ---------------------------------------------------------------------------
 # sweep studies
 
 
-def test_convergence_study_m_sweep():
+def test_convergence_study_m_sweep(monkeypatch, use_cpus, sweep_pools):
     # narrow start box and wide basis support: the statistical error is the
     # only error source, so it must shrink with the cloud size
     bench = benchmark_b1(x0_width=3.0)
     grid = make_theta_grid(1.0, 4)
     basis = _linear_basis(delta=1.0, radius=5.0)
+    use_cpus(1)
     study = convergence_study(
-        bench, grid, basis, basis, m_values=[400, 1600, 6400],
-        seed=71, fresh_m=3000, threads=1,
+        bench, grid, basis, basis, m_values=[400, 1600, 6400], seed=71, fresh_m=3000,
     )
     assert study.parameter == "m"
     assert study.index == 2
@@ -415,21 +418,60 @@ def test_convergence_study_m_sweep():
         study.costs, [grid.N * grid.N * m for m in (400, 1600, 6400)]
     )
 
-    # thread count must not change the results
-    threaded = convergence_study(
-        bench, grid, basis, basis, m_values=[400, 1600, 6400],
-        seed=71, fresh_m=3000, threads=3,
+    # the worker count, min(points, usable CPUs), must not change the results;
+    # without an affinity call the CPU count stands in for the CPU set
+    use_cpus(3)
+    wide = convergence_study(
+        bench, grid, basis, basis, m_values=[400, 1600, 6400], seed=71, fresh_m=3000,
     )
-    np.testing.assert_array_equal(study.fresh_y, threaded.fresh_y)
-    np.testing.assert_array_equal(study.fresh_z, threaded.fresh_z)
-    np.testing.assert_array_equal(study.emp_y, threaded.emp_y)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    counted = convergence_study(
+        bench, grid, basis, basis, m_values=[400, 1600, 6400], seed=71, fresh_m=3000,
+    )
+    assert sweep_pools == [1, 3, 2]
+    for other in (wide, counted):
+        np.testing.assert_array_equal(study.fresh_y, other.fresh_y)
+        np.testing.assert_array_equal(study.fresh_z, other.fresh_z)
+        np.testing.assert_array_equal(study.emp_y, other.emp_y)
+        np.testing.assert_array_equal(study.emp_z, other.emp_z)
 
-    with pytest.raises(ValueError, match="at least two"):
-        convergence_study(bench, grid, basis, basis, m_values=[400], seed=71)
+    for m_values in ([400], [400, 400]):
+        with pytest.raises(ValueError, match="at least two distinct values"):
+            convergence_study(bench, grid, basis, basis, m_values=m_values, seed=71)
     with pytest.raises(ValueError, match="readout index"):
         convergence_study(
             bench, grid, basis, basis, m_values=[400, 800], seed=71, index=9
         )
+
+
+def test_convergence_study_failed_point_stops_the_sweep(monkeypatch, use_cpus):
+    """On one worker the first point fails: its exception reaches the caller
+    as raised, the points still queued never start, and no thread is left."""
+    use_cpus(1)
+    failure = NumericalError("the first point fails")
+    started = []
+    solve = mwls.harness.mwls_solve
+
+    def first_fails(*args, cloud_sizes, **kwargs):
+        started.append(cloud_sizes)
+        if cloud_sizes == 400:
+            raise failure
+        time.sleep(0.2)  # the caller cancels the queued points meanwhile
+        return solve(*args, cloud_sizes=cloud_sizes, **kwargs)
+
+    monkeypatch.setattr(mwls.harness, "mwls_solve", first_fails)
+    basis = _linear_basis(delta=1.0, radius=5.0)
+    before = threading.active_count()
+    with pytest.raises(NumericalError) as caught:
+        convergence_study(
+            benchmark_b1(x0_width=3.0), make_theta_grid(1.0, 4), basis, basis,
+            m_values=[400, 800, 1600, 3200, 6400], seed=71, fresh_m=300,
+        )
+    assert caught.value is failure
+    # the worker may have taken the second point before the failure was read
+    assert started in ([400], [400, 800])
+    assert threading.active_count() == before
 
 
 def test_convergence_study_checks_every_cloud_size_before_solving(monkeypatch):
