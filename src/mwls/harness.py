@@ -28,6 +28,8 @@ from .solver import (
     DriverSpec,
     MwlsSolution,
     TerminalSpec,
+    _check_integer,
+    _one_worker,
     _per_index_inputs,
     mwls_solve,
     problem_constants,
@@ -58,7 +60,9 @@ class Benchmark:
 
     The oracles take (grid, i, points) with points of shape (M, d) and
     return the exact y values (M,) and z values (M, q) of the discrete
-    backward equation on that grid.
+    backward equation on that grid.  They may be called from two threads at
+    once: `estimate_errors` scores fresh samples on a helper thread, and
+    `convergence_study` runs sweep points side by side.
     """
 
     name: str
@@ -421,12 +425,20 @@ def estimate_errors(
         fresh_m: sample count for the fresh-sample (true-law) norm estimates;
             these use random streams disjoint from every solver cloud.
         seed: stream seed for the fresh samples (default: the run's seed).
+
+    Each index has a training part (emp_* and e_app_*, over the run's own
+    marginal) and a fresh part (fresh_* and fresh_*_se).  One helper thread
+    runs the fresh parts in index order while the calling thread runs the
+    training parts, so the oracles may be called from both at once.  Each
+    part writes only its own index's entries, and the report has the bits
+    of running the parts one after another.  Of any failures, the first in
+    the order training(0), fresh(0), training(1), ... is raised here, once
+    the helper thread has stopped; no fresh part after a failed one starts.
     """
-    if fresh_m < 1:
-        raise ValueError(f"fresh_m must be >= 1, got {fresh_m}")
+    fresh_m = _check_integer(fresh_m, "fresh_m", 1)
+    seed = sol.seed if seed is None else _check_integer(seed, "seed", 0)
     grid, model = sol.grid, sol.model
     n, q = grid.N, model.q
-    seed = sol.seed if seed is None else int(seed)
 
     emp_y = np.zeros(n)
     emp_z = np.zeros(n)
@@ -436,7 +448,9 @@ def estimate_errors(
     fresh_z_se = np.zeros(n)
     e_app_y = np.zeros(n)
     e_app_z = np.zeros(n)
-    for i in range(n):
+
+    def training(i: int) -> None:
+        """emp_* and e_app_* at index i, over the run's own marginal."""
         pts = sol.marginals[i]
         y_fit, z_fit = sol.y_fits[i], sol.z_fits[i]
         y_design, z_design = shared_designs(pts, y_fit.basis, z_fit.basis)
@@ -452,7 +466,13 @@ def estimate_errors(
         e_app_y[i] = _rms(app_y.evaluate(pts, design=y_design)[:, 0] - oy)
         e_app_z[i] = _rms(app_z.evaluate(pts, design=z_design) - oz)
 
-        del y_design, z_design  # one point set's designs alive at a time
+    def fresh(i: int, previous) -> None:
+        """fresh_* and fresh_*_se at index i, over a fresh sample of X_i;
+        previous is index i - 1's part, and if it failed this one raises its
+        exception without starting."""
+        if previous is not None:
+            previous.result()
+        y_fit, z_fit = sol.y_fits[i], sol.z_fits[i]
         fresh_pts = sample_marginal(model, grid, i, fresh_m, seed).reshape(fresh_m, -1)
         y_design, z_design = shared_designs(fresh_pts, y_fit.basis, z_fit.basis)
         foy = _oracle_values(oracle.y_oracle, grid, i, fresh_pts, (fresh_m,), "y")
@@ -463,6 +483,15 @@ def estimate_errors(
         fresh_z[i], fresh_z_se[i] = _norm_and_se(
             z_fit.evaluate(fresh_pts, design=z_design) - foz
         )
+
+    with _one_worker() as helper:
+        fresh_parts: list = []
+        for i in range(n):
+            fresh_parts.append(helper.submit(fresh, i, fresh_parts[-1] if i else None))
+        helper.shutdown(wait=False)
+        for i in range(n):
+            training(i)
+            fresh_parts[i].result()
 
     k_y = np.array([fit.basis.K for fit in sol.y_fits], dtype=float)
     k_z = np.array([fit.basis.K for fit in sol.z_fits], dtype=float)

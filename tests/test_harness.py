@@ -1,9 +1,12 @@
 """Tests for benchmarks, error reports, tuning rules, and sweep studies."""
 
+import contextlib
 import math
 import os
+import sys
 import threading
 import time
+from concurrent.futures import Future
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,9 +26,9 @@ from mwls.harness import (
     register_benchmarks,
     tune_parameters,
 )
-from mwls.model import BrownianModel, sample_cloud
+from mwls.model import BrownianModel, brownian_model, sample_cloud
 from mwls.regression import LocalPolynomialBasis
-from mwls.solver import mwls_solve
+from mwls.solver import DriverSpec, TerminalSpec, mwls_solve
 
 
 def _linear_basis(delta=1.0, radius=4.0):
@@ -312,6 +315,224 @@ def test_estimate_errors_validation():
     )
     with pytest.raises(ValueError, match="non-finite"):
         estimate_errors(sol, nan_oracle, fresh_m=100)
+
+
+def test_estimate_errors_checks_fresh_m_and_seed_before_any_thread(monkeypatch):
+    bench = benchmark_b1()
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    sol = mwls_solve(
+        bench.model, grid, bench.driver, bench.terminal, basis, basis,
+        cloud_sizes=400, seed=63,
+    )
+    reference = estimate_errors(sol, bench, fresh_m=100, seed=4)
+    opened = []
+    monkeypatch.setattr(mwls.harness, "_one_worker", lambda: opened.append(1))
+    for fresh_m in (100.5, 100.0, True, 0, -3, "100", None):
+        with pytest.raises(ValueError, match="fresh_m must be an integer >= 1, got "):
+            estimate_errors(sol, bench, fresh_m=fresh_m)
+    for seed in (-1, 1.5, 4.0, True, "4"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got "):
+            estimate_errors(sol, bench, fresh_m=100, seed=seed)
+    assert opened == []
+    monkeypatch.undo()
+    numpy_ints = estimate_errors(sol, bench, fresh_m=np.int64(100), seed=np.uint8(4))
+    assert type(numpy_ints.fresh_m) is int and type(numpy_ints.seed) is int
+    assert _report_bytes(numpy_ints) == _report_bytes(reference)
+
+
+# ---------------------------------------------------------------------------
+# fresh parts of estimate_errors on the helper thread
+
+
+@contextlib.contextmanager
+def _inline_worker():
+    """Stands in for the helper thread: each part runs as it is submitted,
+    on the caller's thread, and its result or exception goes in its future."""
+
+    class Inline:
+        def submit(self, fn, *args):
+            done = Future()
+            try:
+                done.set_result(fn(*args))
+            except Exception as exc:
+                done.set_exception(exc)
+            return done
+
+        def shutdown(self, wait=True):
+            pass
+
+    yield Inline()
+
+
+def _report_bytes(report) -> dict:
+    """Every field of an ErrorReport, arrays as their raw bytes."""
+    return {
+        name: value.tobytes() if isinstance(value, np.ndarray) else value
+        for name, value in vars(report).items()
+    }
+
+
+def _b3_problem(n):
+    bench = benchmark_b3(alpha=0.5, x0_width=3.0)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    return bench, make_theta_grid(1.0, n), basis, basis
+
+
+def _d2_problem():
+    """d = 2 Brownian motion, a driver that reads z, and closed-form maps that
+    serve as oracles (they need not be exact for these checks)."""
+    driver = DriverSpec(
+        fn=lambda k, x, y, z: 0.3 * y + 0.2 * z[:, 0] - 0.1 * z[:, 1],
+        L_f=0.5, C_f=0.0,
+    )
+    terminal = TerminalSpec(
+        fn=lambda x: np.tanh(x[:, 0] + x[:, 1]), C_xi=1.0, C_phi=math.sqrt(2.0),
+        theta_phi=1.0,
+    )
+    bench = SimpleNamespace(
+        model=brownian_model(d=2, x0=0.0, x0_width=3.0),
+        driver=driver,
+        terminal=terminal,
+        y_oracle=lambda g, i, pts: np.tanh(pts[:, 0] + pts[:, 1]),
+        z_oracle=lambda g, i, pts: np.cosh(pts[:, :1] - pts) ** -2,
+    )
+    y_basis = LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=2)
+    z_basis = LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=2, out_dim=2)
+    return bench, make_theta_grid(1.0, 3), y_basis, z_basis
+
+
+def _solve(bench, grid, y_basis, z_basis, m, seed):
+    return mwls_solve(
+        bench.model, grid, bench.driver, bench.terminal, y_basis, z_basis,
+        cloud_sizes=m, seed=seed,
+    )
+
+
+@pytest.mark.parametrize("problem", ["b3", "d2"])
+def test_fresh_parts_run_on_one_helper_thread_with_the_same_bits(monkeypatch, problem):
+    """Every fresh sample is drawn on one thread other than the caller's, the
+    training points are scored on the caller's, and the report has the bits
+    of running every part on the caller's thread."""
+    bench, grid, y_basis, z_basis = _b3_problem(4) if problem == "b3" else _d2_problem()
+    m, fresh_m = 1500, 700  # oracle calls on training and fresh points differ in rows
+    sol = _solve(bench, grid, y_basis, z_basis, m, seed=81)
+    calls = []  # (kind, rows, thread)
+
+    def recorded(kind, fn):
+        def call(*args):
+            rows = args[3] if kind == "marginal" else args[2].shape[0]
+            calls.append((kind, rows, threading.get_ident()))
+            return fn(*args)
+
+        return call
+
+    oracle = SimpleNamespace(
+        y_oracle=recorded("oracle", bench.y_oracle), z_oracle=recorded("oracle", bench.z_oracle)
+    )
+    monkeypatch.setattr(
+        mwls.harness, "sample_marginal", recorded("marginal", mwls.harness.sample_marginal)
+    )
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the interpreter far more often
+    try:
+        shipped = estimate_errors(sol, oracle, fresh_m=fresh_m, seed=82)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    caller = threading.get_ident()
+    drawn_on = {thread for kind, _, thread in calls if kind == "marginal"}
+    assert len(drawn_on) == 1 and caller not in drawn_on
+    assert sum(kind == "marginal" for kind, _, _ in calls) == grid.N
+    training = [thread for kind, rows, thread in calls if kind == "oracle" and rows == m]
+    fresh = [thread for kind, rows, thread in calls if kind == "oracle" and rows == fresh_m]
+    assert len(training) == len(fresh) == 2 * grid.N
+    assert set(training) == {caller}
+    assert set(fresh) == drawn_on
+
+    monkeypatch.setattr(mwls.harness, "_one_worker", _inline_worker)
+    inline = estimate_errors(sol, oracle, fresh_m=fresh_m, seed=82)
+    assert _report_bytes(shipped) == _report_bytes(inline)
+
+
+@pytest.mark.parametrize(
+    "fresh_fails_at, training_fails_at, raised",
+    [(1, 2, "fresh"), (0, 0, "training")],
+)
+def test_estimate_errors_raises_the_first_failure_in_index_order(
+    monkeypatch, fresh_fails_at, training_fails_at, raised
+):
+    """Of failures in the training and fresh parts, the first in the order
+    training(0), fresh(0), training(1), ... is raised as is; no fresh part
+    after a failed one starts, and no thread is left."""
+    bench, grid, basis, _ = _b3_problem(4)
+    m, fresh_m = 400, 300
+    sol = _solve(bench, grid, basis, basis, m, seed=83)
+    failures = {
+        "fresh": RuntimeError(f"fresh points at index {fresh_fails_at}"),
+        "training": RuntimeError(f"training points at index {training_fails_at}"),
+    }
+
+    def y_oracle(grid, i, pts):
+        if pts.shape[0] == fresh_m and i == fresh_fails_at:
+            raise failures["fresh"]
+        if pts.shape[0] == m and i == training_fails_at:
+            raise failures["training"]
+        return bench.y_oracle(grid, i, pts)
+
+    sampled = []
+    draw = mwls.harness.sample_marginal
+
+    def recorded_draw(model, grid, i, M, seed):
+        sampled.append(i)
+        return draw(model, grid, i, M, seed)
+
+    monkeypatch.setattr(mwls.harness, "sample_marginal", recorded_draw)
+    oracle = SimpleNamespace(y_oracle=y_oracle, z_oracle=bench.z_oracle)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as err:
+        estimate_errors(sol, oracle, fresh_m=fresh_m)
+    assert err.value is failures[raised]
+    assert threading.active_count() == before
+    if raised == "fresh":
+        assert sampled == list(range(fresh_fails_at + 1))
+    else:  # the first part may be cancelled before the helper takes it
+        assert sampled in ([], [0])
+
+
+def test_one_step_grid_solves_and_reports_with_the_same_bits(monkeypatch):
+    """N = 1: the solve draws no cloud ahead and the helper gets one part."""
+    bench, grid, basis, _ = _b3_problem(1)
+    before = threading.active_count()
+    sol = _solve(bench, grid, basis, basis, 600, seed=84)
+    shipped = estimate_errors(sol, bench, fresh_m=500)
+    assert threading.active_count() == before
+    assert shipped.fresh_y.shape == shipped.emp_z.shape == (1,)
+    assert np.all(np.isfinite(shipped.fresh_y)) and shipped.fresh_y[0] > 0.0
+    monkeypatch.setattr(mwls.harness, "_one_worker", _inline_worker)
+    inline = estimate_errors(sol, bench, fresh_m=500)
+    assert _report_bytes(shipped) == _report_bytes(inline)
+
+
+def test_the_helper_ends_once_the_fresh_parts_are_done():
+    """With every fresh part done, the helper thread ends while the caller
+    still scores the last training marginal."""
+    bench, grid, basis, _ = _b3_problem(3)
+    sol = _solve(bench, grid, basis, basis, 400, seed=85)
+    ended = []
+
+    def y_oracle(grid, i, pts):
+        if pts.shape[0] == 400 and i == grid.N - 1:
+            deadline = time.monotonic() + 5.0
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.001)
+            ended.append(threading.active_count() == before)
+        return bench.y_oracle(grid, i, pts)
+
+    before = threading.active_count()
+    estimate_errors(sol, SimpleNamespace(y_oracle=y_oracle, z_oracle=bench.z_oracle), fresh_m=300)
+    assert ended == [True]
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 7, 8, 9, 16])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -399,6 +400,40 @@ def test_single_entry_lists_broadcast_like_scalars():
         )
 
 
+def test_cloud_sizes_must_be_integers():
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=2.0)
+    args = (model, grid, zero_driver(), _tanh_terminal(), basis, basis)
+    for sizes, at in ((300.7, 0), ([300.5], 0), ([300, 300, 300.25], 2)):
+        with pytest.raises(ValueError, match=f"cloud size 300.[0-9]+ at time index {at} is not"):
+            mwls_solve(*args, cloud_sizes=sizes, seed=3)
+    whole = mwls_solve(*args, cloud_sizes=300, seed=3)
+    for sizes in (300.0, np.int64(300), [np.int32(300), 300.0, 300]):
+        sol = mwls_solve(*args, cloud_sizes=sizes, seed=3)
+        assert sol.cloud_sizes == (300, 300, 300)
+        assert all(type(m) is int for m in sol.cloud_sizes)
+        for fit, expected in zip(sol.y_fits, whole.y_fits, strict=True):
+            assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+
+
+def test_seed_must_be_a_nonnegative_integer():
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=2.0)
+    args = (model, grid, zero_driver(), _tanh_terminal(), basis, basis)
+    before = threading.active_count()
+    for seed in (-1, 1.5, True, False, "3", None):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got "):
+            mwls_solve(*args, cloud_sizes=100, seed=seed)
+    assert threading.active_count() == before
+    sol = mwls_solve(*args, cloud_sizes=100, seed=np.uint64(3))
+    assert sol.seed == 3 and type(sol.seed) is int
+    plain = mwls_solve(*args, cloud_sizes=100, seed=3)
+    for fit, expected in zip(sol.z_fits, plain.z_fits, strict=True):
+        assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # clouds streamed in blocks from the producer thread
 
@@ -534,3 +569,34 @@ def test_the_producer_draws_apart_and_its_error_reaches_the_caller(monkeypatch):
     assert err.value is failure
     assert threading.active_count() == before
     assert len(drawn_on) == 1 and threading.get_ident() not in drawn_on
+
+
+def _threads_back_to(count, timeout=5.0) -> bool:
+    """Whether threading.active_count() falls to count within timeout s."""
+    deadline = time.monotonic() + timeout
+    while threading.active_count() > count:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def test_the_producer_ends_before_the_last_fits(monkeypatch):
+    """Once index 0's input is drawn the producer thread ends, while the
+    caller still fits index 0."""
+    grid = make_theta_grid(1.0, 3)
+    fit = mwls.solver.ols_fit
+    ended = []
+
+    def last_fits_wait(*args, **kwargs):
+        ended.append(len(ended) < 2 * (grid.N - 1) or _threads_back_to(before))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(mwls.solver, "ols_fit", last_fits_wait)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    before = threading.active_count()
+    mwls_solve(
+        brownian_model(x0=0.0, x0_width=2.0), grid, zero_driver(), _tanh_terminal(),
+        basis, basis, cloud_sizes=500, seed=45,
+    )
+    assert ended == [True] * (2 * grid.N)
