@@ -45,14 +45,12 @@ from .harness import (
 from .model import (
     BrownianModel,
     EulerSdeModel,
-    GeometricBrownianModel,
     MarkovModel,
     SimulationCloud,
     brownian_model,
     cloud_rng,
     derive_seed,
     euler_sde_model,
-    gbm_model,
     sample_cloud,
     sample_marginal,
 )
@@ -99,11 +97,9 @@ __all__ = [
     # model
     "MarkovModel",
     "BrownianModel",
-    "GeometricBrownianModel",
     "EulerSdeModel",
     "SimulationCloud",
     "brownian_model",
-    "gbm_model",
     "euler_sde_model",
     "cloud_rng",
     "derive_seed",

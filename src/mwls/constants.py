@@ -531,39 +531,34 @@ def _per_index_array(name: str, values, n: int) -> np.ndarray:
     return arr
 
 
-def global_error_bound(
-    pc: ProblemConstants,
-    grid: TimeGrid,
-    e_app_y,
-    e_app_z,
-    k_y,
-    k_z,
-    m,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the global error bound from per-index inputs.
+def global_error_bound(table: BoundsTable, e_app_y, e_app_z) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the global error bound from a bounds table and the
+    best-approximation errors per index, e_app_y and e_app_z, length N.
 
-    Args:
-        e_app_y, e_app_z: best-approximation errors per index, length N.
-        k_y, k_z: basis dimensions per index, length N.
-        m: cloud sizes per index, length N.
+    The table must be `bounds_table(pc, grid, k_y, k_z, m)`, built with the
+    basis dimensions and cloud sizes; its constants C, Theta, E_dep and A_M
+    and its K and M enter the bound.
 
     Returns (bound_y, bound_z), upper bounds for the empirical-norm errors
     of the fitted y- and z-estimators at every index.  Contributions indexed
     at N are zero: the terminal estimator is the terminal function itself
-    and no regression happens there.  The constants C, Theta, E_dep and A_M
-    are those of bounds_table(pc, grid, k_y, k_z, m).
+    and no regression happens there.
     """
+    if table.M is None:
+        raise ValueError(
+            "the error bound needs a bounds table built with the basis dimensions "
+            "and cloud sizes, bounds_table(pc, grid, k_y, k_z, m)"
+        )
+    pc, grid = table.pc, table.grid
     N = grid.N
     e_app_y = _per_index_array("e_app_y", e_app_y, N)
     e_app_z = _per_index_array("e_app_z", e_app_z, N)
     if np.any(e_app_y < 0.0) or np.any(e_app_z < 0.0):
         raise ValueError("approximation errors must be nonnegative")
 
-    k_y, k_z, m = (np.asarray(v, dtype=float) for v in (k_y, k_z, m))
-    table = bounds_table(pc, grid, k_y, k_z, m)  # checks k_y, k_z and m
     # Theta sqrt(K/M), 0 at K = 0 even when Theta overflowed to inf
-    stat_y = _scaled(table.Theta_y, np.sqrt(k_y / m))
-    stat_z = _scaled(table.Theta_z, np.sqrt(k_z / m))
+    stat_y = _scaled(table.Theta_y, np.sqrt(table.K_y / table.M))
+    stat_z = _scaled(table.Theta_z, np.sqrt(table.K_z / table.M))
     dep_y, dep_z = table.E_dep_Y, table.E_dep_Z
 
     local_y = e_app_y + stat_y  # per-index y-term of E(k)
@@ -592,9 +587,18 @@ def global_error_bound(
 @dataclass(frozen=True)
 class BoundsTable:
     """Per-index constants of a problem on a grid, plus the scalar stability
-    and propagation constants.  Immutable after construction."""
+    and propagation constants.  Immutable after construction.
 
+    pc, grid, and the basis dimensions K_y, K_z and cloud sizes M per index
+    are the inputs the table was built from; K_y, K_z and M are None for a
+    table built without them.
+    """
+
+    pc: ProblemConstants
     grid: TimeGrid
+    K_y: np.ndarray | None
+    K_z: np.ndarray | None
+    M: np.ndarray | None
     C_y: np.ndarray
     C_z: np.ndarray
     Theta_y: np.ndarray
@@ -638,7 +642,11 @@ def bounds_table(
     a = apriori_constants(pc)
     a_my, a_mz = propagation_constants(pc)
     return BoundsTable(
+        pc=pc,
         grid=grid,
+        K_y=k_y,
+        K_z=k_z,
+        M=m,
         C_y=c_y,
         C_z=c_z,
         Theta_y=theta_y,

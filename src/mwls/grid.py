@@ -12,6 +12,7 @@ evaluates the sums exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,16 @@ class TimeGrid:
         return self.points.size - 1
 
 
+def _as_count(value, subject: str) -> int:
+    """value as an int, if it is an integer or a float with an integral value,
+    and not a bool or a string; else a ValueError saying that subject, which
+    names the argument and its value, is not an integer."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{subject} is not an integer")
+
+
 def make_theta_grid(T: float, N: int, theta: float = 1.0) -> TimeGrid:
     """Grid t_i = T - T (1 - i/N)^(1/theta).
 
@@ -84,6 +95,7 @@ def make_theta_grid(T: float, N: int, theta: float = 1.0) -> TimeGrid:
         raise ValueError(f"terminal time must be positive, got {T}")
     if not np.isfinite(T):
         raise ValueError(f"terminal time must be finite, got {T}")
+    N = _as_count(N, f"N = {N!r}")
     if N < 1:
         raise ValueError(f"need at least one time step, got N = {N}")
     if not 0.0 < theta <= 1.0:
@@ -106,6 +118,7 @@ def random_admissible_grid(
     """
     if T <= 0.0:
         raise ValueError(f"terminal time must be positive, got {T}")
+    N = _as_count(N, f"N = {N!r}")
     if N < 1:
         raise ValueError(f"need at least one time step, got N = {N}")
     if r_max < 1.0:

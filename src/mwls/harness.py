@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import dep_errors, global_error_bound
-from .grid import TimeGrid, make_theta_grid
+from .grid import TimeGrid, _as_count, make_theta_grid
 from .model import MarkovModel, brownian_model, derive_seed, sample_marginal
 from .regression import LocalPolynomialBasis, ols_fit, shared_designs
 from .solver import (
@@ -32,7 +32,6 @@ from .solver import (
     _one_worker,
     _per_index_inputs,
     mwls_solve,
-    problem_constants,
     zero_driver,
 )
 
@@ -332,7 +331,8 @@ class ErrorReport:
     under the true time-i laws from fresh, independent samples, with
     fresh_*_se their Monte Carlo standard errors.  e_app_* are fitted
     approximation-error estimates, dep_* the interdependence error terms,
-    and bound_* the deterministic error-bound evaluation.  cost counts
+    and bound_* the deterministic error bound that `global_error_bound`
+    evaluates from the solution's own table, sol.bounds.  cost counts
     simulated path-steps, N * sum of cloud sizes.
 
     dep_* scale with the observation bounds Theta_y, Theta_z.  The e_dep_*
@@ -493,14 +493,10 @@ def estimate_errors(
             training(i)
             fresh_parts[i].result()
 
-    k_y = np.array([fit.basis.K for fit in sol.y_fits], dtype=float)
-    k_z = np.array([fit.basis.K for fit in sol.z_fits], dtype=float)
-    m = np.asarray(sol.cloud_sizes, dtype=float)
-    dep_y = np.asarray(dep_errors(sol.bounds.Theta_y, k_y, m))
-    dep_z = np.asarray(dep_errors(sol.bounds.Theta_z, k_z, m, q=q))
-
-    pc = problem_constants(model, grid, sol.driver, sol.terminal)
-    bound_y, bound_z = global_error_bound(pc, grid, e_app_y, e_app_z, k_y, k_z, m)
+    table = sol.bounds
+    dep_y = np.asarray(dep_errors(table.Theta_y, table.K_y, table.M))
+    dep_z = np.asarray(dep_errors(table.Theta_z, table.K_z, table.M, q=q))
+    bound_y, bound_z = global_error_bound(table, e_app_y, e_app_z)
 
     return ErrorReport(
         grid=grid,
@@ -580,8 +576,13 @@ def tune_parameters(
     the horizon with exponent theta_pi, which only this regime takes.
     R = 2 kappa log(N+1) / lam in both.
     """
+    N = _as_count(N, f"N = {N!r}")
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
+    if T <= 0.0:
+        raise ValueError(f"T must be positive, got {T}")
+    if not math.isfinite(T):
+        raise ValueError(f"T must be finite, got {T}")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     if not math.isfinite(kappa):
@@ -722,7 +723,7 @@ def convergence_study(
     fits of log error against log M.
     """
     _check_m_sweep(benchmark.model, grid.N, y_basis, z_basis, m_values)
-    readout = grid.N // 2 if index is None else int(index)
+    readout = grid.N // 2 if index is None else _as_count(index, f"readout index {index!r}")
     if not 0 <= readout < grid.N:
         raise ValueError(f"readout index {readout} out of range [0, {grid.N - 1}]")
 

@@ -32,11 +32,9 @@ from .grid import TimeGrid
 __all__ = [
     "MarkovModel",
     "BrownianModel",
-    "GeometricBrownianModel",
     "EulerSdeModel",
     "SimulationCloud",
     "brownian_model",
-    "gbm_model",
     "euler_sde_model",
     "cloud_rng",
     "derive_seed",
@@ -289,42 +287,6 @@ class BrownianModel(MarkovModel):
 
 
 @dataclass(frozen=True, eq=False)
-class GeometricBrownianModel(MarkovModel):
-    """Componentwise geometric Brownian motion,
-    X_t = x0 * exp((mu - sigma^2/2) t + sigma W_t), with Brownian weights."""
-
-    mu: np.ndarray = field(repr=False)
-    sigma: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self._validate_base()
-        for name in ("mu", "sigma"):
-            _check_vector(name, getattr(self, name), self.d)
-        if np.any(self.sigma <= 0.0):
-            raise ValueError("volatility must be positive componentwise")
-
-    def step(self, grid, k, x_k, dW_k, out):
-        """X_{k+1} = X_k * exp(sigma dW_k + (mu - sigma^2/2) (t_{k+1} - t_k))."""
-        np.multiply(self.sigma, dW_k, out=out)
-        out += (self.mu - 0.5 * self.sigma**2) * grid.steps[k]
-        np.exp(out, out=out)
-        out *= x_k
-
-    sample_paths = MarkovModel.sample_paths
-
-    def draw_state(self, grid, i, M, rng):
-        """Exact draw X_i = X_0 exp((mu - sigma^2/2) t_i + sigma sqrt(t_i) Z)."""
-        t = grid.points[i]
-        starts = self._draw_start(M, rng)
-        return starts * np.exp(
-            (self.mu - 0.5 * self.sigma**2) * t
-            + self.sigma * np.sqrt(t) * rng.standard_normal((M, self.d))
-        )
-
-    malliavin_weights = BrownianModel.malliavin_weights
-
-
-@dataclass(frozen=True, eq=False)
 class EulerSdeModel(MarkovModel):
     """Euler scheme for dX = b(t, X) dt + sigma(t, X) dW with weights built
     from the discretized tangent process.
@@ -419,28 +381,6 @@ def brownian_model(
         x0=_as_vector(x0, d, "x0"),
         x0_width=float(x0_width),
         drift=_as_vector(drift, d, "drift"),
-    )
-
-
-def gbm_model(
-    mu=0.0, sigma=0.2, x0=1.0, d: int = 1, x0_width: float = 0.0
-) -> GeometricBrownianModel:
-    """Componentwise geometric Brownian motion with Brownian weights.
-
-    Args:
-        mu: drift rate, scalar or length-d.
-        sigma: volatility, scalar or length-d, positive componentwise.
-        x0: starting point, scalar or length-d.
-        d: state dimension (q = d).
-        x0_width: edge length of a uniform starting box centered at x0.
-    """
-    return GeometricBrownianModel(
-        d=d,
-        C_M=float(np.sqrt(d)),
-        x0=_as_vector(x0, d, "x0"),
-        x0_width=float(x0_width),
-        mu=_as_vector(mu, d, "mu"),
-        sigma=_as_vector(sigma, d, "sigma"),
     )
 
 
@@ -545,22 +485,20 @@ def _cloud_blocks(
     model: MarkovModel,
     grid: TimeGrid,
     i: int,
-    M_i: int,
-    seed: int,
+    draws: tuple[np.ndarray, np.ndarray],
     rows: int,
-    draws: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Iterator[SimulationCloud]:
-    """The index-i cloud of `sample_cloud` as consecutive blocks of up to
-    rows rows; concatenated, the blocks are that cloud bit for bit.
+    """The index-i cloud built from its random input draws, the cloud's
+    `_cloud_draws`, as consecutive blocks of up to rows rows; concatenated,
+    the blocks are that cloud bit for bit.
 
-    draws is the cloud's `_cloud_draws`, drawn here when None.  For each
-    block, X_i is the end of the path from its starts on its first i
-    normals; `sample_paths` builds the tail from X_i on the other N - i,
+    For each block, X_i is the end of the path from its starts on its first
+    i normals; `sample_paths` builds the tail from X_i on the other N - i,
     then come the weights and the finiteness check.  A numerical error
     names its row in the whole cloud.
     """
-    starts, normals = _cloud_draws(model, grid, i, M_i, seed) if draws is None else draws
-    for row0 in range(0, M_i, rows):
+    starts, normals = draws
+    for row0 in range(0, starts.shape[0], rows):
         here = slice(row0, row0 + rows)
         x_i = _path_end(model, grid, i, starts[here], normals[here, :i])
         batch = model.sample_paths(grid, i, x_i, normals[here, i:])
@@ -586,7 +524,7 @@ def sample_cloud(
     streams; the same (seed, i, M_i) reproduces the cloud bit for bit.  It
     is the one-block case of the solver's blocked draw.
     """
-    return next(_cloud_blocks(model, grid, i, M_i, seed, rows=M_i))
+    return next(_cloud_blocks(model, grid, i, _cloud_draws(model, grid, i, M_i, seed), M_i))
 
 
 def sample_marginal(
@@ -595,8 +533,8 @@ def sample_marginal(
     """M fresh i.i.d. draws of X_i, shape (M, d), from their own stream.
 
     X_0 comes from the start law; X_i for i >= 1 from `model.draw_state`,
-    an exact one-step draw for Brownian and geometric Brownian models and
-    the end of an Euler path simulated to t_i otherwise.
+    an exact one-step draw for the Brownian model and the end of an Euler
+    path simulated to t_i otherwise.
     """
     if not 0 <= i <= grid.N:
         raise ValueError(f"marginal index must lie in 0..{grid.N}, got {i}")

@@ -30,7 +30,7 @@ import numpy as np
 
 from .constants import BoundsTable, ProblemConstants, _check_terminal_constants, bounds_table
 from .errors import NumericalError
-from .grid import TimeGrid
+from .grid import TimeGrid, _as_count
 from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
@@ -234,7 +234,8 @@ class MwlsSolution:
     time-i states of the cloud used for the index-i regressions, so
     empirical norms over the training measure can be recomputed without
     re-simulating.  bounds is the constants table for the run's basis
-    dimensions and cloud sizes, interdependence columns included.
+    dimensions and cloud sizes, interdependence columns included; the
+    error bound of `estimate_errors` is evaluated from it.
     """
 
     grid: TimeGrid
@@ -316,9 +317,7 @@ def _per_index_inputs(model: MarkovModel, n: int, y_basis, z_basis, cloud_sizes)
     z_bases = _per_index(z_basis, n, "z basis list")
     sizes = _per_index(cloud_sizes, n, "cloud size list")
     for i in range(n):
-        if not float(sizes[i]).is_integer():
-            raise ValueError(f"cloud size {sizes[i]} at time index {i} is not an integer")
-        sizes[i] = int(sizes[i])
+        sizes[i] = _as_count(sizes[i], f"cloud size {sizes[i]!r} at time index {i}")
         if y_bases[i].out_dim != 1:
             raise ValueError(
                 f"y basis at index {i} fits {y_bases[i].out_dim} components, expected 1"
@@ -407,7 +406,7 @@ def mwls_solve(
                 ahead = producer.submit(_cloud_draws, model, grid, i - 1, sizes[i - 1], seed)
             else:
                 producer.shutdown(wait=False)  # nothing is left to draw
-            blocks = _cloud_blocks(model, grid, i, sizes[i], seed, _BLOCK_ROWS, draws)
+            blocks = _cloud_blocks(model, grid, i, draws, _BLOCK_ROWS)
             x_i, s_z, s_y, y_next = _streamed_responses(
                 blocks, sizes[i], model, grid, driver, terminal, y_fits, z_fits
             )

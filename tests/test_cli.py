@@ -383,6 +383,14 @@ def test_tune_holder_stdout_rows(capsys):
             ["--kappa", "0.5", "--lambda", "1", "--regime", "smooth", "--theta-pi", "7"],
             "theta_pi applies to the holder regime only, got 7.0",
         ),
+        (
+            ["--kappa", "1", "--lambda", "1", "--regime", "smooth", "--t", "-1"],
+            "T must be positive, got -1.0",
+        ),
+        (
+            ["--kappa", "1", "--lambda", "1", "--regime", "smooth", "--t", "inf"],
+            "T must be finite, got inf",
+        ),
     ],
 )
 def test_tune_rejects_bad_parameters(capsys, argv, message):

@@ -629,7 +629,8 @@ def test_global_error_bound_no_propagation_without_driver():
     e_app_y = np.array([0.3, 0.0, 0.0, 0.0, 0.0])
     zeros = np.zeros(5)
     ones = np.ones(5)
-    bound_y, bound_z = global_error_bound(pc, grid, e_app_y, zeros, zeros, zeros, 100 * ones)
+    table = bounds_table(pc, grid, zeros, zeros, 100 * ones)
+    bound_y, bound_z = global_error_bound(table, e_app_y, zeros)
     np.testing.assert_array_equal(bound_y, e_app_y)
     np.testing.assert_array_equal(bound_z, zeros)
 
@@ -643,9 +644,8 @@ def test_global_error_bound_constant_local_term_uniform_grid():
     grid = make_theta_grid(T=1.0, N=8, theta=1.0)
     E = 0.37
     zeros = np.zeros(8)
-    bound_y, bound_z = global_error_bound(
-        pc, grid, zeros, np.full(8, E), zeros, zeros, np.full(8, 50.0)
-    )
+    table = bounds_table(pc, grid, zeros, zeros, np.full(8, 50.0))
+    bound_y, bound_z = global_error_bound(table, zeros, np.full(8, E))
     t = grid.points
     np.testing.assert_allclose(bound_y, 2.0 * E * (1.0 - t[:-1]), rtol=1e-13)
     for k in range(8):
@@ -663,8 +663,8 @@ def test_global_error_bound_decreasing_in_samples():
     e_z = np.full(8, 0.02)
     k_y = np.full(8, 3.0)
     k_z = np.full(8, 2.0)
-    y1, z1 = global_error_bound(pc, grid, e_y, e_z, k_y, k_z, np.full(8, 200.0))
-    y2, z2 = global_error_bound(pc, grid, e_y, e_z, k_y, k_z, np.full(8, 400.0))
+    y1, z1 = global_error_bound(bounds_table(pc, grid, k_y, k_z, np.full(8, 200.0)), e_y, e_z)
+    y2, z2 = global_error_bound(bounds_table(pc, grid, k_y, k_z, np.full(8, 400.0)), e_y, e_z)
     assert np.all(np.isfinite(y1)) and np.all(np.isfinite(z1))
     assert np.all(y2 < y1)
     assert np.all(z2 < z1)
@@ -674,12 +674,25 @@ def test_global_error_bound_validation():
     pc = _random_pc(np.random.default_rng(17), T=1.0)
     grid = make_theta_grid(T=1.0, N=4, theta=1.0)
     good = np.zeros(4)
+    table = bounds_table(pc, grid, good, good, np.ones(4))
     with pytest.raises(ValueError, match="e_app_y"):
-        global_error_bound(pc, grid, np.zeros(3), good, good, good, np.ones(4))
+        global_error_bound(table, np.zeros(3), good)
     with pytest.raises(ValueError):
-        global_error_bound(pc, grid, good, good, good, good, np.zeros(4))
+        global_error_bound(bounds_table(pc, grid, good, good, np.zeros(4)), good, good)
     with pytest.raises(ValueError):
-        global_error_bound(pc, grid, good - 1.0, good, good, good, np.ones(4))
+        global_error_bound(table, good - 1.0, good)
+
+
+def test_global_error_bound_needs_a_table_with_basis_dimensions_and_cloud_sizes():
+    pc = _random_pc(np.random.default_rng(17), T=1.0)
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    bare = bounds_table(pc, grid)
+    assert bare.pc is pc and (bare.K_y, bare.K_z, bare.M) == (None, None, None)
+    with pytest.raises(ValueError, match=r"built with the basis dimensions and cloud sizes"):
+        global_error_bound(bare, np.zeros(4), np.zeros(4))
+    table = bounds_table(pc, grid, k_y=[3] * 4, k_z=[2] * 4, m=[100] * 4)
+    for recorded, expected in ((table.K_y, 3.0), (table.K_z, 2.0), (table.M, 100.0)):
+        np.testing.assert_array_equal(recorded, np.full(4, expected), strict=True)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import mwls
 import mwls.harness
 import mwls.solver
 from mwls.harness import Benchmark
-from mwls.model import BrownianModel, EulerSdeModel, GeometricBrownianModel
+from mwls.model import BrownianModel, EulerSdeModel
 
 MODULES = ["mwls"] + [f"mwls.{info.name}" for info in pkgutil.iter_modules(mwls.__path__)]
 
@@ -29,7 +29,7 @@ def test_package_exports_have_no_duplicates():
     assert len(mwls.__all__) == len(set(mwls.__all__))
 
 
-@pytest.mark.parametrize("model_class", [BrownianModel, GeometricBrownianModel, EulerSdeModel])
+@pytest.mark.parametrize("model_class", [BrownianModel, EulerSdeModel])
 def test_each_model_class_defines_the_traced_methods_itself(model_class):
     # perfbench/tracing.py wraps these through the class's own __dict__.
     assert {"sample_paths", "malliavin_weights"} <= set(vars(model_class))

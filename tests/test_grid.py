@@ -1,5 +1,6 @@
 """Tests for time grids and the singular weighted step sums."""
 
+import re
 import warnings
 
 import numpy as np
@@ -154,3 +155,22 @@ def test_random_admissible_grid_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         random_admissible_grid(T=1.0, N=4, r_max=0.5, rng=rng)
+
+
+@pytest.mark.parametrize("n, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'"), (np.nan, "nan")])
+def test_step_counts_must_be_integers(n, shown):
+    message = f"N = {shown} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_theta_grid(1.0, n)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        random_admissible_grid(1.0, n, 2.0, np.random.default_rng(0))
+
+
+def test_integral_step_counts_are_accepted():
+    whole = make_theta_grid(1.0, 3, theta=0.6)
+    for n in (3.0, np.int64(3), np.float64(3.0)):
+        grid = make_theta_grid(1.0, n, theta=0.6)
+        assert grid.points.tobytes() == whole.points.tobytes()
+        drawn = random_admissible_grid(1.0, n, 2.0, np.random.default_rng(5))
+        expected = random_admissible_grid(1.0, 3, 2.0, np.random.default_rng(5))
+        assert drawn.points.tobytes() == expected.points.tobytes()

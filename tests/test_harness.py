@@ -1,5 +1,6 @@
 """Tests for benchmarks, error reports, tuning rules, and sweep studies."""
 
+import collections
 import contextlib
 import math
 import os
@@ -12,7 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mwls.constants
 import mwls.harness
+import mwls.solver
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
 from mwls.harness import (
@@ -269,6 +272,51 @@ def test_estimate_errors_b1_report():
     again = estimate_errors(sol, bench, fresh_m=4000)
     np.testing.assert_array_equal(report.fresh_y, again.fresh_y)
     np.testing.assert_array_equal(report.fresh_z, again.fresh_z)
+
+
+def test_a_solve_and_its_error_report_build_one_bounds_table(monkeypatch):
+    """The bound of `estimate_errors` reads the solution's own table: the
+    pair builds one table, with the bits of building it apart."""
+    bench = benchmark_b3()
+    grid = make_theta_grid(1.0, 20)
+    basis = _linear_basis(delta=0.5, radius=4.0)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, home in (
+        ("bounds_table", mwls.constants),
+        ("c_gamma", mwls.constants),
+        ("problem_constants", mwls.solver),
+    ):
+        original = getattr(home, name)
+        for module in (mwls.constants, mwls.solver, mwls.harness):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted(name, original))
+    sol = mwls_solve(
+        bench.model, grid, bench.driver, bench.terminal, basis, basis,
+        cloud_sizes=1000, seed=5,
+    )
+    report = estimate_errors(sol, bench, fresh_m=1000)
+    assert calls == {"bounds_table": 1, "c_gamma": 8, "problem_constants": 1}
+    monkeypatch.undo()
+
+    pc = mwls.solver.problem_constants(bench.model, grid, bench.driver, bench.terminal)
+    k, m = np.full(grid.N, float(basis.K)), np.full(grid.N, 1000.0)
+    table = mwls.constants.bounds_table(pc, grid, k, k, m)
+    bound_y, bound_z = mwls.constants.global_error_bound(table, report.e_app_y, report.e_app_z)
+    expected = {
+        "bound_y": bound_y,
+        "bound_z": bound_z,
+        "dep_y": mwls.constants.dep_errors(table.Theta_y, k, m),
+        "dep_z": mwls.constants.dep_errors(table.Theta_z, k, m, q=1),
+    }
+    for column, values in expected.items():
+        assert getattr(report, column).tobytes() == values.tobytes(), column
 
 
 def test_estimate_errors_draws_brownian_fresh_states_without_paths(monkeypatch):
@@ -615,6 +663,23 @@ def test_tune_validation():
         tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth", theta_pi=0.5)
 
 
+def test_tune_takes_an_integer_n_and_a_positive_finite_t():
+    kwargs = dict(kappa=0.5, l=1, d=1, lam=1.0, regime="smooth")
+    for n, shown in ((2.5, "2.5"), (True, "True"), ("10", "'10'")):
+        with pytest.raises(ValueError, match=f"N = {shown} is not an integer"):
+            tune_parameters(N=n, **kwargs)
+    for t, message in ((-1.0, "T must be positive, got -1.0"), (0.0, "T must be positive"),
+                       (math.inf, "T must be finite, got inf"), (math.nan, "T must be finite")):
+        with pytest.raises(ValueError, match=message):
+            tune_parameters(N=10, T=t, **kwargs)
+    plan = tune_parameters(N=10, **kwargs)
+    for n in (10.0, np.int64(10)):
+        other = tune_parameters(N=n, **kwargs)
+        assert type(other.N) is int and other.N == 10
+        assert other.grid.points.tobytes() == plan.grid.points.tobytes()
+        np.testing.assert_array_equal(other.m, plan.m, strict=True)
+
+
 # ---------------------------------------------------------------------------
 # sweep studies
 
@@ -664,6 +729,17 @@ def test_convergence_study_m_sweep(monkeypatch, use_cpus, sweep_pools):
         convergence_study(
             bench, grid, basis, basis, m_values=[400, 800], seed=71, index=9
         )
+
+
+def test_convergence_study_readout_index_must_be_an_integer(monkeypatch):
+    monkeypatch.setattr(mwls.harness, "mwls_solve", None)  # nothing may be solved
+    basis = _linear_basis(delta=1.0, radius=5.0)
+    for index, shown in ((1.7, "1.7"), (True, "True"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"readout index {shown} is not an integer"):
+            convergence_study(
+                benchmark_b1(x0_width=3.0), make_theta_grid(1.0, 4), basis, basis,
+                m_values=[400, 800], seed=71, index=index,
+            )
 
 
 def test_convergence_study_failed_point_stops_the_sweep(monkeypatch, use_cpus):

@@ -15,7 +15,6 @@ from mwls.model import (
     STREAM_FRESH,
     BrownianModel,
     EulerSdeModel,
-    GeometricBrownianModel,
     SimulationCloud,
     _DRAW_ROWS,
     _cloud_blocks,
@@ -24,7 +23,6 @@ from mwls.model import (
     cloud_rng,
     derive_seed,
     euler_sde_model,
-    gbm_model,
     sample_cloud,
     sample_marginal,
 )
@@ -141,9 +139,6 @@ def _full_paths(model, grid, M, rng):
         xk, dt = X[:, k, :], grid.steps[k]
         if isinstance(model, BrownianModel):
             X[:, k + 1, :] = xk + (dW[:, k, :] + model.drift * dt)
-        elif isinstance(model, GeometricBrownianModel):
-            rate = model.mu - 0.5 * model.sigma**2
-            X[:, k + 1, :] = xk * np.exp(model.sigma * dW[:, k, :] + rate * dt)
         else:
             step = np.einsum("mdq,mq->md", model.sigma(grid.points[k], xk), dW[:, k, :])
             if model.b is not None:
@@ -209,7 +204,6 @@ _TAIL_MODELS = {
     "brownian-2d": lambda: brownian_model(
         d=2, drift=[0.4, -0.3], x0=[0.5, -1.0], x0_width=1.0
     ),
-    "gbm": lambda: gbm_model(mu=0.1, sigma=0.3, x0=1.0, x0_width=0.4),
     "euler-1d": lambda: euler_sde_model(
         b=lambda t, x: -0.5 * x, sigma=_tanh_sigma, dsigma=_tanh_dsigma,
         db=lambda t, x: np.full((x.shape[0], 1, 1), -0.5), x0=0.3, x0_width=0.5,
@@ -248,7 +242,8 @@ def test_cloud_blocks_are_bitwise_the_cloud(name, rows, m):
     grid = make_theta_grid(T=1.0, N=5, theta=0.6)
     for i in (0, 1, grid.N - 1):
         cloud = sample_cloud(model, grid, i=i, M_i=m, seed=81)
-        blocks = list(_cloud_blocks(model, grid, i, m, seed=81, rows=rows))
+        draws = _cloud_draws(model, grid, i, m, seed=81)
+        blocks = list(_cloud_blocks(model, grid, i, draws, rows))
         assert [b.M for b in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
         assert all(b.i == i for b in blocks)
         for stored, whole in (("X", cloud.X), ("H", cloud.H)):
@@ -266,9 +261,9 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
     tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
     served = []
 
-    def reference_blocks(model, grid, i, M_i, seed, rows, draws):  # cut from whole paths
-        cloud = _reference_cloud(model, grid, i, M_i, seed)
-        for start in range(0, M_i, rows):
+    def reference_blocks(model, grid, i, draws, rows):  # cut from whole paths
+        cloud = _reference_cloud(model, grid, i, m, seed=7)
+        for start in range(0, m, rows):
             here = slice(start, start + rows)
             served.append(cloud.X[here].shape[0])
             yield SimulationCloud(i=i, X=cloud.X[here], H=cloud.H[here])
@@ -313,7 +308,7 @@ def test_cloud_errors_name_the_row_of_the_whole_cloud():
             sample_cloud(model, grid, 0, m, seed)
         assert str(whole.value) == message
         with pytest.raises(NumericalError) as streamed:
-            list(_cloud_blocks(model, grid, 0, m, seed, rows=rows))
+            list(_cloud_blocks(model, grid, 0, _cloud_draws(model, grid, 0, m, seed), rows))
         assert str(streamed.value) == message
 
 
@@ -337,7 +332,7 @@ def test_sample_paths_checks_the_shapes_of_its_arrays():
             model.sample_paths(grid, i, states, drawn)
 
 
-@pytest.mark.parametrize("name", ["brownian-1d", "gbm", "euler-1d"])
+@pytest.mark.parametrize("name", ["brownian-1d", "euler-1d"])
 def test_weights_of_a_batch_short_of_the_horizon_name_the_indices(name):
     model = _TAIL_MODELS[name]()
     grid = make_theta_grid(T=1.0, N=4, theta=1.0)
@@ -348,26 +343,19 @@ def test_weights_of_a_batch_short_of_the_horizon_name_the_indices(name):
 
 
 def test_step_recursion_matches_the_closed_forms():
-    """Brownian and geometric Brownian clouds build X_k step by step; on a
-    long non-uniform grid they stay within round-off of the closed forms
-    X_0 + drift t_k + W_k and X_0 exp((mu - sigma^2/2) t_k + sigma W_k)."""
+    """Brownian clouds build X_k step by step; on a long non-uniform grid
+    they stay within round-off of the closed form X_0 + drift t_k + W_k."""
     grid = make_theta_grid(T=1.0, N=50, theta=0.6)
     t = grid.points
-    for name in ("brownian-1d", "brownian-2d", "gbm"):
+    for name in ("brownian-1d", "brownian-2d"):
         model = _TAIL_MODELS[name]()
         for i in (0, 25):
             starts, normals = _cloud_draws(model, grid, i, 2000, seed=12)
             W = np.cumsum(normals * np.sqrt(grid.steps)[None, :, None], axis=1)
             W = np.concatenate([np.zeros_like(W[:, :1]), W], axis=1)[:, i:]
-            if isinstance(model, BrownianModel):
-                closed = starts[:, None, :] + model.drift * t[i:, None] + W
-            else:
-                rate = model.mu - 0.5 * model.sigma**2
-                closed = starts[:, None, :] * np.exp(rate * t[i:, None] + model.sigma * W)
+            closed = starts[:, None, :] + model.drift * t[i:, None] + W
             X = sample_cloud(model, grid, i, 2000, seed=12).X
             assert np.max(np.abs(X - closed)) <= 1e-13 * np.max(np.abs(closed))
-            if isinstance(model, GeometricBrownianModel):
-                np.testing.assert_allclose(X, closed, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -389,13 +377,10 @@ def test_cloud_normals_are_one_draw_stored_time_major(m, q):
 
 
 # Componentwise models at d = q = 3: the Brownian kernels apply the drift
-# and start box one state coordinate at a time, the GBM kernels broadcast.
+# and start box one state coordinate at a time.
 _D3_MODELS = {
     "brownian-3d": lambda: brownian_model(
         d=3, drift=[0.4, -0.3, 0.1], x0=[0.5, -1.0, 2.0], x0_width=1.5
-    ),
-    "gbm-3d": lambda: gbm_model(
-        mu=[0.1, -0.2, 0.05], sigma=[0.3, 0.2, 0.5], x0=[1.0, 2.0, 0.5], d=3, x0_width=0.4
     ),
 }
 
@@ -408,15 +393,10 @@ def test_column_kernels_are_bitwise_their_broadcast_forms(name):
     rng = np.random.default_rng(21)
     x_k = rng.uniform(0.5, 2.0, (m, 3))
     dW_k = 0.3 * rng.standard_normal((m, 3))
-    brownian = isinstance(model, BrownianModel)
     for k in range(grid.N):
         out = np.empty((m, 3))
         model.step(grid, k, x_k, dW_k, out)
-        if brownian:
-            expected = dW_k + model.drift * grid.steps[k] + x_k
-        else:
-            rate = (model.mu - 0.5 * model.sigma**2) * grid.steps[k]
-            expected = np.exp(model.sigma * dW_k + rate) * x_k
+        expected = dW_k + model.drift * grid.steps[k] + x_k
         assert out.tobytes() == expected.tobytes()
 
     def broadcast_start(model, rng):
@@ -435,11 +415,7 @@ def test_column_kernels_are_bitwise_their_broadcast_forms(name):
         t = grid.points[i]
         starts = broadcast_start(model, rng)
         normals = rng.standard_normal((m, 3))
-        if brownian:
-            expected = starts + model.drift * t + np.sqrt(t) * normals
-        else:
-            rate = (model.mu - 0.5 * model.sigma**2) * t
-            expected = starts * np.exp(rate + model.sigma * np.sqrt(t) * normals)
+        expected = starts + model.drift * t + np.sqrt(t) * normals
         assert drawn.tobytes() == expected.tobytes()
 
 
@@ -483,40 +459,6 @@ def test_brownian_with_drift_and_start_box():
     # Terminal mean = 1 + drift * T.
     xT = cloud.x_at(2)[:, 0]
     assert abs(xT.mean() - 3.0) <= 4.0 * xT.std() / np.sqrt(50_000)
-
-
-# ---------------------------------------------------------------------------
-# geometric Brownian model
-
-
-def test_gbm_terminal_mean():
-    model = gbm_model(mu=0.3, sigma=0.4, x0=1.0)
-    grid = make_theta_grid(T=1.0, N=5, theta=1.0)
-    cloud = sample_cloud(model, grid, i=0, M_i=100_000, seed=17)
-    xT = cloud.x_at(5)[:, 0]
-    target = np.exp(0.3)
-    assert abs(xT.mean() - target) <= 4.0 * xT.std() / np.sqrt(100_000)
-
-
-def test_gbm_weights_are_brownian_increment_weights():
-    grid = make_theta_grid(T=1.0, N=3, theta=1.0)
-    g = sample_cloud(gbm_model(mu=0.1, sigma=0.5, x0=2.0), grid, i=0, M_i=500, seed=8)
-    b = sample_cloud(brownian_model(d=1, x0=2.0), grid, i=0, M_i=500, seed=8)
-    np.testing.assert_array_equal(g.H, b.H)
-
-
-def test_gbm_degenerates_to_constant_for_tiny_vol():
-    model = gbm_model(mu=0.0, sigma=1e-12, x0=1.5)
-    grid = make_theta_grid(T=1.0, N=3, theta=1.0)
-    cloud = sample_cloud(model, grid, i=0, M_i=100, seed=2)
-    np.testing.assert_allclose(cloud.X, 1.5, atol=1e-9)
-
-
-def test_gbm_validation():
-    with pytest.raises(ValueError):
-        gbm_model(sigma=0.0)
-    with pytest.raises(ValueError):
-        gbm_model(sigma=[0.2, -0.1], d=2)
 
 
 # ---------------------------------------------------------------------------
@@ -633,22 +575,6 @@ def test_markov_property_brownian():
     assert stat.pvalue > 0.01
 
 
-def test_markov_property_gbm():
-    mu, sig = 0.2, 0.3
-    grid = make_theta_grid(T=1.0, N=3, theta=1.0)
-    m = 5000
-    model = gbm_model(mu=mu, sigma=sig, x0=1.0)
-    direct = sample_cloud(model, grid, i=0, M_i=m, seed=61)
-    other = sample_cloud(model, grid, i=0, M_i=m, seed=62)
-    rng = np.random.default_rng(63)
-    span = grid.points[2] - grid.points[1]
-    rebuilt = other.x_at(1)[:, 0] * np.exp(
-        (mu - 0.5 * sig**2) * span + sig * np.sqrt(span) * rng.standard_normal(m)
-    )
-    stat = stats.ks_2samp(direct.x_at(2)[:, 0], rebuilt)
-    assert stat.pvalue > 0.01
-
-
 # ---------------------------------------------------------------------------
 # marginals
 
@@ -680,14 +606,13 @@ def test_sample_marginal_validation():
         sample_marginal(model, grid, i=0, M=0, seed=0)
 
 
-# Models with an exact one-step draw of X_i: drift and a start box in
-# d = 1 and d = 2, and geometric Brownian motion with a start box.
+# Models with an exact one-step draw of X_i: Brownian motion with drift and
+# a start box in d = 1 and d = 2.
 _ONE_STEP_MODELS = {
     "brownian-1d": lambda: brownian_model(d=1, drift=0.4, x0=0.5, x0_width=1.0),
     "brownian-2d": lambda: brownian_model(
         d=2, drift=[0.4, -0.3], x0=[0.5, -1.0], x0_width=1.0
     ),
-    "gbm": lambda: gbm_model(mu=0.1, sigma=0.3, x0=1.0, x0_width=0.4),
 }
 
 
@@ -779,10 +704,10 @@ def _unit_euler(**kwargs):
     (brownian_model, {"drift": [0.1, -np.inf], "d": 2}, "drift must be finite, got -inf"),
     (brownian_model, {"x0": np.inf}, "starting point must be finite, got inf"),
     (brownian_model, {"x0_width": np.inf}, "starting-box width must be finite, got inf"),
-    (gbm_model, {"mu": np.nan}, "mu must be finite, got nan"),
-    (gbm_model, {"sigma": np.nan}, "sigma must be finite, got nan"),
-    (gbm_model, {"sigma": np.inf}, "sigma must be finite, got inf"),
-    (gbm_model, {"x0": np.nan}, "starting point must be finite, got nan"),
+    (brownian_model, {"drift": np.inf}, "drift must be finite, got inf"),
+    (brownian_model, {"x0": np.nan}, "starting point must be finite, got nan"),
+    (brownian_model, {"x0_width": np.nan}, "starting-box width must be finite, got nan"),
+    (_unit_euler, {"x0_width": np.inf}, "starting-box width must be finite, got inf"),
     (_unit_euler, {"C_M": np.nan}, "weight moment constant must be finite, got nan"),
     (_unit_euler, {"C_M": np.inf}, "weight moment constant must be finite, got inf"),
     (_unit_euler, {"x0": [0.0, np.nan], "d": 2}, "starting point must be finite, got nan"),

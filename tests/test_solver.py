@@ -1,6 +1,7 @@
 """Tests for the backward least-squares solver and its response assembly."""
 
 import dataclasses
+import re
 import threading
 import time
 
@@ -415,6 +416,22 @@ def test_cloud_sizes_must_be_integers():
         assert all(type(m) is int for m in sol.cloud_sizes)
         for fit, expected in zip(sol.y_fits, whole.y_fits, strict=True):
             assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+
+
+def test_cloud_sizes_must_be_numbers_not_strings_or_bools():
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=2.0)
+    args = (model, grid, zero_driver(), _tanh_terminal(), basis, basis)
+    cases = (
+        ("300", "cloud size '300' at time index 0 is not an integer"),
+        (True, "cloud size True at time index 0 is not an integer"),
+        ([300, 300, "300"], "cloud size '300' at time index 2 is not an integer"),
+        ([300, np.True_, 300], "cloud size np.True_ at time index 1 is not an integer"),
+    )
+    for sizes, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mwls_solve(*args, cloud_sizes=sizes, seed=3)
 
 
 def test_seed_must_be_a_nonnegative_integer():
