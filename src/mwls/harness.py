@@ -587,8 +587,10 @@ def tune_parameters(
         raise ValueError(f"kappa must be positive, got {kappa}")
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
+    l = _as_count(l, f"l = {l!r}")
     if l < 1:
         raise ValueError(f"l must be >= 1 (degree-l z basis), got {l}")
+    d = _as_count(d, f"d = {d!r}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if lam <= 0.0:

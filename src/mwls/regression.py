@@ -26,6 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .grid import _as_count
+
 __all__ = [
     "Design",
     "LocalPolynomialBasis",
@@ -87,6 +89,9 @@ class LocalPolynomialBasis:
     powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("degree", "d", "out_dim"):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _as_count(value, f"{name} = {value!r}"))
         if self.degree < 0:
             raise ValueError(f"degree must be >= 0, got {self.degree}")
         if self.delta <= 0.0:

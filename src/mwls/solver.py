@@ -5,12 +5,14 @@ cloud, assembles the weighted z-response and the plain y-response from the
 terminal values and the previously fitted estimators, regresses both on
 local-polynomial bases over the cloud's time-i states, and clamps the fits
 to the a-priori envelopes from the constants pipeline.  The truncated
-estimators feed the response sums of all earlier indices.
+estimators feed the response sums of all earlier indices.  One helper,
+`_driver_values`, gives every driver term f_k(X_k, y_{k+1}, z_k(X_k)).
 
 A cloud depends only on its (seed, i) stream, never on a fit, so one
 producer thread draws the random input of index i - 1's cloud (one call that
 releases the GIL) while the calling thread works on index i: it builds the
-paths, weights and responses block by block of consecutive rows, and fits.
+paths and weights block by block of consecutive rows, writes each block's
+responses in place into its rows of the cloud's response arrays, and fits.
 That arithmetic is many short numpy calls; split over two threads it would
 pass the GIL back and forth thousands of times a solve.  No whole cloud of
 paths and weights is held, and the results are those of whole clouds, bit
@@ -34,7 +36,6 @@ from .grid import TimeGrid, _as_count
 from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
-    LocalPolynomialEstimator,
     _times_columns,
     ols_fit,
     shared_designs,
@@ -165,10 +166,11 @@ def _callback_values(values, m: int, i: int, k: int | None = None) -> np.ndarray
     return values
 
 
-def _require_fit(fits: Sequence, k: int, label: str) -> LocalPolynomialEstimator:
-    if k >= len(fits) or fits[k] is None:
-        raise ValueError(f"missing fitted {label} estimator at index {k}")
-    return fits[k]
+def _driver_values(driver: DriverSpec, i: int, k: int, x_k, y_next, z_fit, z_design):
+    """Checked (m,) values of f_k(X_k, y_next, z_k(X_k)), the driver's sum term k
+    at time index i, on the (m, d) states x_k; z_design is z_fit's design of x_k."""
+    z_here = z_fit.evaluate(x_k, design=z_design)
+    return _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k)
 
 
 def _responses(
@@ -178,51 +180,39 @@ def _responses(
     terminal: TerminalSpec,
     y_fits: Sequence,
     z_fits: Sequence,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """The z-response, the y-response less its k = i term, and y_{i+1}(X_{i+1}).
+    s_z: np.ndarray,
+    s_y: np.ndarray,
+) -> np.ndarray | None:
+    """Write the z-response into s_z, the y-response less its k = i term into
+    s_y, and return y_{i+1}(X_{i+1}).
 
     Per row the z-response is phi(X_N) H_N + sum over k = i+1 .. N-1 of
     f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k)) H_k Delta_k, shape (M, q); there is
     no weight at the regression index itself.  The y-response is phi(X_N)
-    plus the same sum without the weights, shape (M,); `_add_own_term` adds
-    its k = i term once z_fits[i] is fitted.  The sums run in ascending k.
-    The terms are evaluated from k = N-1 down: one design of X_k serves
-    z_k(X_k) and y_k(X_k), and y_k(X_k) feeds term k-1.  The last value is
+    plus the same sum without the weights, shape (M,); `mwls_solve` adds its
+    k = i term once z_fits[i] is fitted.  The sums run in ascending k.  The
+    terms are evaluated from k = N-1 down: one design of X_k serves z_k(X_k)
+    and y_k(X_k), and y_k(X_k) feeds term k-1.  The value returned is
     phi(X_N) when i = N-1, and None for the zero driver.
     """
     i, n = cloud.i, grid.N
-    x_n = cloud.x_at(n)
-    phi = _callback_values(terminal.fn(x_n), x_n.shape[0], i)
+    phi = _callback_values(terminal.fn(cloud.x_at(n)), cloud.M, i)
     f_vals: dict[int, np.ndarray] = {}
     y_next = None if driver.is_zero else phi
     for k in () if driver.is_zero else range(n - 1, i, -1):
         x_k = cloud.x_at(k)
-        z_fit = _require_fit(z_fits, k, "z")
-        y_fit = _require_fit(y_fits, k, "y")
-        z_design, y_design = shared_designs(x_k, z_fit.basis, y_fit.basis)
-        z_here = z_fit.evaluate(x_k, design=z_design)
-        f_vals[k] = _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k)
-        y_next = y_fit.evaluate(x_k, design=y_design)[:, 0]
-    h_n = cloud.h_at(n)
-    s_z = _times_columns(phi, h_n, np.empty(h_n.shape))
-    s_y = phi.copy()
-    term = np.empty(h_n.shape)
+        z_design, y_design = shared_designs(x_k, z_fits[k].basis, y_fits[k].basis)
+        f_vals[k] = _driver_values(driver, i, k, x_k, y_next, z_fits[k], z_design)
+        y_next = y_fits[k].evaluate(x_k, design=y_design)[:, 0]
+    _times_columns(phi, cloud.h_at(n), s_z)
+    s_y[:] = phi
+    term = np.empty(s_z.shape)
     for k in sorted(f_vals):
         _times_columns(f_vals[k], cloud.h_at(k), term)
         term *= grid.steps[k]
         s_z += term
         s_y += f_vals[k] * grid.steps[k]
-    return s_z, s_y, y_next
-
-
-def _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design) -> None:
-    """Add the k = i term f_i(X_i, y_{i+1}(X_{i+1}), z_i(X_i)) Delta_i to the
-    y-response s_y in place; x_i holds the cloud's states X_i and z_design
-    is z_fits[i]'s design of them."""
-    if not driver.is_zero:
-        z_here = _require_fit(z_fits, i, "z").evaluate(x_i, design=z_design)
-        f_i = _callback_values(driver.fn(i, x_i, y_next, z_here), x_i.shape[0], i, i)
-        s_y += f_i * grid.steps[i]
+    return y_next
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +290,10 @@ def _one_worker():
 
 
 def _per_index(value, n: int, label: str) -> list:
-    """The n per-index entries of a scalar, a 1-entry list or an n-entry list."""
+    """The n per-index entries of a scalar, or of a 1-entry or n-entry list,
+    tuple or 1-D array."""
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        value = list(value)
     if not isinstance(value, (list, tuple)):
         return [value] * n
     if len(value) == 1:
@@ -336,25 +329,6 @@ def _per_index_inputs(model: MarkovModel, n: int, y_basis, z_basis, cloud_sizes)
     return y_bases, z_bases, sizes
 
 
-def _streamed_responses(blocks, m, model, grid, driver, terminal, y_fits, z_fits):
-    """X_i and the `_responses` of a cloud of m rows given as blocks, shapes
-    (m, d), (m, q), (m,) and (m,) (None for the zero driver), filled block
-    by block."""
-    x_i, s_z, s_y = np.empty((m, model.d)), np.empty((m, model.q)), np.empty(m)
-    y_next = None if driver.is_zero else np.empty(m)
-    start = 0
-    for block in blocks:
-        rows = slice(start, start + block.M)
-        s_z[rows], s_y[rows], next_rows = _responses(
-            block, grid, driver, terminal, y_fits, z_fits
-        )
-        if y_next is not None:
-            y_next[rows] = next_rows
-        x_i[rows] = block.x_at(block.i)
-        start = rows.stop
-    return x_i, s_z, s_y, y_next
-
-
 def mwls_solve(
     model: MarkovModel,
     grid: TimeGrid,
@@ -375,16 +349,17 @@ def mwls_solve(
             of length N (a 1-entry list broadcasts).  The z basis must fit q
             components, the y basis one.
         cloud_sizes: per-index cloud size M_i, each an integer (a float
-            with an integral value will do); a scalar or 1-entry list
+            with an integral value will do), as a list, tuple or 1-D array
+            of length N such as `TuningPlan.m`; a scalar or 1-entry list
             broadcasts.
         seed: root seed, a non-negative integer; index i draws its cloud
             from the (seed, i) stream.
 
     At each index i = N-1 .. 0 the z response is fitted and truncated first,
-    then the y response (whose k = i term reads the fresh z fit).  The
-    responses and X_i, kept as the index's marginal, are filled block by
-    block while one producer thread draws the next index's random input
-    (see the module docstring).  An exception from either thread is raised
+    then the y response (whose k = i term reads the fresh z fit).  Each
+    block's responses and X_i, kept as the index's marginal, are written in
+    place into the cloud's arrays while one producer thread draws the next
+    index's random input (see the module docstring).  An exception from either thread is raised
     here, once the producer thread has stopped.
     """
     n = grid.N
@@ -406,18 +381,27 @@ def mwls_solve(
                 ahead = producer.submit(_cloud_draws, model, grid, i - 1, sizes[i - 1], seed)
             else:
                 producer.shutdown(wait=False)  # nothing is left to draw
-            blocks = _cloud_blocks(model, grid, i, draws, _BLOCK_ROWS)
-            x_i, s_z, s_y, y_next = _streamed_responses(
-                blocks, sizes[i], model, grid, driver, terminal, y_fits, z_fits
-            )
-            del draws, blocks  # the normals, before the fits
+            x_i, s_z = np.empty((sizes[i], model.d)), np.empty((sizes[i], model.q))
+            s_y, y_next = np.empty(sizes[i]), None if driver.is_zero else np.empty(sizes[i])
+            stop = 0
+            for block in _cloud_blocks(model, grid, i, draws, _BLOCK_ROWS):
+                rows, stop = slice(stop, stop + block.M), stop + block.M
+                x_i[rows] = block.x_at(i)
+                next_rows = _responses(
+                    block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows]
+                )
+                if y_next is not None:
+                    y_next[rows] = next_rows
+            del draws, block  # the normals and the last block, before the fits
             marginals[i] = x_i
             z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
             try:
                 z_fits[i] = truncate_estimator(
                     ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
                 )
-                _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design)
+                if not driver.is_zero:
+                    f_i = _driver_values(driver, i, i, x_i, y_next, z_fits[i], z_design)
+                    s_y += f_i * grid.steps[i]
                 y_fits[i] = truncate_estimator(
                     ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
                 )

@@ -663,6 +663,20 @@ def test_tune_validation():
         tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth", theta_pi=0.5)
 
 
+@pytest.mark.parametrize("name", ["l", "d"])
+def test_tune_takes_integer_degrees_and_dimensions(name):
+    kwargs = dict(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth")
+    for value, shown in ((1.5, "1.5"), (True, "True"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"{name} = {shown} is not an integer"):
+            tune_parameters(**{**kwargs, name: value})
+    plan = tune_parameters(**kwargs)
+    for value in (1.0, np.int64(1)):
+        other = tune_parameters(**{**kwargs, name: value})
+        assert type(getattr(other, name)) is int
+        np.testing.assert_array_equal(other.m, plan.m, strict=True)
+        np.testing.assert_array_equal(other.delta_z, plan.delta_z, strict=True)
+
+
 def test_tune_takes_an_integer_n_and_a_positive_finite_t():
     kwargs = dict(kappa=0.5, l=1, d=1, lam=1.0, regime="smooth")
     for n, shown in ((2.5, "2.5"), (True, "True"), ("10", "'10'")):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +112,22 @@ def test_basis_validation():
         LocalPolynomialBasis(degree=0, delta=1.0, radius=1.0, d=0)
     with pytest.raises(ValueError, match="output"):
         LocalPolynomialBasis(degree=0, delta=1.0, radius=1.0, d=1, out_dim=0)
+
+
+@pytest.mark.parametrize("name", ["degree", "d", "out_dim"])
+@pytest.mark.parametrize("value, shown", [(1.5, "1.5"), (True, "True"), ("1", "'1'")])
+def test_basis_counts_must_be_integers(name, value, shown):
+    args = dict(degree=1, delta=0.5, radius=4.0, d=1, out_dim=1)
+    with pytest.raises(ValueError, match=re.escape(f"{name} = {shown} is not an integer")):
+        LocalPolynomialBasis(**{**args, name: value})
+
+
+def test_integral_basis_counts_are_accepted_as_ints():
+    whole = LocalPolynomialBasis(degree=2, delta=0.5, radius=4.0, d=2, out_dim=2)
+    for value in (2.0, np.int64(2), np.float64(2.0)):
+        basis = LocalPolynomialBasis(degree=value, delta=0.5, radius=4.0, d=value, out_dim=value)
+        assert basis == whole and basis.K == whole.K
+        assert all(type(v) is int for v in (basis.degree, basis.d, basis.out_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,13 @@ import mwls.solver
 from mwls.constants import bounds_table
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
-from mwls.harness import benchmark_b3
+from mwls.harness import benchmark_b3, tune_parameters
 from mwls.model import brownian_model, euler_sde_model, sample_cloud
 from mwls.regression import LocalPolynomialBasis, LocalPolynomialEstimator
 from mwls.solver import (
     DriverSpec,
     TerminalSpec,
-    _add_own_term,
+    _driver_values,
     _responses,
     mwls_solve,
     problem_constants,
@@ -40,20 +40,32 @@ def _tanh_terminal():
     return TerminalSpec(fn=lambda x: np.tanh(x[:, 0]), C_xi=1.0, C_phi=1.0, theta_phi=1.0)
 
 
+def _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits):
+    """The z-response, the y-response less its k = i term, and y_{i+1}(X_{i+1})
+    of a whole cloud, written into fresh arrays."""
+    s_z, s_y = np.empty((cloud.M, cloud.H.shape[2])), np.empty(cloud.M)
+    y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits, s_z, s_y)
+    return s_z, s_y, y_next
+
+
+def _with_own_term(s_y, cloud, grid, driver, y_next, z_fits):
+    """Add the k = i term as mwls_solve does once z_fits[i] is fitted."""
+    i = cloud.i
+    if not driver.is_zero:
+        s_y += _driver_values(driver, i, i, cloud.x_at(i), y_next, z_fits[i], None) * grid.steps[i]
+    return s_y
+
+
 def _z_response(cloud, grid, driver, terminal, y_fits, z_fits):
-    s_z, _, _ = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
+    s_z, _, _ = _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits)
     return s_z
 
 
 def _y_response(cloud, grid, driver, terminal, y_fits, z_fits):
     """The y-response as mwls_solve assembles it, own k = i term included;
     z_fits[i] must be fitted (z before y within each index)."""
-    _, s_y, y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits)
-    i, x_i = cloud.i, cloud.x_at(cloud.i)
-    z_fit = z_fits[i]
-    z_design = None if z_fit is None else z_fit.basis.design(x_i)
-    _add_own_term(s_y, i, x_i, grid, driver, y_next, z_fits, z_design)
-    return s_y
+    _, s_y, y_next = _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits)
+    return _with_own_term(s_y, cloud, grid, driver, y_next, z_fits)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +180,6 @@ def test_y_response_constant_driver_is_riemann_sum():
     np.testing.assert_allclose(resp, 0.7 * (grid.T - grid.points[i]), rtol=1e-12)
 
 
-def test_y_response_requires_z_at_own_index():
-    model = brownian_model(x0=0.0)
-    grid = make_theta_grid(1.0, 3)
-    cloud = sample_cloud(model, grid, 2, 20, seed=12)
-    driver = DriverSpec(fn=lambda k, x, y, z: y, L_f=1.0, C_f=0.0)
-    none_fits = [None] * grid.N
-    with pytest.raises(ValueError, match="missing fitted z estimator at index 2"):
-        _y_response(cloud, grid, driver, _tanh_terminal(), none_fits, none_fits)
-
-
 def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
     model = brownian_model(d=3, drift=[0.2, -0.1, 0.3], x0=0.0, x0_width=2.0)
     grid = make_theta_grid(1.0, 5, theta=0.7)
@@ -260,6 +262,32 @@ def test_solve_identity_terminal_smoke():
     np.testing.assert_allclose(sol.bounds.C_z, 1.0)
 
 
+def test_z_driver_shifts_y_by_the_exact_integral():
+    """f = beta z with Phi(x) = x: the discrete solution is z_i = 1 and
+    y_i(x) = x + beta (T - t_i), so the driver's z-argument, read at k = i
+    and at every k > i, shifts y_i by beta (T - t_i).  Solving with f = 0 z
+    on the same clouds cancels the Monte Carlo error of the terminal term;
+    what is left is that of the z fits in the driver sum.  At interior cell
+    midpoints the worst deviation over seeds 1-30 was 0.052 (at this seed),
+    against an effect of 0.125-0.5; dropping the k = i term shifts it by
+    beta Delta_i = 0.125."""
+    beta = 0.5
+    model = brownian_model(x0=0.0, x0_width=4.0)
+    grid = make_theta_grid(1.0, 4)
+    basis = _linear_basis(delta=0.5, radius=3.0)
+    sols = [
+        mwls_solve(
+            model, grid, DriverSpec(fn=lambda k, x, y, z, b=b: b * z[:, 0], L_f=beta, C_f=0.0),
+            _identity_terminal(), basis, basis, cloud_sizes=20_000, seed=16,
+        )
+        for b in (beta, 0.0)
+    ]
+    midpoints = np.arange(-1.75, 2.0, 0.5).reshape(-1, 1)
+    for i in range(grid.N):
+        shift = sols[0].y_values(i, midpoints) - sols[1].y_values(i, midpoints)
+        np.testing.assert_allclose(shift, beta * (grid.T - grid.points[i]), rtol=0, atol=0.08)
+
+
 def test_solution_bounds_know_the_basis_dimensions_and_cloud_sizes():
     model = brownian_model(x0=0.0, x0_width=3.0)
     grid = make_theta_grid(1.0, 3)
@@ -334,7 +362,7 @@ def test_solve_order_audit_and_response_envelope():
         for i in range(grid.N):
             cloud = sample_cloud(model, grid, i, m, seed)
             np.testing.assert_array_equal(cloud.x_at(i), sol.marginals[i])
-            s_z, s_y, y_next = _responses(
+            s_z, s_y, y_next = _cloud_responses(
                 cloud, grid, driver, terminal, sol.y_fits, sol.z_fits
             )
             refit_z = truncate_estimator(
@@ -344,10 +372,7 @@ def test_solve_order_audit_and_response_envelope():
             assert refit_z.level == sol.z_fits[i].level
 
             # the k = i term reads the z fit of the same index
-            _add_own_term(
-                s_y, i, cloud.x_at(i), grid, driver, y_next, sol.z_fits,
-                z_basis.design(cloud.x_at(i)),
-            )
+            _with_own_term(s_y, cloud, grid, driver, y_next, sol.z_fits)
             refit_y = truncate_estimator(
                 ols_fit(s_y, y_basis, cloud.x_at(i)), float(sol.bounds.C_y[i])
             )
@@ -531,6 +556,25 @@ def test_a_failing_draw_reaches_the_caller(monkeypatch):
     assert str(err.value) == str(expected.value)
     assert "time index 0, path 0" in str(err.value)
     assert threading.active_count() == before
+
+
+def test_a_tuning_plan_solves_as_printed():
+    """Per-index cloud sizes as the plan's 1-D array solve bitwise as a list."""
+    plan = tune_parameters(N=3, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth")
+    y_bases = [LocalPolynomialBasis(plan.l, float(dy), plan.R, plan.d) for dy in plan.delta_y]
+    z_bases = [LocalPolynomialBasis(plan.l, float(dz), plan.R, plan.d) for dz in plan.delta_z]
+    driver = DriverSpec(fn=lambda k, x, y, z: 0.2 * y + 0.1 * z[:, 0], L_f=0.3, C_f=0.0)
+    args = (brownian_model(x0=0.0, x0_width=2.0), plan.grid, driver, _tanh_terminal())
+    listed = mwls_solve(*args, y_bases, z_bases, cloud_sizes=list(plan.m), seed=4)
+    arrayed = mwls_solve(*args, y_bases, z_bases, cloud_sizes=plan.m, seed=4)
+    assert arrayed.cloud_sizes == listed.cloud_sizes == (10, 10, 10)
+    assert all(type(m) is int for m in arrayed.cloud_sizes)
+    for fits, reference in ((arrayed.y_fits, listed.y_fits), (arrayed.z_fits, listed.z_fits)):
+        for fit, expected in zip(fits, reference, strict=True):
+            assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+            assert fit.level == expected.level
+    with pytest.raises(ValueError, match="cloud size list has 2 entries, expected 3 or 1"):
+        mwls_solve(*args, y_bases, z_bases, cloud_sizes=plan.m[:2], seed=4)
 
 
 def test_evaluate_solution_contracts():
