@@ -433,7 +433,7 @@ def _theta_coefficients(pc: ProblemConstants) -> tuple[float, float, float, floa
     T, R = pc.T, pc.R_pi
     c1 = pc.C_xi
     c2 = 0.0
-    c3 = pc.C_M * pc.C_xi
+    c3 = 2.0 * pc.C_M * pc.C_xi  # the centered terminal term, see obs_bounds
     c4 = 0.0
     for coef, power, driver_bucket in terms:
         a_y = power + 1.0  # exponent after the single-sum bound
@@ -453,12 +453,21 @@ def obs_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     """Observation bounds (Theta_y[i], Theta_z[i]) on regression responses.
 
     Theta_y[i] bounds the y-response almost surely; Theta_z[i] bounds the
-    conditional standard deviation of each z-response component scaled by
-    the weights.  Both are assembled from the driver output bound and the
-    weighted-sum constants, in the canonical shape
+    conditional L2 norm (E[|.|^2 | F_i])^(1/2) of each z-response component.
+    Both are assembled from the driver output bound and the weighted-sum
+    constants, in the canonical shape
 
         Theta_y[i] = c1 + c2 (T-t_i)^theta_C,
         Theta_z[i] = c3 (T-t_i)^(-1/2) + c4 (T-t_i)^(theta_C-1/2).
+
+    The terminal part of c3 is 2 C_M C_xi, for the centered terminal term
+    (phi(X_N) - phi(X_i)) H^(i)_N of the solver's z-response: almost surely
+    |phi(X_N) - phi(X_i)| <= 2 C_xi, and the weight moment bound gives
+    (E[|H^(i)_N|^2 | F_i])^(1/2) <= C_M (T-t_i)^(-1/2).  The literal term
+    phi(X_N) H^(i)_N is at most half of that, so the one table serves both
+    responses.  C_phi is not used here: it bounds |xi - E[xi | F_i]|_{2,i},
+    and phi(X_i) is not E[xi | F_i], so it gives no bound on
+    |phi(X_N) - phi(X_i)|.
     """
     ttg = _time_to_go(pc, grid)
     c1, c2, c3, c4 = _theta_coefficients(pc)

@@ -80,6 +80,15 @@ def _as_count(value, subject: str) -> int:
     raise ValueError(f"{subject} is not an integer")
 
 
+def _count_at_least(value, name: str, minimum: int) -> int:
+    """value as an int by `_as_count`, if it is at least minimum; either
+    ValueError names the argument and its value."""
+    count = _as_count(value, f"{name} {value!r}")
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
 def make_theta_grid(T: float, N: int, theta: float = 1.0) -> TimeGrid:
     """Grid t_i = T - T (1 - i/N)^(1/theta).
 

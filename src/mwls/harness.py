@@ -21,14 +21,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import dep_errors, global_error_bound
-from .grid import TimeGrid, _as_count, make_theta_grid
+from .grid import TimeGrid, _as_count, _count_at_least, make_theta_grid
 from .model import MarkovModel, brownian_model, derive_seed, sample_marginal
 from .regression import LocalPolynomialBasis, ols_fit, shared_designs
 from .solver import (
     DriverSpec,
     MwlsSolution,
     TerminalSpec,
-    _check_integer,
     _one_worker,
     _per_index_inputs,
     mwls_solve,
@@ -344,9 +343,9 @@ class ErrorReport:
     fresh_*_se treats the squared errors as well-behaved samples, and it
     understates the spread when a few fresh points land in edge cells that
     the training cloud leaves (nearly) empty: their squared errors are heavy
-    tailed.  On b3 (N = 20, M = 50k, seed 5) fresh_y[2] reads 0.0407 +-
-    0.0005 at fresh seed 5 and 0.0488 +- 0.0072 at fresh seed 6, where one
-    point at x = 3.78 carries 31% of the squared error.
+    tailed.  On b3 (N = 20, M = 50k, seed 5) fresh_y[2] reads 0.0363 +-
+    0.0005 at fresh seed 5 and 0.0834 +- 0.0337 at fresh seed 6, where one
+    point at x = 3.785 carries 81% of the squared error.
     """
 
     grid: TimeGrid
@@ -435,8 +434,8 @@ def estimate_errors(
     the order training(0), fresh(0), training(1), ... is raised here, once
     the helper thread has stopped; no fresh part after a failed one starts.
     """
-    fresh_m = _check_integer(fresh_m, "fresh_m", 1)
-    seed = sol.seed if seed is None else _check_integer(seed, "seed", 0)
+    fresh_m = _count_at_least(fresh_m, "fresh_m", 1)
+    seed = sol.seed if seed is None else _count_at_least(seed, "seed", 0)
     grid, model = sol.grid, sol.model
     n, q = grid.N, model.q
 

@@ -8,9 +8,13 @@ together with weights H^(i)_j for j > i satisfying the moment conditions
 
 A simulation cloud at index i holds M_i independent rows of
 (X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.  Its
-random input (starts X_0, then N q-vectors of normals per row) is drawn
-apart from the arithmetic that builds the paths and weights from it, which
-runs whole or block by block of consecutive rows, with the same bits.
+random input is drawn apart from the arithmetic that builds the paths and
+weights from it, which runs whole or block by block of consecutive rows,
+with the same bits.  That input is only the cloud's tail: the states X_i,
+drawn like the fresh samples of X_i (an exact step for the Brownian model,
+the end of a simulated path otherwise), then N - i q-vectors of normals per
+row.  At i = 0, X_0 comes from the start law, so index-0 clouds are the
+whole paths from t_0.
 
 The per-row passes of the benchmarked Brownian path run along the long
 row axis: normals and paths are stored time-major, and the drift and the
@@ -27,7 +31,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import NumericalError
-from .grid import TimeGrid
+from .grid import TimeGrid, _as_count, _count_at_least
 
 __all__ = [
     "MarkovModel",
@@ -83,15 +87,18 @@ class _PathBatch:
 _DRAW_ROWS = 2048
 
 
-def _time_major_normals(rng: np.random.Generator, M: int, n: int, q: int) -> np.ndarray:
+def _time_major_normals(
+    rng: np.random.Generator, M: int, n: int, q: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The (M, n, q) standard normals of one `rng.standard_normal((M, n, q))`
     call, bit for bit, stored time-major: the (M, n, q) view of an (n, M, q)
-    buffer, so each time slice [:, k] is one contiguous (M, q) block.
+    buffer, out if given, so each time slice [:, k] is one contiguous (M, q)
+    block.
 
     The rows are drawn in consecutive chunks of `_DRAW_ROWS`, which consumes
     the stream as the one call does.
     """
-    normals = np.empty((n, M, q))
+    normals = np.empty((n, M, q)) if out is None else out
     chunk = np.empty((min(M, _DRAW_ROWS), n, q))
     for row0 in range(0, M, _DRAW_ROWS):
         rows = chunk[: min(_DRAW_ROWS, M - row0)]
@@ -130,6 +137,7 @@ class MarkovModel:
     states X_i on given standard normals.  `draw_state` gives draws of a
     single X_i: by default the end of a path simulated from the start law,
     overridden by an exact one-step draw where the transition law is known.
+    Cloud rows and fresh samples at i >= 1 both start from its draws.
     """
 
     d: int
@@ -461,24 +469,53 @@ class SimulationCloud:
         return self.H[:, j - self.i - 1, :]
 
 
+def _stream(
+    grid: TimeGrid, i: int, M: int, seed: int, purpose: int
+) -> tuple[int, int, np.random.Generator]:
+    """The index i and the count M as ints, and the generator of the
+    (seed, i, purpose) stream: the one check of the index, the count and the
+    seed of both samplers, regression clouds (STREAM_CLOUD, i < N) and fresh
+    samples (STREAM_FRESH, i <= N)."""
+    cloud = purpose == STREAM_CLOUD
+    noun = "cloud" if cloud else "marginal"
+    last = grid.N - 1 if cloud else grid.N
+    i = _as_count(i, f"{noun} index {i!r}")
+    if not 0 <= i <= last:
+        raise ValueError(f"{noun} index must lie in 0..{last}, got {i}")
+    M = _count_at_least(M, "cloud size" if cloud else "draw count", 1)
+    return i, M, cloud_rng(_count_at_least(seed, "seed", 0), i, purpose)
+
+
+def _draw_states(
+    model: MarkovModel, grid: TimeGrid, i: int, M: int, rng: np.random.Generator
+) -> np.ndarray:
+    """M draws of X_i, shape (M, d), from rng: X_0 from the start law and
+    X_i for i >= 1 by `model.draw_state`.  Clouds and fresh samples draw
+    their states here."""
+    if i == 0:
+        return model._draw_start(M, rng)
+    return model.draw_state(grid, i, M, rng)
+
+
 def _cloud_draws(
     model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The random input of the index-i cloud, from the (seed, i) stream: the
-    (M_i, d) starts X_0, then the (M_i, N, q) standard normals that drive
-    each row's path from t_0 to t_N, stored time-major (see
-    `_time_major_normals`).
+    (M_i, d) states X_i (see `_draw_states`), then the (M_i, N - i, q)
+    standard normals that drive each row's tail from t_i to t_N, stored
+    time-major (see `_time_major_normals`).
 
     Row r of both arrays belongs to row r of the cloud, whatever the rows
     are split into.
     """
-    if not 0 <= i < grid.N:
-        raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
-    if M_i < 1:
-        raise ValueError(f"cloud size must be >= 1, got {M_i}")
-    rng = cloud_rng(seed, i, STREAM_CLOUD)
-    starts = model._draw_start(M_i, rng)
-    return starts, _time_major_normals(rng, M_i, grid.N, model.q)
+    i, M_i, rng = _stream(grid, i, M_i, seed, STREAM_CLOUD)
+    x_i = _draw_states(model, grid, i, M_i, rng)
+    # The tail fills the first N - i time slices of a buffer sized for whole
+    # paths, so every index asks the allocator for the same block and gets a
+    # freed one back.  Tail-sized buffers, which grow as the solve steps back
+    # in time, kept more of the heap in use: b3-deep's peak RSS rose by 7%.
+    buffer = np.empty((grid.N, M_i, model.q))
+    return x_i, _time_major_normals(rng, M_i, grid.N - i, model.q, buffer[: grid.N - i])
 
 
 def _cloud_blocks(
@@ -492,16 +529,14 @@ def _cloud_blocks(
     `_cloud_draws`, as consecutive blocks of up to rows rows; concatenated,
     the blocks are that cloud bit for bit.
 
-    For each block, X_i is the end of the path from its starts on its first
-    i normals; `sample_paths` builds the tail from X_i on the other N - i,
-    then come the weights and the finiteness check.  A numerical error
-    names its row in the whole cloud.
+    For each block, `sample_paths` builds the tail from its X_i on its
+    normals, then come the weights and the finiteness check.  A numerical
+    error names its row in the whole cloud.
     """
-    starts, normals = draws
-    for row0 in range(0, starts.shape[0], rows):
+    x_i, normals = draws
+    for row0 in range(0, x_i.shape[0], rows):
         here = slice(row0, row0 + rows)
-        x_i = _path_end(model, grid, i, starts[here], normals[here, :i])
-        batch = model.sample_paths(grid, i, x_i, normals[here, i:])
+        batch = model.sample_paths(grid, i, x_i[here], normals[here])
         weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
         if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
             finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))
@@ -517,14 +552,18 @@ def sample_cloud(
 ) -> SimulationCloud:
     """One simulation cloud: M_i i.i.d. rows of (X_i..X_N, H^(i)_{i+1..N}).
 
-    Each row is a path from a start X_0 on N q-vectors of normals, drawn
-    from the (seed, i) stream (see `_cloud_draws`); X_i is its running
-    state at t_i, and only the tail from t_i is stored, time-major (see
+    Each row is a draw of X_i and the tail from it on N - i q-vectors of
+    normals, all from the (seed, i) stream (see `_cloud_draws`); only the
+    tail from t_i is simulated and stored, time-major (see
     `SimulationCloud`).  Clouds at distinct indices consume disjoint random
     streams; the same (seed, i, M_i) reproduces the cloud bit for bit.  It
-    is the one-block case of the solver's blocked draw.
+    is the one-block case of the solver's blocked draw.  i, M_i and seed
+    must be integers (an integral float will do) with 0 <= i < N, M_i >= 1
+    and seed >= 0.
     """
-    return next(_cloud_blocks(model, grid, i, _cloud_draws(model, grid, i, M_i, seed), M_i))
+    draws = _cloud_draws(model, grid, i, M_i, seed)
+    M_i, n = draws[1].shape[:2]  # as checked: i = N - n
+    return next(_cloud_blocks(model, grid, grid.N - n, draws, M_i))
 
 
 def sample_marginal(
@@ -534,13 +573,8 @@ def sample_marginal(
 
     X_0 comes from the start law; X_i for i >= 1 from `model.draw_state`,
     an exact one-step draw for the Brownian model and the end of an Euler
-    path simulated to t_i otherwise.
+    path simulated to t_i otherwise.  i, M and seed must be integers (an
+    integral float will do) with 0 <= i <= N, M >= 1 and seed >= 0.
     """
-    if not 0 <= i <= grid.N:
-        raise ValueError(f"marginal index must lie in 0..{grid.N}, got {i}")
-    if M < 1:
-        raise ValueError(f"draw count must be >= 1, got {M}")
-    rng = cloud_rng(seed, i, STREAM_FRESH)
-    if i == 0:
-        return model._draw_start(M, rng)
-    return model.draw_state(grid, i, M, rng)
+    i, M, rng = _stream(grid, i, M, seed, STREAM_FRESH)
+    return _draw_states(model, grid, i, M, rng)

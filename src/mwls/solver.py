@@ -6,11 +6,16 @@ terminal values and the previously fitted estimators, regresses both on
 local-polynomial bases over the cloud's time-i states, and clamps the fits
 to the a-priori envelopes from the constants pipeline.  The truncated
 estimators feed the response sums of all earlier indices.  One helper,
-`_driver_values`, gives every driver term f_k(X_k, y_{k+1}, z_k(X_k)).
+`_driver_values`, gives every driver term f_k(X_k, y_{k+1}, z_k(X_k)).  By
+default the terminal term of the z-response is centered, (phi(X_N) -
+phi(X_i)) H_N, a control variate with the same conditional mean (see
+`_responses`); `mwls_solve(..., center_z=False)` gives the paper's literal
+phi(X_N) H_N.
 
 A cloud depends only on its (seed, i) stream, never on a fit, so one
-producer thread draws the random input of index i - 1's cloud (one call that
-releases the GIL) while the calling thread works on index i: it builds the
+producer thread draws the random input of index i - 1's cloud, its states
+X_i and the normals of its tail (long numpy calls that release the GIL),
+while the calling thread works on index i: it builds the
 paths and weights block by block of consecutive rows, writes each block's
 responses in place into its rows of the cloud's response arrays, and fits.
 That arithmetic is many short numpy calls; split over two threads it would
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,7 +36,7 @@ import numpy as np
 
 from .constants import BoundsTable, ProblemConstants, _check_terminal_constants, bounds_table
 from .errors import NumericalError
-from .grid import TimeGrid, _as_count
+from .grid import TimeGrid, _as_count, _count_at_least
 from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
@@ -182,18 +186,24 @@ def _responses(
     z_fits: Sequence,
     s_z: np.ndarray,
     s_y: np.ndarray,
+    center_z: bool,
 ) -> np.ndarray | None:
     """Write the z-response into s_z, the y-response less its k = i term into
     s_y, and return y_{i+1}(X_{i+1}).
 
-    Per row the z-response is phi(X_N) H_N + sum over k = i+1 .. N-1 of
-    f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k)) H_k Delta_k, shape (M, q); there is
-    no weight at the regression index itself.  The y-response is phi(X_N)
-    plus the same sum without the weights, shape (M,); `mwls_solve` adds its
-    k = i term once z_fits[i] is fitted.  The sums run in ascending k.  The
-    terms are evaluated from k = N-1 down: one design of X_k serves z_k(X_k)
-    and y_k(X_k), and y_k(X_k) feeds term k-1.  The value returned is
-    phi(X_N) when i = N-1, and None for the zero driver.
+    Per row the z-response is (phi(X_N) - phi(X_i)) H_N + sum over
+    k = i+1 .. N-1 of f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k)) H_k Delta_k,
+    shape (M, q); there is no weight at the regression index itself.  As
+    E[H_N | F_i] = 0, the centering term phi(X_i) H_N leaves the response's
+    conditional mean as it is and takes out the variance that X_i drives
+    (the martingale control variate of Alanko and Avellaneda, 2013); with
+    center_z False the terminal term is phi(X_N) H_N, the paper's literal
+    scheme.  The y-response is phi(X_N) plus the same sum without the
+    weights, shape (M,); `mwls_solve` adds its k = i term once z_fits[i] is
+    fitted.  The sums run in ascending k.  The terms are evaluated from
+    k = N-1 down: one design of X_k serves z_k(X_k) and y_k(X_k), and
+    y_k(X_k) feeds term k-1.  The value returned is phi(X_N) when i = N-1,
+    and None for the zero driver.
     """
     i, n = cloud.i, grid.N
     phi = _callback_values(terminal.fn(cloud.x_at(n)), cloud.M, i)
@@ -204,7 +214,10 @@ def _responses(
         z_design, y_design = shared_designs(x_k, z_fits[k].basis, y_fits[k].basis)
         f_vals[k] = _driver_values(driver, i, k, x_k, y_next, z_fits[k], z_design)
         y_next = y_fits[k].evaluate(x_k, design=y_design)[:, 0]
-    _times_columns(phi, cloud.h_at(n), s_z)
+    weighted = phi
+    if center_z:
+        weighted = phi - _callback_values(terminal.fn(cloud.x_at(i)), cloud.M, i)
+    _times_columns(weighted, cloud.h_at(n), s_z)
     s_y[:] = phi
     term = np.empty(s_z.shape)
     for k in sorted(f_vals):
@@ -259,13 +272,6 @@ class MwlsSolution:
         if not 0 <= i < self.N:
             raise ValueError(f"time index {i} out of range [0, {self.N - 1}]")
         return self.z_fits[i].evaluate(points)
-
-
-def _check_integer(value, name: str, minimum: int) -> int:
-    """value as an int, if it is an integer of at least minimum and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 @contextlib.contextmanager
@@ -338,6 +344,7 @@ def mwls_solve(
     z_basis,
     cloud_sizes,
     seed: int,
+    center_z: bool = True,
 ) -> MwlsSolution:
     """Run the backward two-stage regression scheme.
 
@@ -352,18 +359,22 @@ def mwls_solve(
             with an integral value will do), as a list, tuple or 1-D array
             of length N such as `TuningPlan.m`; a scalar or 1-entry list
             broadcasts.
-        seed: root seed, a non-negative integer; index i draws its cloud
-            from the (seed, i) stream.
+        seed: root seed, a non-negative integer (an integral float will
+            do); index i draws its cloud from the (seed, i) stream.
+        center_z: center the terminal term of the z-response at phi(X_i)
+            (see `_responses`); False gives the paper's literal scheme.
 
     At each index i = N-1 .. 0 the z response is fitted and truncated first,
     then the y response (whose k = i term reads the fresh z fit).  Each
     block's responses and X_i, kept as the index's marginal, are written in
     place into the cloud's arrays while one producer thread draws the next
-    index's random input (see the module docstring).  An exception from either thread is raised
-    here, once the producer thread has stopped.
+    index's random input (see the module docstring).  An exception from
+    either thread is raised here, once the producer thread has stopped.
     """
     n = grid.N
-    seed = _check_integer(seed, "seed", 0)
+    seed = _count_at_least(seed, "seed", 0)
+    if not isinstance(center_z, (bool, np.bool_)):
+        raise ValueError(f"center_z must be True or False, got {center_z!r}")
     y_bases, z_bases, sizes = _per_index_inputs(model, n, y_basis, z_basis, cloud_sizes)
     pc = problem_constants(model, grid, driver, terminal)
     table = bounds_table(
@@ -388,7 +399,8 @@ def mwls_solve(
                 rows, stop = slice(stop, stop + block.M), stop + block.M
                 x_i[rows] = block.x_at(i)
                 next_rows = _responses(
-                    block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows]
+                    block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows],
+                    center_z,
                 )
                 if y_next is not None:
                     y_next[rows] = next_rows

@@ -241,6 +241,31 @@ def test_run_seed_override_is_echoed_and_changes_tables(tmp_path):
     )
 
 
+def test_run_center_z_key_is_echoed_and_turns_centering_off(tmp_path, capsys):
+    centered = _write_config(tmp_path, B1_CONFIG, "centered.ini")
+    literal = _write_config(
+        tmp_path, B1_CONFIG.replace("seed = 9", "seed = 9\n    center_z = false"), "literal.ini"
+    )
+    assert main(["run", "--config", centered, "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", "--config", literal, "--out", str(tmp_path / "b")]) == 0
+    texts = {
+        (run, name): (tmp_path / run / name).read_text()
+        for run in "ab" for name in ("run_summary.csv", "bounds.csv", "errors.csv")
+    }
+    for name in ("run_summary.csv", "bounds.csv", "errors.csv"):
+        assert "# simulation.center_z=true\n" in texts["a", name]
+        assert "# simulation.center_z=false\n" in texts["b", name]
+    # the bounds serve both responses; the z fits and their errors move
+    strip = lambda text: [l for l in text.splitlines() if not l.startswith("# simulation.center_z")]
+    assert strip(texts["a", "bounds.csv"]) == strip(texts["b", "bounds.csv"])
+    assert strip(texts["a", "errors.csv"]) != strip(texts["b", "errors.csv"])
+    bad = _write_config(tmp_path, B1_CONFIG.replace("seed = 9", "seed = 9\n    center_z = maybe"))
+    capsys.readouterr()
+    assert main(["run", "--config", bad, "--out", str(tmp_path / "c")]) == 1
+    assert "error: simulation.center_z: cannot parse 'maybe' as bool" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_run_fresh_m_override(tmp_path):
     config = _write_config(tmp_path, ZERO_CONFIG)
     rc = main(["run", "--config", config, "--out", str(tmp_path / "f"), "--fresh-m", "77"])
@@ -867,11 +892,11 @@ BOUNDS_B1_STDOUT = """\
 # amy=2
 # amz=1
 index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z
-0,0,8,1,8,8,0,0
-1,0.19999999999999996,8,1,8,8.9442719099991592,0,0
-2,0.40000000000000002,8,1,8,10.327955589886445,0,0
-3,0.59999999999999998,8,1,8,12.649110640673516,0,0
-4,0.80000000000000004,8,1,8,17.888543819998322,0,0
+0,0,8,1,8,16,0,0
+1,0.19999999999999996,8,1,8,17.888543819998318,0,0
+2,0.40000000000000002,8,1,8,20.65591117977289,0,0
+3,0.59999999999999998,8,1,8,25.298221281347033,0,0
+4,0.80000000000000004,8,1,8,35.777087639996644,0,0
 """
 
 BOUNDS_B4_STDOUT = """\
@@ -891,11 +916,11 @@ BOUNDS_B4_STDOUT = """\
 # amy=2
 # amz=1
 index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z
-0,0,1,1,1,1,0,0
-1,0.19999999999999996,1,1.0573712634405641,1,1.1180339887498949,0,0
-2,0.40000000000000002,1,1.1362193664674993,1,1.2909944487358056,0,0
-3,0.59999999999999998,1,1.2574334296829353,1,1.5811388300841895,0,0
-4,0.80000000000000004,1,1.4953487812212207,1,2.2360679774997902,0,0
+0,0,1,1,1,2,0,0
+1,0.19999999999999996,1,1.0573712634405641,1,2.2360679774997898,0,0
+2,0.40000000000000002,1,1.1362193664674993,1,2.5819888974716112,0,0
+3,0.59999999999999998,1,1.2574334296829353,1,3.1622776601683791,0,0
+4,0.80000000000000004,1,1.4953487812212207,1,4.4721359549995805,0,0
 """
 
 BOUNDS_CONSTANTS = """\
@@ -931,6 +956,7 @@ BENCH_B4_ECHO = """\
 # basis.radius=2
 # simulation.m=60,60
 # simulation.seed=0
+# simulation.center_z=true
 # error.enabled=true
 # error.fresh_m=20
 """
@@ -949,6 +975,7 @@ RUN_B1_ECHO = """\
 # basis.radius=3
 # simulation.m=300,300,300,300
 # simulation.seed=10
+# simulation.center_z=true
 # error.enabled=true
 # error.fresh_m=40
 """

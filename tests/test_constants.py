@@ -491,8 +491,9 @@ def test_obs_bounds_driver_free_exact():
     grid = make_theta_grid(T=pc.T, N=8, theta=1.0)
     theta_y, theta_z = obs_bounds(pc, grid)
     np.testing.assert_allclose(theta_y, np.full(8, 2.5), rtol=1e-14)
+    # the centered terminal term (phi(X_N) - phi(X_i)) H_N: up to 2 C_xi C_M / sqrt(T - t_i)
     np.testing.assert_allclose(
-        theta_z, 1.4 * 2.5 / np.sqrt(pc.T - grid.points[:-1]), rtol=1e-14
+        theta_z, 2.0 * 1.4 * 2.5 / np.sqrt(pc.T - grid.points[:-1]), rtol=1e-14
     )
 
 
@@ -549,7 +550,7 @@ def test_theta_coefficients_nonnegative():
         c1, c2, c3, c4 = _theta_coefficients(pc)
         assert c1 >= pc.C_xi
         assert c2 >= 0.0 and c4 >= 0.0
-        assert c3 >= pc.C_M * pc.C_xi
+        assert c3 >= 2.0 * pc.C_M * pc.C_xi
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import collections
 import contextlib
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -29,7 +30,15 @@ from mwls.harness import (
     register_benchmarks,
     tune_parameters,
 )
-from mwls.model import BrownianModel, brownian_model, sample_cloud
+from mwls.model import (
+    STREAM_CLOUD,
+    BrownianModel,
+    _path_end,
+    _time_major_normals,
+    brownian_model,
+    cloud_rng,
+    sample_cloud,
+)
 from mwls.regression import LocalPolynomialBasis
 from mwls.solver import DriverSpec, TerminalSpec, mwls_solve
 
@@ -274,6 +283,68 @@ def test_estimate_errors_b1_report():
     np.testing.assert_array_equal(report.fresh_z, again.fresh_z)
 
 
+@pytest.mark.parametrize("factory", [benchmark_b1, benchmark_b2, benchmark_b3])
+def test_centered_solves_stay_within_the_restated_bounds(factory):
+    """Criterion 7 with centered z-responses, on another grid and seed:
+    bound_* dominates emp_*, and on every cloud the root mean square of the
+    z-response, rebuilt from the final fits, stays within Theta_z, which
+    bounds its conditional L2 norm."""
+    bench = factory()
+    grid = make_theta_grid(1.0, 8)
+    basis = _linear_basis()
+    m, seed = 2_000, 12
+    sol = mwls_solve(
+        bench.model, grid, bench.driver, bench.terminal, basis, basis,
+        cloud_sizes=m, seed=seed,
+    )
+    rep = estimate_errors(sol, bench, fresh_m=2_000)
+    assert np.all(rep.emp_y <= rep.bound_y) and np.all(rep.emp_z <= rep.bound_z)
+    for i in range(grid.N):
+        cloud = sample_cloud(bench.model, grid, i, m, seed)
+        s_z, s_y = np.empty((m, 1)), np.empty(m)
+        mwls.solver._responses(
+            cloud, grid, bench.driver, bench.terminal, sol.y_fits, sol.z_fits, s_z, s_y, True
+        )
+        assert math.sqrt(float(np.mean(s_z**2))) <= sol.bounds.Theta_z[i]
+
+
+def _full_path_draws(model, grid, i, M_i, seed):
+    """The index-i cloud's random input as it was drawn before clouds drew
+    only their tails: the starts and (M_i, N, q) normals of the (seed, i)
+    stream, with X_i the end of each row's path on its first i normals."""
+    rng = cloud_rng(seed, i, STREAM_CLOUD)
+    starts = model._draw_start(M_i, rng)
+    normals = _time_major_normals(rng, M_i, grid.N, model.q)
+    return _path_end(model, grid, i, starts, normals[:, :i]), normals[:, i:]
+
+
+def test_tail_and_full_path_clouds_give_the_same_fresh_errors(monkeypatch):
+    """With centered z-responses, b3 solves on tail clouds and on clouds cut
+    from whole paths have the same fresh-sample errors: over seeds 1-10 the
+    mean paired difference of the RMS over indices of fresh_y, and of
+    fresh_z, lies within 2 of its standard errors.  Index 0 and the fresh
+    samples are the same on both sides, so the runs are compared in pairs."""
+    bench = benchmark_b3()
+    grid = make_theta_grid(1.0, 8)
+    basis = _linear_basis(delta=0.5)
+    rms = lambda values: math.sqrt(float(np.mean(np.square(values))))
+    errors = {}
+    for kind in ("tail", "full"):
+        if kind == "full":
+            monkeypatch.setattr(mwls.solver, "_cloud_draws", _full_path_draws)
+        for seed in range(1, 11):
+            sol = mwls_solve(
+                bench.model, grid, bench.driver, bench.terminal, basis, basis,
+                cloud_sizes=4_000, seed=seed,
+            )
+            rep = estimate_errors(sol, bench, fresh_m=4_000)
+            errors[kind, seed] = (rms(rep.fresh_y), rms(rep.fresh_z))
+    for column in (0, 1):
+        diff = np.array([errors["tail", s][column] - errors["full", s][column]
+                         for s in range(1, 11)])
+        assert abs(diff.mean()) <= 2.0 * diff.std(ddof=1) / math.sqrt(diff.size)
+
+
 def test_a_solve_and_its_error_report_build_one_bounds_table(monkeypatch):
     """The bound of `estimate_errors` reads the solution's own table: the
     pair builds one table, with the bits of building it apart."""
@@ -376,17 +447,24 @@ def test_estimate_errors_checks_fresh_m_and_seed_before_any_thread(monkeypatch):
     reference = estimate_errors(sol, bench, fresh_m=100, seed=4)
     opened = []
     monkeypatch.setattr(mwls.harness, "_one_worker", lambda: opened.append(1))
-    for fresh_m in (100.5, 100.0, True, 0, -3, "100", None):
-        with pytest.raises(ValueError, match="fresh_m must be an integer >= 1, got "):
+    for fresh_m in (0, -3):
+        with pytest.raises(ValueError, match=f"^fresh_m must be >= 1, got {fresh_m}$"):
             estimate_errors(sol, bench, fresh_m=fresh_m)
-    for seed in (-1, 1.5, 4.0, True, "4"):
-        with pytest.raises(ValueError, match="seed must be an integer >= 0, got "):
+    for fresh_m in (100.5, True, "100", None):
+        with pytest.raises(ValueError, match=f"^fresh_m {re.escape(repr(fresh_m))} is not an"):
+            estimate_errors(sol, bench, fresh_m=fresh_m)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        estimate_errors(sol, bench, fresh_m=100, seed=-1)
+    for seed in (1.5, True, "4"):
+        with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not an integer$"):
             estimate_errors(sol, bench, fresh_m=100, seed=seed)
     assert opened == []
     monkeypatch.undo()
-    numpy_ints = estimate_errors(sol, bench, fresh_m=np.int64(100), seed=np.uint8(4))
-    assert type(numpy_ints.fresh_m) is int and type(numpy_ints.seed) is int
-    assert _report_bytes(numpy_ints) == _report_bytes(reference)
+    # numpy integers and integral floats are taken as ints, as for cloud sizes
+    for fresh_m, seed in ((np.int64(100), np.uint8(4)), (100.0, 4.0)):
+        same = estimate_errors(sol, bench, fresh_m=fresh_m, seed=seed)
+        assert type(same.fresh_m) is int and type(same.seed) is int
+        assert _report_bytes(same) == _report_bytes(reference)
 
 
 # ---------------------------------------------------------------------------

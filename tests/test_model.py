@@ -1,6 +1,7 @@
 """Tests for path samplers, Malliavin weights, and simulation clouds."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -126,60 +127,80 @@ def test_cloud_validation():
 # tail clouds against whole simulated paths
 
 
-def _full_paths(model, grid, M, rng):
-    """X_0..X_N and dW_0..dW_{N-1}, path-major, simulated and stored whole
-    from t_0 by each model's one-step recursion: the reference the
-    tail-only samplers must match bit for bit."""
-    n = grid.N
-    starts = model._draw_start(M, rng)
-    dW = rng.standard_normal((M, n, model.q)) * np.sqrt(grid.steps)[None, :, None]
+def _reference_paths(model, grid, i, x_i, dW):
+    """X_i..X_N, path-major, from the (M, d) states x_i along the (M, N - i, q)
+    increments dW, by each model's one-step recursion written out: the
+    reference the samplers must match bit for bit."""
+    M, n = dW.shape[:2]
     X = np.empty((M, n + 1, model.d))
-    X[:, 0, :] = starts
-    for k in range(n):
-        xk, dt = X[:, k, :], grid.steps[k]
+    X[:, 0, :] = x_i
+    for j in range(n):
+        k = i + j
+        xk, dt = X[:, j, :], grid.steps[k]
         if isinstance(model, BrownianModel):
-            X[:, k + 1, :] = xk + (dW[:, k, :] + model.drift * dt)
+            X[:, j + 1, :] = xk + (dW[:, j, :] + model.drift * dt)
         else:
-            step = np.einsum("mdq,mq->md", model.sigma(grid.points[k], xk), dW[:, k, :])
+            step = np.einsum("mdq,mq->md", model.sigma(grid.points[k], xk), dW[:, j, :])
             if model.b is not None:
                 step = step + model.b(grid.points[k], xk) * dt
-            X[:, k + 1, :] = xk + step
-    return X, dW
+            X[:, j + 1, :] = xk + step
+    return X
 
 
 def _euler_reference_weights(model, grid, i, X, dW):
-    """Tangent-process weights H^(i) from whole paths."""
+    """Tangent-process weights H^(i) from the tail paths X_i..X_N."""
     M, N, t = X.shape[0], grid.N, grid.points
     eye = np.broadcast_to(np.eye(model.d), (M, model.d, model.d))
     psi = eye.copy()
-    sig_i = model.sigma(t[i], X[:, i, :])
+    sig_i = model.sigma(t[i], X[:, 0, :])
     increments = np.empty((M, N - i, model.d))
     for k in range(i, N):
-        xk = X[:, k, :]
+        xk = X[:, k - i, :]
         a_k = np.linalg.inv(model.sigma(t[k], xk)) @ psi @ sig_i
-        increments[:, k - i, :] = np.einsum("mad,ma->md", a_k, dW[:, k, :])
+        increments[:, k - i, :] = np.einsum("mad,ma->md", a_k, dW[:, k - i, :])
         if k + 1 < N:
             update = eye.copy()
             if model.db is not None:
                 update = update + model.db(t[k], xk) * grid.steps[k]
             if model.dsigma is not None:
                 update = update + np.einsum(
-                    "mlab,ml->mab", model.dsigma(t[k], xk), dW[:, k, :]
+                    "mlab,ml->mab", model.dsigma(t[k], xk), dW[:, k - i, :]
                 )
             psi = update @ psi
     return np.cumsum(increments, axis=1) / (t[i + 1 :] - t[i])[None, :, None]
 
 
-def _reference_cloud(model, grid, i, M_i, seed):
-    """The index-i cloud cut from whole simulated paths: X[:, i:] and the
-    weights from dW[:, i:]."""
-    X, dW = _full_paths(model, grid, M_i, cloud_rng(seed, i, STREAM_CLOUD))
+def _tail_cloud(model, grid, i, x_i, normals):
+    """The index-i cloud from its states X_i and its (M, N - i, q) tail
+    normals, path-major, by the reference recursion and weights."""
+    dW = normals * np.sqrt(grid.steps[i:])[None, :, None]
+    X = _reference_paths(model, grid, i, x_i, dW)
     if isinstance(model, EulerSdeModel):
         H = _euler_reference_weights(model, grid, i, X, dW)
     else:
         spans = grid.points[i + 1 :] - grid.points[i]
-        H = np.cumsum(dW[:, i:], axis=1) / spans[None, :, None]
-    return SimulationCloud(i=i, X=X[:, i:], H=H)
+        H = np.cumsum(dW, axis=1) / spans[None, :, None]
+    return SimulationCloud(i=i, X=X, H=H)
+
+
+def _reference_cloud(model, grid, i, M_i, seed):
+    """The index-i cloud from its (seed, i) stream as the samplers draw it:
+    X_i like a fresh sample (the start law at i = 0, else `draw_state`),
+    then one (M_i, N - i, q) draw of tail normals."""
+    rng = cloud_rng(seed, i, STREAM_CLOUD)
+    x_i = model._draw_start(M_i, rng) if i == 0 else model.draw_state(grid, i, M_i, rng)
+    return _tail_cloud(model, grid, i, x_i, rng.standard_normal((M_i, grid.N - i, model.q)))
+
+
+def _full_path_cloud(model, grid, i, M_i, rng):
+    """The index-i cloud cut from whole paths simulated from t_0 on rng: the
+    starts, then one (M_i, N, q) draw of normals.  Every cloud was drawn so
+    before clouds drew only their tails, and index-0 clouds still are."""
+    starts = model._draw_start(M_i, rng)
+    normals = rng.standard_normal((M_i, grid.N, model.q))
+    dW = normals * np.sqrt(grid.steps)[None, :, None]
+    x_i = _reference_paths(model, grid, 0, starts, dW)[:, i, :]
+    return _tail_cloud(model, grid, i, x_i, normals[:, i:])
 
 
 def _tanh_sigma(t, x):
@@ -217,12 +238,18 @@ _TAIL_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(_TAIL_MODELS))
 def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
+    """Each cloud is its tail built by the reference recursion from its own
+    draws, bit for bit; at index 0 that tail is the whole path from t_0."""
     model = _TAIL_MODELS[name]()
     grid = make_theta_grid(T=1.0, N=5, theta=0.6)  # non-uniform steps
     m = 1037
     for i in (0, 1, grid.N - 1):
         cloud = sample_cloud(model, grid, i=i, M_i=m, seed=81)
         reference = _reference_cloud(model, grid, i, m, seed=81)
+        if i == 0:
+            full = _full_path_cloud(model, grid, 0, m, cloud_rng(81, 0, STREAM_CLOUD))
+            np.testing.assert_array_equal(cloud.X, full.X, strict=True)
+            np.testing.assert_array_equal(cloud.H, full.H, strict=True)
         assert cloud.X.shape == reference.X.shape == (m, grid.N - i + 1, model.d)
         assert cloud.H.shape == reference.H.shape == (m, grid.N - i, model.q)
         np.testing.assert_array_equal(cloud.X, reference.X, strict=True)
@@ -233,6 +260,65 @@ def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
             assert cloud.x_at(k).flags.c_contiguous
         for j in range(i + 1, grid.N + 1):
             assert cloud.h_at(j).flags.c_contiguous
+
+
+# SHA-256 of the X and H bytes of sample_cloud(model, grid, 0, 1037, seed=81)
+# on make_theta_grid(1.0, 5, 0.6), as computed when every cloud was cut from
+# whole paths: index-0 clouds kept their bits when clouds began to draw only
+# their tails.
+_INDEX_0_DIGESTS = {
+    "brownian-1d": "d5faac67d12f98724e926249c0c06eda8ebc6dd523934b3af00b750777633add",
+    "brownian-2d": "c36eb8c64178300967023f26c22ef26e01c7d70c9042220bcdadcdc075ed72bd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INDEX_0_DIGESTS))
+def test_index_0_clouds_keep_their_bits(name):
+    grid = make_theta_grid(T=1.0, N=5, theta=0.6)
+    cloud = sample_cloud(_TAIL_MODELS[name](), grid, 0, 1037, seed=81)
+    digest = hashlib.sha256(cloud.X.tobytes() + cloud.H.tobytes()).hexdigest()
+    assert digest == _INDEX_0_DIGESTS[name]
+
+
+def _moments_agree(a, b, se_factor=4.0):
+    """Whether the means and the variances of two samples agree within
+    se_factor combined standard errors."""
+    mean_a, mean_se_a, var_a, var_se_a = _mean_var_se(a)
+    mean_b, mean_se_b, var_b, var_se_b = _mean_var_se(b)
+    return (
+        abs(mean_a - mean_b) <= se_factor * np.hypot(mean_se_a, mean_se_b)
+        and abs(var_a - var_b) <= se_factor * np.hypot(var_se_a, var_se_b)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_TAIL_MODELS))
+def test_tail_clouds_have_the_law_of_full_path_clouds(name):
+    """Tail clouds, whose X_i is drawn like a fresh sample, and clouds cut
+    from whole paths have the same law of (X_i, X_N, H^(i)_N): per state and
+    weight component a two-sample KS test, mean and variance, and the mean
+    and variance of X_N H^(i)_N, the weighted terminal term of the
+    z-response.  The four models make about 130 checks at one fixed seed;
+    KS at p > 0.001 and moments at 4.5 standard errors keep the chance of a
+    false alarm small."""
+    model = _TAIL_MODELS[name]()
+    grid = make_theta_grid(T=1.0, N=5, theta=0.6)
+    m = 20_000
+    for i in (1, 3):
+        tail = sample_cloud(model, grid, i=i, M_i=m, seed=61)
+        full = _full_path_cloud(model, grid, i, m, np.random.default_rng(62))
+        for c in range(model.d):
+            pairs = [
+                (tail.x_at(i)[:, c], full.x_at(i)[:, c]),
+                (tail.x_at(grid.N)[:, c], full.x_at(grid.N)[:, c]),
+                (tail.h_at(grid.N)[:, c], full.h_at(grid.N)[:, c]),
+            ]
+            for a, b in pairs:
+                assert stats.ks_2samp(a, b).pvalue > 0.001
+                assert _moments_agree(a, b, 4.5)
+            weighted = [
+                cloud.x_at(grid.N)[:, c] * cloud.h_at(grid.N)[:, c] for cloud in (tail, full)
+            ]
+            assert _moments_agree(*weighted, 4.5)
 
 
 @pytest.mark.parametrize("rows, m", [(1, 97), (4095, 8229), (4133, 8229)])
@@ -252,6 +338,8 @@ def test_cloud_blocks_are_bitwise_the_cloud(name, rows, m):
 
 
 def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
+    """The solve is that on the reference clouds, bit for bit: cut from
+    whole paths at index 0, the reference tails from the drawn X_i after."""
     bench = benchmark_b3()
     grid = make_theta_grid(1.0, 6)
     basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=4.0, d=1)
@@ -343,17 +431,18 @@ def test_weights_of_a_batch_short_of_the_horizon_name_the_indices(name):
 
 
 def test_step_recursion_matches_the_closed_forms():
-    """Brownian clouds build X_k step by step; on a long non-uniform grid
-    they stay within round-off of the closed form X_0 + drift t_k + W_k."""
+    """Brownian clouds build X_k step by step from their X_i; on a long
+    non-uniform grid they stay within round-off of the closed form
+    X_i + drift (t_k - t_i) + W_k - W_i."""
     grid = make_theta_grid(T=1.0, N=50, theta=0.6)
     t = grid.points
     for name in ("brownian-1d", "brownian-2d"):
         model = _TAIL_MODELS[name]()
         for i in (0, 25):
-            starts, normals = _cloud_draws(model, grid, i, 2000, seed=12)
-            W = np.cumsum(normals * np.sqrt(grid.steps)[None, :, None], axis=1)
-            W = np.concatenate([np.zeros_like(W[:, :1]), W], axis=1)[:, i:]
-            closed = starts[:, None, :] + model.drift * t[i:, None] + W
+            x_i, normals = _cloud_draws(model, grid, i, 2000, seed=12)
+            W = np.cumsum(normals * np.sqrt(grid.steps[i:])[None, :, None], axis=1)
+            W = np.concatenate([np.zeros_like(W[:, :1]), W], axis=1)
+            closed = x_i[:, None, :] + model.drift * (t[i:, None] - t[i]) + W
             X = sample_cloud(model, grid, i, 2000, seed=12).X
             assert np.max(np.abs(X - closed)) <= 1e-13 * np.max(np.abs(closed))
 
@@ -361,19 +450,22 @@ def test_step_recursion_matches_the_closed_forms():
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("m", [1, _DRAW_ROWS - 1, _DRAW_ROWS, 2 * _DRAW_ROWS + 37])
 def test_cloud_normals_are_one_draw_stored_time_major(m, q):
-    # drawn chunk by chunk, the normals are those of one (M, N, q) call on
-    # the stream after the starts, and each time slice is contiguous
+    # the states X_i come first on the stream, drawn like a fresh sample;
+    # drawn chunk by chunk, the tail normals are those of one (M, N - i, q)
+    # call on the stream after them, and each time slice is contiguous
     model = brownian_model(d=q, x0=0.0, x0_width=1.0)
     grid = make_theta_grid(T=1.0, N=4, theta=0.6)
-    starts, normals = _cloud_draws(model, grid, 1, m, seed=33)
-    rng = cloud_rng(33, 1, STREAM_CLOUD)
-    np.testing.assert_array_equal(starts, model._draw_start(m, rng), strict=True)
-    expected = rng.standard_normal((m, grid.N, q))
-    assert normals.shape == expected.shape
-    assert normals.tobytes() == expected.tobytes()
-    assert normals.base.shape == (grid.N, m, q)
-    for k in range(grid.N):
-        assert normals[:, k].flags.c_contiguous
+    for i in (0, 1):
+        x_i, normals = _cloud_draws(model, grid, i, m, seed=33)
+        rng = cloud_rng(33, i, STREAM_CLOUD)
+        states = model._draw_start(m, rng) if i == 0 else model.draw_state(grid, i, m, rng)
+        np.testing.assert_array_equal(x_i, states, strict=True)
+        expected = rng.standard_normal((m, grid.N - i, q))
+        assert normals.shape == expected.shape
+        assert normals.tobytes() == expected.tobytes()
+        assert normals.base.shape == (grid.N, m, q)  # a buffer sized for whole paths
+        for k in range(grid.N - i):
+            assert normals[:, k].flags.c_contiguous
 
 
 # Componentwise models at d = q = 3: the Brownian kernels apply the drift
@@ -472,8 +564,10 @@ def _identity_sigma(t, x):
 
 def test_euler_identity_diffusion_matches_brownian():
     """Euler with unit diffusion and drift b = drift is Brownian motion
-    with that drift, bit for bit, from a start box too."""
+    with that drift, bit for bit, from the same states X_i and normals.  At
+    index 0 both draw X_0 from the start law, so their clouds are equal."""
     grid = make_theta_grid(T=1.0, N=4, theta=0.6)
+    rng = np.random.default_rng(31)
     for d, drift in ((1, [0.0]), (1, [0.7]), (2, [0.0, 0.0]), (2, [0.4, -0.3])):
         drift = np.array(drift)
         euler = euler_sde_model(
@@ -482,10 +576,20 @@ def test_euler_identity_diffusion_matches_brownian():
         )
         brownian = brownian_model(d=d, drift=drift, x0=0.5, x0_width=1.0)
         for i in (0, 1, 3):
-            e = sample_cloud(euler, grid, i=i, M_i=300, seed=31)
-            b = sample_cloud(brownian, grid, i=i, M_i=300, seed=31)
+            x_i = 0.5 + rng.uniform(-1.0, 1.0, (300, d))
+            normals = rng.standard_normal((300, grid.N - i, d))
+            e = euler.sample_paths(grid, i, x_i, normals)
+            b = brownian.sample_paths(grid, i, x_i, normals)
             np.testing.assert_array_equal(e.X, b.X, strict=True)
-            np.testing.assert_array_equal(e.H, b.H, strict=True)
+            np.testing.assert_array_equal(e.dW, b.dW, strict=True)
+            np.testing.assert_array_equal(
+                euler.malliavin_weights(grid, i, e), brownian.malliavin_weights(grid, i, b),
+                strict=True,
+            )
+        e = sample_cloud(euler, grid, i=0, M_i=300, seed=31)
+        b = sample_cloud(brownian, grid, i=0, M_i=300, seed=31)
+        np.testing.assert_array_equal(e.X, b.X, strict=True)
+        np.testing.assert_array_equal(e.H, b.H, strict=True)
 
 
 def test_euler_linear_sde_weights():
@@ -604,6 +708,38 @@ def test_sample_marginal_validation():
         sample_marginal(model, grid, i=5, M=10, seed=0)
     with pytest.raises(ValueError):
         sample_marginal(model, grid, i=0, M=0, seed=0)
+
+
+@pytest.mark.parametrize("sampler, args, message", [
+    (sample_cloud, (1.5, 7, 1), "cloud index 1.5 is not an integer"),
+    (sample_cloud, (1, 10.5, 1), "cloud size 10.5 is not an integer"),
+    (sample_cloud, (1, 7, 1.5), "seed 1.5 is not an integer"),
+    (sample_cloud, (1, 7, -1), "seed must be >= 0, got -1"),
+    (sample_marginal, (True, 10, 1), "marginal index True is not an integer"),
+    (sample_marginal, (2, 10.5, 1), "draw count 10.5 is not an integer"),
+    (sample_marginal, (2, 10, "1"), "seed '1' is not an integer"),
+    (sample_marginal, (2, 10, -1), "seed must be >= 0, got -1"),
+])
+def test_samplers_name_a_bad_integer_argument(sampler, args, message):
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    with pytest.raises(ValueError) as err:
+        sampler(brownian_model(d=1), grid, *args)
+    assert str(err.value) == message
+
+
+def test_samplers_take_integral_floats_and_numpy_integers():
+    model = brownian_model(d=1, x0_width=1.0)
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    cloud = sample_cloud(model, grid, 1, 7, 3)
+    for args in ((1.0, 7.0, 3.0), (np.int64(1), np.int32(7), np.uint8(3))):
+        same = sample_cloud(model, grid, *args)
+        assert same.i == 1 and same.M == 7
+        np.testing.assert_array_equal(same.X, cloud.X, strict=True)
+        np.testing.assert_array_equal(same.H, cloud.H, strict=True)
+    marginal = sample_marginal(model, grid, 2, 10, 3)
+    np.testing.assert_array_equal(
+        sample_marginal(model, grid, 2.0, 10.0, 3.0), marginal, strict=True
+    )
 
 
 # Models with an exact one-step draw of X_i: Brownian motion with drift and

@@ -1,6 +1,7 @@
 """Tests for the backward least-squares solver and its response assembly."""
 
 import dataclasses
+import itertools
 import re
 import threading
 import time
@@ -40,11 +41,11 @@ def _tanh_terminal():
     return TerminalSpec(fn=lambda x: np.tanh(x[:, 0]), C_xi=1.0, C_phi=1.0, theta_phi=1.0)
 
 
-def _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits):
+def _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits, center_z=True):
     """The z-response, the y-response less its k = i term, and y_{i+1}(X_{i+1})
     of a whole cloud, written into fresh arrays."""
     s_z, s_y = np.empty((cloud.M, cloud.H.shape[2])), np.empty(cloud.M)
-    y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits, s_z, s_y)
+    y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits, s_z, s_y, center_z)
     return s_z, s_y, y_next
 
 
@@ -56,8 +57,8 @@ def _with_own_term(s_y, cloud, grid, driver, y_next, z_fits):
     return s_y
 
 
-def _z_response(cloud, grid, driver, terminal, y_fits, z_fits):
-    s_z, _, _ = _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits)
+def _z_response(cloud, grid, driver, terminal, y_fits, z_fits, center_z=True):
+    s_z, _, _ = _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits, center_z)
     return s_z
 
 
@@ -121,17 +122,30 @@ def test_problem_constants_assembly():
 # response assembly
 
 
-def test_z_response_zero_driver_is_weighted_terminal():
+def _zero_driver_z_response(center_z):
     model = brownian_model(x0=0.0, x0_width=2.0)
     grid = make_theta_grid(1.0, 4)
     cloud = sample_cloud(model, grid, 1, 50, seed=7)
     none_fits = [None] * grid.N
-    resp = _z_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
+    resp = _z_response(
+        cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits, center_z
+    )
+    return resp, cloud
+
+
+def test_z_response_zero_driver_is_weighted_terminal():
+    resp, cloud = _zero_driver_z_response(center_z=False)
     expected = cloud.x_at(4)[:, 0][:, None] * cloud.h_at(4)
     np.testing.assert_array_equal(resp, expected)
 
 
-def test_z_response_last_index_has_empty_driver_sum():
+def test_z_response_zero_driver_is_centered_weighted_terminal():
+    resp, cloud = _zero_driver_z_response(center_z=True)
+    expected = (cloud.x_at(4)[:, 0] - cloud.x_at(1)[:, 0])[:, None] * cloud.h_at(4)
+    np.testing.assert_array_equal(resp, expected)
+
+
+def _last_index_z_response(center_z):
     model = brownian_model(x0=0.0)
     grid = make_theta_grid(1.0, 4)
     cloud = sample_cloud(model, grid, 3, 30, seed=8)
@@ -141,8 +155,19 @@ def test_z_response_last_index_has_empty_driver_sum():
 
     driver = DriverSpec(fn=exploding, L_f=1.0, C_f=1.0)
     none_fits = [None] * grid.N
-    resp = _z_response(cloud, grid, driver, _identity_terminal(), none_fits, none_fits)
+    resp = _z_response(cloud, grid, driver, _identity_terminal(), none_fits, none_fits, center_z)
+    return resp, cloud
+
+
+def test_z_response_last_index_has_empty_driver_sum():
+    resp, cloud = _last_index_z_response(center_z=False)
     expected = cloud.x_at(4)[:, 0][:, None] * cloud.h_at(4)
+    np.testing.assert_array_equal(resp, expected)
+
+
+def test_centered_z_response_last_index_has_empty_driver_sum():
+    resp, cloud = _last_index_z_response(center_z=True)
+    expected = (cloud.x_at(4)[:, 0] - cloud.x_at(3)[:, 0])[:, None] * cloud.h_at(4)
     np.testing.assert_array_equal(resp, expected)
 
 
@@ -180,7 +205,9 @@ def test_y_response_constant_driver_is_riemann_sum():
     np.testing.assert_allclose(resp, 0.7 * (grid.T - grid.points[i]), rtol=1e-12)
 
 
-def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
+def _q3_z_response_and_broadcast_sum(center_z):
+    """The z-response of a q = 3 cloud, and the same sum built by (M, q)
+    broadcasts in ascending k."""
     model = brownian_model(d=3, drift=[0.2, -0.1, 0.3], x0=0.0, x0_width=2.0)
     grid = make_theta_grid(1.0, 5, theta=0.7)
     i = 1
@@ -199,12 +226,24 @@ def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
 
     driver = DriverSpec(fn=fn, L_f=1.0, C_f=0.0)
     terminal = TerminalSpec(fn=lambda x: np.tanh(x.sum(axis=1)), C_xi=1.0)
-    s_z = _z_response(cloud, grid, driver, terminal, fits[1], fits[3])
+    s_z = _z_response(cloud, grid, driver, terminal, fits[1], fits[3], center_z)
     phi = terminal.fn(cloud.x_at(grid.N))
+    if center_z:
+        phi = phi - terminal.fn(cloud.x_at(i))
     expected = phi[:, None] * cloud.h_at(grid.N)
     assert sorted(terms) == list(range(i + 1, grid.N))
     for k in sorted(terms):
         expected += terms[k][:, None] * cloud.h_at(k) * grid.steps[k]
+    return s_z, expected
+
+
+def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
+    s_z, expected = _q3_z_response_and_broadcast_sum(center_z=False)
+    assert s_z.tobytes() == expected.tobytes()
+
+
+def test_centered_z_response_at_q3_is_bitwise_the_broadcast_sum():
+    s_z, expected = _q3_z_response_and_broadcast_sum(center_z=True)
     assert s_z.tobytes() == expected.tobytes()
 
 
@@ -333,9 +372,10 @@ def test_solve_order_audit_and_response_envelope():
     by the time they were read; regenerating the index's cloud and refitting
     must therefore reproduce the stored coefficients bitwise.  This pins the
     exact dataflow: z uses terms k > i only, y additionally reads z at its
-    own index.  The y responses must also respect their deterministic
-    envelope Theta_y.  The d=2 case gives the y and z bases different cell
-    edges, so the solver cannot share one design between them.
+    own index.  Both z-responses, centered and literal, are rebuilt.  The y
+    responses must also respect their deterministic envelope Theta_y.  The
+    d=2 case gives the y and z bases different cell edges, so the solver
+    cannot share one design between them.
     """
     grid = make_theta_grid(1.0, 4)
     driver = DriverSpec(fn=lambda k, x, y, z: 0.2 * y + 0.1 * z[:, 0], L_f=0.3, C_f=0.0)
@@ -354,16 +394,17 @@ def test_solve_order_audit_and_response_envelope():
     from mwls.constants import obs_bounds
     from mwls.regression import ols_fit, truncate_estimator
 
-    for model, y_basis, z_basis in cases:
+    for (model, y_basis, z_basis), center_z in itertools.product(cases, (True, False)):
         sol = mwls_solve(
-            model, grid, driver, terminal, y_basis, z_basis, cloud_sizes=m, seed=seed
+            model, grid, driver, terminal, y_basis, z_basis, cloud_sizes=m, seed=seed,
+            center_z=center_z,
         )
         theta_y, _ = obs_bounds(problem_constants(model, grid, driver, terminal), grid)
         for i in range(grid.N):
             cloud = sample_cloud(model, grid, i, m, seed)
             np.testing.assert_array_equal(cloud.x_at(i), sol.marginals[i])
             s_z, s_y, y_next = _cloud_responses(
-                cloud, grid, driver, terminal, sol.y_fits, sol.z_fits
+                cloud, grid, driver, terminal, sol.y_fits, sol.z_fits, center_z
             )
             refit_z = truncate_estimator(
                 ols_fit(s_z, z_basis, cloud.x_at(i)), float(sol.bounds.C_z[i])
@@ -465,15 +506,28 @@ def test_seed_must_be_a_nonnegative_integer():
     basis = _linear_basis(delta=1.0, radius=2.0)
     args = (model, grid, zero_driver(), _tanh_terminal(), basis, basis)
     before = threading.active_count()
-    for seed in (-1, 1.5, True, False, "3", None):
-        with pytest.raises(ValueError, match="seed must be an integer >= 0, got "):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        mwls_solve(*args, cloud_sizes=100, seed=-1)
+    for seed in (1.5, True, False, "3", None):
+        with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not an integer$"):
             mwls_solve(*args, cloud_sizes=100, seed=seed)
     assert threading.active_count() == before
-    sol = mwls_solve(*args, cloud_sizes=100, seed=np.uint64(3))
-    assert sol.seed == 3 and type(sol.seed) is int
     plain = mwls_solve(*args, cloud_sizes=100, seed=3)
-    for fit, expected in zip(sol.z_fits, plain.z_fits, strict=True):
-        assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+    for seed in (np.uint64(3), 3.0):  # as for cloud sizes, an integral float will do
+        sol = mwls_solve(*args, cloud_sizes=100, seed=seed)
+        assert sol.seed == 3 and type(sol.seed) is int
+        for fit, expected in zip(sol.z_fits, plain.z_fits, strict=True):
+            assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+
+
+def test_center_z_must_be_a_bool():
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=2.0)
+    args = (model, grid, zero_driver(), _tanh_terminal(), basis, basis)
+    for value in (1, "no", None):
+        with pytest.raises(ValueError, match="center_z must be True or False, got "):
+            mwls_solve(*args, cloud_sizes=100, seed=3, center_z=value)
 
 
 # ---------------------------------------------------------------------------
