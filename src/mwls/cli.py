@@ -84,11 +84,10 @@ _PROBLEM_PARAMS = {"b3": ("alpha",), "b4": ("cap", "theta_phi")}
 
 # Every config key, in flag order: (section, key) -> (kind, default, dest,
 # help).  The flag --dest-with-dashes sets the key, and {default} in its help
-# reads the key's default; grid.points, simulation.center_z and error.enabled
-# have no flag.  Of the keys without a default, problem.id is required,
-# grid.points gives way to t, n and theta, and basis.delta_z follows
-# basis.delta.  _resolve_config holds these rules and the two defaults that
-# depend on the command.
+# reads the key's default; grid.points and error.enabled have no flag.  Of
+# the keys without a default, problem.id is required, grid.points gives way
+# to t, n and theta, and basis.delta_z follows basis.delta.  _resolve_config
+# holds these rules and the two defaults that depend on the command.
 _KEYS = {
     ("problem", "id"): ("str", None, "problem", "benchmark id (b1, b2, b3, b4, zero)"),
     ("problem", "alpha"): ("float", 0.5, "alpha", "driver slope (b3 only; default {default})"),
@@ -109,7 +108,6 @@ _KEYS = {
     ("basis", "radius"): ("float", 4.0, "radius", "basis half-width (default {default})"),
     ("simulation", "m"): ("int_list", [10_000], "m", "cloud size (default {default})"),
     ("simulation", "seed"): ("int", 0, "seed", "root seed (default {default})"),
-    ("simulation", "center_z"): ("bool", True, None, None),
     ("error", "enabled"): ("bool", True, None, None),
     ("error", "fresh_m"): ("int", 20_000, "fresh_m",
                            "fresh-sample count for errors (default {default})"),
@@ -198,7 +196,6 @@ class RunConfig:
     radius: float
     m: list
     seed: int
-    center_z: bool
     error_enabled: bool
     fresh_m: int
     out_dir: str
@@ -223,7 +220,6 @@ class RunConfig:
             ("basis.radius", self.radius),
             ("simulation.m", self.m),
             ("simulation.seed", self.seed),
-            ("simulation.center_z", self.center_z),
             ("error.enabled", self.error_enabled),
             ("error.fresh_m", self.fresh_m),
         ]
@@ -352,7 +348,6 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
         radius=radius,
         m=m,
         seed=seed,
-        center_z=get(("simulation", "center_z")),
         error_enabled=get(("error", "enabled")),
         fresh_m=fresh_m,
         out_dir=out_dir,
@@ -451,7 +446,7 @@ def _execute_run(cfg: RunConfig) -> int:
     bench = cfg.benchmark
     sol = mwls_solve(
         bench.model, cfg.grid, bench.driver, bench.terminal, cfg.y_bases, cfg.z_bases,
-        cfg.m, cfg.seed, center_z=cfg.center_z,
+        cfg.m, cfg.seed,
     )
 
     os.makedirs(cfg.out_dir, exist_ok=True)

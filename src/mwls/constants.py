@@ -463,9 +463,7 @@ def obs_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     The terminal part of c3 is 2 C_M C_xi, for the centered terminal term
     (phi(X_N) - phi(X_i)) H^(i)_N of the solver's z-response: almost surely
     |phi(X_N) - phi(X_i)| <= 2 C_xi, and the weight moment bound gives
-    (E[|H^(i)_N|^2 | F_i])^(1/2) <= C_M (T-t_i)^(-1/2).  The literal term
-    phi(X_N) H^(i)_N is at most half of that, so the one table serves both
-    responses.  C_phi is not used here: it bounds |xi - E[xi | F_i]|_{2,i},
+    (E[|H^(i)_N|^2 | F_i])^(1/2) <= C_M (T-t_i)^(-1/2).  C_phi is not used here: it bounds |xi - E[xi | F_i]|_{2,i},
     and phi(X_i) is not E[xi | F_i], so it gives no bound on
     |phi(X_N) - phi(X_i)|.
     """

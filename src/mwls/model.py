@@ -469,23 +469,6 @@ class SimulationCloud:
         return self.H[:, j - self.i - 1, :]
 
 
-def _stream(
-    grid: TimeGrid, i: int, M: int, seed: int, purpose: int
-) -> tuple[int, int, np.random.Generator]:
-    """The index i and the count M as ints, and the generator of the
-    (seed, i, purpose) stream: the one check of the index, the count and the
-    seed of both samplers, regression clouds (STREAM_CLOUD, i < N) and fresh
-    samples (STREAM_FRESH, i <= N)."""
-    cloud = purpose == STREAM_CLOUD
-    noun = "cloud" if cloud else "marginal"
-    last = grid.N - 1 if cloud else grid.N
-    i = _as_count(i, f"{noun} index {i!r}")
-    if not 0 <= i <= last:
-        raise ValueError(f"{noun} index must lie in 0..{last}, got {i}")
-    M = _count_at_least(M, "cloud size" if cloud else "draw count", 1)
-    return i, M, cloud_rng(_count_at_least(seed, "seed", 0), i, purpose)
-
-
 def _draw_states(
     model: MarkovModel, grid: TimeGrid, i: int, M: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -506,9 +489,9 @@ def _cloud_draws(
     time-major (see `_time_major_normals`).
 
     Row r of both arrays belongs to row r of the cloud, whatever the rows
-    are split into.
+    are split into.  i, M_i and seed are ints, checked by the caller.
     """
-    i, M_i, rng = _stream(grid, i, M_i, seed, STREAM_CLOUD)
+    rng = cloud_rng(seed, i, STREAM_CLOUD)
     x_i = _draw_states(model, grid, i, M_i, rng)
     # The tail fills the first N - i time slices of a buffer sized for whole
     # paths, so every index asks the allocator for the same block and gets a
@@ -561,9 +544,12 @@ def sample_cloud(
     must be integers (an integral float will do) with 0 <= i < N, M_i >= 1
     and seed >= 0.
     """
-    draws = _cloud_draws(model, grid, i, M_i, seed)
-    M_i, n = draws[1].shape[:2]  # as checked: i = N - n
-    return next(_cloud_blocks(model, grid, grid.N - n, draws, M_i))
+    i = _as_count(i, f"cloud index {i!r}")
+    if not 0 <= i < grid.N:
+        raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
+    M_i = _count_at_least(M_i, "cloud size", 1)
+    seed = _count_at_least(seed, "seed", 0)
+    return next(_cloud_blocks(model, grid, i, _cloud_draws(model, grid, i, M_i, seed), M_i))
 
 
 def sample_marginal(
@@ -576,5 +562,9 @@ def sample_marginal(
     path simulated to t_i otherwise.  i, M and seed must be integers (an
     integral float will do) with 0 <= i <= N, M >= 1 and seed >= 0.
     """
-    i, M, rng = _stream(grid, i, M, seed, STREAM_FRESH)
+    i = _as_count(i, f"marginal index {i!r}")
+    if not 0 <= i <= grid.N:
+        raise ValueError(f"marginal index must lie in 0..{grid.N}, got {i}")
+    M = _count_at_least(M, "draw count", 1)
+    rng = cloud_rng(_count_at_least(seed, "seed", 0), i, STREAM_FRESH)
     return _draw_states(model, grid, i, M, rng)

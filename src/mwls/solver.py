@@ -6,11 +6,10 @@ terminal values and the previously fitted estimators, regresses both on
 local-polynomial bases over the cloud's time-i states, and clamps the fits
 to the a-priori envelopes from the constants pipeline.  The truncated
 estimators feed the response sums of all earlier indices.  One helper,
-`_driver_values`, gives every driver term f_k(X_k, y_{k+1}, z_k(X_k)).  By
-default the terminal term of the z-response is centered, (phi(X_N) -
-phi(X_i)) H_N, a control variate with the same conditional mean (see
-`_responses`); `mwls_solve(..., center_z=False)` gives the paper's literal
-phi(X_N) H_N.
+`_driver_values`, gives every driver term f_k(X_k, y_{k+1}, z_k(X_k)).  The
+terminal term of the z-response is centered, (phi(X_N) - phi(X_i)) H_N, a
+control variate with the same conditional mean as the paper's phi(X_N) H_N
+(see `_responses`).
 
 A cloud depends only on its (seed, i) stream, never on a fit, so one
 producer thread draws the random input of index i - 1's cloud, its states
@@ -186,7 +185,6 @@ def _responses(
     z_fits: Sequence,
     s_z: np.ndarray,
     s_y: np.ndarray,
-    center_z: bool,
 ) -> np.ndarray | None:
     """Write the z-response into s_z, the y-response less its k = i term into
     s_y, and return y_{i+1}(X_{i+1}).
@@ -196,14 +194,13 @@ def _responses(
     shape (M, q); there is no weight at the regression index itself.  As
     E[H_N | F_i] = 0, the centering term phi(X_i) H_N leaves the response's
     conditional mean as it is and takes out the variance that X_i drives
-    (the martingale control variate of Alanko and Avellaneda, 2013); with
-    center_z False the terminal term is phi(X_N) H_N, the paper's literal
-    scheme.  The y-response is phi(X_N) plus the same sum without the
-    weights, shape (M,); `mwls_solve` adds its k = i term once z_fits[i] is
-    fitted.  The sums run in ascending k.  The terms are evaluated from
-    k = N-1 down: one design of X_k serves z_k(X_k) and y_k(X_k), and
-    y_k(X_k) feeds term k-1.  The value returned is phi(X_N) when i = N-1,
-    and None for the zero driver.
+    (the martingale control variate of Alanko and Avellaneda, 2013).  The
+    y-response is phi(X_N) plus the same sum without the weights, shape
+    (M,); `mwls_solve` adds its k = i term once z_fits[i] is fitted.  The
+    sums run in ascending k.  The terms are evaluated from k = N-1 down: one
+    design of X_k serves z_k(X_k) and y_k(X_k), and y_k(X_k) feeds term k-1.
+    The value returned is phi(X_N) when i = N-1, and None for the zero
+    driver.
     """
     i, n = cloud.i, grid.N
     phi = _callback_values(terminal.fn(cloud.x_at(n)), cloud.M, i)
@@ -214,10 +211,8 @@ def _responses(
         z_design, y_design = shared_designs(x_k, z_fits[k].basis, y_fits[k].basis)
         f_vals[k] = _driver_values(driver, i, k, x_k, y_next, z_fits[k], z_design)
         y_next = y_fits[k].evaluate(x_k, design=y_design)[:, 0]
-    weighted = phi
-    if center_z:
-        weighted = phi - _callback_values(terminal.fn(cloud.x_at(i)), cloud.M, i)
-    _times_columns(weighted, cloud.h_at(n), s_z)
+    phi_i = _callback_values(terminal.fn(cloud.x_at(i)), cloud.M, i)
+    _times_columns(phi - phi_i, cloud.h_at(n), s_z)
     s_y[:] = phi
     term = np.empty(s_z.shape)
     for k in sorted(f_vals):
@@ -344,7 +339,6 @@ def mwls_solve(
     z_basis,
     cloud_sizes,
     seed: int,
-    center_z: bool = True,
 ) -> MwlsSolution:
     """Run the backward two-stage regression scheme.
 
@@ -361,8 +355,6 @@ def mwls_solve(
             broadcasts.
         seed: root seed, a non-negative integer (an integral float will
             do); index i draws its cloud from the (seed, i) stream.
-        center_z: center the terminal term of the z-response at phi(X_i)
-            (see `_responses`); False gives the paper's literal scheme.
 
     At each index i = N-1 .. 0 the z response is fitted and truncated first,
     then the y response (whose k = i term reads the fresh z fit).  Each
@@ -373,8 +365,6 @@ def mwls_solve(
     """
     n = grid.N
     seed = _count_at_least(seed, "seed", 0)
-    if not isinstance(center_z, (bool, np.bool_)):
-        raise ValueError(f"center_z must be True or False, got {center_z!r}")
     y_bases, z_bases, sizes = _per_index_inputs(model, n, y_basis, z_basis, cloud_sizes)
     pc = problem_constants(model, grid, driver, terminal)
     table = bounds_table(
@@ -399,8 +389,7 @@ def mwls_solve(
                 rows, stop = slice(stop, stop + block.M), stop + block.M
                 x_i[rows] = block.x_at(i)
                 next_rows = _responses(
-                    block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows],
-                    center_z,
+                    block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows]
                 )
                 if y_next is not None:
                     y_next[rows] = next_rows

@@ -241,31 +241,6 @@ def test_run_seed_override_is_echoed_and_changes_tables(tmp_path):
     )
 
 
-def test_run_center_z_key_is_echoed_and_turns_centering_off(tmp_path, capsys):
-    centered = _write_config(tmp_path, B1_CONFIG, "centered.ini")
-    literal = _write_config(
-        tmp_path, B1_CONFIG.replace("seed = 9", "seed = 9\n    center_z = false"), "literal.ini"
-    )
-    assert main(["run", "--config", centered, "--out", str(tmp_path / "a")]) == 0
-    assert main(["run", "--config", literal, "--out", str(tmp_path / "b")]) == 0
-    texts = {
-        (run, name): (tmp_path / run / name).read_text()
-        for run in "ab" for name in ("run_summary.csv", "bounds.csv", "errors.csv")
-    }
-    for name in ("run_summary.csv", "bounds.csv", "errors.csv"):
-        assert "# simulation.center_z=true\n" in texts["a", name]
-        assert "# simulation.center_z=false\n" in texts["b", name]
-    # the bounds serve both responses; the z fits and their errors move
-    strip = lambda text: [l for l in text.splitlines() if not l.startswith("# simulation.center_z")]
-    assert strip(texts["a", "bounds.csv"]) == strip(texts["b", "bounds.csv"])
-    assert strip(texts["a", "errors.csv"]) != strip(texts["b", "errors.csv"])
-    bad = _write_config(tmp_path, B1_CONFIG.replace("seed = 9", "seed = 9\n    center_z = maybe"))
-    capsys.readouterr()
-    assert main(["run", "--config", bad, "--out", str(tmp_path / "c")]) == 1
-    assert "error: simulation.center_z: cannot parse 'maybe' as bool" in capsys.readouterr().err
-    assert not (tmp_path / "c").exists()
-
-
 def test_run_fresh_m_override(tmp_path):
     config = _write_config(tmp_path, ZERO_CONFIG)
     rc = main(["run", "--config", config, "--out", str(tmp_path / "f"), "--fresh-m", "77"])
@@ -956,7 +931,6 @@ BENCH_B4_ECHO = """\
 # basis.radius=2
 # simulation.m=60,60
 # simulation.seed=0
-# simulation.center_z=true
 # error.enabled=true
 # error.fresh_m=20
 """
@@ -975,7 +949,6 @@ RUN_B1_ECHO = """\
 # basis.radius=3
 # simulation.m=300,300,300,300
 # simulation.seed=10
-# simulation.center_z=true
 # error.enabled=true
 # error.fresh_m=40
 """

@@ -303,7 +303,7 @@ def test_centered_solves_stay_within_the_restated_bounds(factory):
         cloud = sample_cloud(bench.model, grid, i, m, seed)
         s_z, s_y = np.empty((m, 1)), np.empty(m)
         mwls.solver._responses(
-            cloud, grid, bench.driver, bench.terminal, sol.y_fits, sol.z_fits, s_z, s_y, True
+            cloud, grid, bench.driver, bench.terminal, sol.y_fits, sol.z_fits, s_z, s_y
         )
         assert math.sqrt(float(np.mean(s_z**2))) <= sol.bounds.Theta_z[i]
 

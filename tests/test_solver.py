@@ -1,7 +1,6 @@
 """Tests for the backward least-squares solver and its response assembly."""
 
 import dataclasses
-import itertools
 import re
 import threading
 import time
@@ -41,11 +40,11 @@ def _tanh_terminal():
     return TerminalSpec(fn=lambda x: np.tanh(x[:, 0]), C_xi=1.0, C_phi=1.0, theta_phi=1.0)
 
 
-def _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits, center_z=True):
+def _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits):
     """The z-response, the y-response less its k = i term, and y_{i+1}(X_{i+1})
     of a whole cloud, written into fresh arrays."""
     s_z, s_y = np.empty((cloud.M, cloud.H.shape[2])), np.empty(cloud.M)
-    y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits, s_z, s_y, center_z)
+    y_next = _responses(cloud, grid, driver, terminal, y_fits, z_fits, s_z, s_y)
     return s_z, s_y, y_next
 
 
@@ -57,8 +56,8 @@ def _with_own_term(s_y, cloud, grid, driver, y_next, z_fits):
     return s_y
 
 
-def _z_response(cloud, grid, driver, terminal, y_fits, z_fits, center_z=True):
-    s_z, _, _ = _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits, center_z)
+def _z_response(cloud, grid, driver, terminal, y_fits, z_fits):
+    s_z, _, _ = _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits)
     return s_z
 
 
@@ -122,30 +121,25 @@ def test_problem_constants_assembly():
 # response assembly
 
 
-def _zero_driver_z_response(center_z):
+def _assert_literal_less_centering(resp, literal, centering):
+    """resp is the paper's literal response less the centering term
+    phi(X_i) H_N, to rounding."""
+    scale = np.abs(literal).max() + np.abs(centering).max()
+    np.testing.assert_allclose(resp + centering, literal, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_z_response_zero_driver_is_weighted_terminal():
     model = brownian_model(x0=0.0, x0_width=2.0)
     grid = make_theta_grid(1.0, 4)
     cloud = sample_cloud(model, grid, 1, 50, seed=7)
     none_fits = [None] * grid.N
-    resp = _z_response(
-        cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits, center_z
-    )
-    return resp, cloud
+    resp = _z_response(cloud, grid, zero_driver(), _identity_terminal(), none_fits, none_fits)
+    x_n, x_i, h_n = cloud.x_at(4)[:, 0], cloud.x_at(1)[:, 0], cloud.h_at(4)
+    np.testing.assert_array_equal(resp, (x_n - x_i)[:, None] * h_n)
+    _assert_literal_less_centering(resp, x_n[:, None] * h_n, x_i[:, None] * h_n)
 
 
-def test_z_response_zero_driver_is_weighted_terminal():
-    resp, cloud = _zero_driver_z_response(center_z=False)
-    expected = cloud.x_at(4)[:, 0][:, None] * cloud.h_at(4)
-    np.testing.assert_array_equal(resp, expected)
-
-
-def test_z_response_zero_driver_is_centered_weighted_terminal():
-    resp, cloud = _zero_driver_z_response(center_z=True)
-    expected = (cloud.x_at(4)[:, 0] - cloud.x_at(1)[:, 0])[:, None] * cloud.h_at(4)
-    np.testing.assert_array_equal(resp, expected)
-
-
-def _last_index_z_response(center_z):
+def test_z_response_last_index_has_empty_driver_sum():
     model = brownian_model(x0=0.0)
     grid = make_theta_grid(1.0, 4)
     cloud = sample_cloud(model, grid, 3, 30, seed=8)
@@ -155,20 +149,10 @@ def _last_index_z_response(center_z):
 
     driver = DriverSpec(fn=exploding, L_f=1.0, C_f=1.0)
     none_fits = [None] * grid.N
-    resp = _z_response(cloud, grid, driver, _identity_terminal(), none_fits, none_fits, center_z)
-    return resp, cloud
-
-
-def test_z_response_last_index_has_empty_driver_sum():
-    resp, cloud = _last_index_z_response(center_z=False)
-    expected = cloud.x_at(4)[:, 0][:, None] * cloud.h_at(4)
-    np.testing.assert_array_equal(resp, expected)
-
-
-def test_centered_z_response_last_index_has_empty_driver_sum():
-    resp, cloud = _last_index_z_response(center_z=True)
-    expected = (cloud.x_at(4)[:, 0] - cloud.x_at(3)[:, 0])[:, None] * cloud.h_at(4)
-    np.testing.assert_array_equal(resp, expected)
+    resp = _z_response(cloud, grid, driver, _identity_terminal(), none_fits, none_fits)
+    x_n, x_i, h_n = cloud.x_at(4)[:, 0], cloud.x_at(3)[:, 0], cloud.h_at(4)
+    np.testing.assert_array_equal(resp, (x_n - x_i)[:, None] * h_n)
+    _assert_literal_less_centering(resp, x_n[:, None] * h_n, x_i[:, None] * h_n)
 
 
 def test_z_response_gaussian_identity():
@@ -205,9 +189,9 @@ def test_y_response_constant_driver_is_riemann_sum():
     np.testing.assert_allclose(resp, 0.7 * (grid.T - grid.points[i]), rtol=1e-12)
 
 
-def _q3_z_response_and_broadcast_sum(center_z):
-    """The z-response of a q = 3 cloud, and the same sum built by (M, q)
-    broadcasts in ascending k."""
+def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
+    """The z-response of a q = 3 cloud is the same sum built by (M, q)
+    broadcasts in ascending k, and the literal sum less phi(X_i) H_N."""
     model = brownian_model(d=3, drift=[0.2, -0.1, 0.3], x0=0.0, x0_width=2.0)
     grid = make_theta_grid(1.0, 5, theta=0.7)
     i = 1
@@ -226,25 +210,17 @@ def _q3_z_response_and_broadcast_sum(center_z):
 
     driver = DriverSpec(fn=fn, L_f=1.0, C_f=0.0)
     terminal = TerminalSpec(fn=lambda x: np.tanh(x.sum(axis=1)), C_xi=1.0)
-    s_z = _z_response(cloud, grid, driver, terminal, fits[1], fits[3], center_z)
-    phi = terminal.fn(cloud.x_at(grid.N))
-    if center_z:
-        phi = phi - terminal.fn(cloud.x_at(i))
-    expected = phi[:, None] * cloud.h_at(grid.N)
+    s_z = _z_response(cloud, grid, driver, terminal, fits[1], fits[3])
+    phi_n, phi_i = terminal.fn(cloud.x_at(grid.N)), terminal.fn(cloud.x_at(i))
+    h_n = cloud.h_at(grid.N)
+    expected, literal = (phi_n - phi_i)[:, None] * h_n, phi_n[:, None] * h_n
     assert sorted(terms) == list(range(i + 1, grid.N))
     for k in sorted(terms):
-        expected += terms[k][:, None] * cloud.h_at(k) * grid.steps[k]
-    return s_z, expected
-
-
-def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
-    s_z, expected = _q3_z_response_and_broadcast_sum(center_z=False)
+        term = terms[k][:, None] * cloud.h_at(k) * grid.steps[k]
+        expected += term
+        literal += term
     assert s_z.tobytes() == expected.tobytes()
-
-
-def test_centered_z_response_at_q3_is_bitwise_the_broadcast_sum():
-    s_z, expected = _q3_z_response_and_broadcast_sum(center_z=True)
-    assert s_z.tobytes() == expected.tobytes()
+    _assert_literal_less_centering(s_z, literal, phi_i[:, None] * h_n)
 
 
 def test_response_builders_flag_nonfinite_driver_terms():
@@ -372,10 +348,9 @@ def test_solve_order_audit_and_response_envelope():
     by the time they were read; regenerating the index's cloud and refitting
     must therefore reproduce the stored coefficients bitwise.  This pins the
     exact dataflow: z uses terms k > i only, y additionally reads z at its
-    own index.  Both z-responses, centered and literal, are rebuilt.  The y
-    responses must also respect their deterministic envelope Theta_y.  The
-    d=2 case gives the y and z bases different cell edges, so the solver
-    cannot share one design between them.
+    own index.  The y responses must also respect their deterministic
+    envelope Theta_y.  The d=2 case gives the y and z bases different cell
+    edges, so the solver cannot share one design between them.
     """
     grid = make_theta_grid(1.0, 4)
     driver = DriverSpec(fn=lambda k, x, y, z: 0.2 * y + 0.1 * z[:, 0], L_f=0.3, C_f=0.0)
@@ -394,17 +369,16 @@ def test_solve_order_audit_and_response_envelope():
     from mwls.constants import obs_bounds
     from mwls.regression import ols_fit, truncate_estimator
 
-    for (model, y_basis, z_basis), center_z in itertools.product(cases, (True, False)):
+    for model, y_basis, z_basis in cases:
         sol = mwls_solve(
-            model, grid, driver, terminal, y_basis, z_basis, cloud_sizes=m, seed=seed,
-            center_z=center_z,
+            model, grid, driver, terminal, y_basis, z_basis, cloud_sizes=m, seed=seed
         )
         theta_y, _ = obs_bounds(problem_constants(model, grid, driver, terminal), grid)
         for i in range(grid.N):
             cloud = sample_cloud(model, grid, i, m, seed)
             np.testing.assert_array_equal(cloud.x_at(i), sol.marginals[i])
             s_z, s_y, y_next = _cloud_responses(
-                cloud, grid, driver, terminal, sol.y_fits, sol.z_fits, center_z
+                cloud, grid, driver, terminal, sol.y_fits, sol.z_fits
             )
             refit_z = truncate_estimator(
                 ols_fit(s_z, z_basis, cloud.x_at(i)), float(sol.bounds.C_z[i])
@@ -518,16 +492,6 @@ def test_seed_must_be_a_nonnegative_integer():
         assert sol.seed == 3 and type(sol.seed) is int
         for fit, expected in zip(sol.z_fits, plain.z_fits, strict=True):
             assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
-
-
-def test_center_z_must_be_a_bool():
-    model = brownian_model(x0=0.0, x0_width=2.0)
-    grid = make_theta_grid(1.0, 3)
-    basis = _linear_basis(delta=1.0, radius=2.0)
-    args = (model, grid, zero_driver(), _tanh_terminal(), basis, basis)
-    for value in (1, "no", None):
-        with pytest.raises(ValueError, match="center_z must be True or False, got "):
-            mwls_solve(*args, cloud_sizes=100, seed=3, center_z=value)
 
 
 # ---------------------------------------------------------------------------
