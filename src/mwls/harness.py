@@ -426,7 +426,11 @@ def estimate_errors(
         seed: stream seed for the fresh samples (default: the run's seed).
 
     Each index has a training part (emp_* and e_app_*, over the run's own
-    marginal) and a fresh part (fresh_* and fresh_*_se).  One helper thread
+    marginal) and a fresh part (fresh_* and fresh_*_se).  The training part
+    rebuilds the marginal's designs but takes their Gram factors from
+    sol.factors, so its oracle fits factorize nothing: the factors are
+    those of the same points and geometry, and the bits are those of
+    factorizing again.  One helper thread
     runs the fresh parts in index order while the calling thread runs the
     training parts, so the oracles may be called from both at once.  Each
     part writes only its own index's entries, and the report has the bits
@@ -453,6 +457,8 @@ def estimate_errors(
         pts = sol.marginals[i]
         y_fit, z_fit = sol.y_fits[i], sol.z_fits[i]
         y_design, z_design = shared_designs(pts, y_fit.basis, z_fit.basis)
+        for design in (y_design, z_design):
+            design.adopt_factors(sol.factors[i][design.geometry])
         oy = _oracle_values(oracle.y_oracle, grid, i, pts, (pts.shape[0],), "y")
         oz = _oracle_values(oracle.z_oracle, grid, i, pts, (pts.shape[0], q), "z")
         emp_y[i] = _rms(y_fit.evaluate(pts, design=y_design)[:, 0] - oy)

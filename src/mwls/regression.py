@@ -6,15 +6,19 @@ centered at the cell midpoint and scaled to unit cell coordinates.  Cells
 decouple the least-squares problem: each one is solved independently on the
 sample rows landing in it, with the minimal-norm solution on rank-deficient
 cells and zero coefficients on empty ones.  A `Design` holds the cells and
-monomial rows of every point, once for all fits and evaluations at them.
-Cell -1 marks a point outside the support: fits leave it out, and it reads
-zero coefficients, so it evaluates to +0.0.  Evaluation adds row c times
-coefficient c in ascending c.  A design also eigendecomposes each cell's
-Gram matrix once: well-conditioned cells are solved together by their
-normal equations, the others by SVD least squares on their rows.  Per-row
-passes run down one column at a time, not across a row's d coordinates or
-out_dim components: a numpy inner loop that short costs several times one
-over the M rows.
+monomial rows of every point, once for all fits and evaluations at them;
+points must be d wide.  Cell -1 marks a point outside the support: fits
+leave it out, and it reads zero coefficients, so it evaluates to +0.0.
+Evaluation adds row c times coefficient c in ascending c, and clamps only
+when the truncation level is below a bound on every value the
+coefficients can give.  A design also eigendecomposes each cell's Gram
+matrix once: well-conditioned cells are solved together by their normal
+equations, the others by SVD least squares on their rows.  Those factors
+can be handed to a later design of the same points and geometry, which
+then does not factorize again.  Per-row passes run down one column at a
+time, not across a row's d coordinates or out_dim components: a numpy
+inner loop that short costs several times one over the M rows.  So the
+rows are stored column by column, each column one contiguous block.
 """
 
 from __future__ import annotations
@@ -130,65 +134,78 @@ class LocalPolynomialBasis:
         """(degree, delta, radius, d): what a design of points depends on."""
         return (self.degree, self.delta, self.radius, self.d)
 
+    def _points(self, points) -> np.ndarray:
+        """points as an (M, d) float array; a 1-D array holds M * d
+        coordinates, point after point.  Any other shape is a ValueError:
+        the basis never reads a subset of a point's coordinates."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim == 1 and pts.size % self.d == 0:
+            pts = pts.reshape(-1, self.d)
+        if pts.ndim != 2 or pts.shape[1] != self.d:
+            raise ValueError(
+                f"points have shape {np.shape(points)}, not (M, {self.d}) for d = {self.d}"
+            )
+        return pts
+
     def design(self, points) -> Design:
         """Cells and scaled monomial rows of (M, d) points, computed once.
 
         A row is the monomials of u = (x - cell midpoint) / (delta/2); each
         power u**p is taken once per axis and gathered by the multi-indices.
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, self.d)
+        pts = self._points(points)
+        m = pts.shape[0]
+        # column c of the rows is columns[c], one contiguous block of M values
+        columns = np.empty((self.monomials, m))
+        columns[0] = 1.0
+        # u ** 0 = 1 and u ** 1 = u exactly: at degree 1 the columns after
+        # the first are u_a themselves, so u is computed in place there
+        u = columns[1:] if self.degree == 1 else np.empty((self.d, m))
         # per axis, not a reduction along the short row axis; NaN stays inside
         outside = np.abs(pts[:, 0]) > self.radius
         for axis in range(1, self.d):
             outside |= np.abs(pts[:, axis]) > self.radius
-        # k = floor((x + R) / delta), clipped to the cells before the cast:
-        # +-inf goes to an edge cell and NaN to cell 0, with no cast warning.
-        # The two divisions may overflow only for outside points, and that is
-        # exact: an inside quotient is at most 2R/delta, finite for any basis
-        # that can be built; an overflowed `scaled` is clipped to an edge
-        # cell like +-inf; outside rows get u = 0 below.
-        scaled = pts + self.radius
-        with np.errstate(over="ignore"):
-            scaled /= self.delta
-        np.fmax(np.floor(scaled, out=scaled), 0.0, out=scaled)
-        k = np.fmin(scaled, self.cells_per_axis - 1, out=scaled).astype(int)
-        flat = k[:, 0]
-        for axis in range(1, self.d):
-            flat = flat * self.cells_per_axis + k[:, axis]
-        # u = (x - (-R + (k + 0.5) delta)) / (delta / 2), on scaled's float k
-        u = scaled
-        u += 0.5
-        u *= self.delta
-        u += -self.radius
-        np.subtract(pts, u, out=u)
-        with np.errstate(over="ignore"):
-            u /= 0.5 * self.delta
+        flat = None
+        for axis in range(self.d):
+            x, ua = pts[:, axis], u[axis]
+            # k = floor((x + R) / delta), clipped to the cells before the
+            # cast: +-inf goes to an edge cell and NaN to cell 0, with no cast
+            # warning.  The two divisions may overflow only for outside points,
+            # and that is exact: an inside quotient is at most 2R/delta,
+            # finite for any basis that can be built; an overflowed quotient
+            # is clipped to an edge cell like +-inf; outside rows get u = 0.
+            np.add(x, self.radius, out=ua)
+            with np.errstate(over="ignore"):
+                ua /= self.delta
+            np.fmax(np.floor(ua, out=ua), 0.0, out=ua)
+            k = np.fmin(ua, self.cells_per_axis - 1, out=ua).astype(int)
+            flat = k if flat is None else flat * self.cells_per_axis + k
+            # u = (x - (-R + (k + 0.5) delta)) / (delta / 2), on the float k
+            ua += 0.5
+            ua *= self.delta
+            ua += -self.radius
+            np.subtract(x, ua, out=ua)
+            with np.errstate(over="ignore"):
+                ua /= 0.5 * self.delta
         # an outside point gets cell -1 and u = 0: a finite row no fit reads
         outside = np.flatnonzero(outside)  # indexing u by a mask is ~8x slower
         for axis in range(self.d):
-            u[:, axis][outside] = 0.0
+            u[axis][outside] = 0.0
         flat[outside] = -1
-        if self.degree <= 1:
-            # u ** 0 = 1 and u ** 1 = u exactly, and so are their products
-            # with 1: column 0 is 1 and column 1 + a is u_a, with no pow calls
-            rows = np.empty((pts.shape[0], self.monomials))
-            rows[:, 0] = 1.0
-            for a in range(self.monomials - 1):
-                rows[:, 1 + a] = u[:, a]
-        else:
-            # table[m, a, p] = u[m, a] ** p, by pow along the exponent axis
-            # and never by repeated products: those move the last bit of u ** p
-            table = u[:, :, None] ** np.arange(self.degree + 1)
-            table = table.reshape(pts.shape[0], self.d * (self.degree + 1))
+        if self.degree >= 2:
+            # table[m, a, p] = u[m, a] ** p, by pow along the exponent axis of
+            # a C-ordered (M, d) copy of u: pow run down a contiguous column
+            # of u, or repeated products, would move the last bit of u ** p
+            table = np.ascontiguousarray(u.T)[:, :, None] ** np.arange(self.degree + 1)
+            table = table.reshape(m, self.d * (self.degree + 1))
             # row factor of axis a is column a*(n+1) + p_a; multiplied left
             # to right like np.prod(u ** powers, axis=-1)
-            columns = np.arange(self.d) * (self.degree + 1) + self.powers
-            rows = np.take(table, columns[:, 0], axis=1)
-            for axis in range(1, self.d):
-                rows *= np.take(table, columns[:, axis], axis=1)
-        return Design(self.geometry, flat, rows)
+            picks_of = np.arange(self.d) * (self.degree + 1) + self.powers
+            for column, picks in zip(columns, picks_of):
+                np.copyto(column, table[:, picks[0]])
+                for pick in picks[1:]:
+                    column *= table[:, pick]
+        return Design(self.geometry, flat, columns.T)
 
     def _check_design(self, design: Design, m: int) -> None:
         """Raise ValueError unless the design fits this geometry and m rows."""
@@ -207,13 +224,17 @@ class Design:
 
     Every fit and evaluation at the same points and geometry can share one
     design.  `rows` holds the scaled monomial rows of all points, in order;
-    an outside point has cell -1 and the row of u = 0.  The fits bin rows by
-    `bins` = cells + 1 and drop bin 0.  The grouping is built on first use.
+    an outside point has cell -1 and the row of u = 0.  It is the (M,
+    monomials) transposed view of a (monomials, M) array, so each column
+    rows[:, c], which every per-monomial pass reads, is contiguous.  The fits
+    bin rows by `bins` = cells + 1 and drop bin 0.  The grouping and the Gram
+    factors are built on first use; `adopt_factors` supplies factors that an
+    earlier design of the same points and geometry built.
     """
 
     geometry: tuple
     cells: np.ndarray = field(repr=False)  # (M,) cell id per point, -1 outside
-    rows: np.ndarray = field(repr=False)  # (M, monomials)
+    rows: np.ndarray = field(repr=False)  # (M, monomials), column-major
 
     @cached_property
     def bins(self) -> np.ndarray:
@@ -252,6 +273,15 @@ class Design:
             vectors=vectors[posed],
             fallback=np.setdiff1d(occupied, occupied[solved]),
         )
+
+    def adopt_factors(self, factors: CellFactors) -> None:
+        """Take factors as this design's `factors` instead of building them.
+
+        They must be the `factors` of a design of the same points under the
+        same geometry, which are the same bits: rows and Gram matrices
+        depend on nothing else.
+        """
+        self.__dict__["factors"] = factors
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,14 +338,38 @@ class LocalPolynomialEstimator:
         """Coefficient c of every cell at [c], then a zero row for cell -1."""
         return np.pad(self.coefficients.transpose(1, 0, 2), ((0, 0), (0, 1), (0, 0)))
 
+    @cached_property
+    def _reach(self) -> float:
+        """An upper bound on |value| of the unclamped estimator at any point.
+
+        An inside point's value is sum_c coef_c row_c, where row_c is a
+        monomial of degree <= n in the unit cell coordinates u_a, |u_a| <= 1.
+        As computed, |u_a| <= 1 + eta with eta = 1e-11 + 1e-14 R/delta: the
+        last cell may end up to 1e-12 delta short of R (the slack in
+        `cells_per_axis`), and the roundings of x + R, of (x + R)/delta (which
+        may put a point in the next cell), of the midpoint and of
+        x - midpoint add at most about 14 * 2**-53 (R + delta)/delta.  So
+        |value| <= S (1 + eta)**n, with S the largest sum of |coef_c| over c
+        of any cell and component, up to the roundings of the pow calls (at
+        most 4 ulp each), of the products and of the sum, which the factor
+        1 + 64 eps (d + monomials) covers many times over.  An outside point
+        reads +0.0.
+        """
+        total = float(np.abs(self.coefficients).sum(axis=1).max())
+        eta = 1e-11 + 1e-14 * self.basis.radius / self.basis.delta
+        slack = 1.0 + 64.0 * np.finfo(float).eps * (self.basis.d + self.basis.monomials)
+        return total * (1.0 + eta) ** self.basis.degree * slack
+
     def evaluate(self, points, design: Design | None = None) -> np.ndarray:
         """Estimator values, shape (M, out_dim), for (M, d) points.
 
-        design, if given, is the basis design of these points.
+        design, if given, is the basis design of these points.  Points that
+        are not d wide are a ValueError.  The clamp runs only when the level
+        is below `_reach`: otherwise no value lies outside [-level, level],
+        and the clamp would return every value with its bits, -0.0 and NaN
+        (from a NaN coordinate inside the support) included.
         """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, self.basis.d)
+        pts = self.basis._points(points)
         if design is None:
             design = self.basis.design(pts)
         else:
@@ -326,7 +380,7 @@ class LocalPolynomialEstimator:
         for c in range(1, rows.shape[1]):
             term = np.take(self._columns[c], cells, axis=0)
             out += _times_columns(rows[:, c], term, term)
-        if self.level is not None:
+        if self.level is not None and not self._reach <= self.level:
             np.clip(out, -self.level, self.level, out=out)
         return out
 

@@ -231,9 +231,15 @@ class MwlsSolution:
     the value at index N is the terminal map itself.  marginals[i] holds the
     time-i states of the cloud used for the index-i regressions, so
     empirical norms over the training measure can be recomputed without
-    re-simulating.  bounds is the constants table for the run's basis
-    dimensions and cloud sizes, interdependence columns included; the
-    error bound of `estimate_errors` is evaluated from it.
+    re-simulating; it is read-only.  factors[i] maps the geometry of each
+    index-i basis to the per-cell Gram factors (`Design.factors`) of
+    marginals[i] under it, as the index-i fits built them, so the fits of
+    `estimate_errors` on the same marginal do not factorize them again; the
+    read-only marginal keeps them current.  They are kept without the design
+    rows or cells, about 0.1 MB an index at 1024 cells of degree 1 in d = 2.
+    bounds is the constants table for the run's basis dimensions and cloud
+    sizes, interdependence columns included; the error bound of
+    `estimate_errors` is evaluated from it.
     """
 
     grid: TimeGrid
@@ -246,27 +252,33 @@ class MwlsSolution:
     seed: int
     cloud_sizes: tuple
     marginals: tuple
+    factors: tuple
 
     @property
     def N(self) -> int:
         return self.grid.N
 
+    def _index(self, i, last: int) -> int:
+        """i as an int by `_as_count` (an integral float will do), if it lies
+        in 0 .. last; either ValueError names it."""
+        index = _as_count(i, f"time index {i!r}")
+        if not 0 <= index <= last:
+            raise ValueError(f"time index {index} out of range [0, {last}]")
+        return index
+
     def y_values(self, i: int, points) -> np.ndarray:
         """y estimator values at time index i (index N = terminal map)."""
+        i = self._index(i, self.N)
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, self.model.d)
-        if not 0 <= i <= self.N:
-            raise ValueError(f"time index {i} out of range [0, {self.N}]")
         if i == self.N:
             return _callback_values(self.terminal.fn(pts), pts.shape[0], i)
         return self.y_fits[i].evaluate(pts)[:, 0]
 
     def z_values(self, i: int, points) -> np.ndarray:
         """z estimator values at time index i = 0 .. N-1, shape (M, q)."""
-        if not 0 <= i < self.N:
-            raise ValueError(f"time index {i} out of range [0, {self.N - 1}]")
-        return self.z_fits[i].evaluate(points)
+        return self.z_fits[self._index(i, self.N - 1)].evaluate(points)
 
 
 @contextlib.contextmanager
@@ -374,6 +386,7 @@ def mwls_solve(
     y_fits: list = [None] * n
     z_fits: list = [None] * n
     marginals: list = [None] * n
+    factors: list = [None] * n
     with _one_worker() as producer:
         ahead = producer.submit(_cloud_draws, model, grid, n - 1, sizes[n - 1], seed)
         for i in range(n - 1, -1, -1):
@@ -394,6 +407,7 @@ def mwls_solve(
                 if y_next is not None:
                     y_next[rows] = next_rows
             del draws, block  # the normals and the last block, before the fits
+            x_i.flags.writeable = False  # factors[i] are those of these points
             marginals[i] = x_i
             z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
             try:
@@ -408,6 +422,7 @@ def mwls_solve(
                 )
             except np.linalg.LinAlgError as exc:
                 raise NumericalError(f"regression failed at time index {i}: {exc}") from exc
+            factors[i] = {design.geometry: design.factors for design in (z_design, y_design)}
 
     return MwlsSolution(
         grid=grid,
@@ -420,4 +435,5 @@ def mwls_solve(
         seed=seed,
         cloud_sizes=tuple(sizes),
         marginals=tuple(marginals),
+        factors=tuple(factors),
     )

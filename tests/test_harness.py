@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import math
 import os
 import re
@@ -39,7 +40,7 @@ from mwls.model import (
     cloud_rng,
     sample_cloud,
 )
-from mwls.regression import LocalPolynomialBasis
+from mwls.regression import Design, LocalPolynomialBasis
 from mwls.solver import DriverSpec, TerminalSpec, mwls_solve
 
 
@@ -659,6 +660,35 @@ def test_the_helper_ends_once_the_fresh_parts_are_done():
     before = threading.active_count()
     estimate_errors(sol, SimpleNamespace(y_oracle=y_oracle, z_oracle=bench.z_oracle), fresh_m=300)
     assert ended == [True]
+
+
+@pytest.mark.parametrize("problem", ["b3", "d2", "d2 with two geometries"])
+def test_training_fits_reuse_the_gram_factors_of_the_solve(monkeypatch, problem):
+    """A solve and its estimate_errors eigendecompose each index's Gram
+    matrices once per basis geometry, in the solve, and the report has the
+    bits of one whose training designs factorize them again."""
+    bench, grid, y_basis, z_basis = _b3_problem(4) if problem == "b3" else _d2_problem()
+    if problem == "d2 with two geometries":
+        z_basis = dataclasses.replace(z_basis, delta=1.5)
+    geometries = {y_basis.geometry, z_basis.geometry}
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sol = _solve(bench, grid, y_basis, z_basis, 1500, seed=86)
+    assert len(calls) == grid.N * len(geometries)
+    for i in range(grid.N):
+        assert set(sol.factors[i]) == geometries
+        assert not sol.marginals[i].flags.writeable
+    report = estimate_errors(sol, bench, fresh_m=700, seed=87)
+    assert len(calls) == grid.N * len(geometries)
+    monkeypatch.setattr(Design, "adopt_factors", lambda design, factors: None)
+    again = estimate_errors(sol, bench, fresh_m=700, seed=87)
+    assert len(calls) == 2 * grid.N * len(geometries)
+    assert _report_bytes(report) == _report_bytes(again)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 7, 8, 9, 16])

@@ -393,6 +393,41 @@ def test_design_and_evaluate_at_d3_are_bitwise_the_broadcast_forms(degree):
     assert estimator.evaluate(points, design=design).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_design_columns_are_contiguous(degree, d):
+    basis = LocalPolynomialBasis(degree=degree, delta=0.5, radius=1.0, d=d)
+    points = np.random.default_rng(417).uniform(-1.2, 1.2, size=(300, d))
+    rows = basis.design(points).rows
+    assert rows.shape == (300, basis.monomials)
+    for c in range(basis.monomials):
+        assert rows[:, c].flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "d, points",
+    [
+        (1, [[0.1, 0.2], [0.3, 0.4]]),  # once read as the first column
+        (1, [[0.1, 5.0]]),
+        (2, [[0.1, 0.2, 0.3]]),
+        (2, np.zeros((3, 0))),
+        (1, 0.1),
+        (1, np.zeros((2, 1, 1))),
+        (2, [0.1, 0.2, 0.3]),  # a 1-D array of whole points only
+    ],
+)
+def test_points_of_another_width_are_rejected(d, points):
+    basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=4.0, d=d)
+    estimator = LocalPolynomialEstimator(
+        basis=basis, coefficients=np.ones((basis.n_cells, basis.monomials, 1))
+    )
+    message = re.escape(f"points have shape {np.shape(points)}, not (M, {d}) for d = {d}")
+    with pytest.raises(ValueError, match=message):
+        basis.design(points)
+    with pytest.raises(ValueError, match=message):
+        estimator.evaluate(points)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_infinite_points_evaluate_to_zero_without_warnings(degree):
@@ -612,6 +647,44 @@ def test_truncation_is_one_lipschitz():
     levels = rng.uniform(0.0, 4.0, size=1000)
     gap = np.abs(np.clip(a, -levels, levels) - np.clip(b, -levels, levels))
     assert np.all(gap <= np.abs(a - b) + 1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _bases_and_points(),
+    st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, -0.0]), max_size=4),
+    st.sampled_from(["mixed", "positive", "negative", "zeros"]),
+    st.sampled_from(["below", "at", "above", "half", "zero", "inf"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_skipped_clamp_is_bitwise_the_clamped_values(case, specials, signs, where, seed):
+    basis, points = case
+    rng = np.random.default_rng(seed)
+    coords = points.reshape(-1)  # a view: the specials land in points
+    coords[rng.permutation(coords.size)[: len(specials)]] = specials[: coords.size]
+    coefficients = rng.normal(size=(basis.n_cells, basis.monomials, basis.out_dim))
+    # with one sign throughout, the value at a cell's upper corner
+    # u = (1, .., 1), such as R in the last cell, comes up against the bound
+    coefficients = {
+        "mixed": coefficients,
+        "positive": np.abs(coefficients),
+        "negative": -np.abs(coefficients),
+        "zeros": np.where(coefficients < 0.0, -0.0, 0.0),
+    }[signs]
+    plain = LocalPolynomialEstimator(basis=basis, coefficients=coefficients)
+    reach = plain._reach
+    level = {
+        "below": np.nextafter(reach, 0.0),
+        "at": reach,
+        "above": np.nextafter(reach, np.inf),
+        "half": 0.5 * reach,
+        "zero": 0.0,
+        "inf": np.inf,
+    }[where]
+    unclamped = plain.evaluate(points)
+    assert not np.any(np.abs(unclamped) > reach)
+    expected = np.clip(unclamped, -level, level)
+    assert truncate_estimator(plain, level).evaluate(points).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -622,6 +622,26 @@ def test_evaluate_solution_contracts():
         sol.y_values(-1, [0.0])
 
 
+def test_solution_time_index_is_an_integer():
+    model = brownian_model(x0=0.0, x0_width=4.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=2.0)
+    sol = mwls_solve(
+        model, grid, zero_driver(), _tanh_terminal(), basis, basis, cloud_sizes=400, seed=31
+    )
+    xs = np.linspace(-1.5, 1.5, 7)
+    for i in (1.0, np.int64(1), np.float64(1.0)):
+        assert sol.y_values(i, xs).tobytes() == sol.y_values(1, xs).tobytes()
+        assert sol.z_values(i, xs).tobytes() == sol.z_values(1, xs).tobytes()
+    assert sol.y_values(3.0, xs).tobytes() == sol.y_values(3, xs).tobytes()
+    for i, shown in ((1.5, "1.5"), (True, "True"), ("1", "'1'")):
+        for values in (sol.y_values, sol.z_values):
+            with pytest.raises(ValueError, match=re.escape(f"time index {shown} is not an integer")):
+                values(i, xs)
+    with pytest.raises(ValueError, match=re.escape("time index 3 out of range [0, 2]")):
+        sol.z_values(3.0, xs)
+
+
 def test_the_producer_draws_apart_and_its_error_reaches_the_caller(monkeypatch):
     """Every index's random input is drawn on one thread other than the
     caller's; an error there is raised by the solve once that thread has
