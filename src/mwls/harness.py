@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,7 +60,7 @@ class Benchmark:
     The oracles take (grid, i, points) with points of shape (M, d) and
     return the exact y values (M,) and z values (M, q) of the discrete
     backward equation on that grid.  They may be called from two threads at
-    once: `estimate_errors` scores fresh samples on a helper thread, and
+    once: `estimate_errors` shares its parts with a helper thread, and
     `convergence_study` runs sweep points side by side.
     """
 
@@ -430,13 +431,15 @@ def estimate_errors(
     rebuilds the marginal's designs but takes their Gram factors from
     sol.factors, so its oracle fits factorize nothing: the factors are
     those of the same points and geometry, and the bits are those of
-    factorizing again.  One helper thread
-    runs the fresh parts in index order while the calling thread runs the
-    training parts, so the oracles may be called from both at once.  Each
-    part writes only its own index's entries, and the report has the bits
-    of running the parts one after another.  Of any failures, the first in
-    the order training(0), fresh(0), training(1), ... is raised here, once
-    the helper thread has stopped; no fresh part after a failed one starts.
+    factorizing again.  The 2N parts form one list, in the order
+    training(0), fresh(0), training(1), fresh(1), ...; the calling thread
+    and one helper thread each take the next untaken part until none is
+    left, so the oracles may be called from both at once.  Each part
+    writes only its own index's entries, and the report has the bits of
+    running the parts one after another.  Once a part has failed, no
+    further part is taken; every part before it in the list was taken
+    before it, so once the helper thread has stopped, the failure raised
+    here is the first in that order.
     """
     fresh_m = _count_at_least(fresh_m, "fresh_m", 1)
     seed = sol.seed if seed is None else _count_at_least(seed, "seed", 0)
@@ -471,12 +474,8 @@ def estimate_errors(
         e_app_y[i] = _rms(app_y.evaluate(pts, design=y_design)[:, 0] - oy)
         e_app_z[i] = _rms(app_z.evaluate(pts, design=z_design) - oz)
 
-    def fresh(i: int, previous) -> None:
-        """fresh_* and fresh_*_se at index i, over a fresh sample of X_i;
-        previous is index i - 1's part, and if it failed this one raises its
-        exception without starting."""
-        if previous is not None:
-            previous.result()
+    def fresh(i: int) -> None:
+        """fresh_* and fresh_*_se at index i, over a fresh sample of X_i."""
         y_fit, z_fit = sol.y_fits[i], sol.z_fits[i]
         fresh_pts = sample_marginal(model, grid, i, fresh_m, seed).reshape(fresh_m, -1)
         y_design, z_design = shared_designs(fresh_pts, y_fit.basis, z_fit.basis)
@@ -489,14 +488,31 @@ def estimate_errors(
             z_fit.evaluate(fresh_pts, design=z_design) - foz
         )
 
+    lock = threading.Lock()
+    untaken = 0  # rank of the next part: training(i) is 2i, fresh(i) 2i + 1
+    failures: dict[int, BaseException] = {}  # by rank
+
+    def take_parts() -> None:
+        """Run the next untaken part until none is left or one has failed."""
+        nonlocal untaken
+        while True:
+            with lock:
+                if failures or untaken == 2 * n:
+                    return
+                rank, untaken = untaken, untaken + 1
+            try:
+                (fresh if rank % 2 else training)(rank // 2)
+            except BaseException as exc:
+                with lock:
+                    failures[rank] = exc
+                return
+
     with _one_worker() as helper:
-        fresh_parts: list = []
-        for i in range(n):
-            fresh_parts.append(helper.submit(fresh, i, fresh_parts[-1] if i else None))
+        helper.submit(take_parts)
         helper.shutdown(wait=False)
-        for i in range(n):
-            training(i)
-            fresh_parts[i].result()
+        take_parts()
+    if failures:
+        raise failures[min(failures)]
 
     table = sol.bounds
     dep_y = np.asarray(dep_errors(table.Theta_y, table.K_y, table.M))

@@ -60,6 +60,18 @@ def _times_columns(values: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.nda
     return out
 
 
+def _as_points(points, d: int) -> np.ndarray:
+    """points as an (M, d) float array; a 1-D array holds M * d
+    coordinates, point after point.  Any other shape is a ValueError: no
+    reader of points takes a subset of a point's coordinates."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1 and pts.size % d == 0:
+        pts = pts.reshape(-1, d)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"points have shape {np.shape(points)}, not (M, {d}) for d = {d}")
+    return pts
+
+
 def _graded_powers(degree: int, d: int) -> np.ndarray:
     """Monomial multi-indices of total degree <= degree, graded order."""
     rows = []
@@ -134,26 +146,13 @@ class LocalPolynomialBasis:
         """(degree, delta, radius, d): what a design of points depends on."""
         return (self.degree, self.delta, self.radius, self.d)
 
-    def _points(self, points) -> np.ndarray:
-        """points as an (M, d) float array; a 1-D array holds M * d
-        coordinates, point after point.  Any other shape is a ValueError:
-        the basis never reads a subset of a point's coordinates."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1 and pts.size % self.d == 0:
-            pts = pts.reshape(-1, self.d)
-        if pts.ndim != 2 or pts.shape[1] != self.d:
-            raise ValueError(
-                f"points have shape {np.shape(points)}, not (M, {self.d}) for d = {self.d}"
-            )
-        return pts
-
     def design(self, points) -> Design:
         """Cells and scaled monomial rows of (M, d) points, computed once.
 
         A row is the monomials of u = (x - cell midpoint) / (delta/2); each
         power u**p is taken once per axis and gathered by the multi-indices.
         """
-        pts = self._points(points)
+        pts = _as_points(points, self.d)
         m = pts.shape[0]
         # column c of the rows is columns[c], one contiguous block of M values
         columns = np.empty((self.monomials, m))
@@ -369,7 +368,7 @@ class LocalPolynomialEstimator:
         and the clamp would return every value with its bits, -0.0 and NaN
         (from a NaN coordinate inside the support) included.
         """
-        pts = self.basis._points(points)
+        pts = _as_points(points, self.basis.d)
         if design is None:
             design = self.basis.design(pts)
         else:
@@ -403,15 +402,14 @@ def ols_fit(
     Args:
         responses: per-row outputs, shape (M,) or (M, out_dim).
         basis: the approximation space; out_dim must match the responses.
-        points: per-row states, shape (M, d).
+        points: per-row states, shape (M, d), or M * d coordinates in a 1-D
+            array, as for `design`; any other shape is a ValueError.
         design: the basis design of the points, if already built.
     """
     resp = np.asarray(responses, dtype=float)
     if resp.ndim == 1:
         resp = resp[:, None]
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(points, basis.d)
     if resp.shape[0] != pts.shape[0]:
         raise ValueError(
             f"responses and points disagree on row count: {resp.shape[0]} vs {pts.shape[0]}"
@@ -422,8 +420,6 @@ def ols_fit(
         raise ValueError(
             f"responses have {resp.shape[1]} components, basis fits {basis.out_dim}"
         )
-    if pts.shape[1] != basis.d:
-        raise ValueError(f"points have dimension {pts.shape[1]}, basis expects {basis.d}")
     for label, values in (("response", resp), ("point", pts)):
         # a whole-array test first: all() along a short row axis is slow
         if not np.isfinite(values).all():

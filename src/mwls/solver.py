@@ -39,6 +39,7 @@ from .grid import TimeGrid, _as_count, _count_at_least
 from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
+    _as_points,
     _times_columns,
     ols_fit,
     shared_designs,
@@ -269,12 +270,10 @@ class MwlsSolution:
     def y_values(self, i: int, points) -> np.ndarray:
         """y estimator values at time index i (index N = terminal map)."""
         i = self._index(i, self.N)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, self.model.d)
-        if i == self.N:
-            return _callback_values(self.terminal.fn(pts), pts.shape[0], i)
-        return self.y_fits[i].evaluate(pts)[:, 0]
+        if i < self.N:
+            return self.y_fits[i].evaluate(points)[:, 0]
+        pts = _as_points(points, self.model.d)  # the rule every fit reads points by
+        return _callback_values(self.terminal.fn(pts), pts.shape[0], i)
 
     def z_values(self, i: int, points) -> np.ndarray:
         """z estimator values at time index i = 0 .. N-1, shape (M, q)."""
@@ -288,7 +287,10 @@ def _one_worker():
     awaited, so no thread outlives the block.
 
     Once the last task is queued, callers call `shutdown(wait=False)`, so
-    the thread ends when that task is done, not at the end of the block.
+    the thread ends when that task is done, not at the end of the block:
+    the solve's producer after drawing the last cloud, and the helper of
+    `estimate_errors`, whose one task takes parts of the error report
+    until none is left, as soon as it finds the list drained.
     A thread that starts while another is still ending can find the C
     allocator's per-thread arena still taken and open one more, which keeps
     freed memory of its own: with the helper of `estimate_errors` started

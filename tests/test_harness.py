@@ -469,7 +469,7 @@ def test_estimate_errors_checks_fresh_m_and_seed_before_any_thread(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fresh parts of estimate_errors on the helper thread
+# the parts of estimate_errors on the caller's thread and one helper
 
 
 @contextlib.contextmanager
@@ -536,26 +536,35 @@ def _solve(bench, grid, y_basis, z_basis, m, seed):
     )
 
 
+def _rank(i, pts, fresh_m):
+    """Rank of the part that calls an oracle at index i on pts: 2i for
+    training(i) and 2i + 1 for fresh(i), whose points have fresh_m rows."""
+    return 2 * i + (pts.shape[0] == fresh_m)
+
+
 @pytest.mark.parametrize("problem", ["b3", "d2"])
 def test_fresh_parts_run_on_one_helper_thread_with_the_same_bits(monkeypatch, problem):
-    """Every fresh sample is drawn on one thread other than the caller's, the
-    training points are scored on the caller's, and the report has the bits
-    of running every part on the caller's thread."""
+    """Each of the 2N parts runs once, wholly on the caller's thread or on
+    one helper thread; no thread is left, and the report has the bits of
+    running every part on the caller's thread."""
     bench, grid, y_basis, z_basis = _b3_problem(4) if problem == "b3" else _d2_problem()
     m, fresh_m = 1500, 700  # oracle calls on training and fresh points differ in rows
     sol = _solve(bench, grid, y_basis, z_basis, m, seed=81)
-    calls = []  # (kind, rows, thread)
+    calls = []  # (rank, what, thread)
 
-    def recorded(kind, fn):
+    def recorded(what, fn):
         def call(*args):
-            rows = args[3] if kind == "marginal" else args[2].shape[0]
-            calls.append((kind, rows, threading.get_ident()))
+            if what == "marginal":  # (model, grid, i, M, seed), only in fresh(i)
+                rank = 2 * args[2] + 1
+            else:
+                rank = _rank(args[1], args[2], fresh_m)
+            calls.append((rank, what, threading.get_ident()))
             return fn(*args)
 
         return call
 
     oracle = SimpleNamespace(
-        y_oracle=recorded("oracle", bench.y_oracle), z_oracle=recorded("oracle", bench.z_oracle)
+        y_oracle=recorded("y", bench.y_oracle), z_oracle=recorded("z", bench.z_oracle)
     )
     monkeypatch.setattr(
         mwls.harness, "sample_marginal", recorded("marginal", mwls.harness.sample_marginal)
@@ -568,68 +577,96 @@ def test_fresh_parts_run_on_one_helper_thread_with_the_same_bits(monkeypatch, pr
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
-    caller = threading.get_ident()
-    drawn_on = {thread for kind, _, thread in calls if kind == "marginal"}
-    assert len(drawn_on) == 1 and caller not in drawn_on
-    assert sum(kind == "marginal" for kind, _, _ in calls) == grid.N
-    training = [thread for kind, rows, thread in calls if kind == "oracle" and rows == m]
-    fresh = [thread for kind, rows, thread in calls if kind == "oracle" and rows == fresh_m]
-    assert len(training) == len(fresh) == 2 * grid.N
-    assert set(training) == {caller}
-    assert set(fresh) == drawn_on
+    ranks = range(2 * grid.N)
+    assert sorted((rank, what) for rank, what, _ in calls) == sorted(
+        [(rank, "y") for rank in ranks]
+        + [(rank, "z") for rank in ranks]
+        + [(rank, "marginal") for rank in ranks if rank % 2]
+    )
+    thread_of: dict = {}
+    for rank, _, thread in calls:
+        assert thread_of.setdefault(rank, thread) == thread
+    assert len(set(thread_of.values()) - {threading.get_ident()}) <= 1
 
     monkeypatch.setattr(mwls.harness, "_one_worker", _inline_worker)
     inline = estimate_errors(sol, oracle, fresh_m=fresh_m, seed=82)
     assert _report_bytes(shipped) == _report_bytes(inline)
 
 
+def _failing_oracle(bench, fresh_m, failures, slow=None):
+    """bench's oracles, but the y oracle, the first one each part calls,
+    raises failures[rank] in the parts that have one, the part of rank
+    slow only after 50 ms; started lists the rank of each call."""
+    started = []
+
+    def y_oracle(grid, i, pts):
+        rank = _rank(i, pts, fresh_m)
+        started.append(rank)
+        if rank in failures:
+            if rank == slow:
+                time.sleep(0.05)
+            raise failures[rank]
+        return bench.y_oracle(grid, i, pts)
+
+    return SimpleNamespace(y_oracle=y_oracle, z_oracle=bench.z_oracle), started
+
+
 @pytest.mark.parametrize(
     "fresh_fails_at, training_fails_at, raised",
-    [(1, 2, "fresh"), (0, 0, "training")],
+    [(1, 2, "fresh"), (0, 0, "training"), (2, 1, "training")],
 )
 def test_estimate_errors_raises_the_first_failure_in_index_order(
     monkeypatch, fresh_fails_at, training_fails_at, raised
 ):
     """Of failures in the training and fresh parts, the first in the order
-    training(0), fresh(0), training(1), ... is raised as is; no fresh part
-    after a failed one starts, and no thread is left."""
+    training(0), fresh(0), training(1), ... is raised as is, and no thread
+    is left.  Every part before it ran once; run inline, no part after it
+    starts."""
     bench, grid, basis, _ = _b3_problem(4)
     m, fresh_m = 400, 300
     sol = _solve(bench, grid, basis, basis, m, seed=83)
-    failures = {
-        "fresh": RuntimeError(f"fresh points at index {fresh_fails_at}"),
-        "training": RuntimeError(f"training points at index {training_fails_at}"),
-    }
+    ranks = {"fresh": 2 * fresh_fails_at + 1, "training": 2 * training_fails_at}
+    failures = {rank: RuntimeError(f"{kind} points") for kind, rank in ranks.items()}
+    for worker in ("helper", "inline"):
+        if worker == "inline":
+            monkeypatch.setattr(mwls.harness, "_one_worker", _inline_worker)
+        oracle, started = _failing_oracle(bench, fresh_m, failures)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as err:
+            estimate_errors(sol, oracle, fresh_m=fresh_m)
+        assert err.value is failures[ranks[raised]]
+        assert threading.active_count() == before
+        assert len(set(started)) == len(started)
+        if worker == "inline":
+            assert started == list(range(ranks[raised] + 1))
+        else:
+            assert set(range(ranks[raised] + 1)) <= set(started)
 
-    def y_oracle(grid, i, pts):
-        if pts.shape[0] == fresh_m and i == fresh_fails_at:
-            raise failures["fresh"]
-        if pts.shape[0] == m and i == training_fails_at:
-            raise failures["training"]
-        return bench.y_oracle(grid, i, pts)
 
-    sampled = []
-    draw = mwls.harness.sample_marginal
-
-    def recorded_draw(model, grid, i, M, seed):
-        sampled.append(i)
-        return draw(model, grid, i, M, seed)
-
-    monkeypatch.setattr(mwls.harness, "sample_marginal", recorded_draw)
-    oracle = SimpleNamespace(y_oracle=y_oracle, z_oracle=bench.z_oracle)
+@pytest.mark.parametrize(
+    "first", range(6), ids=[f"{('training', 'fresh')[r % 2]}({r // 2})" for r in range(6)]
+)
+def test_the_first_failing_part_is_raised_though_a_later_one_fails_sooner(first):
+    """N = 3: every part from `first` on fails, the later ones at once and
+    `first` only after a pause, so that one of them is mostly recorded
+    first.  The exception raised is still that of `first`, as the same
+    object, and no thread is left."""
+    bench, grid, basis, _ = _b3_problem(3)
+    m, fresh_m = 400, 300
+    sol = _solve(bench, grid, basis, basis, m, seed=88)
+    failures = {rank: RuntimeError(f"part {rank}") for rank in range(first, 6)}
+    oracle, started = _failing_oracle(bench, fresh_m, failures, slow=first)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as err:
         estimate_errors(sol, oracle, fresh_m=fresh_m)
-    assert err.value is failures[raised]
+    assert err.value is failures[first]
     assert threading.active_count() == before
-    if raised == "fresh":
-        assert sampled == list(range(fresh_fails_at + 1))
-    else:  # the first part may be cancelled before the helper takes it
-        assert sampled in ([], [0])
+    assert len(set(started)) == len(started) and set(range(first + 1)) <= set(started)
 
 
 def test_one_step_grid_solves_and_reports_with_the_same_bits(monkeypatch):
-    """N = 1: the solve draws no cloud ahead and the helper gets one part."""
+    """N = 1: the solve draws no cloud ahead, and the two threads share two
+    parts."""
     bench, grid, basis, _ = _b3_problem(1)
     before = threading.active_count()
     sol = _solve(bench, grid, basis, basis, 600, seed=84)
@@ -643,14 +680,17 @@ def test_one_step_grid_solves_and_reports_with_the_same_bits(monkeypatch):
 
 
 def test_the_helper_ends_once_the_fresh_parts_are_done():
-    """With every fresh part done, the helper thread ends while the caller
-    still scores the last training marginal."""
+    """While the caller is held in the first part it takes, the helper takes
+    every other part, and its thread ends once the list is drained, not at
+    the end of the call."""
     bench, grid, basis, _ = _b3_problem(3)
     sol = _solve(bench, grid, basis, basis, 400, seed=85)
-    ended = []
+    caller = threading.get_ident()
+    ran, ended = [], []  # (rank, thread) per part; whether the helper ended
 
     def y_oracle(grid, i, pts):
-        if pts.shape[0] == 400 and i == grid.N - 1:
+        ran.append((_rank(i, pts, 300), threading.get_ident()))
+        if threading.get_ident() == caller and not ended:
             deadline = time.monotonic() + 5.0
             while threading.active_count() > before and time.monotonic() < deadline:
                 time.sleep(0.001)
@@ -660,6 +700,8 @@ def test_the_helper_ends_once_the_fresh_parts_are_done():
     before = threading.active_count()
     estimate_errors(sol, SimpleNamespace(y_oracle=y_oracle, z_oracle=bench.z_oracle), fresh_m=300)
     assert ended == [True]
+    assert sorted(rank for rank, _ in ran) == list(range(2 * grid.N))
+    assert [thread for _, thread in ran].count(caller) == 1
 
 
 @pytest.mark.parametrize("problem", ["b3", "d2", "d2 with two geometries"])

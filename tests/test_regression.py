@@ -241,7 +241,8 @@ def test_fit_validation():
         ols_fit(np.zeros(3), basis, pts)
     with pytest.raises(ValueError, match="components"):
         ols_fit(np.zeros((4, 2)), basis, pts)
-    with pytest.raises(ValueError, match="dimension"):
+    wide = re.escape("points have shape (4, 2), not (M, 1) for d = 1")
+    with pytest.raises(ValueError, match=wide):
         ols_fit(np.zeros(4), basis, np.zeros((4, 2)))
     with pytest.raises(ValueError, match="at least one"):
         ols_fit(np.zeros(0), basis, np.zeros((0, 1)))
@@ -426,6 +427,19 @@ def test_points_of_another_width_are_rejected(d, points):
         basis.design(points)
     with pytest.raises(ValueError, match=message):
         estimator.evaluate(points)
+    with pytest.raises(ValueError, match=message):
+        ols_fit(np.zeros(1), basis, points)
+
+
+def test_fit_reads_a_flat_array_as_whole_points_like_design():
+    """A 1-D array of M * d coordinates is M points for ols_fit too."""
+    basis = LocalPolynomialBasis(degree=0, delta=0.5, radius=1.0, d=2)
+    flat = [0.1, 0.2, -0.3, -0.4]  # two points in two cells
+    assert basis.design(flat).cells.shape == (2,)
+    fit = ols_fit(np.array([1.0, 2.0]), basis, flat)
+    again = ols_fit(np.array([1.0, 2.0]), basis, np.reshape(flat, (2, 2)))
+    assert fit.coefficients.tobytes() == again.coefficients.tobytes()
+    assert fit.evaluate(flat)[:, 0].tolist() == [1.0, 2.0]
 
 
 @pytest.mark.filterwarnings("error")

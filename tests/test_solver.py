@@ -1,6 +1,7 @@
 """Tests for the backward least-squares solver and its response assembly."""
 
 import dataclasses
+import math
 import re
 import threading
 import time
@@ -640,6 +641,39 @@ def test_solution_time_index_is_an_integer():
                 values(i, xs)
     with pytest.raises(ValueError, match=re.escape("time index 3 out of range [0, 2]")):
         sol.z_values(3.0, xs)
+
+
+def test_the_terminal_index_reads_points_by_the_rule_of_the_fits():
+    """y_values at N, the terminal map, takes (M, d) points or M * d
+    coordinates in a 1-D array, and rejects any other width as the fits
+    at N - 1 do, instead of reading a subset of each point."""
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=2.0)
+    sol = mwls_solve(
+        brownian_model(x0=0.0, x0_width=4.0), grid, zero_driver(), _tanh_terminal(),
+        basis, basis, cloud_sizes=400, seed=31,
+    )
+    message = re.escape("points have shape (1, 2), not (M, 1) for d = 1")
+    for i in (grid.N - 1, grid.N):
+        with pytest.raises(ValueError, match=message):
+            sol.y_values(i, [[0.1, 0.2]])
+    assert sol.y_values(grid.N, [0.1, -0.3]).tolist() == np.tanh([0.1, -0.3]).tolist()
+
+    d2 = LocalPolynomialBasis(degree=1, delta=1.0, radius=2.0, d=2)
+    terminal = TerminalSpec(
+        fn=lambda x: np.tanh(x[:, 0] - x[:, 1]), C_xi=1.0, C_phi=math.sqrt(2.0),
+        theta_phi=1.0,
+    )
+    sol = mwls_solve(
+        brownian_model(d=2, x0=0.0, x0_width=4.0), grid, zero_driver(), terminal,
+        d2, dataclasses.replace(d2, out_dim=2), cloud_sizes=400, seed=32,
+    )
+    flat = [0.1, 0.2, -0.3, 0.5]
+    assert sol.y_values(grid.N, flat).tolist() == np.tanh([-0.1, -0.8]).tolist()
+    message = re.escape("points have shape (3,), not (M, 2) for d = 2")
+    for i in (grid.N - 1, grid.N):
+        with pytest.raises(ValueError, match=message):
+            sol.y_values(i, flat[:3])
 
 
 def test_the_producer_draws_apart_and_its_error_reaches_the_caller(monkeypatch):
