@@ -28,6 +28,7 @@ from .errors import NumericalError
 from .grid import TimeGrid, make_theta_grid
 from .harness import (
     Benchmark,
+    _ArgumentError,
     _check_m_sweep,
     convergence_study,
     estimate_errors,
@@ -504,18 +505,27 @@ def cmd_run(args) -> int:
     return _execute_run(_resolve_config(_read_config(args.config), "run", _flag_entries(args)))
 
 
+# The flag of each argument of `tune_parameters`.
+_TUNE_FLAGS = {"N": "--n", "kappa": "--kappa", "l": "--l", "d": "--d", "lam": "--lambda",
+               "regime": "--regime", "theta_pi": "--theta-pi", "T": "--t"}
+
+
 def cmd_tune(args) -> int:
-    """Print the balanced discretization plan for the requested regime."""
-    plan = tune_parameters(
-        N=args.n,
-        kappa=args.kappa,
-        l=args.l,
-        d=args.d,
-        lam=args.lam,
-        regime=args.regime,
-        theta_pi=args.theta_pi,
-        T=args.t,
-    )
+    """Print the balanced discretization plan for the requested regime; an
+    error of one argument names its flag."""
+    try:
+        plan = tune_parameters(
+            N=args.n,
+            kappa=args.kappa,
+            l=args.l,
+            d=args.d,
+            lam=args.lam,
+            regime=args.regime,
+            theta_pi=args.theta_pi,
+            T=args.t,
+        )
+    except _ArgumentError as exc:
+        raise ValueError(f"{_TUNE_FLAGS[exc.argument]}: {exc}") from None
     meta = [
         ("command", "tune"),
         ("regime", plan.regime),

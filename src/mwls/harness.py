@@ -578,6 +578,15 @@ class TuningPlan:
         return 1.0 / (inner + (1.0 + max(self.d / (2.0 * theta), 1.0)) / self.kappa)
 
 
+class _ArgumentError(ValueError):
+    """A ValueError of `tune_parameters` about one argument, named by its
+    keyword in `argument`, so a caller can name where that value came from."""
+
+    def __init__(self, argument: str, message: str) -> None:
+        super().__init__(message)
+        self.argument = argument
+
+
 def tune_parameters(
     N: int,
     kappa: float,
@@ -595,38 +604,41 @@ def tune_parameters(
     regime: the same scaled by sqrt(T-t_i) per index, with M_i additionally
     multiplied by (T-t_i)^(-d/2), on a grid that concentrates points near
     the horizon with exponent theta_pi, which only this regime takes.
-    R = 2 kappa log(N+1) / lam in both.
+    R = 2 kappa log(N+1) / lam in both.  An error of one argument is an
+    `_ArgumentError` that names it.
     """
     N = _as_count(N, f"N = {N!r}")
     if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+        raise _ArgumentError("N", f"N must be >= 1, got {N}")
     if T <= 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+        raise _ArgumentError("T", f"T must be positive, got {T}")
     if not math.isfinite(T):
-        raise ValueError(f"T must be finite, got {T}")
+        raise _ArgumentError("T", f"T must be finite, got {T}")
     if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+        raise _ArgumentError("kappa", f"kappa must be positive, got {kappa}")
     if not math.isfinite(kappa):
-        raise ValueError(f"kappa must be finite, got {kappa}")
+        raise _ArgumentError("kappa", f"kappa must be finite, got {kappa}")
     l = _as_count(l, f"l = {l!r}")
     if l < 1:
-        raise ValueError(f"l must be >= 1 (degree-l z basis), got {l}")
+        raise _ArgumentError("l", f"l must be >= 1 (degree-l z basis), got {l}")
     d = _as_count(d, f"d = {d!r}")
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise _ArgumentError("d", f"d must be >= 1, got {d}")
     if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise _ArgumentError("lam", f"lambda must be positive, got {lam}")
     if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
+        raise _ArgumentError("lam", f"lambda must be finite, got {lam}")
     if regime not in ("smooth", "holder"):
-        raise ValueError(f"regime must be 'smooth' or 'holder', got {regime!r}")
+        raise _ArgumentError("regime", f"regime must be 'smooth' or 'holder', got {regime!r}")
     if regime == "holder":
         if theta_pi is None:
-            raise ValueError("holder regime requires theta_pi")
+            raise _ArgumentError("theta_pi", "holder regime requires theta_pi")
         if not 0.0 < theta_pi <= 1.0:
-            raise ValueError(f"theta_pi must lie in (0, 1], got {theta_pi}")
+            raise _ArgumentError("theta_pi", f"theta_pi must lie in (0, 1], got {theta_pi}")
     elif theta_pi is not None:
-        raise ValueError(f"theta_pi applies to the holder regime only, got {theta_pi}")
+        raise _ArgumentError(
+            "theta_pi", f"theta_pi applies to the holder regime only, got {theta_pi}"
+        )
     grid = make_theta_grid(T, N, theta=theta_pi if regime == "holder" else 1.0)
 
     log_n1 = math.log(N + 1.0)

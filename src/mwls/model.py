@@ -9,12 +9,14 @@ together with weights H^(i)_j for j > i satisfying the moment conditions
 A simulation cloud at index i holds M_i independent rows of
 (X_i..X_N, H^(i)_{i+1..N}) used for the two regressions at that index.  Its
 random input is drawn apart from the arithmetic that builds the paths and
-weights from it, which runs whole or block by block of consecutive rows,
-with the same bits.  That input is only the cloud's tail: the states X_i,
+weights from it.  That input is only the cloud's tail: the states X_i,
 drawn like the fresh samples of X_i (an exact step for the Brownian model,
 the end of a simulated path otherwise), then N - i q-vectors of normals per
 row.  At i = 0, X_0 comes from the start law, so index-0 clouds are the
-whole paths from t_0.
+whole paths from t_0.  The normals come in blocks of consecutive rows, each
+in a buffer of its own, and the paths and weights are built block by
+block, each block of normals freed once its paths are built; one block of
+all rows gives the whole cloud, and any blocks give its bits.
 
 The per-row passes of the benchmarked Brownian path run along the long
 row axis: normals and paths are stored time-major, and the drift and the
@@ -74,7 +76,8 @@ class _PathBatch:
     dW_i..dW_{i+n-1}.
 
     Both arrays are (M, n_times, .) transposed views of time-major buffers,
-    so each time slice X[:, k, :] is one contiguous (M, d) block.
+    so each time slice X[:, k, :] is one contiguous (M, d) block;
+    `sample_paths` keeps both in one buffer.
     """
 
     X: np.ndarray  # (M, n + 1, d)
@@ -185,7 +188,7 @@ class MarkovModel:
         """Paths from the (M, d) states X_i driven by the (M, n, q) standard
         normals: X_i..X_{i+n}, shape (M, n + 1, d), and dW_i..dW_{i+n-1},
         dW_k = sqrt(t_{k+1} - t_k) normals[:, k - i], shape (M, n, q), both
-        stored time-major.
+        stored time-major in one buffer.
         """
         if not (
             x_i.ndim == 2 and normals.ndim == 3 and x_i.shape[1] == self.d
@@ -198,12 +201,18 @@ class MarkovModel:
         M, n = normals.shape[:2]
         if not 0 <= i <= i + n <= grid.N:
             raise ValueError(f"{n} steps from index {i} leave the grid's indices 0..{grid.N}")
-        # Written through out=, so the increments are time-major like X.
-        dW = np.empty((n, M, self.q))
+        # One allocation for both (q = d).  With two, and the normals in
+        # blocks of their own, glibc's trim threshold (twice the largest
+        # freed mapping) stayed below a block's X and dW together: on
+        # b3-deep each block's memory went back to the kernel and was
+        # faulted in again, 16-19k more minor faults per solve and solve_s
+        # 6% higher.
+        buffer = np.empty((2 * n + 1, M, self.d))
+        dW, X = buffer[:n], buffer[n:]
+        # written through out=, so the increments are time-major like X
         np.multiply(
             normals.transpose(1, 0, 2), np.sqrt(grid.steps[i : i + n])[:, None, None], out=dW
         )
-        X = np.empty((n + 1, M, self.d))
         X[0] = x_i
         for k in range(n):
             self.step(grid, i + k, X[k], dW[k], X[k + 1])
@@ -481,45 +490,61 @@ def _draw_states(
 
 
 def _cloud_draws(
-    model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+    model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int, rows: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """The random input of the index-i cloud, from the (seed, i) stream: the
-    (M_i, d) states X_i (see `_draw_states`), then the (M_i, N - i, q)
-    standard normals that drive each row's tail from t_i to t_N, stored
-    time-major (see `_time_major_normals`).
+    (M_i, d) states X_i (see `_draw_states`), then the standard normals that
+    drive each row's tail from t_i to t_N, as a list of row blocks.  Block b
+    holds the (up to rows, N - i, q) normals of rows b * rows onward, stored
+    time-major (see `_time_major_normals`); joined, the blocks are one
+    (M_i, N - i, q) draw on the stream after X_i.
 
-    Row r of both arrays belongs to row r of the cloud, whatever the rows
-    are split into.  i, M_i and seed are ints, checked by the caller.
+    Row r of X_i and of the joined blocks belongs to row r of the cloud.
+    Each block is drawn into a buffer of its own, so `_cloud_blocks` can free
+    it once it has built that block's paths.  i, M_i, seed and rows are
+    ints, checked by the caller.
     """
     rng = cloud_rng(seed, i, STREAM_CLOUD)
     x_i = _draw_states(model, grid, i, M_i, rng)
-    # The tail fills the first N - i time slices of a buffer sized for whole
-    # paths, so every index asks the allocator for the same block and gets a
-    # freed one back.  Tail-sized buffers, which grow as the solve steps back
-    # in time, kept more of the heap in use: b3-deep's peak RSS rose by 7%.
-    buffer = np.empty((grid.N, M_i, model.q))
-    return x_i, _time_major_normals(rng, M_i, grid.N - i, model.q, buffer[: grid.N - i])
+    n = grid.N - i
+    blocks = []
+    for row0 in range(0, M_i, rows):
+        m = min(rows, M_i - row0)
+        # A block's tail fills the first N - i time slices of a buffer sized
+        # for whole paths, so every full block of every index asks the
+        # allocator for the same size and gets a freed one back.  Buffers
+        # that grow as the solve steps back in time kept more of the heap in
+        # use: with whole-index buffers, b3-deep's peak RSS rose by 7%.  A
+        # last, partial block gets a buffer of its own rows: one of a full
+        # block's would hold 2.4 MiB more per index on b3-deep.
+        buffer = np.empty((grid.N, m, model.q))
+        blocks.append(_time_major_normals(rng, m, n, model.q, buffer[:n]))
+    return x_i, blocks
 
 
 def _cloud_blocks(
     model: MarkovModel,
     grid: TimeGrid,
     i: int,
-    draws: tuple[np.ndarray, np.ndarray],
-    rows: int,
+    draws: tuple[np.ndarray, list[np.ndarray]],
 ) -> Iterator[SimulationCloud]:
     """The index-i cloud built from its random input draws, the cloud's
-    `_cloud_draws`, as consecutive blocks of up to rows rows; concatenated,
-    the blocks are that cloud bit for bit.
+    `_cloud_draws`, as one block of rows per block of its normals;
+    concatenated, the blocks are that cloud bit for bit.
 
-    For each block, `sample_paths` builds the tail from its X_i on its
-    normals, then come the weights and the finiteness check.  A numerical
-    error names its row in the whole cloud.
+    Each block of normals is taken off the draws' list, so that list ends
+    empty, and is dropped once `sample_paths` has built the block's tail
+    from its X_i on it: no more than one block of normals is held here.
+    Then come the weights and the finiteness check.  A numerical error
+    names its row in the whole cloud.
     """
     x_i, normals = draws
-    for row0 in range(0, x_i.shape[0], rows):
-        here = slice(row0, row0 + rows)
-        batch = model.sample_paths(grid, i, x_i[here], normals[here])
+    row0 = 0
+    while normals:
+        block = normals.pop(0)
+        here = slice(row0, row0 + block.shape[0])
+        batch = model.sample_paths(grid, i, x_i[here], block)
+        del block  # the paths no longer read the normals
         weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
         if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
             finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))
@@ -528,6 +553,7 @@ def _cloud_blocks(
                 f"path {row0 + int(np.argmin(finite))}"
             )
         yield SimulationCloud(i=i, X=batch.X, H=weights)
+        row0 = here.stop
 
 
 def sample_cloud(
@@ -540,16 +566,16 @@ def sample_cloud(
     tail from t_i is simulated and stored, time-major (see
     `SimulationCloud`).  Clouds at distinct indices consume disjoint random
     streams; the same (seed, i, M_i) reproduces the cloud bit for bit.  It
-    is the one-block case of the solver's blocked draw.  i, M_i and seed
-    must be integers (an integral float will do) with 0 <= i < N, M_i >= 1
-    and seed >= 0.
+    is the one-block case of the solver's blocked draw: its normals are one
+    block of M_i rows.  i, M_i and seed must be integers (an integral float
+    will do) with 0 <= i < N, M_i >= 1 and seed >= 0.
     """
     i = _as_count(i, f"cloud index {i!r}")
     if not 0 <= i < grid.N:
         raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
     M_i = _count_at_least(M_i, "cloud size", 1)
     seed = _count_at_least(seed, "seed", 0)
-    return next(_cloud_blocks(model, grid, i, _cloud_draws(model, grid, i, M_i, seed), M_i))
+    return next(_cloud_blocks(model, grid, i, _cloud_draws(model, grid, i, M_i, seed, M_i)))
 
 
 def sample_marginal(

@@ -226,9 +226,10 @@ class Design:
     an outside point has cell -1 and the row of u = 0.  It is the (M,
     monomials) transposed view of a (monomials, M) array, so each column
     rows[:, c], which every per-monomial pass reads, is contiguous.  The fits
-    bin rows by `bins` = cells + 1 and drop bin 0.  The grouping and the Gram
-    factors are built on first use; `adopt_factors` supplies factors that an
-    earlier design of the same points and geometry built.
+    bin rows by `bins` = cells + 1 and drop bin 0.  The Gram factors and the
+    rows of the fallback cells are built on first use; `adopt_factors`
+    supplies factors that an earlier design of the same points and geometry
+    built.
     """
 
     geometry: tuple
@@ -241,11 +242,16 @@ class Design:
         return self.cells + 1
 
     @cached_property
-    def groups(self) -> list[np.ndarray]:
-        """Per bin, the positions of its rows in `rows`, in their original
-        order: cell c is bin c + 1, and bin 0 (outside) is never read."""
-        order = np.argsort(self.bins, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(self.bins))[:-1])
+    def fallback_rows(self) -> list[np.ndarray]:
+        """Per cell of `factors.fallback`, in that order, the positions of
+        its rows in `rows`, ascending.  Only the fallback cells' rows are
+        found and sorted, not every row: they are few and small."""
+        bins = self.factors.fallback + 1
+        if not bins.size:
+            return []
+        members = np.flatnonzero(np.isin(self.bins, bins))
+        members = members[np.argsort(self.bins[members], kind="stable")]
+        return np.split(members, np.searchsorted(self.bins[members], bins[1:]))
 
     @cached_property
     def factors(self) -> CellFactors:
@@ -442,12 +448,12 @@ def ols_fit(
         spectral = np.einsum("cak,cao->cko", factors.vectors, rhs)
         spectral /= factors.values[:, :, None]
         coef[factors.cells] = np.einsum("cak,cko->cao", factors.vectors, spectral)
-    for cell in factors.fallback:
-        group = design.groups[cell + 1]
-        rows = design.rows[group]
-        rcond = np.finfo(float).eps * max(rows.shape)
-        solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
-        coef[cell] = solution
+    if factors.fallback.size:
+        for cell, group in zip(factors.fallback, design.fallback_rows):
+            rows = design.rows[group]
+            rcond = np.finfo(float).eps * max(rows.shape)
+            solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
+            coef[cell] = solution
     return LocalPolynomialEstimator(basis=basis, coefficients=coef, level=None)
 
 

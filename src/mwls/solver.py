@@ -13,14 +13,17 @@ control variate with the same conditional mean as the paper's phi(X_N) H_N
 
 A cloud depends only on its (seed, i) stream, never on a fit, so one
 producer thread draws the random input of index i - 1's cloud, its states
-X_i and the normals of its tail (long numpy calls that release the GIL),
-while the calling thread works on index i: it builds the
-paths and weights block by block of consecutive rows, writes each block's
-responses in place into its rows of the cloud's response arrays, and fits.
-That arithmetic is many short numpy calls; split over two threads it would
-pass the GIL back and forth thousands of times a solve.  No whole cloud of
-paths and weights is held, and the results are those of whole clouds, bit
-for bit.
+X_i and the normals of its tail in blocks of `_BLOCK_ROWS` rows (long numpy
+calls that release the GIL), while the calling thread works on index i: it
+takes the blocks of normals one by one, builds each block's paths and
+weights and frees its normals, writes the block's responses in place into
+its rows of the cloud's response arrays, and fits.  That arithmetic is many
+short numpy calls; split over two threads it would pass the GIL back and
+forth thousands of times a solve.  So a solve holds, per index, the drawn
+X_i (kept as the index's marginal), its response arrays, the normals not
+yet consumed and one block of paths and weights, next to the next index's
+input as it is drawn; no whole cloud of paths and weights is held, and the
+results are those of whole clouds, bit for bit.
 """
 
 from __future__ import annotations
@@ -55,8 +58,9 @@ __all__ = [
     "mwls_solve",
 ]
 
-# Rows per cloud block: the paths, weights and responses of this many rows
-# are built at a time, so no whole cloud of paths and weights is held.
+# Rows per cloud block: the normals of this many rows are drawn into one
+# buffer, and their paths, weights and responses are built at a time, so no
+# whole cloud of normals, paths and weights is held.
 _BLOCK_ROWS = 16384
 
 
@@ -229,14 +233,15 @@ class MwlsSolution:
     """Fitted, truncated estimators for all time indices plus run metadata.
 
     y_fits[i] and z_fits[i] are the truncated estimators for i = 0 .. N-1;
-    the value at index N is the terminal map itself.  marginals[i] holds the
-    time-i states of the cloud used for the index-i regressions, so
-    empirical norms over the training measure can be recomputed without
-    re-simulating; it is read-only.  factors[i] maps the geometry of each
-    index-i basis to the per-cell Gram factors (`Design.factors`) of
-    marginals[i] under it, as the index-i fits built them, so the fits of
-    `estimate_errors` on the same marginal do not factorize them again; the
-    read-only marginal keeps them current.  They are kept without the design
+    the value at index N is the terminal map itself.  marginals[i] is the
+    drawn X_i itself, the (M_i, d) states that the cloud of the index-i
+    regressions starts from, not a copy, so empirical norms over the
+    training measure can be recomputed without re-simulating; it is
+    read-only.  factors[i] maps the geometry of each index-i basis to the
+    per-cell Gram factors (`Design.factors`) of marginals[i] under it, as
+    the index-i fits built them, so the fits of `estimate_errors` on the
+    same marginal do not factorize them again; the read-only marginal keeps
+    them current.  They are kept without the design
     rows or cells, about 0.1 MB an index at 1024 cells of degree 1 in d = 2.
     bounds is the constants table for the run's basis dimensions and cloud
     sizes, interdependence columns included; the error bound of
@@ -371,11 +376,12 @@ def mwls_solve(
             do); index i draws its cloud from the (seed, i) stream.
 
     At each index i = N-1 .. 0 the z response is fitted and truncated first,
-    then the y response (whose k = i term reads the fresh z fit).  Each
-    block's responses and X_i, kept as the index's marginal, are written in
-    place into the cloud's arrays while one producer thread draws the next
-    index's random input (see the module docstring).  An exception from
-    either thread is raised here, once the producer thread has stopped.
+    then the y response (whose k = i term reads the fresh z fit).  The
+    drawn X_i, made read-only, is kept as the index's marginal, and each
+    block's responses are written in place into the cloud's arrays while
+    one producer thread draws the next index's random input (see the module
+    docstring).  An exception from either thread is raised here, once the
+    producer thread has stopped.
     """
     n = grid.N
     seed = _count_at_least(seed, "seed", 0)
@@ -390,26 +396,31 @@ def mwls_solve(
     marginals: list = [None] * n
     factors: list = [None] * n
     with _one_worker() as producer:
-        ahead = producer.submit(_cloud_draws, model, grid, n - 1, sizes[n - 1], seed)
+        ahead = producer.submit(
+            _cloud_draws, model, grid, n - 1, sizes[n - 1], seed, _BLOCK_ROWS
+        )
         for i in range(n - 1, -1, -1):
             draws = ahead.result()
             if i > 0:
-                ahead = producer.submit(_cloud_draws, model, grid, i - 1, sizes[i - 1], seed)
+                ahead = producer.submit(
+                    _cloud_draws, model, grid, i - 1, sizes[i - 1], seed, _BLOCK_ROWS
+                )
             else:
                 producer.shutdown(wait=False)  # nothing is left to draw
-            x_i, s_z = np.empty((sizes[i], model.d)), np.empty((sizes[i], model.q))
-            s_y, y_next = np.empty(sizes[i]), None if driver.is_zero else np.empty(sizes[i])
+            x_i = draws[0]
+            x_i.flags.writeable = False  # factors[i] are those of these points
+            s_z, s_y = np.empty((sizes[i], model.q)), np.empty(sizes[i])
+            y_next = None if driver.is_zero else np.empty(sizes[i])
             stop = 0
-            for block in _cloud_blocks(model, grid, i, draws, _BLOCK_ROWS):
+            # each block of normals is freed as its paths are built
+            for block in _cloud_blocks(model, grid, i, draws):
                 rows, stop = slice(stop, stop + block.M), stop + block.M
-                x_i[rows] = block.x_at(i)
                 next_rows = _responses(
                     block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows]
                 )
                 if y_next is not None:
                     y_next[rows] = next_rows
-            del draws, block  # the normals and the last block, before the fits
-            x_i.flags.writeable = False  # factors[i] are those of these points
+            del block  # the last block's paths and weights, before the fits
             marginals[i] = x_i
             z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
             try:

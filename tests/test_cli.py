@@ -365,10 +365,22 @@ def test_tune_holder_stdout_rows(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--kappa", "1", "--lambda", "1", "--regime", "holder"], "holder regime requires theta_pi"),
-        (["--kappa", "inf", "--lambda", "1", "--regime", "smooth"], "kappa must be finite, got inf"),
-        (["--kappa", "nan", "--lambda", "1", "--regime", "smooth"], "kappa must be finite, got nan"),
-        (["--kappa", "1", "--lambda", "nan", "--regime", "smooth"], "lambda must be finite, got nan"),
+        (
+            ["--kappa", "1", "--lambda", "1", "--regime", "holder"],
+            "--theta-pi: holder regime requires theta_pi",
+        ),
+        (
+            ["--kappa", "inf", "--lambda", "1", "--regime", "smooth"],
+            "--kappa: kappa must be finite, got inf",
+        ),
+        (
+            ["--kappa", "nan", "--lambda", "1", "--regime", "smooth"],
+            "--kappa: kappa must be finite, got nan",
+        ),
+        (
+            ["--kappa", "1", "--lambda", "nan", "--regime", "smooth"],
+            "--lambda: lambda must be finite, got nan",
+        ),
         (
             ["--kappa", "10", "--lambda", "1", "--regime", "smooth"],
             "cloud size out of range: N=5, kappa=10.0, l=1, d=1, lambda=1.0 give M=2.99e+21, "
@@ -381,15 +393,19 @@ def test_tune_holder_stdout_rows(capsys):
         ),
         (
             ["--kappa", "0.5", "--lambda", "1", "--regime", "smooth", "--theta-pi", "7"],
-            "theta_pi applies to the holder regime only, got 7.0",
+            "--theta-pi: theta_pi applies to the holder regime only, got 7.0",
         ),
         (
             ["--kappa", "1", "--lambda", "1", "--regime", "smooth", "--t", "-1"],
-            "T must be positive, got -1.0",
+            "--t: T must be positive, got -1.0",
         ),
         (
             ["--kappa", "1", "--lambda", "1", "--regime", "smooth", "--t", "inf"],
-            "T must be finite, got inf",
+            "--t: T must be finite, got inf",
+        ),
+        (
+            ["--n", "0", "--kappa", "1", "--lambda", "1", "--regime", "smooth"],
+            "--n: N must be >= 1, got 0",
         ),
     ],
 )

@@ -309,14 +309,16 @@ def test_centered_solves_stay_within_the_restated_bounds(factory):
         assert math.sqrt(float(np.mean(s_z**2))) <= sol.bounds.Theta_z[i]
 
 
-def _full_path_draws(model, grid, i, M_i, seed):
+def _full_path_draws(model, grid, i, M_i, seed, rows):
     """The index-i cloud's random input as it was drawn before clouds drew
     only their tails: the starts and (M_i, N, q) normals of the (seed, i)
-    stream, with X_i the end of each row's path on its first i normals."""
+    stream, with X_i the end of each row's path on its first i normals, and
+    the tail normals in blocks of rows rows."""
     rng = cloud_rng(seed, i, STREAM_CLOUD)
     starts = model._draw_start(M_i, rng)
     normals = _time_major_normals(rng, M_i, grid.N, model.q)
-    return _path_end(model, grid, i, starts, normals[:, :i]), normals[:, i:]
+    blocks = [normals[r : r + rows, i:] for r in range(0, M_i, rows)]
+    return _path_end(model, grid, i, starts, normals[:, :i]), blocks
 
 
 def test_tail_and_full_path_clouds_give_the_same_fresh_errors(monkeypatch):

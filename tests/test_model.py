@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -254,8 +255,10 @@ def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
         assert cloud.H.shape == reference.H.shape == (m, grid.N - i, model.q)
         np.testing.assert_array_equal(cloud.X, reference.X, strict=True)
         np.testing.assert_array_equal(cloud.H, reference.H, strict=True)
-        # the tail alone is stored, one contiguous block per time index
-        assert cloud.X.base.shape == (grid.N - i + 1, m, model.d)
+        # the tail alone is stored, one contiguous block per time index: the
+        # states X_i..X_N after the N - i increments, in one buffer
+        assert cloud.X.base.shape == (2 * (grid.N - i) + 1, m, model.d)
+        assert np.shares_memory(cloud.X.base[grid.N - i :], cloud.X)
         for k in range(i, grid.N + 1):
             assert cloud.x_at(k).flags.c_contiguous
         for j in range(i + 1, grid.N + 1):
@@ -328,8 +331,8 @@ def test_cloud_blocks_are_bitwise_the_cloud(name, rows, m):
     grid = make_theta_grid(T=1.0, N=5, theta=0.6)
     for i in (0, 1, grid.N - 1):
         cloud = sample_cloud(model, grid, i=i, M_i=m, seed=81)
-        draws = _cloud_draws(model, grid, i, m, seed=81)
-        blocks = list(_cloud_blocks(model, grid, i, draws, rows))
+        draws = _cloud_draws(model, grid, i, m, seed=81, rows=rows)
+        blocks = list(_cloud_blocks(model, grid, i, draws))
         assert [b.M for b in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
         assert all(b.i == i for b in blocks)
         for stored, whole in (("X", cloud.X), ("H", cloud.H)):
@@ -349,12 +352,16 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
     tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
     served = []
 
-    def reference_blocks(model, grid, i, draws, rows):  # cut from whole paths
+    def reference_blocks(model, grid, i, draws):  # cut from whole paths
         cloud = _reference_cloud(model, grid, i, m, seed=7)
-        for start in range(0, m, rows):
-            here = slice(start, start + rows)
+        # the drawn X_i, kept as the marginal, is the reference cloud's
+        np.testing.assert_array_equal(draws[0], cloud.x_at(i), strict=True)
+        start = 0
+        for normals in draws[1]:
+            here = slice(start, start + normals.shape[0])
             served.append(cloud.X[here].shape[0])
             yield SimulationCloud(i=i, X=cloud.X[here], H=cloud.H[here])
+            start = here.stop
 
     monkeypatch.setattr(mwls.solver, "_cloud_blocks", reference_blocks)
     full = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
@@ -396,7 +403,7 @@ def test_cloud_errors_name_the_row_of_the_whole_cloud():
             sample_cloud(model, grid, 0, m, seed)
         assert str(whole.value) == message
         with pytest.raises(NumericalError) as streamed:
-            list(_cloud_blocks(model, grid, 0, _cloud_draws(model, grid, 0, m, seed), rows))
+            list(_cloud_blocks(model, grid, 0, _cloud_draws(model, grid, 0, m, seed, rows)))
         assert str(streamed.value) == message
 
 
@@ -439,7 +446,7 @@ def test_step_recursion_matches_the_closed_forms():
     for name in ("brownian-1d", "brownian-2d"):
         model = _TAIL_MODELS[name]()
         for i in (0, 25):
-            x_i, normals = _cloud_draws(model, grid, i, 2000, seed=12)
+            x_i, (normals,) = _cloud_draws(model, grid, i, 2000, seed=12, rows=2000)
             W = np.cumsum(normals * np.sqrt(grid.steps[i:])[None, :, None], axis=1)
             W = np.concatenate([np.zeros_like(W[:, :1]), W], axis=1)
             closed = x_i[:, None, :] + model.drift * (t[i:, None] - t[i]) + W
@@ -451,21 +458,42 @@ def test_step_recursion_matches_the_closed_forms():
 @pytest.mark.parametrize("m", [1, _DRAW_ROWS - 1, _DRAW_ROWS, 2 * _DRAW_ROWS + 37])
 def test_cloud_normals_are_one_draw_stored_time_major(m, q):
     # the states X_i come first on the stream, drawn like a fresh sample;
-    # drawn chunk by chunk, the tail normals are those of one (M, N - i, q)
-    # call on the stream after them, and each time slice is contiguous
+    # drawn block by block and chunk by chunk, the tail normals joined are
+    # those of one (M, N - i, q) call on the stream after them, and each
+    # time slice of a block is contiguous
     model = brownian_model(d=q, x0=0.0, x0_width=1.0)
     grid = make_theta_grid(T=1.0, N=4, theta=0.6)
-    for i in (0, 1):
-        x_i, normals = _cloud_draws(model, grid, i, m, seed=33)
-        rng = cloud_rng(33, i, STREAM_CLOUD)
-        states = model._draw_start(m, rng) if i == 0 else model.draw_state(grid, i, m, rng)
-        np.testing.assert_array_equal(x_i, states, strict=True)
-        expected = rng.standard_normal((m, grid.N - i, q))
-        assert normals.shape == expected.shape
-        assert normals.tobytes() == expected.tobytes()
-        assert normals.base.shape == (grid.N, m, q)  # a buffer sized for whole paths
-        for k in range(grid.N - i):
-            assert normals[:, k].flags.c_contiguous
+    for rows in (1000, m, m + 5):
+        for i in (0, 1):
+            x_i, blocks = _cloud_draws(model, grid, i, m, seed=33, rows=rows)
+            rng = cloud_rng(33, i, STREAM_CLOUD)
+            states = model._draw_start(m, rng) if i == 0 else model.draw_state(grid, i, m, rng)
+            np.testing.assert_array_equal(x_i, states, strict=True)
+            expected = rng.standard_normal((m, grid.N - i, q))
+            assert [b.shape[0] for b in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
+            normals = np.concatenate(blocks)
+            assert normals.shape == expected.shape
+            assert normals.tobytes() == expected.tobytes()
+            for block in blocks:
+                # each block has a buffer of its own, sized for whole paths
+                assert block.base.shape == (grid.N, block.shape[0], q)
+                for k in range(grid.N - i):
+                    assert block[:, k].flags.c_contiguous
+            assert len({id(b.base) for b in blocks}) == len(blocks)
+
+
+def test_a_consumed_block_of_normals_is_freed():
+    """Once `_cloud_blocks` has yielded a block, the buffers of the normals
+    it has built paths from, that block's included, have no referrer left."""
+    model = brownian_model(d=2, x0=0.0, x0_width=1.0)
+    grid = make_theta_grid(T=1.0, N=4, theta=0.6)
+    draws = _cloud_draws(model, grid, 1, 50, seed=34, rows=20)
+    buffers = [weakref.ref(block.base) for block in draws[1]]
+    blocks = _cloud_blocks(model, grid, 1, draws)
+    for b, block in enumerate(blocks):
+        assert [ref() is None for ref in buffers] == [k <= b for k in range(len(buffers))]
+        assert block.M == (20 if b < 2 else 10)
+    assert draws[1] == []
 
 
 # Componentwise models at d = q = 3: the Brownian kernels apply the drift

@@ -570,6 +570,22 @@ def test_fit_with_outside_rows_is_bitwise_the_fit_of_the_inside_rows(case):
     assert fitted.tobytes() == alone.tobytes()
 
 
+@settings(max_examples=200)
+@given(_fallback_prone_fits())
+def test_fallback_rows_are_each_fallback_cells_rows_in_order(case):
+    basis, points, responses = case
+    design = basis.design(points)
+    coefficients = ols_fit(responses, basis, points, design=design).coefficients
+    fallback = design.factors.fallback
+    assert len(design.fallback_rows) == fallback.size
+    for cell, group in zip(fallback, design.fallback_rows, strict=True):
+        np.testing.assert_array_equal(group, np.flatnonzero(design.bins == cell + 1), strict=True)
+        # the coefficients of a fallback cell are those of its rows, in row order
+        members = design.cells == cell
+        expected = _lstsq_cell(design.rows[members], responses[members])
+        assert coefficients[cell].tobytes() == expected.tobytes()
+
+
 def test_fallback_cells_are_bitwise_svd_least_squares():
     # degree 2 on four unit cells of [-2, 2]: 3 monomials per cell
     basis = LocalPolynomialBasis(degree=2, delta=1.0, radius=2.0, d=1, out_dim=2)
@@ -618,9 +634,9 @@ def test_design_is_factorized_once_for_the_z_and_y_fits(monkeypatch):
     ols_fit(rng.normal(size=(400, 2)), z_basis, points, design=design)
     ols_fit(rng.normal(size=400), y_basis, points, design=design)
     assert calls == {"eigh": 1, "lstsq": 0}
-    # every cell is well posed: no fallback, so no per-cell grouping either
+    # every cell is well posed: no fallback, so no fallback rows are sought
     assert design.factors.cells.size == z_basis.n_cells
-    assert "groups" not in design.__dict__
+    assert "fallback_rows" not in design.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,33 @@ def test_solve_does_not_depend_on_the_block_size(monkeypatch):
             np.testing.assert_array_equal(x_i, expected, strict=True)
 
 
+def test_marginals_are_the_drawn_states_read_only(monkeypatch):
+    """marginals[i] is the X_i that the producer drew for index i, the
+    array itself and bitwise, and it is read-only."""
+    draw = mwls.solver._cloud_draws
+    drawn = {}
+
+    def kept_draw(model, grid, i, M_i, seed, rows):
+        drawn[i] = draws = draw(model, grid, i, M_i, seed, rows)
+        return draws
+
+    monkeypatch.setattr(mwls.solver, "_cloud_draws", kept_draw)
+    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 64)  # many blocks a cloud
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    sol = mwls_solve(
+        model, grid, DriverSpec(fn=lambda k, x, y, z: 0.2 * y, L_f=0.2, C_f=0.0),
+        _tanh_terminal(), basis, basis, cloud_sizes=300, seed=46,
+    )
+    for i, x_i in enumerate(sol.marginals):
+        assert x_i is drawn[i][0]
+        np.testing.assert_array_equal(x_i, draw(model, grid, i, 300, 46, 300)[0], strict=True)
+        assert not x_i.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x_i[0, 0] = 0.0
+
+
 def test_a_failing_driver_stops_the_producer(monkeypatch):
     monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 64)  # many blocks a cloud
     grid = make_theta_grid(1.0, 4)
@@ -684,11 +711,11 @@ def test_the_producer_draws_apart_and_its_error_reaches_the_caller(monkeypatch):
     failure = RuntimeError("draw failed at index 1")
     drawn_on = set()
 
-    def failing_draw(model, grid, i, M_i, seed):
+    def failing_draw(model, grid, i, M_i, seed, rows):
         drawn_on.add(threading.get_ident())
         if i == 1:
             raise failure
-        return draw(model, grid, i, M_i, seed)
+        return draw(model, grid, i, M_i, seed, rows)
 
     monkeypatch.setattr(mwls.solver, "_cloud_draws", failing_draw)
     grid = make_theta_grid(1.0, 4)
