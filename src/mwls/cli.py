@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -24,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import bounds_table
-from .errors import NumericalError
+from .errors import NumericalError, _ArgumentError
 from .grid import TimeGrid, make_theta_grid
 from .harness import (
     Benchmark,
-    _ArgumentError,
     _check_m_sweep,
     convergence_study,
     estimate_errors,
@@ -121,30 +119,16 @@ def _flag(key) -> str:
     return "--" + _KEYS[key][2].replace("_", "-")
 
 
-# The numeric entries that a constructor of the package would reject without
-# naming the key: (subject, rule, rejects) with the words and the test of that
-# constructor's range check, if it has one.  A value in range must still be
-# finite, which each of these constructors checks next.
-_RANGES = {
-    ("problem", "alpha"): ("alpha", None, None),
-    ("problem", "theta_phi"): ("theta_phi", "must lie in (0, 1)", lambda v: not 0.0 < v < 1.0),
-    ("problem", "cap"): ("cap", "must be positive", lambda v: v <= 0.0),
-    ("problem", "x0_width"): ("starting-box width", "must be >= 0", lambda v: v < 0.0),
-    ("basis", "degree"): ("degree", "must be >= 0", lambda v: v < 0),
-    ("basis", "delta"): ("cell edge", "must be positive", lambda v: v <= 0.0),
-    ("basis", "delta_z"): ("cell edge", "must be positive", lambda v: v <= 0.0),
-    ("basis", "radius"): ("support half-width", "must be positive", lambda v: v <= 0.0),
-}
-
-
-def _range_error(key, value) -> str | None:
-    """What the constructor check of a _RANGES entry says of value, or None."""
-    subject, rule, rejects = _RANGES[key]
-    if rejects is not None and rejects(value):
-        return f"{subject} {rule}, got {value}"
-    if not math.isfinite(value):
-        return f"{subject} must be finite, got {value}"
-    return None
+def _build(make, names: dict, *args, **kwargs):
+    """make(*args, **kwargs), where an `_ArgumentError` about an argument
+    that names maps to its flag or section.key is raised again as a
+    ValueError prefixed by that name."""
+    try:
+        return make(*args, **kwargs)
+    except _ArgumentError as exc:
+        if exc.argument not in names:
+            raise
+        raise ValueError(f"{names[exc.argument]}: {exc}") from None
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
@@ -231,8 +215,11 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
 
     raw holds the config file's entries and flags the entries given as
     command-line flags, which take precedence.  An error names a flag entry
-    by its flag and a file entry by its section.key.  A sweep passes its
-    --m-values as simulation.m: one solve per value, used at every index.
+    by its flag and a file entry by its section.key.  The benchmark, then
+    the grid, then the bases are built from their keys, and a value that
+    one of their constructors rejects is an error naming exactly its key,
+    in that constructor's words.  A sweep passes its --m-values as
+    simulation.m: one solve per value, used at every index.
     """
     entries = {**raw, **flags}
 
@@ -243,12 +230,6 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
 
     def get(key):
         return entries.get(key, _KEYS[key][1])
-
-    def check_range(key, value):
-        error = _range_error(key, value)
-        if error is not None:
-            raise ValueError(f"{name(key)}: {error}")
-        return value
 
     problem_id = entries.get(("problem", "id"))
     if problem_id is None:
@@ -266,8 +247,11 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
                 raise ValueError(
                     f"{name(('problem', key))} does not apply to problem {problem_id!r}"
                 )
-    params = {key: check_range(("problem", key), get(("problem", key))) for key in applicable}
-    x0_width = check_range(("problem", "x0_width"), get(("problem", "x0_width")))
+    params = {key: get(("problem", key)) for key in applicable}
+    x0_width = get(("problem", "x0_width"))
+    names = {key: name(("problem", key)) for key in (*applicable, "x0_width")}
+    benchmark = _build(registry[problem_id], names, x0_width=x0_width, **params)
+    model = benchmark.model
 
     points = entries.get(("grid", "points"))
     if points is not None:
@@ -287,28 +271,28 @@ def _resolve_config(raw: dict, command: str, flags: dict) -> RunConfig:
             theta = entries.get(("grid", "theta"), params["theta_phi"])
         else:
             theta = get(("grid", "theta"))
-        try:
-            grid = make_theta_grid(t, n, theta)
-        except ValueError as exc:
-            given = [name(key) for key in (("grid", "t"), ("grid", "n"), ("grid", "theta"))
-                     if key in entries]
-            raise ValueError(f"{', '.join(given) or 'grid'}: {exc}") from None
+        names = {"T": name(("grid", "t")), "N": name(("grid", "n")),
+                 "theta": name(("grid", "theta"))}
+        grid = _build(make_theta_grid, names, t, n, theta)
         grid_echo = (("grid.t", t), ("grid.n", n), ("grid.theta", theta))
 
-    degree = check_range(("basis", "degree"), get(("basis", "degree")))
-    radius = check_range(("basis", "radius"), get(("basis", "radius")))
+    degree = get(("basis", "degree"))
+    radius = get(("basis", "radius"))
+
+    def bases(key, deltas, out_dim):
+        names = {arg: name(("basis", arg)) for arg in ("degree", "radius")}
+        names["delta"] = name(("basis", key))
+        return [_build(LocalPolynomialBasis, names, degree, v, radius, model.d, out_dim)
+                for v in deltas]
+
     delta = _per_index(get(("basis", "delta")), grid.N, name(("basis", "delta")))
-    delta = [check_range(("basis", "delta"), v) for v in delta]
+    y_bases = bases("delta", delta, 1)
     delta_z = entries.get(("basis", "delta_z"), delta)
     delta_z = _per_index(delta_z, grid.N, name(("basis", "delta_z")))
-    delta_z = [check_range(("basis", "delta_z"), v) for v in delta_z]
+    z_bases = bases("delta_z", delta_z, model.q)
     m = get(("simulation", "m"))
     if command != "sweep":
         m = _per_index(m, grid.N, name(("simulation", "m")))
-    benchmark = registry[problem_id](x0_width=x0_width, **params)
-    model = benchmark.model
-    y_bases = [LocalPolynomialBasis(degree, dy, radius, model.d) for dy in delta]
-    z_bases = [LocalPolynomialBasis(degree, dz, radius, model.d, model.q) for dz in delta_z]
     seed = get(("simulation", "seed"))
     if seed < 0:
         raise ValueError(f"{name(('simulation', 'seed'))} must be >= 0, got {seed}")
@@ -513,19 +497,8 @@ _TUNE_FLAGS = {"N": "--n", "kappa": "--kappa", "l": "--l", "d": "--d", "lam": "-
 def cmd_tune(args) -> int:
     """Print the balanced discretization plan for the requested regime; an
     error of one argument names its flag."""
-    try:
-        plan = tune_parameters(
-            N=args.n,
-            kappa=args.kappa,
-            l=args.l,
-            d=args.d,
-            lam=args.lam,
-            regime=args.regime,
-            theta_pi=args.theta_pi,
-            T=args.t,
-        )
-    except _ArgumentError as exc:
-        raise ValueError(f"{_TUNE_FLAGS[exc.argument]}: {exc}") from None
+    plan = _build(tune_parameters, _TUNE_FLAGS, N=args.n, kappa=args.kappa, l=args.l, d=args.d,
+                  lam=args.lam, regime=args.regime, theta_pi=args.theta_pi, T=args.t)
     meta = [
         ("command", "tune"),
         ("regime", plan.regime),
@@ -568,11 +541,9 @@ def cmd_sweep(args) -> int:
     flags = _flag_entries(args)
     flags[("simulation", "m")] = _parse_value("int_list", args.m_values, "--m-values")
     cfg = _resolve_config({}, "sweep", flags)
-    if args.index is not None and not 0 <= args.index < cfg.grid.N:
-        raise ValueError(
-            f"--index: readout index {args.index} out of range [0, {cfg.grid.N - 1}]"
-        )
-    study = convergence_study(
+    study = _build(
+        convergence_study,
+        {"index": "--index"},
         cfg.benchmark,
         cfg.grid,
         cfg.y_bases,

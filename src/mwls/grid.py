@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _ArgumentError
+
 __all__ = [
     "TimeGrid",
     "make_theta_grid",
@@ -101,14 +103,14 @@ def make_theta_grid(T: float, N: int, theta: float = 1.0) -> TimeGrid:
         theta: concentration exponent in (0, 1].
     """
     if T <= 0.0:
-        raise ValueError(f"terminal time must be positive, got {T}")
+        raise _ArgumentError("T", f"terminal time must be positive, got {T}")
     if not np.isfinite(T):
-        raise ValueError(f"terminal time must be finite, got {T}")
+        raise _ArgumentError("T", f"terminal time must be finite, got {T}")
     N = _as_count(N, f"N = {N!r}")
     if N < 1:
-        raise ValueError(f"need at least one time step, got N = {N}")
+        raise _ArgumentError("N", f"need at least one time step, got N = {N}")
     if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+        raise _ArgumentError("theta", f"theta must lie in (0, 1], got {theta}")
     i = np.arange(N + 1, dtype=float)
     points = T - T * (1.0 - i / N) ** (1.0 / theta)
     points[0] = 0.0

@@ -22,9 +22,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .constants import dep_errors, global_error_bound
+from .errors import _ArgumentError
 from .grid import TimeGrid, _as_count, _count_at_least, make_theta_grid
 from .model import MarkovModel, brownian_model, derive_seed, sample_marginal
-from .regression import LocalPolynomialBasis, ols_fit, shared_designs
+from .regression import LocalPolynomialBasis, _as_points, ols_fit, shared_designs
 from .solver import (
     DriverSpec,
     MwlsSolution,
@@ -109,10 +110,10 @@ def benchmark_b1(x0_width: float = 5.0) -> Benchmark:
     terminal = TerminalSpec(fn=lambda x: x[:, 0], C_xi=8.0, C_phi=1.0, theta_phi=1.0)
 
     def y_oracle(grid, i, pts):
-        return np.asarray(pts, dtype=float).reshape(-1, 1)[:, 0]
+        return _as_points(pts, 1)[:, 0]
 
     def z_oracle(grid, i, pts):
-        return np.ones((np.asarray(pts).reshape(-1, 1).shape[0], 1))
+        return np.ones((len(_as_points(pts, 1)), 1))
 
     return Benchmark(
         name="b1",
@@ -131,13 +132,13 @@ def benchmark_b2(x0_width: float = 5.0) -> Benchmark:
     terminal = TerminalSpec(fn=lambda x: np.tanh(x[:, 0]), C_xi=1.0, C_phi=1.0, theta_phi=1.0)
 
     def y_oracle(grid, i, pts):
-        x = np.asarray(pts, dtype=float).reshape(-1, 1)[:, 0]
+        x = _as_points(pts, 1)[:, 0]
         if i == grid.N:
             return np.tanh(x)
         return _gauss_mean(np.tanh, x, math.sqrt(grid.T - grid.points[i]))
 
     def z_oracle(grid, i, pts):
-        x = np.asarray(pts, dtype=float).reshape(-1, 1)[:, 0]
+        x = _as_points(pts, 1)[:, 0]
         span = grid.T - grid.points[i]
         vals = _gauss_weighted_mean(np.tanh, x, math.sqrt(span)) / math.sqrt(span)
         return vals[:, None]
@@ -175,7 +176,7 @@ def _b3_coefficients(grid: TimeGrid, alpha: float) -> tuple[np.ndarray, np.ndarr
 def benchmark_b3(alpha: float = 0.5, x0_width: float = 5.0) -> Benchmark:
     """Linear driver f = alpha*y with terminal phi(x) = x; exact recursion."""
     if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+        raise _ArgumentError("alpha", f"alpha must be finite, got {alpha}")
     model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
     driver = DriverSpec(
         fn=lambda k, x, y, z: alpha * y, L_f=abs(alpha), C_f=0.0, theta_L=1.0, theta_C=1.0
@@ -193,12 +194,11 @@ def benchmark_b3(alpha: float = 0.5, x0_width: float = 5.0) -> Benchmark:
 
     def y_oracle(grid, i, pts):
         c, _ = coefficients(grid)
-        return c[i] * np.asarray(pts, dtype=float).reshape(-1, 1)[:, 0]
+        return c[i] * _as_points(pts, 1)[:, 0]
 
     def z_oracle(grid, i, pts):
         _, z_levels = coefficients(grid)
-        m = np.asarray(pts).reshape(-1, 1).shape[0]
-        return np.full((m, 1), z_levels[i])
+        return np.full((len(_as_points(pts, 1)), 1), z_levels[i])
 
     return Benchmark(
         name="b3",
@@ -214,11 +214,11 @@ def benchmark_b3(alpha: float = 0.5, x0_width: float = 5.0) -> Benchmark:
 def benchmark_b4(theta_phi: float = 0.5, cap: float = 1.0, x0_width: float = 5.0) -> Benchmark:
     """Hölder terminal phi(x) = min(|x|^theta_phi, cap) for near-horizon studies."""
     if not 0.0 < theta_phi < 1.0:
-        raise ValueError(f"theta_phi must lie in (0, 1), got {theta_phi}")
+        raise _ArgumentError("theta_phi", f"theta_phi must lie in (0, 1), got {theta_phi}")
     if cap <= 0.0:
-        raise ValueError(f"cap must be positive, got {cap}")
+        raise _ArgumentError("cap", f"cap must be positive, got {cap}")
     if not math.isfinite(cap):
-        raise ValueError(f"cap must be finite, got {cap}")
+        raise _ArgumentError("cap", f"cap must be finite, got {cap}")
     model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
 
     def phi(values):
@@ -229,13 +229,13 @@ def benchmark_b4(theta_phi: float = 0.5, cap: float = 1.0, x0_width: float = 5.0
     )
 
     def y_oracle(grid, i, pts):
-        x = np.asarray(pts, dtype=float).reshape(-1, 1)[:, 0]
+        x = _as_points(pts, 1)[:, 0]
         if i == grid.N:
             return phi(x)
         return _holder_quadrature(phi, x, math.sqrt(grid.T - grid.points[i]), cap, theta_phi)
 
     def z_oracle(grid, i, pts):
-        x = np.asarray(pts, dtype=float).reshape(-1, 1)[:, 0]
+        x = _as_points(pts, 1)[:, 0]
         span = grid.T - grid.points[i]
         scale = math.sqrt(span)
         vals = _holder_quadrature(
@@ -291,10 +291,10 @@ def benchmark_zero(x0_width: float = 5.0) -> Benchmark:
     terminal = TerminalSpec(fn=lambda x: np.zeros(x.shape[0]), C_xi=0.0)
 
     def y_oracle(grid, i, pts):
-        return np.zeros(np.asarray(pts).reshape(-1, 1).shape[0])
+        return np.zeros(len(_as_points(pts, 1)))
 
     def z_oracle(grid, i, pts):
-        return np.zeros((np.asarray(pts).reshape(-1, 1).shape[0], 1))
+        return np.zeros((len(_as_points(pts, 1)), 1))
 
     return Benchmark(
         name="zero",
@@ -578,15 +578,6 @@ class TuningPlan:
         return 1.0 / (inner + (1.0 + max(self.d / (2.0 * theta), 1.0)) / self.kappa)
 
 
-class _ArgumentError(ValueError):
-    """A ValueError of `tune_parameters` about one argument, named by its
-    keyword in `argument`, so a caller can name where that value came from."""
-
-    def __init__(self, argument: str, message: str) -> None:
-        super().__init__(message)
-        self.argument = argument
-
-
 def tune_parameters(
     N: int,
     kappa: float,
@@ -760,7 +751,7 @@ def convergence_study(
     _check_m_sweep(benchmark.model, grid.N, y_basis, z_basis, m_values)
     readout = grid.N // 2 if index is None else _as_count(index, f"readout index {index!r}")
     if not 0 <= readout < grid.N:
-        raise ValueError(f"readout index {readout} out of range [0, {grid.N - 1}]")
+        raise _ArgumentError("index", f"readout index {readout} out of range [0, {grid.N - 1}]")
 
     def run_point(point: int) -> ErrorReport:
         point_seed = derive_seed(seed, point)

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, _ArgumentError
 from .grid import TimeGrid, _as_count, _count_at_least
 
 __all__ = [
@@ -162,9 +162,13 @@ class MarkovModel:
             raise ValueError(f"weight moment constant must be positive, got {self.C_M}")
         _check_vector("starting point", self.x0, self.d)
         if self.x0_width < 0.0:
-            raise ValueError(f"starting-box width must be >= 0, got {self.x0_width}")
+            raise _ArgumentError(
+                "x0_width", f"starting-box width must be >= 0, got {self.x0_width}"
+            )
         if not np.isfinite(self.x0_width):
-            raise ValueError(f"starting-box width must be finite, got {self.x0_width}")
+            raise _ArgumentError(
+                "x0_width", f"starting-box width must be finite, got {self.x0_width}"
+            )
 
     def _draw_start(self, M: int, rng: np.random.Generator) -> np.ndarray:
         """Initial states: x0, or a uniform box of edge x0_width around it."""
@@ -392,6 +396,7 @@ def brownian_model(
         x0_width: edge length of a uniform starting box centered at x0;
             zero means a deterministic start.
     """
+    d = _count_at_least(d, "state dimension", 1)
     return BrownianModel(
         d=d,
         C_M=float(np.sqrt(d)),
@@ -426,6 +431,7 @@ def euler_sde_model(
             for unit diffusion and user-declared otherwise.
         x0_width: edge length of a uniform starting box centered at x0.
     """
+    d = _count_at_least(d, "state dimension", 1)
     return EulerSdeModel(
         d=d,
         C_M=float(np.sqrt(d)) if C_M is None else float(C_M),

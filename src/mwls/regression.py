@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import _ArgumentError
 from .grid import _as_count
 
 __all__ = [
@@ -109,15 +110,17 @@ class LocalPolynomialBasis:
             value = getattr(self, name)
             object.__setattr__(self, name, _as_count(value, f"{name} = {value!r}"))
         if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
+            raise _ArgumentError("degree", f"degree must be >= 0, got {self.degree}")
         if self.delta <= 0.0:
-            raise ValueError(f"cell edge must be positive, got {self.delta}")
+            raise _ArgumentError("delta", f"cell edge must be positive, got {self.delta}")
         if not math.isfinite(self.delta):
-            raise ValueError(f"cell edge must be finite, got {self.delta}")
+            raise _ArgumentError("delta", f"cell edge must be finite, got {self.delta}")
         if self.radius <= 0.0:
-            raise ValueError(f"support half-width must be positive, got {self.radius}")
+            raise _ArgumentError(
+                "radius", f"support half-width must be positive, got {self.radius}"
+            )
         if not math.isfinite(self.radius):
-            raise ValueError(f"support half-width must be finite, got {self.radius}")
+            raise _ArgumentError("radius", f"support half-width must be finite, got {self.radius}")
         if self.d < 1:
             raise ValueError(f"state dimension must be >= 1, got {self.d}")
         if self.out_dim < 1:

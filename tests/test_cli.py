@@ -16,7 +16,14 @@ from mwls.cli import load_config, main
 from mwls.constants import as_bounds, obs_bounds
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
-from mwls.harness import benchmark_b1, benchmark_b3, benchmark_b4
+from mwls.harness import (
+    benchmark_b1,
+    benchmark_b3,
+    benchmark_b4,
+    benchmark_zero,
+    convergence_study,
+)
+from mwls.model import brownian_model, euler_sde_model
 from mwls.regression import LocalPolynomialBasis
 from mwls.solver import problem_constants
 
@@ -755,6 +762,18 @@ _UNDER_A_FILE = str(Path(__file__) / "out")
             ["sweep", "--problem", "b1", "--m-values", "100,200", "--threads", "2"],
             "unrecognized arguments: --threads 2",
         ),
+        (
+            ["bench", "--problem", "b1", "--t", "2", "--n", "0"],
+            "--n: need at least one time step, got N = 0",
+        ),
+        (
+            ["bench", "--problem", "b1", "--t", "2", "--theta", "1.5", "--n", "3"],
+            "--theta: theta must lie in (0, 1], got 1.5",
+        ),
+        (
+            ["run", "[grid]\nt = -1\nn = 3\n"],
+            "grid.t: terminal time must be positive, got -1.0",
+        ),
     ],
 )
 def test_bad_value_names_its_flag_or_key(tmp_path, capsys, argv, message):
@@ -782,36 +801,79 @@ def test_a_failed_report_write_is_an_error_line(tmp_path, capsys, monkeypatch):
     assert err == f"error: [Errno 13] Permission denied: {str(tmp_path / 'out')!r}\n"
 
 
-# The constructor whose range check each _RANGES entry stands in for.
-_RANGE_OWNERS = {
-    ("problem", "alpha"): lambda v: benchmark_b3(alpha=v),
-    ("problem", "theta_phi"): lambda v: benchmark_b4(theta_phi=v),
-    ("problem", "cap"): lambda v: benchmark_b4(cap=v),
-    ("problem", "x0_width"): lambda v: benchmark_b1(x0_width=v),
-    ("basis", "degree"): lambda v: LocalPolynomialBasis(degree=v, delta=0.5, radius=4.0, d=1),
-    ("basis", "delta"): lambda v: LocalPolynomialBasis(degree=1, delta=v, radius=4.0, d=1),
-    ("basis", "delta_z"): lambda v: LocalPolynomialBasis(degree=1, delta=v, radius=4.0, d=1),
-    ("basis", "radius"): lambda v: LocalPolynomialBasis(degree=1, delta=0.5, radius=v, d=1),
-}
+def _readout_at(index):
+    basis = LocalPolynomialBasis(degree=0, delta=2.0, radius=2.0, d=1)
+    return convergence_study(benchmark_zero(), make_theta_grid(1.0, 4), basis, basis,
+                             [100, 200], seed=0, index=index)
 
 
-@pytest.mark.parametrize("key", sorted(cli._RANGES), ids=".".join)
-def test_ranges_keep_the_constructors_words(key):
-    """The resolver rejects exactly the values the constructor rejects, in
-    the constructor's words, so an edit to either side cannot drift."""
-    build = _RANGE_OWNERS[key]
-    if key == ("basis", "degree"):
-        values = [-1, 0, 2]
-    else:
-        values = [-1.5, 0.0, 0.5, 1.5, math.inf, -math.inf, math.nan]
-    for value in values:
-        text = cli._range_error(key, value)
-        if text is None:
-            build(value)
-        else:
-            with pytest.raises(ValueError) as err:
-                build(value)
-            assert str(err.value) == text
+# A range check of each constructor the CLI builds from keys, its words, and
+# the keyword of the argument it rejects.
+@pytest.mark.parametrize(
+    "build, argument, message",
+    [
+        (lambda: make_theta_grid(-1.0, 3), "T", "terminal time must be positive, got -1.0"),
+        (lambda: make_theta_grid(math.inf, 3), "T", "terminal time must be finite, got inf"),
+        (lambda: make_theta_grid(1.0, 0), "N", "need at least one time step, got N = 0"),
+        (lambda: make_theta_grid(1.0, 3, 1.5), "theta", "theta must lie in (0, 1], got 1.5"),
+        (lambda: make_theta_grid(1.0, 3, 0.0), "theta", "theta must lie in (0, 1], got 0.0"),
+        (
+            lambda: LocalPolynomialBasis(degree=-1, delta=0.5, radius=4.0, d=1),
+            "degree",
+            "degree must be >= 0, got -1",
+        ),
+        (
+            lambda: LocalPolynomialBasis(degree=1, delta=0.0, radius=4.0, d=1),
+            "delta",
+            "cell edge must be positive, got 0.0",
+        ),
+        (
+            lambda: LocalPolynomialBasis(degree=1, delta=math.inf, radius=4.0, d=1),
+            "delta",
+            "cell edge must be finite, got inf",
+        ),
+        (
+            lambda: LocalPolynomialBasis(degree=1, delta=0.5, radius=-1.5, d=1),
+            "radius",
+            "support half-width must be positive, got -1.5",
+        ),
+        (
+            lambda: LocalPolynomialBasis(degree=1, delta=0.5, radius=math.nan, d=1),
+            "radius",
+            "support half-width must be finite, got nan",
+        ),
+        (
+            lambda: brownian_model(x0_width=-1.0),
+            "x0_width",
+            "starting-box width must be >= 0, got -1.0",
+        ),
+        (
+            lambda: euler_sde_model(None, lambda t, x: None, 0.0, x0_width=math.inf),
+            "x0_width",
+            "starting-box width must be finite, got inf",
+        ),
+        (
+            lambda: benchmark_b1(x0_width=-1.0),
+            "x0_width",
+            "starting-box width must be >= 0, got -1.0",
+        ),
+        (lambda: benchmark_b3(alpha=math.nan), "alpha", "alpha must be finite, got nan"),
+        (
+            lambda: benchmark_b4(theta_phi=1.0),
+            "theta_phi",
+            "theta_phi must lie in (0, 1), got 1.0",
+        ),
+        (lambda: benchmark_b4(cap=-1.0), "cap", "cap must be positive, got -1.0"),
+        (lambda: benchmark_b4(cap=math.inf), "cap", "cap must be finite, got inf"),
+        (lambda: _readout_at(9), "index", "readout index 9 out of range [0, 3]"),
+        (lambda: _readout_at(-1), "index", "readout index -1 out of range [0, 3]"),
+    ],
+)
+def test_range_errors_name_their_argument(build, argument, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+    assert err.value.argument == argument
 
 
 @pytest.mark.parametrize("command", ["run", "bench", "sweep", "bounds"])

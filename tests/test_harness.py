@@ -60,6 +60,20 @@ def test_registry_contents():
         assert bench.name == name
 
 
+@pytest.mark.parametrize("name", sorted(register_benchmarks()))
+def test_oracles_read_points_by_the_fits_rule(name):
+    """Like the fits, an oracle takes (M, 1) points or M coordinates in a
+    1-D array, and rejects points of any other width."""
+    bench = register_benchmarks()[name]()
+    grid = make_theta_grid(1.0, 4)
+    pts = np.array([[-0.4], [0.3], [1.2]])
+    for oracle in (bench.y_oracle, bench.z_oracle):
+        np.testing.assert_array_equal(oracle(grid, 1, pts[:, 0]), oracle(grid, 1, pts))
+        with pytest.raises(ValueError) as err:
+            oracle(grid, 1, np.zeros((5, 2)))
+        assert str(err.value) == "points have shape (5, 2), not (M, 1) for d = 1"
+
+
 def test_zero_benchmark_everything_vanishes():
     bench = register_benchmarks()["zero"]()
     grid = make_theta_grid(1.0, 4)

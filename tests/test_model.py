@@ -755,6 +755,27 @@ def test_samplers_name_a_bad_integer_argument(sampler, args, message):
     assert str(err.value) == message
 
 
+# Each model factory, by its state dimension; sigma is not called to build one.
+_MODEL_FACTORIES = {
+    "brownian": lambda d: brownian_model(d=d),
+    "euler": lambda d: euler_sde_model(None, lambda t, x: None, 0.0, d=d),
+}
+
+
+@pytest.mark.parametrize("factory", _MODEL_FACTORIES.values(), ids=list(_MODEL_FACTORIES))
+def test_model_dimension_is_read_as_a_count(factory):
+    model = factory(2.0)
+    assert type(model.d) is int and model.d == 2
+    assert model.x0.shape == (2,)
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError) as err:
+            factory(bad)
+        assert str(err.value) == f"state dimension {bad!r} is not an integer"
+    with pytest.raises(ValueError) as err:
+        factory(0)
+    assert str(err.value) == "state dimension must be >= 1, got 0"
+
+
 def test_samplers_take_integral_floats_and_numpy_integers():
     model = brownian_model(d=1, x0_width=1.0)
     grid = make_theta_grid(T=1.0, N=4, theta=1.0)
