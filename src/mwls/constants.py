@@ -105,11 +105,13 @@ class ProblemConstants:
             raise ValueError(f"theta_L must lie in (0, 1], got {self.theta_L}")
         if not 0.0 < self.theta_C <= 1.0:
             raise ValueError(f"theta_C must lie in (0, 1], got {self.theta_C}")
-        if self.T <= 0.0:
+        if not self.T > 0.0:
             raise ValueError(f"horizon T must be positive, got {self.T}")
-        if self.R_pi < 1.0:
+        if not math.isfinite(self.T):
+            raise ValueError(f"horizon T must be finite, got {self.T}")
+        if not self.R_pi >= 1.0:
             raise ValueError(f"step-ratio bound R_pi must be >= 1, got {self.R_pi}")
-        if self.q < 1:
+        if not self.q >= 1:
             raise ValueError(f"weight dimension q must be >= 1, got {self.q}")
 
 
@@ -185,10 +187,10 @@ def B_const(alpha: float, beta: float, r_pi: float = 1.0) -> float:
     accuracy of its lgamma fallbacks for larger or tinier exponents.  It
     never raises OverflowError: a Beta past the double range gives inf.
     """
-    if alpha <= 0.0 or beta <= 0.0:
+    if not (alpha > 0.0 and beta > 0.0):
         raise ValueError(f"exponents must be positive, got alpha = {alpha}, beta = {beta}")
-    if r_pi < 1.0:
-        raise ValueError(f"step-ratio bound must be >= 1, got {r_pi}")
+    if not r_pi >= 1.0:
+        raise ValueError(f"step-ratio bound r_pi must be >= 1, got {r_pi}")
     if alpha >= 1.0 and beta >= 1.0:
         return 1.0
     if beta == 1.0:
@@ -257,18 +259,20 @@ def c_gamma(
     beta) the exact constant exceeds the double range; inf is returned then,
     which is still a valid, if vacuous, upper bound.
     """
-    if C_u < 0.0:
-        raise ValueError(f"feedback constant must be nonnegative, got {C_u}")
-    if T <= 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    if alpha < 0.0:
+    if not C_u >= 0.0:
+        raise ValueError(f"feedback constant C_u must be nonnegative, got {C_u}")
+    if not T > 0.0:
+        raise ValueError(f"horizon T must be positive, got {T}")
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T must be finite, got {T}")
+    if not alpha >= 0.0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if not 0.0 < beta <= 0.5:
         raise ValueError(f"beta must lie in (0, 1/2], got {beta}")
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if r_pi < 1.0:
-        raise ValueError(f"step-ratio bound must be >= 1, got {r_pi}")
+    if not r_pi >= 1.0:
+        raise ValueError(f"step-ratio bound r_pi must be >= 1, got {r_pi}")
 
     c_w, c_hat = _exponent_iteration(C_u, T, alpha, beta, r_pi)
     zeta_T = 4.0 * c_hat * T ** (0.5 + beta) / (1.0 + 2.0 * beta)
@@ -463,9 +467,9 @@ def obs_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     The terminal part of c3 is 2 C_M C_xi, for the centered terminal term
     (phi(X_N) - phi(X_i)) H^(i)_N of the solver's z-response: almost surely
     |phi(X_N) - phi(X_i)| <= 2 C_xi, and the weight moment bound gives
-    (E[|H^(i)_N|^2 | F_i])^(1/2) <= C_M (T-t_i)^(-1/2).  C_phi is not used here: it bounds |xi - E[xi | F_i]|_{2,i},
-    and phi(X_i) is not E[xi | F_i], so it gives no bound on
-    |phi(X_N) - phi(X_i)|.
+    (E[|H^(i)_N|^2 | F_i])^(1/2) <= C_M (T-t_i)^(-1/2).  C_phi is not used
+    here: it bounds |xi - E[xi | F_i]|_{2,i}, and phi(X_i) is not
+    E[xi | F_i], so it gives no bound on |phi(X_N) - phi(X_i)|.
     """
     ttg = _time_to_go(pc, grid)
     c1, c2, c3, c4 = _theta_coefficients(pc)
@@ -489,14 +493,14 @@ def dep_errors(C_bound, K, M, q: int = 1):
     C_arr = np.asarray(C_bound, dtype=float)
     K_arr = np.asarray(K, dtype=float)
     M_arr = np.asarray(M, dtype=float)
-    if np.any(C_arr < 0.0):
-        raise ValueError("bound must be nonnegative")
-    if np.any(K_arr < 0.0):
-        raise ValueError("basis dimension must be nonnegative")
-    if np.any(M_arr < 1.0):
-        raise ValueError("sample count must be >= 1")
-    if q < 1:
-        raise ValueError(f"weight dimension must be >= 1, got {q}")
+    if not np.all(C_arr >= 0.0):
+        raise ValueError("bound C_bound must be nonnegative")
+    if not np.all(K_arr >= 0.0):
+        raise ValueError("basis dimension K must be nonnegative")
+    if not np.all(M_arr >= 1.0):
+        raise ValueError("sample count M must be >= 1")
+    if not q >= 1:
+        raise ValueError(f"weight dimension q must be >= 1, got {q}")
     out = C_arr * np.sqrt(2028.0 * (K_arr + 1.0) * float(q) * np.log(3.0 * M_arr) / M_arr)
     return float(out) if np.isscalar(C_bound) and out.ndim == 0 else out
 

@@ -127,13 +127,17 @@ def random_admissible_grid(
     [1/r_max, r_max] and rescaled to sum to T, which exercises the whole
     class of grids admissible under a given ratio bound.
     """
-    if T <= 0.0:
-        raise ValueError(f"terminal time must be positive, got {T}")
+    if not T > 0.0:
+        raise ValueError(f"terminal time T must be positive, got {T}")
+    if not np.isfinite(T):
+        raise ValueError(f"terminal time T must be finite, got {T}")
     N = _as_count(N, f"N = {N!r}")
     if N < 1:
         raise ValueError(f"need at least one time step, got N = {N}")
-    if r_max < 1.0:
-        raise ValueError(f"the ratio bound must be >= 1, got {r_max}")
+    if not r_max >= 1.0:
+        raise ValueError(f"the ratio bound r_max must be >= 1, got {r_max}")
+    if not np.isfinite(r_max):
+        raise ValueError(f"the ratio bound r_max must be finite, got {r_max}")
     ratios = rng.uniform(1.0 / r_max, r_max, size=N - 1)
     steps = np.concatenate([[1.0], np.cumprod(ratios)])
     steps *= T / steps.sum()
@@ -164,7 +168,7 @@ def weighted_step_sum(
     """
     if not 0 <= i < k <= grid.N:
         raise ValueError(f"need 0 <= i < k <= N = {grid.N}, got i = {i}, k = {k}")
-    if alpha <= 0.0 or beta <= 0.0:
+    if not (alpha > 0.0 and beta > 0.0):
         raise ValueError(f"exponents must be positive, got alpha = {alpha}, beta = {beta}")
     t = grid.points
     if double:

@@ -58,11 +58,16 @@ __all__ = [
 class Benchmark:
     """A solvable problem: model, driver, terminal, and exact value maps.
 
-    The oracles take (grid, i, points) with points of shape (M, d) and
-    return the exact y values (M,) and z values (M, q) of the discrete
-    backward equation on that grid.  They may be called from two threads at
-    once: `estimate_errors` shares its parts with a helper thread, and
+    The oracles take (grid, i, points) with points of shape (M, d), or M d
+    coordinates in a 1-D array as the fits read them, and return the exact
+    y values (M,) and z values (M, q) of the discrete backward equation on
+    that grid.  They may be called from two threads at once:
+    `estimate_errors` shares its parts with a helper thread, and
     `convergence_study` runs sweep points side by side.
+
+    b1, b2, b4 and zero have a zero driver; each gives only its terminal phi,
+    envelope constants and an expectation rule (`_zero_driver_benchmark`).
+    b3 has a driver and keeps its own recursion.
     """
 
     name: str
@@ -77,6 +82,45 @@ class Benchmark:
 # ---------------------------------------------------------------------------
 # benchmark problems
 
+def _zero_driver_benchmark(
+    name: str, phi: Callable, mean: Callable, C_xi: float, x0_width: float, description: str,
+    C_phi: float | None = None, theta_phi: float | None = None,
+) -> Benchmark:
+    """A problem with zero driver and terminal phi(X_N) on the d = 1
+    Brownian model, from phi on (M,) values and an expectation rule.
+
+    mean(x, s, weighted) returns E[phi(x + s G)], or E[phi(x + s G) G] if
+    weighted, per row of x, for standard normal G.  With a zero driver the
+    exact values at s = sqrt(T - t_i) are y_i(x) = E[phi(x + s G)] and, by
+    the integration-by-parts representation of Z that the Malliavin weights
+    discretize (Ma and Zhang, 2002), z_i(x) = E[phi(x + s G) G] / s.  y at
+    index N is phi itself; z is defined at indices 0..N-1 only.
+    """
+
+    def y_oracle(grid, i, pts):
+        x = _as_points(pts, 1)[:, 0]
+        if i == grid.N:
+            return phi(x)
+        return mean(x, math.sqrt(grid.T - grid.points[i]), False)
+
+    def z_oracle(grid, i, pts):
+        if i == grid.N:
+            raise ValueError(f"z has indices 0..{i - 1}, not the terminal index {i}")
+        x = _as_points(pts, 1)[:, 0]
+        scale = math.sqrt(grid.T - grid.points[i])
+        return (mean(x, scale, True) / scale)[:, None]
+
+    return Benchmark(
+        name=name,
+        model=brownian_model(d=1, x0=0.0, x0_width=x0_width),
+        driver=zero_driver(),
+        terminal=TerminalSpec(lambda x: phi(x[:, 0]), C_xi, C_phi, theta_phi),
+        y_oracle=y_oracle,
+        z_oracle=z_oracle,
+        description=description,
+    )
+
+
 @functools.cache
 def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
     """96-point Gauss-Hermite rule for the standard normal: (nodes, weights).
@@ -90,66 +134,30 @@ def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
-def _gauss_mean(fn: Callable, x: np.ndarray, scale: float) -> np.ndarray:
-    """E[fn(x + scale*G)] for standard normal G, per row of x."""
+def _gauss_mean(fn: Callable, x: np.ndarray, scale: float, weighted: bool) -> np.ndarray:
+    """E[fn(x + scale*G)], times G inside if weighted, per row of x; G ~ N(0, 1)."""
     nodes, weights = _hermite_rule()
-    spread = x[:, None] + scale * nodes[None, :]
-    return fn(spread) @ weights
-
-
-def _gauss_weighted_mean(fn: Callable, x: np.ndarray, scale: float) -> np.ndarray:
-    """E[fn(x + scale*G) * G] for standard normal G, per row of x."""
-    nodes, weights = _hermite_rule()
-    spread = x[:, None] + scale * nodes[None, :]
-    return (fn(spread) * nodes[None, :]) @ weights
+    values = fn(x[:, None] + scale * nodes[None, :])
+    if weighted:
+        values = values * nodes[None, :]
+    return values @ weights
 
 
 def benchmark_b1(x0_width: float = 5.0) -> Benchmark:
     """Zero driver, terminal phi(x) = x: exact values y_i(x) = x, z_i = 1."""
-    model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
-    terminal = TerminalSpec(fn=lambda x: x[:, 0], C_xi=8.0, C_phi=1.0, theta_phi=1.0)
-
-    def y_oracle(grid, i, pts):
-        return _as_points(pts, 1)[:, 0]
-
-    def z_oracle(grid, i, pts):
-        return np.ones((len(_as_points(pts, 1)), 1))
-
-    return Benchmark(
-        name="b1",
-        model=model,
-        driver=zero_driver(),
-        terminal=terminal,
-        y_oracle=y_oracle,
-        z_oracle=z_oracle,
+    return _zero_driver_benchmark(
+        "b1", lambda x: x, lambda x, s, weighted: np.full(x.shape, s) if weighted else x,
+        C_xi=8.0, C_phi=1.0, theta_phi=1.0, x0_width=x0_width,
         description="martingale terminal phi(x)=x on a start box",
     )
 
 
 def benchmark_b2(x0_width: float = 5.0) -> Benchmark:
     """Zero driver, terminal tanh(x): oracle by Gaussian quadrature."""
-    model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
-    terminal = TerminalSpec(fn=lambda x: np.tanh(x[:, 0]), C_xi=1.0, C_phi=1.0, theta_phi=1.0)
-
-    def y_oracle(grid, i, pts):
-        x = _as_points(pts, 1)[:, 0]
-        if i == grid.N:
-            return np.tanh(x)
-        return _gauss_mean(np.tanh, x, math.sqrt(grid.T - grid.points[i]))
-
-    def z_oracle(grid, i, pts):
-        x = _as_points(pts, 1)[:, 0]
-        span = grid.T - grid.points[i]
-        vals = _gauss_weighted_mean(np.tanh, x, math.sqrt(span)) / math.sqrt(span)
-        return vals[:, None]
-
-    return Benchmark(
-        name="b2",
-        model=model,
-        driver=zero_driver(),
-        terminal=terminal,
-        y_oracle=y_oracle,
-        z_oracle=z_oracle,
+    phi = np.tanh
+    return _zero_driver_benchmark(
+        "b2", phi, lambda x, s, weighted: _gauss_mean(phi, x, s, weighted),
+        C_xi=1.0, C_phi=1.0, theta_phi=1.0, x0_width=x0_width,
         description="bounded smooth terminal tanh(x), heat-kernel quadrature oracle",
     )
 
@@ -219,37 +227,13 @@ def benchmark_b4(theta_phi: float = 0.5, cap: float = 1.0, x0_width: float = 5.0
         raise _ArgumentError("cap", f"cap must be positive, got {cap}")
     if not math.isfinite(cap):
         raise _ArgumentError("cap", f"cap must be finite, got {cap}")
-    model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
 
     def phi(values):
         return np.minimum(np.abs(values) ** theta_phi, cap)
 
-    terminal = TerminalSpec(
-        fn=lambda x: phi(x[:, 0]), C_xi=cap, C_phi=1.0, theta_phi=theta_phi
-    )
-
-    def y_oracle(grid, i, pts):
-        x = _as_points(pts, 1)[:, 0]
-        if i == grid.N:
-            return phi(x)
-        return _holder_quadrature(phi, x, math.sqrt(grid.T - grid.points[i]), cap, theta_phi)
-
-    def z_oracle(grid, i, pts):
-        x = _as_points(pts, 1)[:, 0]
-        span = grid.T - grid.points[i]
-        scale = math.sqrt(span)
-        vals = _holder_quadrature(
-            phi, x, scale, cap, theta_phi, weight_by_g=True
-        ) / scale
-        return vals[:, None]
-
-    return Benchmark(
-        name="b4",
-        model=model,
-        driver=zero_driver(),
-        terminal=terminal,
-        y_oracle=y_oracle,
-        z_oracle=z_oracle,
+    return _zero_driver_benchmark(
+        "b4", phi, lambda x, s, weighted: _holder_quadrature(phi, x, s, cap, theta_phi, weighted),
+        C_xi=cap, C_phi=1.0, theta_phi=theta_phi, x0_width=x0_width,
         description=f"Hölder terminal min(|x|^{theta_phi}, {cap})",
     )
 
@@ -287,23 +271,9 @@ def _holder_quadrature(
 
 def benchmark_zero(x0_width: float = 5.0) -> Benchmark:
     """Zero driver and zero terminal: the solution vanishes identically."""
-    model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
-    terminal = TerminalSpec(fn=lambda x: np.zeros(x.shape[0]), C_xi=0.0)
-
-    def y_oracle(grid, i, pts):
-        return np.zeros(len(_as_points(pts, 1)))
-
-    def z_oracle(grid, i, pts):
-        return np.zeros((len(_as_points(pts, 1)), 1))
-
-    return Benchmark(
-        name="zero",
-        model=model,
-        driver=zero_driver(),
-        terminal=terminal,
-        y_oracle=y_oracle,
-        z_oracle=z_oracle,
-        description="identically-zero data and solution",
+    return _zero_driver_benchmark(
+        "zero", lambda x: np.zeros(x.shape[0]), lambda x, s, weighted: np.zeros(x.shape[0]),
+        C_xi=0.0, x0_width=x0_width, description="identically-zero data and solution",
     )
 
 
@@ -595,8 +565,9 @@ def tune_parameters(
     regime: the same scaled by sqrt(T-t_i) per index, with M_i additionally
     multiplied by (T-t_i)^(-d/2), on a grid that concentrates points near
     the horizon with exponent theta_pi, which only this regime takes.
-    R = 2 kappa log(N+1) / lam in both.  An error of one argument is an
-    `_ArgumentError` that names it.
+    R = 2 kappa log(N+1) / lam in both; an R out of double range is an
+    error of lam.  An error of one argument is an `_ArgumentError` that
+    names it.
     """
     N = _as_count(N, f"N = {N!r}")
     if N < 1:
@@ -634,6 +605,9 @@ def tune_parameters(
 
     log_n1 = math.log(N + 1.0)
     radius = 2.0 * kappa * log_n1 / lam
+    if not 0.0 < radius < math.inf:
+        raise _ArgumentError("lam", "support half-width R = 2 kappa log(N+1) / lambda must "
+                                    f"be positive and finite, got {radius}")
     base_dy = float(N) ** (-kappa / (l + 1.0))
     base_dz = float(N) ** (-kappa / l)
     try:
@@ -663,9 +637,10 @@ def tune_parameters(
         k_y = LocalPolynomialBasis(degree=l, delta=float(delta_y[i]), radius=radius, d=d).K
         k_z = LocalPolynomialBasis(degree=l, delta=float(delta_z[i]), radius=radius, d=d).K
         if m[i] < max(k_y, k_z):
+            from decimal import Decimal  # K, an int, may have hundreds of digits
             raise ValueError(
                 f"plan is not self-consistent at index {i}: "
-                f"M={m[i]} below basis dimension {max(k_y, k_z)}"
+                f"M={m[i]} below basis dimension {Decimal(max(k_y, k_z)):.3g}"
             )
 
     return TuningPlan(

@@ -241,8 +241,8 @@ class MwlsSolution:
     per-cell Gram factors (`Design.factors`) of marginals[i] under it, as
     the index-i fits built them, so the fits of `estimate_errors` on the
     same marginal do not factorize them again; the read-only marginal keeps
-    them current.  They are kept without the design
-    rows or cells, about 0.1 MB an index at 1024 cells of degree 1 in d = 2.
+    them current.  They are kept without the design rows or cells, about
+    0.1 MB an index at 1024 cells of degree 1 in d = 2.
     bounds is the constants table for the run's basis dimensions and cloud
     sizes, interdependence columns included; the error bound of
     `estimate_errors` is evaluated from it.

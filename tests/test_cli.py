@@ -414,6 +414,15 @@ def test_tune_holder_stdout_rows(capsys):
             ["--n", "0", "--kappa", "1", "--lambda", "1", "--regime", "smooth"],
             "--n: N must be >= 1, got 0",
         ),
+        (
+            ["--n", "4", "--kappa", "0.5", "--lambda", "1e-320", "--regime", "smooth"],
+            "--lambda: support half-width R = 2 kappa log(N+1) / lambda must be positive and "
+            "finite, got inf",
+        ),
+        (
+            ["--n", "4", "--kappa", "0.5", "--lambda", "1e-300", "--regime", "smooth"],
+            "plan is not self-consistent at index 0: M=21 below basis dimension 1.29e+301",
+        ),
     ],
 )
 def test_tune_rejects_bad_parameters(capsys, argv, message):

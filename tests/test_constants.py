@@ -778,3 +778,49 @@ def test_problem_constants_validation():
             bad = {name: value, "theta_phi": 0.5} if name == "C_phi" else {name: value}
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ProblemConstants(**{**good, **bad})
+
+
+_NAN_CHECK_BASES = {
+    ProblemConstants: dict(L_f=0.5, C_f=0.1, theta_L=1.0, theta_C=1.0, C_M=1.0, C_xi=1.0, T=1.0),
+    B_const: dict(alpha=0.5, beta=0.5, r_pi=1.0),
+    c_gamma: dict(C_u=1.0, T=1.0, alpha=0.25, beta=0.5, gamma=1.0, r_pi=1.0),
+    dep_errors: dict(C_bound=1.0, K=4, M=100, q=1),
+    weighted_step_sum: dict(grid=make_theta_grid(1.0, 4), i=0, k=3, alpha=0.5, beta=0.5,
+                            double=True),
+    random_admissible_grid: dict(T=1.0, N=4, r_max=2.0, rng=np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize(
+    "build, argument, bad",
+    [
+        (ProblemConstants, "T", math.nan),
+        (ProblemConstants, "T", math.inf),
+        (ProblemConstants, "R_pi", math.nan),
+        (B_const, "alpha", math.nan),
+        (B_const, "r_pi", math.nan),
+        (c_gamma, "C_u", math.nan),
+        (c_gamma, "T", math.nan),
+        (c_gamma, "T", math.inf),
+        (c_gamma, "alpha", math.nan),
+        (c_gamma, "gamma", math.nan),
+        (c_gamma, "r_pi", math.nan),
+        (dep_errors, "C_bound", math.nan),
+        (dep_errors, "K", math.nan),
+        (dep_errors, "M", math.nan),
+        (dep_errors, "q", math.nan),
+        (weighted_step_sum, "alpha", math.nan),
+        (weighted_step_sum, "beta", math.nan),
+        (random_admissible_grid, "r_max", math.nan),
+        (random_admissible_grid, "r_max", math.inf),
+        (random_admissible_grid, "T", math.inf),
+    ],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_range_checks_reject_nan_and_inf_naming_the_argument(build, argument, bad):
+    """A NaN fails every range check, and a horizon or ratio bound must also
+    be finite: each is a ValueError naming the argument, not a NaN, an inf
+    or an OverflowError further on."""
+    with pytest.raises(ValueError) as err:
+        build(**{**_NAN_CHECK_BASES[build], argument: bad})
+    assert re.search(rf"\b{argument}\b", str(err.value)), str(err.value)

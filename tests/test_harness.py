@@ -116,6 +116,22 @@ def test_b2_terminal_index_is_exact_map():
     np.testing.assert_allclose(bench.y_oracle(grid, grid.N, pts), np.tanh(pts[:, 0]))
 
 
+@pytest.mark.parametrize("name", ["b1", "b2", "b4", "zero"])
+def test_zero_driver_problems_share_one_contract(name):
+    """The zero-driver family: the solver's zero-driver path, no driver
+    constants, y at N the terminal map itself, and no z at N."""
+    bench = register_benchmarks()[name]()
+    grid = make_theta_grid(1.0, 3, theta=0.5)
+    assert bench.driver.is_zero
+    pc = mwls.solver.problem_constants(bench.model, grid, bench.driver, bench.terminal)
+    assert pc.L_f == 0.0 and pc.C_f == 0.0
+    pts = np.array([[-0.0], [0.0], [-0.7], [2.5], [9.0]])
+    y_n = bench.y_oracle(grid, grid.N, pts)
+    assert y_n.dtype == float and y_n.tobytes() == bench.terminal.fn(pts).tobytes()
+    with pytest.raises(ValueError, match=r"^z has indices 0\.\.2, not the terminal index 3$"):
+        bench.z_oracle(grid, grid.N, pts)
+
+
 def test_b3_with_zero_alpha_reduces_to_b1():
     bench = benchmark_b3(alpha=0.0)
     grid = make_theta_grid(1.0, 6, theta=0.7)
@@ -827,6 +843,22 @@ def test_tune_validation():
         tune_parameters(N=1, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth")
     with pytest.raises(ValueError, match="theta_pi applies to the holder regime only, got 0.5"):
         tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="smooth", theta_pi=0.5)
+
+
+@pytest.mark.parametrize("kappa, lam, radius", [(0.5, 1e-320, "inf"), (1e-320, 1e300, "0.0")])
+def test_tune_names_lambda_when_the_support_half_width_is_out_of_range(kappa, lam, radius):
+    # R = 2 kappa log(N+1) / lambda overflows to inf, or underflows to 0
+    with pytest.raises(ValueError, match=f"/ lambda must be positive and finite, got {radius}$") as err:
+        tune_parameters(N=4, kappa=kappa, l=1, d=1, lam=lam, regime="smooth")
+    assert err.value.argument == "lam"
+
+
+def test_tune_gives_a_huge_basis_dimension_in_three_digits():
+    with pytest.raises(ValueError) as err:
+        tune_parameters(N=4, kappa=0.5, l=1, d=2, lam=1e-300, regime="smooth")
+    assert str(err.value) == (
+        "plan is not self-consistent at index 0: M=67 below basis dimension 1.24e+602"
+    )
 
 
 @pytest.mark.parametrize("name", ["l", "d"])
