@@ -82,7 +82,9 @@ class ProblemConstants:
     satisfy E[H^(i)_j | F_i] = 0 with conditional second moment at most
     C_M^2 / (t_j - t_i).  The optional pair (C_phi, theta_phi) declares the
     fractional smoothness |xi - E_i xi|_{2,i} <= C_phi (T - t_i)^(theta_phi/2),
-    which sharpens the z-bounds near T.
+    which sharpens the z-bounds near T.  A theta so small that an exponent
+    the bounds derive from it rounds to 0, such as (theta_C - 1) + 1 below
+    about 5.6e-17, is refused by name.
     """
 
     L_f: float
@@ -105,6 +107,17 @@ class ProblemConstants:
             raise ValueError(f"theta_L must lie in (0, 1], got {self.theta_L}")
         if not 0.0 < self.theta_C <= 1.0:
             raise ValueError(f"theta_C must lie in (0, 1], got {self.theta_C}")
+        # the sum-bound exponents of the driver terms, and c_gamma's theta_L / 2
+        exponents = [(power + 1.0, names) for power, names in _driver_term_powers(self)]
+        exponents.append((self.theta_L / 2.0, ("theta_L",)))
+        for exponent, names in exponents:
+            if not exponent > 0.0:
+                given = " and ".join(f"{name} = {getattr(self, name)}" for name in names)
+                verb, it = ("is", "it") if len(names) == 1 else ("are", "them")
+                raise ValueError(
+                    f"{given} {verb} too small: an exponent of the bounds derived from "
+                    f"{it} rounds to {exponent}"
+                )
         if not self.T > 0.0:
             raise ValueError(f"horizon T must be positive, got {self.T}")
         if not math.isfinite(self.T):
@@ -391,35 +404,51 @@ def _driver_output_terms(pc: ProblemConstants) -> list[tuple[float, float, bool]
     """
     a = apriori_constants(pc)
     lip = pc.L_f
-    sing = (pc.theta_L - 1.0) / 2.0  # power of (T-t_j) on the Lipschitz factor
+    powers = [power for power, _ in _driver_term_powers(pc)]
     terms: list[tuple[float, float, bool]] = []
     # y-truncation contribution L_f * C_{y,j+1} / (T-t_j)^((1-theta_L)/2):
-    terms.append((_safe_prod(lip, a.A1y, pc.C_xi), sing, False))
+    terms.append((_safe_prod(lip, a.A1y, pc.C_xi), powers[0], False))
     terms.append(
         (
             _safe_prod(lip, a.A2y, pc.C_f, B_const(pc.theta_C, 1.0, pc.R_pi)),
-            pc.theta_C + sing,
+            powers[1],
             True,
         )
     )
     # z-truncation contribution L_f * C_{z,j} / (T-t_j)^((1-theta_L)/2):
-    if pc.C_phi is not None:
-        terms.append(
-            (_safe_prod(lip, a.A1z, pc.C_phi), (pc.theta_phi - 1.0) / 2.0 + sing, False)
-        )
-    else:
-        terms.append((_safe_prod(lip, a.A1z, 2.0 * pc.C_xi), -0.5 + sing, False))
+    oscillation = pc.C_phi if pc.C_phi is not None else 2.0 * pc.C_xi
+    terms.append((_safe_prod(lip, a.A1z, oscillation), powers[2], False))
     terms.append(
         (
             _safe_prod(lip, a.A2z, pc.C_f, B_const(pc.theta_C, 0.5, pc.R_pi)),
-            pc.theta_C - 0.5 + sing,
+            powers[3],
             True,
         )
     )
-    terms.append((_safe_prod(lip, a.A3z, pc.C_xi), pc.theta_L / 2.0 + sing, False))
+    terms.append((_safe_prod(lip, a.A3z, pc.C_xi), powers[4], False))
     # zero-point bound C_f / (T-t_j)^(1-theta_C):
-    terms.append((pc.C_f, pc.theta_C - 1.0, True))
+    terms.append((pc.C_f, powers[5], True))
     return terms
+
+
+def _driver_term_powers(pc: ProblemConstants) -> list[tuple[float, tuple[str, ...]]]:
+    """The power of (T - t_j) in each term of `_driver_output_terms`, in its
+    order, with the names of the exponents it is derived from.  The sum
+    bounds of `_theta_coefficients` take power + 1 as an exponent, which
+    must be positive; `ProblemConstants` checks it."""
+    sing = (pc.theta_L - 1.0) / 2.0  # power of (T-t_j) on the Lipschitz factor
+    if pc.C_phi is not None:
+        oscillation = ((pc.theta_phi - 1.0) / 2.0 + sing, ("theta_phi", "theta_L"))
+    else:
+        oscillation = (-0.5 + sing, ("theta_L",))
+    return [
+        (sing, ("theta_L",)),
+        (pc.theta_C + sing, ("theta_C", "theta_L")),
+        oscillation,
+        (pc.theta_C - 0.5 + sing, ("theta_C", "theta_L")),
+        (pc.theta_L / 2.0 + sing, ("theta_L",)),
+        (pc.theta_C - 1.0, ("theta_C",)),
+    ]
 
 
 def _theta_coefficients(pc: ProblemConstants) -> tuple[float, float, float, float]:

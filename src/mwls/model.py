@@ -13,10 +13,12 @@ weights from it.  That input is only the cloud's tail: the states X_i,
 drawn like the fresh samples of X_i (an exact step for the Brownian model,
 the end of a simulated path otherwise), then N - i q-vectors of normals per
 row.  At i = 0, X_0 comes from the start law, so index-0 clouds are the
-whole paths from t_0.  The normals come in blocks of consecutive rows, each
-in a buffer of its own, and the paths and weights are built block by
-block, each block of normals freed once its paths are built; one block of
-all rows gives the whole cloud, and any blocks give its bits.
+whole paths from t_0.  The input is a stream: X_i, then the normals in
+blocks of consecutive rows, each drawn into a buffer of its own only when
+the stream is advanced to it.  The paths and weights are built block by
+block, each block of normals freed once its paths are built, so a consumer
+holds no more random input than it has drawn and not yet built on; one
+block of all rows gives the whole cloud, and any blocks give its bits.
 
 The per-row passes of the benchmarked Brownian path run along the long
 row axis: normals and paths are stored time-major, and the drift and the
@@ -307,6 +309,17 @@ class BrownianModel(MarkovModel):
         return _cumulative_weights(grid, i, batch.dW.transpose(1, 0, 2))
 
 
+def _callback_array(name: str, k: int, values, shape: tuple) -> np.ndarray:
+    """The values that the model callback name returned at time index k,
+    checked against its documented shape; a scalar broadcasts to it."""
+    values = np.asarray(values, dtype=float)
+    if values.shape == shape:
+        return values
+    if values.ndim == 0:
+        return np.broadcast_to(values, shape)
+    raise ValueError(f"{name} returned shape {values.shape} at time index {k}, expected {shape}")
+
+
 @dataclass(frozen=True, eq=False)
 class EulerSdeModel(MarkovModel):
     """Euler scheme for dX = b(t, X) dt + sigma(t, X) dW with weights built
@@ -315,8 +328,10 @@ class EulerSdeModel(MarkovModel):
     The drift, diffusion, and their Jacobians act on row batches:
     b(t, x) -> (M, d); sigma(t, x) -> (M, d, q); db(t, x) -> (M, d, d);
     dsigma(t, x) -> (M, q, d, d) with entry [m, l, a, b] the derivative of
-    column l of sigma, component a, in direction b.  Omitted Jacobians are
-    treated as zero, which is exact for state-independent coefficients.
+    column l of sigma, component a, in direction b.  A result of another
+    shape is a ValueError naming the callback and the time index; a scalar
+    broadcasts.  Omitted Jacobians are treated as zero, which is exact for
+    state-independent coefficients.
     """
 
     b: Callable | None
@@ -330,9 +345,11 @@ class EulerSdeModel(MarkovModel):
     def step(self, grid, k, x_k, dW_k, out):
         """X_{k+1} = X_k + sigma(t_k, X_k) dW_k + b(t_k, X_k) (t_{k+1} - t_k)."""
         t = grid.points[k]
-        step = np.einsum("mdq,mq->md", self.sigma(t, x_k), dW_k)
+        M, d = x_k.shape
+        sigma = _callback_array("sigma", k, self.sigma(t, x_k), (M, d, self.q))
+        step = np.einsum("mdq,mq->md", sigma, dW_k)
         if self.b is not None:
-            step = step + self.b(t, x_k) * grid.steps[k]
+            step = step + _callback_array("b", k, self.b(t, x_k), (M, d)) * grid.steps[k]
         np.add(x_k, step, out=out)
 
     sample_paths = MarkovModel.sample_paths
@@ -345,11 +362,12 @@ class EulerSdeModel(MarkovModel):
         eye = np.broadcast_to(np.eye(self.d), (M, self.d, self.d))
         psi = eye.copy()  # tangent process started at index i
         X, dW = batch.X, batch.dW
-        sig_i = self.sigma(t[i], X[:, 0, :])  # (M, d, q)
+        d, q = self.d, self.q
+        sig_i = _callback_array("sigma", i, self.sigma(t[i], X[:, 0, :]), (M, d, q))
         increments = np.empty((N - i, M, self.d))
         for k in range(i, N):
             xk = X[:, k - i, :]
-            sig_k = self.sigma(t[k], xk)
+            sig_k = _callback_array("sigma", k, self.sigma(t[k], xk), (M, d, q))
             try:
                 inv_k = np.linalg.inv(sig_k)
             except np.linalg.LinAlgError:
@@ -366,11 +384,11 @@ class EulerSdeModel(MarkovModel):
             if k + 1 < N:
                 update = eye.copy()
                 if self.db is not None:
-                    update = update + self.db(t[k], xk) * grid.steps[k]
+                    db = _callback_array("db", k, self.db(t[k], xk), (M, d, d))
+                    update = update + db * grid.steps[k]
                 if self.dsigma is not None:
-                    update = update + np.einsum(
-                        "mlab,ml->mab", self.dsigma(t[k], xk), dW[:, k - i, :]
-                    )
+                    dsigma = _callback_array("dsigma", k, self.dsigma(t[k], xk), (M, q, d, d))
+                    update = update + np.einsum("mlab,ml->mab", dsigma, dW[:, k - i, :])
                 psi = update @ psi
         return _cumulative_weights(grid, i, increments)
 
@@ -497,23 +515,24 @@ def _draw_states(
 
 def _cloud_draws(
     model: MarkovModel, grid: TimeGrid, i: int, M_i: int, seed: int, rows: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The random input of the index-i cloud, from the (seed, i) stream: the
-    (M_i, d) states X_i (see `_draw_states`), then the standard normals that
-    drive each row's tail from t_i to t_N, as a list of row blocks.  Block b
-    holds the (up to rows, N - i, q) normals of rows b * rows onward, stored
-    time-major (see `_time_major_normals`); joined, the blocks are one
-    (M_i, N - i, q) draw on the stream after X_i.
+) -> Iterator[np.ndarray]:
+    """The random input of the index-i cloud, drawn from the (seed, i) stream
+    as the generator is advanced: first the (M_i, d) states X_i (see
+    `_draw_states`), then the standard normals that drive each row's tail
+    from t_i to t_N, one row block at a time.  Block b holds the
+    (up to rows, N - i, q) normals of rows b * rows onward, stored time-major
+    (see `_time_major_normals`); joined, the blocks are one (M_i, N - i, q)
+    draw on the stream after X_i.  So the stream yields 1 + ceil(M_i / rows)
+    arrays, and a consumer that stops early has drawn no more than it took.
 
     Row r of X_i and of the joined blocks belongs to row r of the cloud.
-    Each block is drawn into a buffer of its own, so `_cloud_blocks` can free
-    it once it has built that block's paths.  i, M_i, seed and rows are
-    ints, checked by the caller.
+    Each block is drawn into a buffer of its own, which the generator does
+    not keep, so it is freed once its consumer drops it (see
+    `_cloud_block`).  i, M_i, seed and rows are ints, checked by the caller.
     """
     rng = cloud_rng(seed, i, STREAM_CLOUD)
-    x_i = _draw_states(model, grid, i, M_i, rng)
+    yield _draw_states(model, grid, i, M_i, rng)
     n = grid.N - i
-    blocks = []
     for row0 in range(0, M_i, rows):
         m = min(rows, M_i - row0)
         # A block's tail fills the first N - i time slices of a buffer sized
@@ -523,43 +542,37 @@ def _cloud_draws(
         # use: with whole-index buffers, b3-deep's peak RSS rose by 7%.  A
         # last, partial block gets a buffer of its own rows: one of a full
         # block's would hold 2.4 MiB more per index on b3-deep.
-        buffer = np.empty((grid.N, m, model.q))
-        blocks.append(_time_major_normals(rng, m, n, model.q, buffer[:n]))
-    return x_i, blocks
+        yield _time_major_normals(rng, m, n, model.q, np.empty((grid.N, m, model.q))[:n])
 
 
-def _cloud_blocks(
+def _cloud_block(
     model: MarkovModel,
     grid: TimeGrid,
     i: int,
-    draws: tuple[np.ndarray, list[np.ndarray]],
-) -> Iterator[SimulationCloud]:
-    """The index-i cloud built from its random input draws, the cloud's
-    `_cloud_draws`, as one block of rows per block of its normals;
-    concatenated, the blocks are that cloud bit for bit.
+    x_rows: np.ndarray,
+    normals: np.ndarray,
+    row0: int,
+) -> SimulationCloud:
+    """One block of rows of the index-i cloud, the rows from row0 on: their
+    tails from the (m, d) states x_rows on their (m, N - i, q) normals, a
+    block of `_cloud_draws`, with their weights.  Built block by block, the
+    blocks are the whole cloud bit for bit.
 
-    Each block of normals is taken off the draws' list, so that list ends
-    empty, and is dropped once `sample_paths` has built the block's tail
-    from its X_i on it: no more than one block of normals is held here.
-    Then come the weights and the finiteness check.  A numerical error
+    The normals are dropped once `sample_paths` has built the tails on them,
+    so a caller that passes the only reference frees them before the
+    weights are built.  Then comes the finiteness check.  A numerical error
     names its row in the whole cloud.
     """
-    x_i, normals = draws
-    row0 = 0
-    while normals:
-        block = normals.pop(0)
-        here = slice(row0, row0 + block.shape[0])
-        batch = model.sample_paths(grid, i, x_i[here], block)
-        del block  # the paths no longer read the normals
-        weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
-        if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
-            finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))
-            raise NumericalError(
-                f"non-finite values in the simulation cloud at index {i}, "
-                f"path {row0 + int(np.argmin(finite))}"
-            )
-        yield SimulationCloud(i=i, X=batch.X, H=weights)
-        row0 = here.stop
+    batch = model.sample_paths(grid, i, x_rows, normals)
+    del normals  # the paths no longer read them
+    weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
+    if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
+        finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))
+        raise NumericalError(
+            f"non-finite values in the simulation cloud at index {i}, "
+            f"path {row0 + int(np.argmin(finite))}"
+        )
+    return SimulationCloud(i=i, X=batch.X, H=weights)
 
 
 def sample_cloud(
@@ -581,7 +594,8 @@ def sample_cloud(
         raise ValueError(f"cloud index must lie in 0..{grid.N - 1}, got {i}")
     M_i = _count_at_least(M_i, "cloud size", 1)
     seed = _count_at_least(seed, "seed", 0)
-    return next(_cloud_blocks(model, grid, i, _cloud_draws(model, grid, i, M_i, seed, M_i)))
+    draws = _cloud_draws(model, grid, i, M_i, seed, M_i)
+    return _cloud_block(model, grid, i, next(draws), next(draws), 0)
 
 
 def sample_marginal(

@@ -12,23 +12,28 @@ control variate with the same conditional mean as the paper's phi(X_N) H_N
 (see `_responses`).
 
 A cloud depends only on its (seed, i) stream, never on a fit, so one
-producer thread draws the random input of index i - 1's cloud, its states
-X_i and the normals of its tail in blocks of `_BLOCK_ROWS` rows (long numpy
-calls that release the GIL), while the calling thread works on index i: it
-takes the blocks of normals one by one, builds each block's paths and
-weights and frees its normals, writes the block's responses in place into
-its rows of the cloud's response arrays, and fits.  That arithmetic is many
-short numpy calls; split over two threads it would pass the GIL back and
-forth thousands of times a solve.  So a solve holds, per index, the drawn
-X_i (kept as the index's marginal), its response arrays, the normals not
-yet consumed and one block of paths and weights, next to the next index's
-input as it is drawn; no whole cloud of paths and weights is held, and the
-results are those of whole clouds, bit for bit.
+producer thread draws the clouds' random input, one stream over the indices
+N - 1 .. 0: each index's states X_i, then the normals of its tail in blocks
+of `_BLOCK_ROWS` rows (long numpy calls that release the GIL).  It runs
+`_DRAWS_AHEAD` items ahead of the calling thread, across index boundaries,
+so index i - 1's first blocks are drawn while index i is fitted.  The caller
+takes the items one by one; per block it builds the paths and weights,
+which frees the block's normals, and writes the block's responses in place
+into its rows of the cloud's response arrays; then it fits.  That
+arithmetic is many short numpy calls; split over two threads it would pass
+the GIL back and forth thousands of times a solve.  So a solve holds the
+drawn X_i of the index at work (kept as the index's marginal), its
+response arrays, one block of paths and weights, and at most
+`_DRAWS_AHEAD` + 1 items of random input, whatever the cloud sizes; no
+whole cloud of normals, paths and weights is held, and the results are
+those of whole clouds, bit for bit.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,7 +44,7 @@ import numpy as np
 from .constants import BoundsTable, ProblemConstants, _check_terminal_constants, bounds_table
 from .errors import NumericalError
 from .grid import TimeGrid, _as_count, _count_at_least
-from .model import MarkovModel, SimulationCloud, _cloud_blocks, _cloud_draws
+from .model import MarkovModel, SimulationCloud, _cloud_block, _cloud_draws
 from .model import sample_cloud  # noqa: F401  (the benchmark's tracer wraps it here)
 from .regression import (
     _as_points,
@@ -62,6 +67,13 @@ __all__ = [
 # buffer, and their paths, weights and responses are built at a time, so no
 # whole cloud of normals, paths and weights is held.
 _BLOCK_ROWS = 16384
+
+# Items of random input (an index's X_i or one block of its normals) that
+# the producer draws ahead of the one the caller works on.  The two threads
+# are near parity on b3-deep (all of a solve's draws take about as long as
+# the caller's work), so a shorter lead leaves the caller waiting: one
+# ahead made the solve 30% slower, two 11%.
+_DRAWS_AHEAD = 3
 
 
 @dataclass(frozen=True)
@@ -293,9 +305,10 @@ def _one_worker():
 
     Once the last task is queued, callers call `shutdown(wait=False)`, so
     the thread ends when that task is done, not at the end of the block:
-    the solve's producer after drawing the last cloud, and the helper of
-    `estimate_errors`, whose one task takes parts of the error report
-    until none is left, as soon as it finds the list drained.
+    the solve's producer after drawing index 0's last block of normals
+    (see `_drawn_ahead`), and the helper of `estimate_errors`, whose one
+    task takes parts of the error report until none is left, as soon as it
+    finds the list drained.
     A thread that starts while another is still ending can find the C
     allocator's per-thread arena still taken and open one more, which keeps
     freed memory of its own: with the helper of `estimate_errors` started
@@ -307,6 +320,25 @@ def _one_worker():
         yield worker
     finally:
         worker.shutdown(wait=True, cancel_futures=True)
+
+
+def _drawn_ahead(producer: ThreadPoolExecutor, stream, count: int):
+    """The count items of stream, in order, each advanced on producer.
+
+    `_DRAWS_AHEAD` advances are kept submitted beyond the item that the
+    caller waits for, so the producer draws that many items ahead of the one
+    the caller works on and no more.  Once the last one is submitted the
+    producer is shut down without waiting, so its thread ends after that
+    draw.
+    """
+    pending: collections.deque = collections.deque()
+    for _ in range(count):
+        pending.append(producer.submit(next, stream))
+        if len(pending) > _DRAWS_AHEAD:
+            yield pending.popleft().result()
+    producer.shutdown(wait=False)  # nothing is left to draw
+    while pending:
+        yield pending.popleft().result()
 
 
 def _per_index(value, n: int, label: str) -> list:
@@ -379,9 +411,9 @@ def mwls_solve(
     then the y response (whose k = i term reads the fresh z fit).  The
     drawn X_i, made read-only, is kept as the index's marginal, and each
     block's responses are written in place into the cloud's arrays while
-    one producer thread draws the next index's random input (see the module
-    docstring).  An exception from either thread is raised here, once the
-    producer thread has stopped.
+    one producer thread draws the random input a few blocks ahead, into the
+    next index's (see the module docstring).  An exception from either
+    thread is raised here, once the producer thread has stopped.
     """
     n = grid.N
     seed = _count_at_least(seed, "seed", 0)
@@ -396,25 +428,24 @@ def mwls_solve(
     marginals: list = [None] * n
     factors: list = [None] * n
     with _one_worker() as producer:
-        ahead = producer.submit(
-            _cloud_draws, model, grid, n - 1, sizes[n - 1], seed, _BLOCK_ROWS
+        # one stream over the indices, so the lead runs on into the next
+        # index's input; it is advanced on the producer thread only
+        stream = itertools.chain.from_iterable(
+            _cloud_draws(model, grid, i, sizes[i], seed, _BLOCK_ROWS)
+            for i in range(n - 1, -1, -1)
         )
+        count = sum(1 + len(range(0, m, _BLOCK_ROWS)) for m in sizes)  # X_i, its blocks
+        drawn = _drawn_ahead(producer, stream, count)
         for i in range(n - 1, -1, -1):
-            draws = ahead.result()
-            if i > 0:
-                ahead = producer.submit(
-                    _cloud_draws, model, grid, i - 1, sizes[i - 1], seed, _BLOCK_ROWS
-                )
-            else:
-                producer.shutdown(wait=False)  # nothing is left to draw
-            x_i = draws[0]
+            x_i = next(drawn)
             x_i.flags.writeable = False  # factors[i] are those of these points
             s_z, s_y = np.empty((sizes[i], model.q)), np.empty(sizes[i])
             y_next = None if driver.is_zero else np.empty(sizes[i])
-            stop = 0
-            # each block of normals is freed as its paths are built
-            for block in _cloud_blocks(model, grid, i, draws):
-                rows, stop = slice(stop, stop + block.M), stop + block.M
+            for row0 in range(0, sizes[i], _BLOCK_ROWS):
+                rows = slice(row0, row0 + _BLOCK_ROWS)
+                # the block's normals are passed on, not held, so they are
+                # freed as its paths are built
+                block = _cloud_block(model, grid, i, x_i[rows], next(drawn), row0)
                 next_rows = _responses(
                     block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows]
                 )

@@ -7,6 +7,7 @@ pairs that satisfy the hypothesis inequality and verifying the conclusion.
 """
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -778,6 +779,41 @@ def test_problem_constants_validation():
             bad = {name: value, "theta_phi": 0.5} if name == "C_phi" else {name: value}
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 ProblemConstants(**{**good, **bad})
+
+
+@pytest.mark.parametrize("value", [1e-17, 1e-300])
+@pytest.mark.parametrize("name", ["theta_C", "theta_L"])
+def test_a_theta_too_small_for_the_bounds_is_named(name, value):
+    """A theta whose derived exponent (theta_C - 1) + 1, or
+    (-1/2 + (theta_L - 1) / 2) + 1 without a declared C_phi, rounds to 0 is
+    an error of that theta, not of the sum bound that would take it."""
+    fields = dict(L_f=1.0, C_f=1.0, theta_L=1.0, theta_C=1.0, C_M=1.0, C_xi=1.0, T=1.0)
+    fields.update({name: value, "L_f": 0.0 if name == "theta_C" else 1.0})
+    message = f"{name} = {value} is too small: an exponent of the bounds derived from it rounds to 0.0"
+    with pytest.raises(ValueError) as err:
+        ProblemConstants(**fields)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("c_phi", [None, 1.0])
+def test_thetas_near_the_rounding_edge_are_named_or_bounded(c_phi):
+    """Near the edge where an exponent rounds to 0, every pair of thetas is
+    either refused by name or builds its bounds table."""
+    grid = make_theta_grid(1.0, 4)
+    edge = [1e-15, 2.3e-16, 2.2e-16, 1.2e-16, 1.1e-16, 1e-16, 5.6e-17, 5.5e-17, 5e-324]
+    refused = 0
+    for theta_L, theta_C in itertools.product(edge + [1.0], repeat=2):
+        fields = dict(L_f=1.0, C_f=1.0, theta_L=theta_L, theta_C=theta_C, C_M=1.0, C_xi=1.0, T=1.0)
+        if c_phi is not None:
+            fields.update(C_phi=c_phi, theta_phi=1.0)
+        try:
+            pc = ProblemConstants(**fields)
+        except ValueError as err:
+            assert "too small: an exponent of the bounds" in str(err)
+            refused += 1
+            continue
+        bounds_table(pc, grid, k_y=[4] * 4, k_z=[4] * 4, m=[100] * 4)  # levels may be inf
+    assert 0 < refused < (len(edge) + 1) ** 2
 
 
 _NAN_CHECK_BASES = {

@@ -343,12 +343,13 @@ def _full_path_draws(model, grid, i, M_i, seed, rows):
     """The index-i cloud's random input as it was drawn before clouds drew
     only their tails: the starts and (M_i, N, q) normals of the (seed, i)
     stream, with X_i the end of each row's path on its first i normals, and
-    the tail normals in blocks of rows rows."""
+    the tail normals in blocks of rows rows, yielded in that order."""
     rng = cloud_rng(seed, i, STREAM_CLOUD)
     starts = model._draw_start(M_i, rng)
     normals = _time_major_normals(rng, M_i, grid.N, model.q)
-    blocks = [normals[r : r + rows, i:] for r in range(0, M_i, rows)]
-    return _path_end(model, grid, i, starts, normals[:, :i]), blocks
+    yield _path_end(model, grid, i, starts, normals[:, :i])
+    for r in range(0, M_i, rows):
+        yield normals[r : r + rows, i:]
 
 
 def test_tail_and_full_path_clouds_give_the_same_fresh_errors(monkeypatch):
@@ -362,9 +363,15 @@ def test_tail_and_full_path_clouds_give_the_same_fresh_errors(monkeypatch):
     basis = _linear_basis(delta=0.5)
     rms = lambda values: math.sqrt(float(np.mean(np.square(values))))
     errors = {}
+    full_draws = []
+
+    def counted_full_path_draws(*args):
+        full_draws.append(args[2])
+        return _full_path_draws(*args)
+
     for kind in ("tail", "full"):
         if kind == "full":
-            monkeypatch.setattr(mwls.solver, "_cloud_draws", _full_path_draws)
+            monkeypatch.setattr(mwls.solver, "_cloud_draws", counted_full_path_draws)
         for seed in range(1, 11):
             sol = mwls_solve(
                 bench.model, grid, bench.driver, bench.terminal, basis, basis,
@@ -372,6 +379,8 @@ def test_tail_and_full_path_clouds_give_the_same_fresh_errors(monkeypatch):
             )
             rep = estimate_errors(sol, bench, fresh_m=4_000)
             errors[kind, seed] = (rms(rep.fresh_y), rms(rep.fresh_z))
+    # every cloud of the "full" solves was drawn by the stand-in
+    assert full_draws == list(range(grid.N - 1, -1, -1)) * 10
     for column in (0, 1):
         diff = np.array([errors["tail", s][column] - errors["full", s][column]
                          for s in range(1, 11)])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import mwls.model
 import mwls.solver
 from mwls.errors import NumericalError
 from mwls.grid import make_theta_grid
@@ -19,7 +20,7 @@ from mwls.model import (
     EulerSdeModel,
     SimulationCloud,
     _DRAW_ROWS,
-    _cloud_blocks,
+    _cloud_block,
     _cloud_draws,
     brownian_model,
     cloud_rng,
@@ -324,6 +325,20 @@ def test_tail_clouds_have_the_law_of_full_path_clouds(name):
             assert _moments_agree(*weighted, 4.5)
 
 
+def _streamed_blocks(model, grid, i, m, seed, rows):
+    """The index-i cloud as the solver builds it: each block of normals of
+    the `_cloud_draws` stream built by `_cloud_block` on its rows of the
+    X_i that the stream yields first."""
+    draws = _cloud_draws(model, grid, i, m, seed, rows)
+    x_i = next(draws)
+    blocks = [
+        _cloud_block(model, grid, i, x_i[row0 : row0 + rows], next(draws), row0)
+        for row0 in range(0, m, rows)
+    ]
+    assert next(draws, None) is None  # 1 + ceil(m / rows) items, no more
+    return blocks
+
+
 @pytest.mark.parametrize("rows, m", [(1, 97), (4095, 8229), (4133, 8229)])
 @pytest.mark.parametrize("name", sorted(_TAIL_MODELS))
 def test_cloud_blocks_are_bitwise_the_cloud(name, rows, m):
@@ -331,8 +346,7 @@ def test_cloud_blocks_are_bitwise_the_cloud(name, rows, m):
     grid = make_theta_grid(T=1.0, N=5, theta=0.6)
     for i in (0, 1, grid.N - 1):
         cloud = sample_cloud(model, grid, i=i, M_i=m, seed=81)
-        draws = _cloud_draws(model, grid, i, m, seed=81, rows=rows)
-        blocks = list(_cloud_blocks(model, grid, i, draws))
+        blocks = _streamed_blocks(model, grid, i, m, seed=81, rows=rows)
         assert [b.M for b in blocks] == [min(rows, m - s) for s in range(0, m, rows)]
         assert all(b.i == i for b in blocks)
         for stored, whole in (("X", cloud.X), ("H", cloud.H)):
@@ -351,19 +365,19 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
     monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 1024)  # two blocks a cloud
     tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
     served = []
+    references = {}
 
-    def reference_blocks(model, grid, i, draws):  # cut from whole paths
-        cloud = _reference_cloud(model, grid, i, m, seed=7)
+    def reference_block(model, grid, i, x_rows, normals, row0):  # cut from whole paths
+        if i not in references:
+            references[i] = _reference_cloud(model, grid, i, m, seed=7)
+        cloud = references[i]
+        here = slice(row0, row0 + normals.shape[0])
         # the drawn X_i, kept as the marginal, is the reference cloud's
-        np.testing.assert_array_equal(draws[0], cloud.x_at(i), strict=True)
-        start = 0
-        for normals in draws[1]:
-            here = slice(start, start + normals.shape[0])
-            served.append(cloud.X[here].shape[0])
-            yield SimulationCloud(i=i, X=cloud.X[here], H=cloud.H[here])
-            start = here.stop
+        np.testing.assert_array_equal(x_rows, cloud.x_at(i)[here], strict=True)
+        served.append(cloud.X[here].shape[0])
+        return SimulationCloud(i=i, X=cloud.X[here], H=cloud.H[here])
 
-    monkeypatch.setattr(mwls.solver, "_cloud_blocks", reference_blocks)
+    monkeypatch.setattr(mwls.solver, "_cloud_block", reference_block)
     full = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
     assert served == [1024, 37] * grid.N
     for fits, reference in ((tail.y_fits, full.y_fits), (tail.z_fits, full.z_fits)):
@@ -403,7 +417,7 @@ def test_cloud_errors_name_the_row_of_the_whole_cloud():
             sample_cloud(model, grid, 0, m, seed)
         assert str(whole.value) == message
         with pytest.raises(NumericalError) as streamed:
-            list(_cloud_blocks(model, grid, 0, _cloud_draws(model, grid, 0, m, seed, rows)))
+            _streamed_blocks(model, grid, 0, m, seed, rows)
         assert str(streamed.value) == message
 
 
@@ -446,7 +460,7 @@ def test_step_recursion_matches_the_closed_forms():
     for name in ("brownian-1d", "brownian-2d"):
         model = _TAIL_MODELS[name]()
         for i in (0, 25):
-            x_i, (normals,) = _cloud_draws(model, grid, i, 2000, seed=12, rows=2000)
+            x_i, normals = _cloud_draws(model, grid, i, 2000, seed=12, rows=2000)
             W = np.cumsum(normals * np.sqrt(grid.steps[i:])[None, :, None], axis=1)
             W = np.concatenate([np.zeros_like(W[:, :1]), W], axis=1)
             closed = x_i[:, None, :] + model.drift * (t[i:, None] - t[i]) + W
@@ -465,7 +479,7 @@ def test_cloud_normals_are_one_draw_stored_time_major(m, q):
     grid = make_theta_grid(T=1.0, N=4, theta=0.6)
     for rows in (1000, m, m + 5):
         for i in (0, 1):
-            x_i, blocks = _cloud_draws(model, grid, i, m, seed=33, rows=rows)
+            x_i, *blocks = _cloud_draws(model, grid, i, m, seed=33, rows=rows)
             rng = cloud_rng(33, i, STREAM_CLOUD)
             states = model._draw_start(m, rng) if i == 0 else model.draw_state(grid, i, m, rng)
             np.testing.assert_array_equal(x_i, states, strict=True)
@@ -482,18 +496,31 @@ def test_cloud_normals_are_one_draw_stored_time_major(m, q):
             assert len({id(b.base) for b in blocks}) == len(blocks)
 
 
-def test_a_consumed_block_of_normals_is_freed():
-    """Once `_cloud_blocks` has yielded a block, the buffers of the normals
-    it has built paths from, that block's included, have no referrer left."""
+def test_a_consumed_block_of_normals_is_freed(monkeypatch):
+    """The stream draws a block of normals only when it is advanced to it,
+    and keeps no reference to it: once `_cloud_block` has built a block, the
+    buffers of the normals it has built paths from, that block's included,
+    have no referrer left."""
     model = brownian_model(d=2, x0=0.0, x0_width=1.0)
     grid = make_theta_grid(T=1.0, N=4, theta=0.6)
+    draw = mwls.model._time_major_normals
+    buffers = []
+
+    def recorded_draw(*args):
+        normals = draw(*args)
+        buffers.append(weakref.ref(normals.base))
+        return normals
+
+    monkeypatch.setattr(mwls.model, "_time_major_normals", recorded_draw)
     draws = _cloud_draws(model, grid, 1, 50, seed=34, rows=20)
-    buffers = [weakref.ref(block.base) for block in draws[1]]
-    blocks = _cloud_blocks(model, grid, 1, draws)
-    for b, block in enumerate(blocks):
-        assert [ref() is None for ref in buffers] == [k <= b for k in range(len(buffers))]
+    x_i = next(draws)  # X_1 is one exact step, drawn without tail normals
+    assert buffers == []
+    for b, row0 in enumerate(range(0, 50, 20)):
+        block = _cloud_block(model, grid, 1, x_i[row0 : row0 + 20], next(draws), row0)
+        assert len(buffers) == b + 1
+        assert [ref() is None for ref in buffers] == [True] * (b + 1)
         assert block.M == (20 if b < 2 else 10)
-    assert draws[1] == []
+    assert next(draws, None) is None
 
 
 # Componentwise models at d = q = 3: the Brownian kernels apply the drift
@@ -689,6 +716,49 @@ def test_euler_drift_only_path():
     np.testing.assert_allclose(
         cloud.X[:, :, 0], np.broadcast_to(grid.points, (50, 5)), atol=1e-9
     )
+
+
+# An (M,) drift, a diffusion without its q axis, and Jacobians without
+# their last axis, each with the shape it has and the one it should have
+# for M = 10 rows in d = q = 1.
+_MISSHAPEN_CALLBACKS = {
+    "b": (lambda t, x: x[:, 0], (10,), (10, 1)),
+    "sigma": (lambda t, x: np.ones_like(x), (10, 1), (10, 1, 1)),
+    "db": (lambda t, x: np.zeros((x.shape[0], 1)), (10, 1), (10, 1, 1)),
+    "dsigma": (lambda t, x: np.zeros((x.shape[0], 1, 1)), (10, 1, 1), (10, 1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MISSHAPEN_CALLBACKS))
+def test_euler_callbacks_of_the_wrong_shape_are_named(name):
+    callback, got, expected = _MISSHAPEN_CALLBACKS[name]
+    model = euler_sde_model(**{"b": None, "sigma": _identity_sigma, "x0": 0.0, name: callback})
+    grid = make_theta_grid(T=1.0, N=3, theta=1.0)
+    with pytest.raises(ValueError) as err:
+        sample_cloud(model, grid, i=0, M_i=10, seed=0)
+    assert str(err.value) == f"{name} returned shape {got} at time index 0, expected {expected}"
+
+
+def test_euler_callbacks_may_return_scalars():
+    """A scalar callback value is broadcast to the callback's shape: the
+    cloud is bit for bit that of the same values as full arrays."""
+    def full(value, *tail):
+        return lambda t, x: np.full((x.shape[0], *tail), value)
+
+    grid = make_theta_grid(T=1.0, N=4, theta=0.6)
+    scalar = euler_sde_model(
+        b=lambda t, x: 0.3, sigma=lambda t, x: 0.7, db=lambda t, x: -0.2,
+        dsigma=lambda t, x: 0.1, x0=0.5, x0_width=1.0,
+    )
+    arrays = euler_sde_model(
+        b=full(0.3, 1), sigma=full(0.7, 1, 1), db=full(-0.2, 1, 1),
+        dsigma=full(0.1, 1, 1, 1), x0=0.5, x0_width=1.0,
+    )
+    for i in (0, 2):
+        a = sample_cloud(scalar, grid, i=i, M_i=200, seed=35)
+        b = sample_cloud(arrays, grid, i=i, M_i=200, seed=35)
+        np.testing.assert_array_equal(a.X, b.X, strict=True)
+        np.testing.assert_array_equal(a.H, b.H, strict=True)
 
 
 # ---------------------------------------------------------------------------
