@@ -65,9 +65,10 @@ class Benchmark:
     `estimate_errors` shares its parts with a helper thread, and
     `convergence_study` runs sweep points side by side.
 
-    b1, b2, b4 and zero have a zero driver; each gives only its terminal phi,
-    envelope constants and an expectation rule (`_zero_driver_benchmark`).
-    b3 has a driver and keeps its own recursion.
+    One factory, `_zero_driver_benchmark`, builds all five registry
+    problems from a terminal phi, its envelope constants and an expectation
+    rule.  b1, b2, b4 and zero have the zero driver; b3 is b1's terminal
+    with the linear driver alpha * y, whose oracles scale b1's.
     """
 
     name: str
@@ -84,36 +85,74 @@ class Benchmark:
 
 def _zero_driver_benchmark(
     name: str, phi: Callable, mean: Callable, C_xi: float, x0_width: float, description: str,
-    C_phi: float | None = None, theta_phi: float | None = None,
+    C_phi: float | None = None, theta_phi: float | None = None, alpha: float | None = None,
 ) -> Benchmark:
-    """A problem with zero driver and terminal phi(X_N) on the d = 1
-    Brownian model, from phi on (M,) values and an expectation rule.
+    """A problem with terminal phi(X_N) on the d = 1 Brownian model and the
+    zero driver, or the linear driver f = alpha * y if alpha is given (even
+    0), from phi on (M,) values and an expectation rule.
 
     mean(x, s, weighted) returns E[phi(x + s G)], or E[phi(x + s G) G] if
-    weighted, per row of x, for standard normal G.  With a zero driver the
-    exact values at s = sqrt(T - t_i) are y_i(x) = E[phi(x + s G)] and, by
+    weighted, per row of x, for standard normal G; the weighted mean is a
+    new array, which the z oracle scales in place.  With a zero driver the
+    exact values at s = sqrt(T - t_i) are m_i(x) = E[phi(x + s G)] and, by
     the integration-by-parts representation of Z that the Malliavin weights
-    discretize (Ma and Zhang, 2002), z_i(x) = E[phi(x + s G) G] / s.  y at
-    index N is phi itself; z is defined at indices 0..N-1 only.
+    discretize (Ma and Zhang, 2002), z0_i(x) = E[phi(x + s G) G] / s.
+
+    The linear driver scales both.  Its term in the y-response has
+    E[alpha y_{k+1}(X_{k+1}) Delta_k | X_i] = alpha c_{k+1} Delta_k m_i, so
+    y_i = c_i m_i with c_N = 1 and c_i = c_{i+1} (1 + alpha Delta_i).  By
+    Gaussian integration by parts, E[g(X_{k+1}) (W_k - W_i) / (t_k - t_i) |
+    X_i = x] is the x-derivative of E[g(X_{k+1}) | X_i = x], so each driver
+    term of the z-response adds alpha c_{k+1} Delta_k z0_i, and z_i =
+    (1 + alpha * sum over k = i+1 .. N-1 of c_{k+1} Delta_k) z0_i.  Without
+    alpha both factors are 1.0 and multiply no bit away.  y at index N is
+    phi itself; y has indices 0..N and z 0..N-1, and any other index is a
+    ValueError.
     """
+    slope = 0.0 if alpha is None else alpha
+    last: list = [None]  # (grid, factors), replaced whole for threads
+
+    def factors(grid):
+        """The y and z factors (c, z_levels) on grid, memoized for the last grid."""
+        entry = last[0]
+        if entry is None or entry[0] is not grid:
+            n = grid.N
+            c = np.ones(n + 1)
+            for i in range(n - 1, -1, -1):
+                c[i] = c[i + 1] * (1.0 + slope * grid.steps[i])
+            z_levels = np.ones(n)
+            for i in range(n):
+                tail = sum(c[j + 1] * grid.steps[j] for j in range(i + 1, n))
+                z_levels[i] = 1.0 + slope * tail
+            last[0] = entry = (grid, (c, z_levels))
+        return entry[1]
 
     def y_oracle(grid, i, pts):
+        if not 0 <= i <= grid.N:
+            raise ValueError(f"y has indices 0..{grid.N}, not {i}")
         x = _as_points(pts, 1)[:, 0]
         if i == grid.N:
             return phi(x)
-        return mean(x, math.sqrt(grid.T - grid.points[i]), False)
+        return factors(grid)[0][i] * mean(x, math.sqrt(grid.T - grid.points[i]), False)
 
     def z_oracle(grid, i, pts):
-        if i == grid.N:
-            raise ValueError(f"z has indices 0..{i - 1}, not the terminal index {i}")
+        if not 0 <= i < grid.N:
+            terminal = "the terminal index " if i == grid.N else ""
+            raise ValueError(f"z has indices 0..{grid.N - 1}, not {terminal}{i}")
         x = _as_points(pts, 1)[:, 0]
         scale = math.sqrt(grid.T - grid.points[i])
-        return (mean(x, scale, True) / scale)[:, None]
+        z = mean(x, scale, True)
+        z /= scale
+        z *= factors(grid)[1][i]
+        return z[:, None]
 
+    driver = zero_driver() if alpha is None else DriverSpec(
+        fn=lambda k, x, y, z: alpha * y, L_f=abs(alpha), C_f=0.0, theta_L=1.0, theta_C=1.0
+    )
     return Benchmark(
         name=name,
         model=brownian_model(d=1, x0=0.0, x0_width=x0_width),
-        driver=zero_driver(),
+        driver=driver,
         terminal=TerminalSpec(lambda x: phi(x[:, 0]), C_xi, C_phi, theta_phi),
         y_oracle=y_oracle,
         z_oracle=z_oracle,
@@ -143,10 +182,15 @@ def _gauss_mean(fn: Callable, x: np.ndarray, scale: float, weighted: bool) -> np
     return values @ weights
 
 
+def _martingale_mean(x: np.ndarray, s: float, weighted: bool) -> np.ndarray:
+    """The expectation rule of phi(x) = x: E[x + s G] = x, E[(x + s G) G] = s."""
+    return np.full(x.shape, s) if weighted else x
+
+
 def benchmark_b1(x0_width: float = 5.0) -> Benchmark:
     """Zero driver, terminal phi(x) = x: exact values y_i(x) = x, z_i = 1."""
     return _zero_driver_benchmark(
-        "b1", lambda x: x, lambda x, s, weighted: np.full(x.shape, s) if weighted else x,
+        "b1", lambda x: x, _martingale_mean,
         C_xi=8.0, C_phi=1.0, theta_phi=1.0, x0_width=x0_width,
         description="martingale terminal phi(x)=x on a start box",
     )
@@ -162,60 +206,15 @@ def benchmark_b2(x0_width: float = 5.0) -> Benchmark:
     )
 
 
-def _b3_coefficients(grid: TimeGrid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward substitution for the linear driver f = alpha * y.
-
-    With the martingale terminal phi(x) = x, the ansatz y_i(x) = c_i x
-    closes the backward recursion: c_N = 1 and c_i = c_{i+1} (1 + alpha
-    Delta_i).  The z values are constants z_i = 1 + alpha * sum over
-    j = i+1 .. N-1 of c_{j+1} Delta_j.
-    """
-    n = grid.N
-    c = np.ones(n + 1)
-    for i in range(n - 1, -1, -1):
-        c[i] = c[i + 1] * (1.0 + alpha * grid.steps[i])
-    z_levels = np.ones(n)
-    for i in range(n):
-        tail = sum(c[j + 1] * grid.steps[j] for j in range(i + 1, n))
-        z_levels[i] = 1.0 + alpha * tail
-    return c, z_levels
-
-
 def benchmark_b3(alpha: float = 0.5, x0_width: float = 5.0) -> Benchmark:
-    """Linear driver f = alpha*y with terminal phi(x) = x; exact recursion."""
+    """Linear driver f = alpha*y with b1's terminal phi(x) = x: exact values
+    y_i(x) = c_i x and constant z_i, by the factory's backward substitution."""
     if not math.isfinite(alpha):
         raise _ArgumentError("alpha", f"alpha must be finite, got {alpha}")
-    model = brownian_model(d=1, x0=0.0, x0_width=x0_width)
-    driver = DriverSpec(
-        fn=lambda k, x, y, z: alpha * y, L_f=abs(alpha), C_f=0.0, theta_L=1.0, theta_C=1.0
-    )
-    terminal = TerminalSpec(fn=lambda x: x[:, 0], C_xi=8.0, C_phi=1.0, theta_phi=1.0)
-
-    last: list = [None]  # (grid, coefficients), replaced whole for threads
-
-    def coefficients(grid):
-        entry = last[0]
-        if entry is None or entry[0] is not grid:
-            entry = (grid, _b3_coefficients(grid, alpha))
-            last[0] = entry
-        return entry[1]
-
-    def y_oracle(grid, i, pts):
-        c, _ = coefficients(grid)
-        return c[i] * _as_points(pts, 1)[:, 0]
-
-    def z_oracle(grid, i, pts):
-        _, z_levels = coefficients(grid)
-        return np.full((len(_as_points(pts, 1)), 1), z_levels[i])
-
-    return Benchmark(
-        name="b3",
-        model=model,
-        driver=driver,
-        terminal=terminal,
-        y_oracle=y_oracle,
-        z_oracle=z_oracle,
-        description=f"linear driver f = {alpha}*y, backward-substitution oracle",
+    return _zero_driver_benchmark(
+        "b3", lambda x: x, _martingale_mean,
+        C_xi=8.0, C_phi=1.0, theta_phi=1.0, x0_width=x0_width,
+        description=f"linear driver f = {alpha}*y, backward-substitution oracle", alpha=alpha,
     )
 
 
@@ -723,6 +722,8 @@ def convergence_study(
     taken at one time index (default: the middle); slopes are least-squares
     fits of log error against log M.
     """
+    fresh_m = _count_at_least(fresh_m, "fresh_m", 1)
+    seed = _count_at_least(seed, "seed", 0)
     _check_m_sweep(benchmark.model, grid.N, y_basis, z_basis, m_values)
     readout = grid.N // 2 if index is None else _as_count(index, f"readout index {index!r}")
     if not 0 <= readout < grid.N:
@@ -792,6 +793,8 @@ def approximation_study(
     """
     if len(deltas) < 2:
         raise ValueError("a delta sweep needs at least two values")
+    n_samples = _count_at_least(n_samples, "n_samples", 1)
+    seed = _count_at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     probe = np.linspace(-radius * 0.999, radius * 0.999, 5001).reshape(-1, 1)
     exact = target(probe[:, 0])

@@ -116,20 +116,29 @@ def test_b2_terminal_index_is_exact_map():
     np.testing.assert_allclose(bench.y_oracle(grid, grid.N, pts), np.tanh(pts[:, 0]))
 
 
-@pytest.mark.parametrize("name", ["b1", "b2", "b4", "zero"])
+@pytest.mark.parametrize("name", sorted(register_benchmarks()))
 def test_zero_driver_problems_share_one_contract(name):
-    """The zero-driver family: the solver's zero-driver path, no driver
-    constants, y at N the terminal map itself, and no z at N."""
-    bench = register_benchmarks()[name]()
+    """One factory builds every registry problem: the zero driver, or for
+    b3 the driver alpha * y with L_f = |alpha| even at alpha = 0, y at N the
+    terminal map itself, and ValueErrors for z at N and for any index
+    outside 0..N."""
+    factory = register_benchmarks()[name]
     grid = make_theta_grid(1.0, 3, theta=0.5)
-    assert bench.driver.is_zero
-    pc = mwls.solver.problem_constants(bench.model, grid, bench.driver, bench.terminal)
-    assert pc.L_f == 0.0 and pc.C_f == 0.0
     pts = np.array([[-0.0], [0.0], [-0.7], [2.5], [9.0]])
-    y_n = bench.y_oracle(grid, grid.N, pts)
-    assert y_n.dtype == float and y_n.tobytes() == bench.terminal.fn(pts).tobytes()
-    with pytest.raises(ValueError, match=r"^z has indices 0\.\.2, not the terminal index 3$"):
-        bench.z_oracle(grid, grid.N, pts)
+    for alpha in (0.5, -1.3, 0.0) if name == "b3" else (None,):
+        bench = factory() if alpha is None else factory(alpha=alpha)
+        assert bench.driver.is_zero == (alpha is None)
+        pc = mwls.solver.problem_constants(bench.model, grid, bench.driver, bench.terminal)
+        assert pc.L_f == (0.0 if alpha is None else abs(alpha)) and pc.C_f == 0.0
+        y_n = bench.y_oracle(grid, grid.N, pts)
+        assert y_n.dtype == float and y_n.tobytes() == bench.terminal.fn(pts).tobytes()
+        with pytest.raises(ValueError, match=r"^z has indices 0\.\.2, not the terminal index 3$"):
+            bench.z_oracle(grid, grid.N, pts)
+        for i in (-1, grid.N + 1):
+            with pytest.raises(ValueError, match=rf"^y has indices 0\.\.3, not {i}$"):
+                bench.y_oracle(grid, i, pts)
+            with pytest.raises(ValueError, match=rf"^z has indices 0\.\.2, not {i}$"):
+                bench.z_oracle(grid, i, pts)
 
 
 def test_b3_with_zero_alpha_reduces_to_b1():
@@ -1010,6 +1019,25 @@ def test_convergence_study_checks_every_cloud_size_before_solving(monkeypatch):
     assert calls == []
 
 
+def test_convergence_study_checks_fresh_m_and_seed_before_solving(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no point may be solved")
+
+    monkeypatch.setattr(mwls.harness, "mwls_solve", never)
+    basis = _linear_basis(delta=1.0, radius=5.0)
+    for kwargs, message in (
+        ({"fresh_m": 0}, "fresh_m must be >= 1, got 0"),
+        ({"fresh_m": 2.5}, "fresh_m 2.5 is not an integer"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": "7"}, "seed '7' is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convergence_study(
+                benchmark_b1(x0_width=3.0), make_theta_grid(1.0, 4), basis, basis,
+                m_values=[400, 800], **{"seed": 71, "fresh_m": 300, **kwargs},
+            )
+
+
 def test_approximation_study_quadratic_rate():
     errors, slope = approximation_study(
         target=lambda x: np.sin(2.0 * x),
@@ -1021,3 +1049,13 @@ def test_approximation_study_quadratic_rate():
     )
     assert np.all(np.diff(errors) < 0.0)
     assert slope >= 1.7
+
+
+def test_approximation_study_checks_n_samples_and_seed():
+    for kwargs, message in (
+        ({"n_samples": 2.5}, "n_samples 2.5 is not an integer"),
+        ({"n_samples": 0}, "n_samples must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            approximation_study(np.sin, degree=1, deltas=[0.5, 0.25], **kwargs)
