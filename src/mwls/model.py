@@ -363,11 +363,12 @@ class EulerSdeModel(MarkovModel):
         psi = eye.copy()  # tangent process started at index i
         X, dW = batch.X, batch.dW
         d, q = self.d, self.q
-        sig_i = _callback_array("sigma", i, self.sigma(t[i], X[:, 0, :]), (M, d, q))
         increments = np.empty((N - i, M, self.d))
         for k in range(i, N):
             xk = X[:, k - i, :]
             sig_k = _callback_array("sigma", k, self.sigma(t[k], xk), (M, d, q))
+            if k == i:
+                sig_i = sig_k
             try:
                 inv_k = np.linalg.inv(sig_k)
             except np.linalg.LinAlgError:
@@ -536,12 +537,12 @@ def _cloud_draws(
     for row0 in range(0, M_i, rows):
         m = min(rows, M_i - row0)
         # A block's tail fills the first N - i time slices of a buffer sized
-        # for whole paths, so every full block of every index asks the
-        # allocator for the same size and gets a freed one back.  Buffers
+        # for whole paths, so the blocks of every index of one cloud size ask
+        # the allocator for the same size and get a freed one back.  Buffers
         # that grow as the solve steps back in time kept more of the heap in
-        # use: with whole-index buffers, b3-deep's peak RSS rose by 7%.  A
-        # last, partial block gets a buffer of its own rows: one of a full
-        # block's would hold 2.4 MiB more per index on b3-deep.
+        # use: with whole-index buffers, b3-deep's peak RSS rose by 7%.  The
+        # solver cuts a cloud into blocks of equal size, so a last block is
+        # at most a row per block shorter and gets a buffer of its own rows.
         yield _time_major_normals(rng, m, n, model.q, np.empty((grid.N, m, model.q))[:n])
 
 

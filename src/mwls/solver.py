@@ -13,8 +13,12 @@ control variate with the same conditional mean as the paper's phi(X_N) H_N
 
 A cloud depends only on its (seed, i) stream, never on a fit, so one
 producer thread draws the clouds' random input, one stream over the indices
-N - 1 .. 0: each index's states X_i, then the normals of its tail in blocks
-of `_BLOCK_ROWS` rows (long numpy calls that release the GIL).  It runs
+N - 1 .. 0: each index's states X_i, then the normals of its tail in
+ceil(M_i / `_BLOCK_ROWS`) blocks of equal size (long numpy calls that release
+the GIL).  Equal blocks, not full ones and a short remainder, size every
+buffer of the index, drawn ahead or being built on, for the rows it needs
+and no more: a 50 000-row cloud is 4 blocks of 12 500 rows, not 3 of 16 384
+and one of 848.  It runs
 `_DRAWS_AHEAD` items ahead of the calling thread, across index boundaries,
 so index i - 1's first blocks are drawn while index i is fitted.  The caller
 takes the items one by one; per block it builds the paths and weights,
@@ -63,9 +67,10 @@ __all__ = [
     "mwls_solve",
 ]
 
-# Rows per cloud block: the normals of this many rows are drawn into one
+# Most rows per cloud block: the normals of a block are drawn into one
 # buffer, and their paths, weights and responses are built at a time, so no
-# whole cloud of normals, paths and weights is held.
+# whole cloud of normals, paths and weights is held.  A cloud of M rows is
+# cut into ceil(M / _BLOCK_ROWS) blocks of equal size (`_equal_block_rows`).
 _BLOCK_ROWS = 16384
 
 # Items of random input (an index's X_i or one block of its normals) that
@@ -341,6 +346,13 @@ def _drawn_ahead(producer: ThreadPoolExecutor, stream, count: int):
         yield pending.popleft().result()
 
 
+def _equal_block_rows(m: int) -> int:
+    """Rows per block when a cloud of m rows is cut into the fewest blocks of
+    at most `_BLOCK_ROWS` rows, all of this size but the last, which is at
+    most one row per block shorter."""
+    return -(-m // -(-m // _BLOCK_ROWS))
+
+
 def _per_index(value, n: int, label: str) -> list:
     """The n per-index entries of a scalar, or of a 1-entry or n-entry list,
     tuple or 1-D array."""
@@ -427,22 +439,25 @@ def mwls_solve(
     z_fits: list = [None] * n
     marginals: list = [None] * n
     factors: list = [None] * n
+    block_rows = [_equal_block_rows(m) for m in sizes]
     with _one_worker() as producer:
         # one stream over the indices, so the lead runs on into the next
         # index's input; it is advanced on the producer thread only
         stream = itertools.chain.from_iterable(
-            _cloud_draws(model, grid, i, sizes[i], seed, _BLOCK_ROWS)
+            _cloud_draws(model, grid, i, sizes[i], seed, block_rows[i])
             for i in range(n - 1, -1, -1)
         )
-        count = sum(1 + len(range(0, m, _BLOCK_ROWS)) for m in sizes)  # X_i, its blocks
+        count = sum(  # X_i, its blocks
+            1 + len(range(0, m, rows)) for m, rows in zip(sizes, block_rows)
+        )
         drawn = _drawn_ahead(producer, stream, count)
         for i in range(n - 1, -1, -1):
             x_i = next(drawn)
             x_i.flags.writeable = False  # factors[i] are those of these points
             s_z, s_y = np.empty((sizes[i], model.q)), np.empty(sizes[i])
             y_next = None if driver.is_zero else np.empty(sizes[i])
-            for row0 in range(0, sizes[i], _BLOCK_ROWS):
-                rows = slice(row0, row0 + _BLOCK_ROWS)
+            for row0 in range(0, sizes[i], block_rows[i]):
+                rows = slice(row0, row0 + block_rows[i])
                 # the block's normals are passed on, not held, so they are
                 # freed as its paths are built
                 block = _cloud_block(model, grid, i, x_i[rows], next(drawn), row0)

@@ -362,7 +362,7 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
     basis = LocalPolynomialBasis(degree=1, delta=0.5, radius=4.0, d=1)
     args = (bench.model, grid, bench.driver, bench.terminal, basis, basis)
     m = 1061
-    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 1024)  # two blocks a cloud
+    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 1024)  # two equal blocks a cloud
     tail = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
     served = []
     references = {}
@@ -379,7 +379,7 @@ def test_solve_on_tail_clouds_is_bitwise_the_full_path_solve(monkeypatch):
 
     monkeypatch.setattr(mwls.solver, "_cloud_block", reference_block)
     full = mwls.solver.mwls_solve(*args, cloud_sizes=m, seed=7)
-    assert served == [1024, 37] * grid.N
+    assert served == [531, 530] * grid.N
     for fits, reference in ((tail.y_fits, full.y_fits), (tail.z_fits, full.z_fits)):
         for fit, expected in zip(fits, reference, strict=True):
             assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
@@ -737,6 +737,26 @@ def test_euler_callbacks_of_the_wrong_shape_are_named(name):
     with pytest.raises(ValueError) as err:
         sample_cloud(model, grid, i=0, M_i=10, seed=0)
     assert str(err.value) == f"{name} returned shape {got} at time index 0, expected {expected}"
+
+
+def test_euler_cloud_calls_sigma_twice_a_time_index():
+    """sigma is called once per time index t_k, k < N, of a cloud's tail in
+    the steps that build the paths and once in the weights, whose sigma(t_i,
+    X_i) is that of their k = i pass; the X_i of a later index are path ends,
+    one call per earlier index.  A 5-step cloud from index 0 makes 10 calls."""
+    times = []
+
+    def sigma(t, x):
+        times.append(t)
+        return (0.5 + 0.1 * np.tanh(x))[:, :, None]
+
+    model = euler_sde_model(b=None, sigma=sigma, x0=0.3, x0_width=0.5)
+    grid = make_theta_grid(T=1.0, N=5, theta=0.6)
+    for i in (0, 2):
+        times.clear()
+        sample_cloud(model, grid, i=i, M_i=50, seed=36)
+        tail = list(grid.points[i : grid.N])
+        assert sorted(times) == sorted(list(grid.points[:i]) + 2 * tail)
 
 
 def test_euler_callbacks_may_return_scalars():

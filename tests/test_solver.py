@@ -226,6 +226,52 @@ def test_z_response_at_q3_is_bitwise_the_broadcast_sum():
     _assert_literal_less_centering(s_z, literal, phi_i[:, None] * h_n)
 
 
+def test_the_driver_reads_the_fits_of_its_own_sum_term():
+    """Each driver call f_k(x, y, z) of the responses at index i gets, bit for
+    bit, x = X_k, y = y_{k+1}(X_{k+1}) (phi(X_N) at k = N-1) and
+    z = z_k(X_k), with fits that differ at every index; the value returned
+    is y_{i+1}(X_{i+1}) (phi(X_N) at i = N-1)."""
+    model = brownian_model(d=2, drift=[0.2, -0.1], x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 5, theta=0.7)
+    rng = np.random.default_rng(16)
+    y_basis = LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=2)
+    z_basis = dataclasses.replace(y_basis, out_dim=2)
+
+    def random_fits(basis):
+        return [
+            LocalPolynomialEstimator(
+                basis, rng.normal(size=(basis.n_cells, basis.monomials, basis.out_dim))
+            )
+            for _ in range(grid.N)
+        ]
+
+    y_fits, z_fits = random_fits(y_basis), random_fits(z_basis)
+    calls = []
+
+    def fn(k, x, y, z):
+        calls.append((k, x.copy(), y.copy(), z.copy()))
+        return 0.3 * y + z[:, 0] - z[:, 1]
+
+    driver = DriverSpec(fn=fn, L_f=1.0, C_f=0.0)
+    terminal = TerminalSpec(fn=lambda x: np.tanh(x[:, 0] - x[:, 1]), C_xi=1.0)
+
+    def y_at(cloud, k):
+        if k == grid.N:
+            return terminal.fn(cloud.x_at(k))
+        return y_fits[k].evaluate(cloud.x_at(k))[:, 0]
+
+    for i in range(grid.N):
+        cloud = sample_cloud(model, grid, i, 3001, seed=17 + i)
+        calls.clear()
+        _, _, y_next = _cloud_responses(cloud, grid, driver, terminal, y_fits, z_fits)
+        assert sorted(k for k, *_ in calls) == list(range(i + 1, grid.N))
+        for k, x, y, z in calls:
+            assert x.tobytes() == cloud.x_at(k).tobytes()
+            assert y.tobytes() == y_at(cloud, k + 1).tobytes()
+            assert z.tobytes() == z_fits[k].evaluate(cloud.x_at(k)).tobytes()
+        assert y_next.tobytes() == y_at(cloud, i + 1).tobytes()
+
+
 def test_response_builders_flag_nonfinite_driver_terms():
     model = brownian_model(x0=0.0)
     grid = make_theta_grid(1.0, 4)
@@ -517,7 +563,7 @@ def test_solve_does_not_depend_on_the_block_size(monkeypatch):
         ),
     ]
     block_rows = mwls.solver._BLOCK_ROWS
-    m = 2 * block_rows + 37  # three blocks, the last one partial
+    m = 2 * block_rows + 38  # three blocks, the last two rows shorter
     for args in problems:
         monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", block_rows)
         streamed = mwls_solve(*args, cloud_sizes=m, seed=41)
@@ -822,22 +868,26 @@ def test_a_solve_holds_a_few_blocks_of_random_input(monkeypatch):
     returned solution holds, stays under 5 MB on 30 steps of 30k rows in
     blocks of 1024, where the normals of index 0 alone take 7.2 MB.  Drawn
     an index ahead of the caller, as they once were, they took it to
-    11-13 MB."""
-    monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", 1024)
+    11-13 MB.  A cloud one row past two blocks of 4096 is cut into three
+    equal blocks of 2731 rows: its transient is 5.50 MB, against 6.81 MB
+    when it was cut into two full blocks and a 1-row one."""
     grid = make_theta_grid(1.0, 30)
     basis = _linear_basis(delta=1.0, radius=3.0)
     args = (
         brownian_model(x0=0.0, x0_width=2.0), grid, zero_driver(), _tanh_terminal(),
         basis, basis,
     )
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        sol = mwls_solve(*args, cloud_sizes=30_000, seed=48)
+    for block_rows, m, bound in ((1024, 30_000, 5_000_000), (4096, 8193, 6_150_000)):
+        monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", block_rows)
         gc.collect()
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert held - before >= sum(x.nbytes for x in sol.marginals)
-    assert peak - held < 5_000_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = mwls_solve(*args, cloud_sizes=m, seed=48)
+            gc.collect()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - before >= sum(x.nbytes for x in sol.marginals)
+        assert peak - held < bound, (block_rows, m)
+        del sol
