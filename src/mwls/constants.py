@@ -107,8 +107,16 @@ class ProblemConstants:
             raise ValueError(f"theta_L must lie in (0, 1], got {self.theta_L}")
         if not 0.0 < self.theta_C <= 1.0:
             raise ValueError(f"theta_C must lie in (0, 1], got {self.theta_C}")
-        # the sum-bound exponents of the driver terms, and c_gamma's theta_L / 2
-        exponents = [(power + 1.0, names) for power, names in _driver_term_powers(self)]
+        # The sum bounds of `_theta_coefficients` take power + 1 of each driver
+        # term as an exponent: the truncation-level terms lifted by the
+        # Lipschitz power (theta_L - 1)/2, then the zero-point power
+        # theta_C - 1 (see `_driver_output_terms`); c_gamma takes theta_L / 2.
+        sing = (self.theta_L - 1.0) / 2.0
+        exponents = [
+            (power + sing + 1.0, names if "theta_L" in names else names + ("theta_L",))
+            for _, power, names, _ in _level_powers(self)
+        ]
+        exponents.append((self.theta_C - 1.0 + 1.0, ("theta_C",)))
         exponents.append((self.theta_L / 2.0, ("theta_L",)))
         for exponent, names in exponents:
             if not exponent > 0.0:
@@ -339,17 +347,6 @@ def apriori_constants(pc: ProblemConstants) -> AprioriConstants:
     )
 
 
-def _oscillation(pc: ProblemConstants, ttg: np.ndarray) -> np.ndarray:
-    """Per-index bound on the conditional oscillation |xi - E_i xi|_{2,i}.
-
-    Uses the declared fractional smoothness when available, else the crude
-    2 * C_xi (centering can at most double the sup bound).
-    """
-    if pc.C_phi is not None:
-        return pc.C_phi * ttg ** (pc.theta_phi / 2.0)
-    return np.full_like(ttg, 2.0 * pc.C_xi)
-
-
 def _time_to_go(pc: ProblemConstants, grid: TimeGrid) -> np.ndarray:
     """T - t_i for i = 0..N-1, once the grid's horizon matches pc.T."""
     if abs(grid.T - pc.T) > 1e-12 * max(1.0, pc.T):
@@ -365,27 +362,57 @@ def as_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.ndar
     These are the truncation levels applied to the fitted estimators:
 
         C_y[i] = A1y C_xi + A2y C_f B_{theta_C,1} (T-t_i)^theta_C
-        C_z[i] = A1z osc_i / sqrt(T-t_i)
+        C_z[i] = A1z osc (T-t_i)^((theta_phi-1)/2)
                  + A2z C_f B_{theta_C,1/2} (T-t_i)^(theta_C - 1/2)
                  + A3z C_xi (T-t_i)^(theta_L / 2)
 
-    with osc_i the conditional-oscillation bound (see `_oscillation`).
+    where osc (T-t_i)^(theta_phi/2) bounds the conditional oscillation
+    |xi - E_i xi|_{2,i}: the declared fractional smoothness (C_phi,
+    theta_phi), else the crude 2 C_xi with theta_phi = 0 (centering can at
+    most double the sup bound).  Each level is the sum of its terms in the
+    one term list `_level_terms`, in list order.
     """
     ttg = _time_to_go(pc, grid)
+    levels = {"y": np.zeros_like(ttg), "z": np.zeros_like(ttg)}
+    for level, factors, power, _ in _level_terms(pc):
+        levels[level] += _scaled(_safe_prod(*factors), ttg**power)
+    return levels["y"], levels["z"]
+
+
+def _level_powers(pc: ProblemConstants) -> list[tuple[str, float, tuple[str, ...], bool]]:
+    """Each term of the truncation levels, in the order of `as_bounds`, as
+    (level "y" or "z", power of (T - t_i), names of the exponents the power
+    derives from, whether the coefficient carries C_f).  It reads pc alone,
+    so `ProblemConstants` checks its exponents from it before any constant
+    is computed; `_level_terms` adds the coefficient factors."""
+    if pc.C_phi is not None:
+        oscillation = ((pc.theta_phi - 1.0) / 2.0, ("theta_phi",))
+    else:
+        oscillation = (-0.5, ())
+    return [
+        ("y", 0.0, (), False),
+        ("y", pc.theta_C, ("theta_C",), True),
+        ("z", *oscillation, False),
+        ("z", pc.theta_C - 0.5, ("theta_C",), True),
+        ("z", pc.theta_L / 2.0, ("theta_L",), False),
+    ]
+
+
+def _level_terms(pc: ProblemConstants) -> list[tuple[str, tuple[float, ...], float, bool]]:
+    """The truncation levels of `as_bounds` as one term list: each term of
+    `_level_powers` as (level, coefficient factors, power, carries C_f)."""
     a = apriori_constants(pc)
-    c_y = _safe_prod(a.A1y, pc.C_xi) + _scaled(
-        _safe_prod(a.A2y, pc.C_f, B_const(pc.theta_C, 1.0, pc.R_pi)),
-        ttg**pc.theta_C,
-    )
-    c_z = (
-        _scaled(a.A1z, _oscillation(pc, ttg) / np.sqrt(ttg))
-        + _scaled(
-            _safe_prod(a.A2z, pc.C_f, B_const(pc.theta_C, 0.5, pc.R_pi)),
-            ttg ** (pc.theta_C - 0.5),
-        )
-        + _scaled(_safe_prod(a.A3z, pc.C_xi), ttg ** (pc.theta_L / 2.0))
-    )
-    return c_y, c_z
+    oscillation = pc.C_phi if pc.C_phi is not None else 2.0 * pc.C_xi
+    factors = [
+        (a.A1y, pc.C_xi),
+        (a.A2y, pc.C_f, B_const(pc.theta_C, 1.0, pc.R_pi)),
+        (a.A1z, oscillation),
+        (a.A2z, pc.C_f, B_const(pc.theta_C, 0.5, pc.R_pi)),
+        (a.A3z, pc.C_xi),
+    ]
+    return [
+        (level, f, power, c_f) for f, (level, power, _, c_f) in zip(factors, _level_powers(pc))
+    ]
 
 
 def _driver_output_terms(pc: ProblemConstants) -> list[tuple[float, float, bool]]:
@@ -395,60 +422,22 @@ def _driver_output_terms(pc: ProblemConstants) -> list[tuple[float, float, bool]
         |f_j(x_j, y^M_{j+1}(x_{j+1}), z^M_j(x_j))|
             <= sum over terms of  coefficient * (T - t_j)^power.
 
-    Built from the Lipschitz/boundedness declaration with the same truncation
-    levels C_{y,j+1}, C_{z,j} that `as_bounds` produces (the j+1 in the
-    y-bound is dominated by the j-value since C_y is nonincreasing toward T
-    term by term — each term's (T-t)^positive factor is simply bounded by the
-    value at t_j).  Terms flagged is_driver_bucket carry the C_f factor and
-    fold into the (T-t_i)^theta_C bucket; the others fold into constants.
+    That is L_f (C_{y,j+1} + C_{z,j}) (T-t_j)^((theta_L-1)/2) + C_f
+    (T-t_j)^(theta_C-1): each term of the truncation levels (`_level_terms`)
+    lifted by L_f and by the power (theta_L-1)/2, then the zero-point term.
+    The j+1 in the y-bound is dominated by the j-value since C_y is
+    nonincreasing toward T term by term — each term's (T-t)^positive factor
+    is simply bounded by the value at t_j.  Terms flagged is_driver_bucket
+    carry the C_f factor and fold into the (T-t_i)^theta_C bucket; the
+    others fold into constants.
     """
-    a = apriori_constants(pc)
-    lip = pc.L_f
-    powers = [power for power, _ in _driver_term_powers(pc)]
-    terms: list[tuple[float, float, bool]] = []
-    # y-truncation contribution L_f * C_{y,j+1} / (T-t_j)^((1-theta_L)/2):
-    terms.append((_safe_prod(lip, a.A1y, pc.C_xi), powers[0], False))
-    terms.append(
-        (
-            _safe_prod(lip, a.A2y, pc.C_f, B_const(pc.theta_C, 1.0, pc.R_pi)),
-            powers[1],
-            True,
-        )
-    )
-    # z-truncation contribution L_f * C_{z,j} / (T-t_j)^((1-theta_L)/2):
-    oscillation = pc.C_phi if pc.C_phi is not None else 2.0 * pc.C_xi
-    terms.append((_safe_prod(lip, a.A1z, oscillation), powers[2], False))
-    terms.append(
-        (
-            _safe_prod(lip, a.A2z, pc.C_f, B_const(pc.theta_C, 0.5, pc.R_pi)),
-            powers[3],
-            True,
-        )
-    )
-    terms.append((_safe_prod(lip, a.A3z, pc.C_xi), powers[4], False))
-    # zero-point bound C_f / (T-t_j)^(1-theta_C):
-    terms.append((pc.C_f, powers[5], True))
-    return terms
-
-
-def _driver_term_powers(pc: ProblemConstants) -> list[tuple[float, tuple[str, ...]]]:
-    """The power of (T - t_j) in each term of `_driver_output_terms`, in its
-    order, with the names of the exponents it is derived from.  The sum
-    bounds of `_theta_coefficients` take power + 1 as an exponent, which
-    must be positive; `ProblemConstants` checks it."""
     sing = (pc.theta_L - 1.0) / 2.0  # power of (T-t_j) on the Lipschitz factor
-    if pc.C_phi is not None:
-        oscillation = ((pc.theta_phi - 1.0) / 2.0 + sing, ("theta_phi", "theta_L"))
-    else:
-        oscillation = (-0.5 + sing, ("theta_L",))
-    return [
-        (sing, ("theta_L",)),
-        (pc.theta_C + sing, ("theta_C", "theta_L")),
-        oscillation,
-        (pc.theta_C - 0.5 + sing, ("theta_C", "theta_L")),
-        (pc.theta_L / 2.0 + sing, ("theta_L",)),
-        (pc.theta_C - 1.0, ("theta_C",)),
+    terms = [
+        (_safe_prod(pc.L_f, *factors), power + sing, c_f)
+        for _, factors, power, c_f in _level_terms(pc)
     ]
+    terms.append((pc.C_f, pc.theta_C - 1.0, True))
+    return terms
 
 
 def _theta_coefficients(pc: ProblemConstants) -> tuple[float, float, float, float]:

@@ -65,7 +65,7 @@ class Benchmark:
     `estimate_errors` shares its parts with a helper thread, and
     `convergence_study` runs sweep points side by side.
 
-    One factory, `_zero_driver_benchmark`, builds all five registry
+    One factory, `_brownian_benchmark`, builds all five registry
     problems from a terminal phi, its envelope constants and an expectation
     rule.  b1, b2, b4 and zero have the zero driver; b3 is b1's terminal
     with the linear driver alpha * y, whose oracles scale b1's.
@@ -83,7 +83,7 @@ class Benchmark:
 # ---------------------------------------------------------------------------
 # benchmark problems
 
-def _zero_driver_benchmark(
+def _brownian_benchmark(
     name: str, phi: Callable, mean: Callable, C_xi: float, x0_width: float, description: str,
     C_phi: float | None = None, theta_phi: float | None = None, alpha: float | None = None,
 ) -> Benchmark:
@@ -189,7 +189,7 @@ def _martingale_mean(x: np.ndarray, s: float, weighted: bool) -> np.ndarray:
 
 def benchmark_b1(x0_width: float = 5.0) -> Benchmark:
     """Zero driver, terminal phi(x) = x: exact values y_i(x) = x, z_i = 1."""
-    return _zero_driver_benchmark(
+    return _brownian_benchmark(
         "b1", lambda x: x, _martingale_mean,
         C_xi=8.0, C_phi=1.0, theta_phi=1.0, x0_width=x0_width,
         description="martingale terminal phi(x)=x on a start box",
@@ -199,7 +199,7 @@ def benchmark_b1(x0_width: float = 5.0) -> Benchmark:
 def benchmark_b2(x0_width: float = 5.0) -> Benchmark:
     """Zero driver, terminal tanh(x): oracle by Gaussian quadrature."""
     phi = np.tanh
-    return _zero_driver_benchmark(
+    return _brownian_benchmark(
         "b2", phi, lambda x, s, weighted: _gauss_mean(phi, x, s, weighted),
         C_xi=1.0, C_phi=1.0, theta_phi=1.0, x0_width=x0_width,
         description="bounded smooth terminal tanh(x), heat-kernel quadrature oracle",
@@ -211,7 +211,7 @@ def benchmark_b3(alpha: float = 0.5, x0_width: float = 5.0) -> Benchmark:
     y_i(x) = c_i x and constant z_i, by the factory's backward substitution."""
     if not math.isfinite(alpha):
         raise _ArgumentError("alpha", f"alpha must be finite, got {alpha}")
-    return _zero_driver_benchmark(
+    return _brownian_benchmark(
         "b3", lambda x: x, _martingale_mean,
         C_xi=8.0, C_phi=1.0, theta_phi=1.0, x0_width=x0_width,
         description=f"linear driver f = {alpha}*y, backward-substitution oracle", alpha=alpha,
@@ -230,7 +230,7 @@ def benchmark_b4(theta_phi: float = 0.5, cap: float = 1.0, x0_width: float = 5.0
     def phi(values):
         return np.minimum(np.abs(values) ** theta_phi, cap)
 
-    return _zero_driver_benchmark(
+    return _brownian_benchmark(
         "b4", phi, lambda x, s, weighted: _holder_quadrature(phi, x, s, cap, theta_phi, weighted),
         C_xi=cap, C_phi=1.0, theta_phi=theta_phi, x0_width=x0_width,
         description=f"Hölder terminal min(|x|^{theta_phi}, {cap})",
@@ -270,7 +270,7 @@ def _holder_quadrature(
 
 def benchmark_zero(x0_width: float = 5.0) -> Benchmark:
     """Zero driver and zero terminal: the solution vanishes identically."""
-    return _zero_driver_benchmark(
+    return _brownian_benchmark(
         "zero", lambda x: np.zeros(x.shape[0]), lambda x, s, weighted: np.zeros(x.shape[0]),
         C_xi=0.0, x0_width=x0_width, description="identically-zero data and solution",
     )
@@ -568,13 +568,6 @@ def tune_parameters(
     error of lam.  An error of one argument is an `_ArgumentError` that
     names it.
     """
-    N = _as_count(N, f"N = {N!r}")
-    if N < 1:
-        raise _ArgumentError("N", f"N must be >= 1, got {N}")
-    if T <= 0.0:
-        raise _ArgumentError("T", f"T must be positive, got {T}")
-    if not math.isfinite(T):
-        raise _ArgumentError("T", f"T must be finite, got {T}")
     if kappa <= 0.0:
         raise _ArgumentError("kappa", f"kappa must be positive, got {kappa}")
     if not math.isfinite(kappa):
@@ -601,6 +594,7 @@ def tune_parameters(
             "theta_pi", f"theta_pi applies to the holder regime only, got {theta_pi}"
         )
     grid = make_theta_grid(T, N, theta=theta_pi if regime == "holder" else 1.0)
+    N = grid.N
 
     log_n1 = math.log(N + 1.0)
     radius = 2.0 * kappa * log_n1 / lam

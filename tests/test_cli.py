@@ -404,15 +404,15 @@ def test_tune_holder_stdout_rows(capsys):
         ),
         (
             ["--kappa", "1", "--lambda", "1", "--regime", "smooth", "--t", "-1"],
-            "--t: T must be positive, got -1.0",
+            "--t: terminal time must be positive, got -1.0",
         ),
         (
             ["--kappa", "1", "--lambda", "1", "--regime", "smooth", "--t", "inf"],
-            "--t: T must be finite, got inf",
+            "--t: terminal time must be finite, got inf",
         ),
         (
             ["--n", "0", "--kappa", "1", "--lambda", "1", "--regime", "smooth"],
-            "--n: N must be >= 1, got 0",
+            "--n: need at least one time step, got N = 0",
         ),
         (
             ["--n", "4", "--kappa", "0.5", "--lambda", "1e-320", "--regime", "smooth"],
@@ -961,6 +961,29 @@ index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z
 4,0.80000000000000004,8,1,8,35.777087639996644,0,0
 """
 
+BOUNDS_B3_STDOUT = """\
+# command=bounds
+# problem.id=b3
+# problem.alpha=0.5
+# problem.x0_width=5
+# grid.t=1
+# grid.n=5
+# grid.theta=1
+# a1y=23957691.192321766
+# a2y=31943587.923095688
+# a1z=175212457.24164462
+# a2z=350424913.48328924
+# a3z=111543714.0085206
+# amy=1.1023456591438071e+44
+# amz=4.3143590745356877e+44
+index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z
+0,0,191661529.53857413,1067562169.3098094,629611857.42419171,2135447639.4935951,0,0
+1,0.19999999999999996,191661529.53857413,973354303.59635699,629611857.42419171,2387503042.1495719,0,0
+2,0.40000000000000002,191661529.53857413,866423572.00824189,629611857.42419171,2756851048.1522112,0,0
+3,0.59999999999999998,191661529.53857413,739583969.14781332,629611857.42419171,3376439182.4149475,0,0
+4,0.80000000000000004,191661529.53857413,574283380.41900074,629611857.42419171,4775006084.2991438,0,0
+"""
+
 BOUNDS_B4_STDOUT = """\
 # command=bounds
 # problem.id=b4
@@ -981,7 +1004,7 @@ index,t_i,c_y,c_z,theta_y,theta_z,e_dep_y,e_dep_z
 0,0,1,1,1,2,0,0
 1,0.19999999999999996,1,1.0573712634405641,1,2.2360679774997898,0,0
 2,0.40000000000000002,1,1.1362193664674993,1,2.5819888974716112,0,0
-3,0.59999999999999998,1,1.2574334296829353,1,3.1622776601683791,0,0
+3,0.59999999999999998,1,1.2574334296829355,1,3.1622776601683791,0,0
 4,0.80000000000000004,1,1.4953487812212207,1,4.4721359549995805,0,0
 """
 
@@ -1064,7 +1087,8 @@ m,emp_y,emp_z,fresh_y,fresh_z,cost
 
 
 @pytest.mark.parametrize(
-    "problem, expected", [("b1", BOUNDS_B1_STDOUT), ("b4", BOUNDS_B4_STDOUT)]
+    "problem, expected",
+    [("b1", BOUNDS_B1_STDOUT), ("b3", BOUNDS_B3_STDOUT), ("b4", BOUNDS_B4_STDOUT)],
 )
 def test_bounds_stdout_pinned(capsys, problem, expected):
     assert main(["bounds", "--problem", problem, "--n", "5"]) == 0

@@ -422,9 +422,10 @@ def test_as_bounds_second_evaluator():
 @pytest.mark.parametrize("smooth", [False, True], ids=["crude_oscillation", "C_phi"])
 def test_driver_output_terms_restate_the_truncation_levels(theta_L, smooth):
     """Apart from its last (C_f zero-point) term, the driver term list is
-    L_f (C_y + C_z) (T-t)^((theta_L-1)/2) written out term by term, so the
-    two copies of the truncation levels cannot drift apart.  L_f stays small:
-    at L_f = 1, theta_L = 0.6 the constants overflow to inf."""
+    the one term list of the truncation levels lifted by L_f and by
+    (T-t)^((theta_L-1)/2): unlifted and summed, it gives the C_y + C_z of
+    `as_bounds`.  L_f stays small: at L_f = 1, theta_L = 0.6 the constants
+    overflow to inf."""
     smoothness = dict(C_phi=0.7, theta_phi=0.6) if smooth else dict(C_phi=None, theta_phi=None)
     pc = _random_pc(np.random.default_rng(19), L_f=0.2, theta_L=theta_L, **smoothness)
     grid = make_theta_grid(T=pc.T, N=8, theta=0.8)

@@ -898,8 +898,10 @@ def test_tune_takes_an_integer_n_and_a_positive_finite_t():
     for n, shown in ((2.5, "2.5"), (True, "True"), ("10", "'10'")):
         with pytest.raises(ValueError, match=f"N = {shown} is not an integer"):
             tune_parameters(N=n, **kwargs)
-    for t, message in ((-1.0, "T must be positive, got -1.0"), (0.0, "T must be positive"),
-                       (math.inf, "T must be finite, got inf"), (math.nan, "T must be finite")):
+    for t, message in ((-1.0, "terminal time must be positive, got -1.0"),
+                       (0.0, "terminal time must be positive"),
+                       (math.inf, "terminal time must be finite, got inf"),
+                       (math.nan, "terminal time must be finite")):
         with pytest.raises(ValueError, match=message):
             tune_parameters(N=10, T=t, **kwargs)
     plan = tune_parameters(N=10, **kwargs)
