@@ -372,9 +372,16 @@ def as_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.ndar
     most double the sup bound).  Each level is the sum of its terms in the
     one term list `_level_terms`, in list order.
     """
+    return _as_bounds(pc, grid, apriori_constants(pc))
+
+
+def _as_bounds(
+    pc: ProblemConstants, grid: TimeGrid, a: AprioriConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """`as_bounds` from the stability constants a of pc."""
     ttg = _time_to_go(pc, grid)
     levels = {"y": np.zeros_like(ttg), "z": np.zeros_like(ttg)}
-    for level, factors, power, _ in _level_terms(pc):
+    for level, factors, power, _ in _level_terms(pc, a):
         levels[level] += _scaled(_safe_prod(*factors), ttg**power)
     return levels["y"], levels["z"]
 
@@ -398,10 +405,12 @@ def _level_powers(pc: ProblemConstants) -> list[tuple[str, float, tuple[str, ...
     ]
 
 
-def _level_terms(pc: ProblemConstants) -> list[tuple[str, tuple[float, ...], float, bool]]:
+def _level_terms(
+    pc: ProblemConstants, a: AprioriConstants
+) -> list[tuple[str, tuple[float, ...], float, bool]]:
     """The truncation levels of `as_bounds` as one term list: each term of
-    `_level_powers` as (level, coefficient factors, power, carries C_f)."""
-    a = apriori_constants(pc)
+    `_level_powers` as (level, coefficient factors, power, carries C_f),
+    from the stability constants a of pc."""
     oscillation = pc.C_phi if pc.C_phi is not None else 2.0 * pc.C_xi
     factors = [
         (a.A1y, pc.C_xi),
@@ -415,7 +424,9 @@ def _level_terms(pc: ProblemConstants) -> list[tuple[str, tuple[float, ...], flo
     ]
 
 
-def _driver_output_terms(pc: ProblemConstants) -> list[tuple[float, float, bool]]:
+def _driver_output_terms(
+    pc: ProblemConstants, a: AprioriConstants
+) -> list[tuple[float, float, bool]]:
     """Term list (coefficient, power, is_driver_bucket) such that the driver
     values inside the responses satisfy
 
@@ -429,18 +440,20 @@ def _driver_output_terms(pc: ProblemConstants) -> list[tuple[float, float, bool]
     nonincreasing toward T term by term — each term's (T-t)^positive factor
     is simply bounded by the value at t_j.  Terms flagged is_driver_bucket
     carry the C_f factor and fold into the (T-t_i)^theta_C bucket; the
-    others fold into constants.
+    others fold into constants.  a holds the stability constants of pc.
     """
     sing = (pc.theta_L - 1.0) / 2.0  # power of (T-t_j) on the Lipschitz factor
     terms = [
         (_safe_prod(pc.L_f, *factors), power + sing, c_f)
-        for _, factors, power, c_f in _level_terms(pc)
+        for _, factors, power, c_f in _level_terms(pc, a)
     ]
     terms.append((pc.C_f, pc.theta_C - 1.0, True))
     return terms
 
 
-def _theta_coefficients(pc: ProblemConstants) -> tuple[float, float, float, float]:
+def _theta_coefficients(
+    pc: ProblemConstants, a: AprioriConstants
+) -> tuple[float, float, float, float]:
     """Canonical observation-bound coefficients (c1, c2, c3, c4) with
 
         Theta_y[i] = c1 + c2 * (T - t_i)^theta_C
@@ -449,9 +462,10 @@ def _theta_coefficients(pc: ProblemConstants) -> tuple[float, float, float, floa
     Each driver term coefficient * (T-t_j)^p is summed over j with the
     single (for y) or double-with-sqrt (for z) weighted-sum bound and the
     leftover positive power of (T - t_i) is folded into the matching bucket
-    by bounding it with the same power of T.
+    by bounding it with the same power of T.  a holds the stability
+    constants of pc.
     """
-    terms = _driver_output_terms(pc)
+    terms = _driver_output_terms(pc, a)
     T, R = pc.T, pc.R_pi
     c1 = pc.C_xi
     c2 = 0.0
@@ -489,8 +503,15 @@ def obs_bounds(pc: ProblemConstants, grid: TimeGrid) -> tuple[np.ndarray, np.nda
     here: it bounds |xi - E[xi | F_i]|_{2,i}, and phi(X_i) is not
     E[xi | F_i], so it gives no bound on |phi(X_N) - phi(X_i)|.
     """
+    return _obs_bounds(pc, grid, apriori_constants(pc))
+
+
+def _obs_bounds(
+    pc: ProblemConstants, grid: TimeGrid, a: AprioriConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """`obs_bounds` from the stability constants a of pc."""
     ttg = _time_to_go(pc, grid)
-    c1, c2, c3, c4 = _theta_coefficients(pc)
+    c1, c2, c3, c4 = _theta_coefficients(pc, a)
     theta_y = c1 + c2 * ttg**pc.theta_C
     theta_z = c3 / np.sqrt(ttg) + c4 * ttg ** (pc.theta_C - 0.5)
     return theta_y, theta_z
@@ -654,10 +675,12 @@ def bounds_table(
 
     The interdependence-error columns need the basis dimensions k_y, k_z and
     the cloud sizes m, each with one value per index; given none of the
-    three, the columns are zero.
+    three, the columns are zero.  The stability constants are computed once
+    and feed the truncation levels, the observation bounds and the table.
     """
-    c_y, c_z = as_bounds(pc, grid)
-    theta_y, theta_z = obs_bounds(pc, grid)
+    a = apriori_constants(pc)
+    c_y, c_z = _as_bounds(pc, grid, a)
+    theta_y, theta_z = _obs_bounds(pc, grid, a)
     if k_y is None and k_z is None and m is None:
         dep_y = np.zeros(grid.N)
         dep_z = np.zeros(grid.N)
@@ -668,7 +691,6 @@ def bounds_table(
         )
         dep_y = dep_errors(c_y, k_y, m)
         dep_z = dep_errors(c_z, k_z, m, pc.q)
-    a = apriori_constants(pc)
     a_my, a_mz = propagation_constants(pc)
     return BoundsTable(
         pc=pc,

@@ -16,9 +16,11 @@ row.  At i = 0, X_0 comes from the start law, so index-0 clouds are the
 whole paths from t_0.  The input is a stream: X_i, then the normals in
 blocks of consecutive rows, each drawn into a buffer of its own only when
 the stream is advanced to it.  The paths and weights are built block by
-block, each block of normals freed once its paths are built, so a consumer
-holds no more random input than it has drawn and not yet built on; one
-block of all rows gives the whole cloud, and any blocks give its bits.
+block.  A block's normals become its increments in place and then, for the
+Brownian model, its weights, so a block holds one buffer of random input
+and one of paths, and a consumer holds no more random input than the
+blocks it has drawn and not yet dropped; one block of all rows gives the
+whole cloud, and any blocks give its bits.
 
 The per-row passes of the benchmarked Brownian path run along the long
 row axis: normals and paths are stored time-major, and the drift and the
@@ -77,9 +79,9 @@ class _PathBatch:
     """Trajectory tails X_i..X_{i+n} and their driving Brownian increments
     dW_i..dW_{i+n-1}.
 
-    Both arrays are (M, n_times, .) transposed views of time-major buffers,
-    so each time slice X[:, k, :] is one contiguous (M, d) block;
-    `sample_paths` keeps both in one buffer.
+    X is the (M, n + 1, d) transposed view of a time-major buffer of its
+    own, so each time slice X[:, k, :] is one contiguous (M, d) block; dW
+    is the normals it was built from, scaled in place (see `sample_paths`).
     """
 
     X: np.ndarray  # (M, n + 1, d)
@@ -192,9 +194,14 @@ class MarkovModel:
         self, grid: TimeGrid, i: int, x_i: np.ndarray, normals: np.ndarray
     ) -> _PathBatch:
         """Paths from the (M, d) states X_i driven by the (M, n, q) standard
-        normals: X_i..X_{i+n}, shape (M, n + 1, d), and dW_i..dW_{i+n-1},
-        dW_k = sqrt(t_{k+1} - t_k) normals[:, k - i], shape (M, n, q), both
-        stored time-major in one buffer.
+        normals: X_i..X_{i+n}, shape (M, n + 1, d), stored time-major, and
+        dW_i..dW_{i+n-1}, dW_k = sqrt(t_{k+1} - t_k) normals[:, k - i],
+        shape (M, n, q).
+
+        The increments are built in place in the normals, a float64 array,
+        which they consume: dW is the normals array itself, in its own
+        layout, and the Brownian weights are built on in the same buffer.  X
+        alone is allocated.
         """
         if not (
             x_i.ndim == 2 and normals.ndim == 3 and x_i.shape[1] == self.d
@@ -204,25 +211,23 @@ class MarkovModel:
                 f"paths take (M, {self.d}) states and (M, n, {self.q}) normals, "
                 f"got {x_i.shape} and {normals.shape}"
             )
+        if normals.dtype != np.float64:
+            raise ValueError(f"paths take float64 normals, got {normals.dtype}")
         M, n = normals.shape[:2]
         if not 0 <= i <= i + n <= grid.N:
             raise ValueError(f"{n} steps from index {i} leave the grid's indices 0..{grid.N}")
-        # One allocation for both (q = d).  With two, and the normals in
-        # blocks of their own, glibc's trim threshold (twice the largest
-        # freed mapping) stayed below a block's X and dW together: on
-        # b3-deep each block's memory went back to the kernel and was
-        # faulted in again, 16-19k more minor faults per solve and solve_s
-        # 6% higher.
-        buffer = np.empty((2 * n + 1, M, self.d))
-        dW, X = buffer[:n], buffer[n:]
-        # written through out=, so the increments are time-major like X
-        np.multiply(
-            normals.transpose(1, 0, 2), np.sqrt(grid.steps[i : i + n])[:, None, None], out=dW
-        )
+        # In place, so a block holds its normals and X and no third buffer:
+        # with paths and increments in a (2n + 1, M, d) buffer beside the
+        # normals, b3-deep peaked 6% higher in RSS and took 6.2-8.3k minor
+        # faults a solve against 4.0-7.3k (seed 7).  Through the time-major
+        # view, so each pass runs along the rows of one time slice.
+        dW = normals.transpose(1, 0, 2)
+        np.multiply(dW, np.sqrt(grid.steps[i : i + n])[:, None, None], out=dW)
+        X = np.empty((n + 1, M, self.d))
         X[0] = x_i
         for k in range(n):
             self.step(grid, i + k, X[k], dW[k], X[k + 1])
-        return _PathBatch(X=X.transpose(1, 0, 2), dW=dW.transpose(1, 0, 2))
+        return _PathBatch(X=X.transpose(1, 0, 2), dW=normals)
 
     def draw_state(
         self, grid: TimeGrid, i: int, M: int, rng: np.random.Generator
@@ -559,13 +564,14 @@ def _cloud_block(
     block of `_cloud_draws`, with their weights.  Built block by block, the
     blocks are the whole cloud bit for bit.
 
-    The normals are dropped once `sample_paths` has built the tails on them,
-    so a caller that passes the only reference frees them before the
-    weights are built.  Then comes the finiteness check.  A numerical error
-    names its row in the whole cloud.
+    The normals are consumed: `sample_paths` scales them into the paths'
+    increments in place.  The Brownian weights are built on in the same
+    buffer, which so lives on as the block's H and is freed with the block;
+    a model whose weights have a buffer of their own frees the normals on
+    return.  Then comes the finiteness check.  A numerical error names its
+    row in the whole cloud.
     """
     batch = model.sample_paths(grid, i, x_rows, normals)
-    del normals  # the paths no longer read them
     weights = model.malliavin_weights(grid, i, replace(batch, row0=row0))
     if not (np.isfinite(batch.X).all() and np.isfinite(weights).all()):
         finite = np.isfinite(batch.X).all(axis=(1, 2)) & np.isfinite(weights).all(axis=(1, 2))

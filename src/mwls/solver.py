@@ -21,16 +21,18 @@ and no more: a 50 000-row cloud is 4 blocks of 12 500 rows, not 3 of 16 384
 and one of 848.  It runs
 `_DRAWS_AHEAD` items ahead of the calling thread, across index boundaries,
 so index i - 1's first blocks are drawn while index i is fitted.  The caller
-takes the items one by one; per block it builds the paths and weights,
-which frees the block's normals, and writes the block's responses in place
-into its rows of the cloud's response arrays; then it fits.  That
-arithmetic is many short numpy calls; split over two threads it would pass
-the GIL back and forth thousands of times a solve.  So a solve holds the
-drawn X_i of the index at work (kept as the index's marginal), its
-response arrays, one block of paths and weights, and at most
-`_DRAWS_AHEAD` + 1 items of random input, whatever the cloud sizes; no
-whole cloud of normals, paths and weights is held, and the results are
-those of whole clouds, bit for bit.
+takes the items one by one; per block it builds the paths and weights and
+writes the block's responses in place into its rows of the cloud's
+response arrays; then it fits.  A Brownian block holds two buffers: its
+normals, which become its increments and then its weights in place, and
+its paths.  Its driver terms are added to the responses as they are
+evaluated, so it holds no table of them.  That arithmetic is many short
+numpy calls; split over two threads it would pass the GIL back and forth
+thousands of times a solve.  So a solve holds the drawn X_i of the index
+at work (kept as the index's marginal), its response arrays, one block of
+paths and weights, and at most `_DRAWS_AHEAD` more items of random input,
+whatever the cloud sizes; no whole cloud of normals, paths and weights is
+held, and the results are those of whole clouds, bit for bit.
 """
 
 from __future__ import annotations
@@ -218,31 +220,43 @@ def _responses(
     conditional mean as it is and takes out the variance that X_i drives
     (the martingale control variate of Alanko and Avellaneda, 2013).  The
     y-response is phi(X_N) plus the same sum without the weights, shape
-    (M,); `mwls_solve` adds its k = i term once z_fits[i] is fitted.  The
-    sums run in ascending k.  The terms are evaluated from k = N-1 down: one
-    design of X_k serves z_k(X_k) and y_k(X_k), and y_k(X_k) feeds term k-1.
-    The value returned is phi(X_N) when i = N-1, and None for the zero
-    driver.
+    (M,); `mwls_solve` adds its k = i term once z_fits[i] is fitted.
+
+    The terminal terms are written first; then each driver term, in
+    ascending k, is added to both sums as soon as it is evaluated, so no
+    table of driver values is held.  One design of X_k serves y_k(X_k),
+    which feeds term k-1, and z_k(X_k), which feeds term k.  So the driver
+    is called in ascending k, and of several non-finite driver terms the
+    one at the lowest k is reported.  The value returned is phi(X_N) when
+    i = N-1, and None for the zero driver.
     """
     i, n = cloud.i, grid.N
     phi = _callback_values(terminal.fn(cloud.x_at(n)), cloud.M, i)
-    f_vals: dict[int, np.ndarray] = {}
-    y_next = None if driver.is_zero else phi
-    for k in () if driver.is_zero else range(n - 1, i, -1):
-        x_k = cloud.x_at(k)
-        z_design, y_design = shared_designs(x_k, z_fits[k].basis, y_fits[k].basis)
-        f_vals[k] = _driver_values(driver, i, k, x_k, y_next, z_fits[k], z_design)
-        y_next = y_fits[k].evaluate(x_k, design=y_design)[:, 0]
     phi_i = _callback_values(terminal.fn(cloud.x_at(i)), cloud.M, i)
     _times_columns(phi - phi_i, cloud.h_at(n), s_z)
     s_y[:] = phi
-    term = np.empty(s_z.shape)
-    for k in sorted(f_vals):
-        _times_columns(f_vals[k], cloud.h_at(k), term)
+    if driver.is_zero:
+        return None
+
+    def designed(k: int):
+        """z_k's design of X_k and y_k(X_k), from one design; phi(X_N) at N."""
+        if k == n:
+            return None, phi
+        x_k = cloud.x_at(k)
+        z_design, y_design = shared_designs(x_k, z_fits[k].basis, y_fits[k].basis)
+        return z_design, y_fits[k].evaluate(x_k, design=y_design)[:, 0]
+
+    z_design, y_first = designed(i + 1)
+    term, scaled = np.empty(s_z.shape), np.empty(s_y.shape)
+    for k in range(i + 1, n):
+        next_design, y_next = designed(k + 1)
+        f_k = _driver_values(driver, i, k, cloud.x_at(k), y_next, z_fits[k], z_design)
+        _times_columns(f_k, cloud.h_at(k), term)
         term *= grid.steps[k]
         s_z += term
-        s_y += f_vals[k] * grid.steps[k]
-    return y_next
+        s_y += np.multiply(f_k, grid.steps[k], out=scaled)
+        z_design = next_design
+    return y_first
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,7 +473,7 @@ def mwls_solve(
             for row0 in range(0, sizes[i], block_rows[i]):
                 rows = slice(row0, row0 + block_rows[i])
                 # the block's normals are passed on, not held, so they are
-                # freed as its paths are built
+                # freed with the block whose weights they become
                 block = _cloud_block(model, grid, i, x_i[rows], next(drawn), row0)
                 next_rows = _responses(
                     block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows]

@@ -1089,6 +1089,7 @@ m,emp_y,emp_z,fresh_y,fresh_z,cost
 @pytest.mark.parametrize(
     "problem, expected",
     [("b1", BOUNDS_B1_STDOUT), ("b3", BOUNDS_B3_STDOUT), ("b4", BOUNDS_B4_STDOUT)],
+    ids=["b1", "b3", "b4"],
 )
 def test_bounds_stdout_pinned(capsys, problem, expected):
     assert main(["bounds", "--problem", problem, "--n", "5"]) == 0

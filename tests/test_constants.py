@@ -14,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+import mwls.constants
 from mwls.constants import (
     B_const,
     ProblemConstants,
@@ -432,7 +433,7 @@ def test_driver_output_terms_restate_the_truncation_levels(theta_L, smooth):
     c_y, c_z = as_bounds(pc, grid)
     ttg = pc.T - grid.points[:-1]
     sing = (pc.theta_L - 1.0) / 2.0
-    terms = _driver_output_terms(pc)[:-1]
+    terms = _driver_output_terms(pc, apriori_constants(pc))[:-1]
     restated = sum(coef * ttg ** (power - sing) for coef, power, _ in terms) / pc.L_f
     np.testing.assert_allclose(restated, c_y + c_z, rtol=1e-12)
 
@@ -518,7 +519,7 @@ def test_obs_bounds_dominate_direct_response_sums():
         pc = _random_pc(rng)
         grid = make_theta_grid(T=pc.T, N=int(rng.integers(2, 15)), theta=0.9)
         theta_y, theta_z = obs_bounds(pc, grid)
-        terms = _driver_output_terms(pc)
+        terms = _driver_output_terms(pc, apriori_constants(pc))
         t = grid.points
         n = grid.N
         fb = np.zeros(n)  # pointwise driver output bound at each index
@@ -549,7 +550,7 @@ def test_theta_coefficients_nonnegative():
     rng = np.random.default_rng(14)
     for _ in range(10):
         pc = _random_pc(rng)
-        c1, c2, c3, c4 = _theta_coefficients(pc)
+        c1, c2, c3, c4 = _theta_coefficients(pc, apriori_constants(pc))
         assert c1 >= pc.C_xi
         assert c2 >= 0.0 and c4 >= 0.0
         assert c3 >= 2.0 * pc.C_M * pc.C_xi
@@ -726,6 +727,26 @@ def test_bounds_table_matches_components():
     bare = bounds_table(pc, grid)
     np.testing.assert_array_equal(bare.E_dep_Y, np.zeros(6))
     np.testing.assert_array_equal(bare.E_dep_Z, np.zeros(6))
+
+
+def test_bounds_table_computes_the_stability_constants_once(monkeypatch):
+    """One table evaluates `apriori_constants` once, for the truncation
+    levels, the observation bounds and its own columns alike, so `c_gamma`
+    runs twice there and twice for the propagation constants.  Through
+    `as_bounds` and `obs_bounds` it took 3 and 8 calls."""
+    calls = {"apriori_constants": 0, "c_gamma": 0}
+    for name in calls:
+        original = getattr(mwls.constants, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(mwls.constants, name, counted)
+    pc = _random_pc(np.random.default_rng(19), L_f=0.5)
+    grid = make_theta_grid(T=pc.T, N=20, theta=0.8)
+    bounds_table(pc, grid, k_y=[4] * 20, k_z=[4] * 20, m=[500] * 20)
+    assert calls == {"apriori_constants": 1, "c_gamma": 4}
 
 
 @pytest.mark.parametrize(

@@ -424,7 +424,7 @@ def test_a_solve_and_its_error_report_build_one_bounds_table(monkeypatch):
         cloud_sizes=1000, seed=5,
     )
     report = estimate_errors(sol, bench, fresh_m=1000)
-    assert calls == {"bounds_table": 1, "c_gamma": 8, "problem_constants": 1}
+    assert calls == {"bounds_table": 1, "c_gamma": 4, "problem_constants": 1}
     monkeypatch.undo()
 
     pc = mwls.solver.problem_constants(bench.model, grid, bench.driver, bench.terminal)

@@ -1,7 +1,9 @@
 """Tests for path samplers, Malliavin weights, and simulation clouds."""
 
 import dataclasses
+import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -257,9 +259,13 @@ def test_tail_cloud_is_bitwise_the_full_path_cloud(name):
         np.testing.assert_array_equal(cloud.X, reference.X, strict=True)
         np.testing.assert_array_equal(cloud.H, reference.H, strict=True)
         # the tail alone is stored, one contiguous block per time index: the
-        # states X_i..X_N after the N - i increments, in one buffer
-        assert cloud.X.base.shape == (2 * (grid.N - i) + 1, m, model.d)
-        assert np.shares_memory(cloud.X.base[grid.N - i :], cloud.X)
+        # states X_i..X_N in a buffer of their own, and the Brownian weights
+        # in that of the normals they were built from, which `_cloud_draws`
+        # sizes for whole paths (the Euler weights have a buffer of their own)
+        assert cloud.X.base.shape == (grid.N - i + 1, m, model.d)
+        brownian = isinstance(model, BrownianModel)
+        assert cloud.H.base.shape == (grid.N if brownian else grid.N - i, m, model.q)
+        assert not np.shares_memory(cloud.X, cloud.H)
         for k in range(i, grid.N + 1):
             assert cloud.x_at(k).flags.c_contiguous
         for j in range(i + 1, grid.N + 1):
@@ -433,6 +439,7 @@ def test_sample_paths_checks_the_shapes_of_its_arrays():
         (1, x_i, np.zeros((4, 3, 2)), shapes + r"\(5, 2\) and \(4, 3, 2\)"),
         (1, x_i, np.zeros((5, 3, 1)), shapes + r"\(5, 2\) and \(5, 3, 1\)"),
         (1, x_i, np.zeros((5, 3)), shapes + r"\(5, 2\) and \(5, 3\)"),
+        (1, x_i, np.zeros((5, 3, 2), np.float32), r"paths take float64 normals, got float32"),
         (2, x_i, normals, r"3 steps from index 2 leave the grid's indices 0\.\.4"),
         (-1, x_i, normals, r"3 steps from index -1 leave"),
     ]
@@ -499,8 +506,9 @@ def test_cloud_normals_are_one_draw_stored_time_major(m, q):
 def test_a_consumed_block_of_normals_is_freed(monkeypatch):
     """The stream draws a block of normals only when it is advanced to it,
     and keeps no reference to it: once `_cloud_block` has built a block, the
-    buffers of the normals it has built paths from, that block's included,
-    have no referrer left."""
+    buffer of its normals is referred to by its Brownian weights alone, and
+    it is freed once the block is dropped, as are those of the blocks
+    before."""
     model = brownian_model(d=2, x0=0.0, x0_width=1.0)
     grid = make_theta_grid(T=1.0, N=4, theta=0.6)
     draw = mwls.model._time_major_normals
@@ -518,9 +526,42 @@ def test_a_consumed_block_of_normals_is_freed(monkeypatch):
     for b, row0 in enumerate(range(0, 50, 20)):
         block = _cloud_block(model, grid, 1, x_i[row0 : row0 + 20], next(draws), row0)
         assert len(buffers) == b + 1
-        assert [ref() is None for ref in buffers] == [True] * (b + 1)
+        assert [ref() is None for ref in buffers] == [True] * b + [False]
+        assert block.H.base is buffers[b]()
+        assert not np.shares_memory(block.X, block.H)
         assert block.M == (20 if b < 2 else 10)
     assert next(draws, None) is None
+    del block
+    assert [ref() is None for ref in buffers] == [True] * 3
+
+
+def test_a_block_is_built_in_its_normals_and_one_buffer_of_paths():
+    """While one Brownian block is built, the traced peak over what was held
+    before its normals were drawn is those normals and the block's paths,
+    plus the finiteness check's boolean mask of the paths (an eighth of
+    them) and small objects: the increments and weights are built in the
+    normals, with no buffer beside them.  Here that is 0.899 MB.  When the
+    paths and increments had a (2n + 1, m, d) buffer of their own, the peak
+    held the normals twice: 1.298 MB."""
+    model = brownian_model(d=1, x0=0.0, x0_width=1.0)
+    grid = make_theta_grid(T=1.0, N=10, theta=0.6)
+    m = 5000
+    draws = _cloud_draws(model, grid, 0, m, seed=35, rows=m)
+    x_i = next(draws)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        normals = next(draws)
+        tracemalloc.reset_peak()  # past the draw's own chunk buffer
+        block = _cloud_block(model, grid, 0, x_i, normals, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.H.base is normals.base
+    paths = block.X.base.nbytes
+    assert paths == (grid.N + 1) * m * 8
+    assert peak - start < normals.base.nbytes + paths + paths // 4
 
 
 # Componentwise models at d = q = 3: the Brownian kernels apply the drift
@@ -633,8 +674,9 @@ def test_euler_identity_diffusion_matches_brownian():
         for i in (0, 1, 3):
             x_i = 0.5 + rng.uniform(-1.0, 1.0, (300, d))
             normals = rng.standard_normal((300, grid.N - i, d))
-            e = euler.sample_paths(grid, i, x_i, normals)
-            b = brownian.sample_paths(grid, i, x_i, normals)
+            # each call consumes the normals it is given
+            e = euler.sample_paths(grid, i, x_i, normals.copy())
+            b = brownian.sample_paths(grid, i, x_i, normals.copy())
             np.testing.assert_array_equal(e.X, b.X, strict=True)
             np.testing.assert_array_equal(e.dW, b.dW, strict=True)
             np.testing.assert_array_equal(

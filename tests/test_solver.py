@@ -272,6 +272,36 @@ def test_the_driver_reads_the_fits_of_its_own_sum_term():
         assert y_next.tobytes() == y_at(cloud, i + 1).tobytes()
 
 
+def test_the_driver_is_called_once_a_sum_term_in_ascending_k():
+    """Within one block the driver terms are evaluated in ascending k, each
+    once, and added to the sums as they come; of several non-finite terms
+    the one at the lowest k is reported."""
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 6, theta=0.7)
+    basis = LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=1)
+    fits = [_zero_estimator(basis)] * grid.N
+    order = []
+
+    def fn(k, x, y, z):
+        order.append(k)
+        return 0.5 * y
+
+    driver = DriverSpec(fn=fn, L_f=0.5, C_f=0.0)
+    for i in range(grid.N):
+        cloud = sample_cloud(model, grid, i, 200, seed=18 + i)
+        order.clear()
+        _cloud_responses(cloud, grid, driver, _tanh_terminal(), fits, fits)
+        assert order == list(range(i + 1, grid.N))
+
+    def bad_at_three_and_four(k, x, y, z):
+        return np.full(x.shape[0], np.nan if k in (3, 4) else 0.0)
+
+    cloud = sample_cloud(model, grid, 0, 200, seed=18)
+    driver = DriverSpec(fn=bad_at_three_and_four, L_f=1.0, C_f=1.0)
+    with pytest.raises(NumericalError, match=r"time index 0, sum term k=3$"):
+        _cloud_responses(cloud, grid, driver, _tanh_terminal(), fits, fits)
+
+
 def test_response_builders_flag_nonfinite_driver_terms():
     model = brownian_model(x0=0.0)
     grid = make_theta_grid(1.0, 4)
@@ -869,25 +899,31 @@ def test_a_solve_holds_a_few_blocks_of_random_input(monkeypatch):
     blocks of 1024, where the normals of index 0 alone take 7.2 MB.  Drawn
     an index ahead of the caller, as they once were, they took it to
     11-13 MB.  A cloud one row past two blocks of 4096 is cut into three
-    equal blocks of 2731 rows: its transient is 5.50 MB, against 6.81 MB
-    when it was cut into two full blocks and a 1-row one."""
+    equal blocks of 2731 rows: its transient is 4.80 MB, against 6.81 MB
+    when it was cut into two full blocks and a 1-row one.  With the linear
+    driver f = 0.5 y it is 5.09 MB.  When each block built its paths and
+    increments in a buffer beside its normals and held a table of its
+    driver terms until it summed them, the two read 5.50 and 5.66 MB."""
     grid = make_theta_grid(1.0, 30)
     basis = _linear_basis(delta=1.0, radius=3.0)
-    args = (
-        brownian_model(x0=0.0, x0_width=2.0), grid, zero_driver(), _tanh_terminal(),
-        basis, basis,
+    model, terminal = brownian_model(x0=0.0, x0_width=2.0), _tanh_terminal()
+    linear = DriverSpec(fn=lambda k, x, y, z: 0.5 * y, L_f=0.5, C_f=0.0)
+    cases = (
+        (zero_driver(), 1024, 30_000, 5_000_000),
+        (zero_driver(), 4096, 8193, 6_150_000),
+        (linear, 4096, 8193, 5_350_000),
     )
-    for block_rows, m, bound in ((1024, 30_000, 5_000_000), (4096, 8193, 6_150_000)):
+    for driver, block_rows, m, bound in cases:
         monkeypatch.setattr(mwls.solver, "_BLOCK_ROWS", block_rows)
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            sol = mwls_solve(*args, cloud_sizes=m, seed=48)
+            sol = mwls_solve(model, grid, driver, terminal, basis, basis, cloud_sizes=m, seed=48)
             gc.collect()
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert held - before >= sum(x.nbytes for x in sol.marginals)
-        assert peak - held < bound, (block_rows, m)
+        assert peak - held < bound, (driver.is_zero, block_rows, m)
         del sol
