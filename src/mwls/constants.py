@@ -603,7 +603,8 @@ def global_error_bound(table: BoundsTable, e_app_y, e_app_z) -> tuple[np.ndarray
     N = grid.N
     e_app_y = _per_index_array("e_app_y", e_app_y, N)
     e_app_z = _per_index_array("e_app_z", e_app_z, N)
-    if np.any(e_app_y < 0.0) or np.any(e_app_z < 0.0):
+    # not all(>= 0) rather than any(< 0), so that NaN is rejected too
+    if not (np.all(e_app_y >= 0.0) and np.all(e_app_z >= 0.0)):
         raise ValueError("approximation errors must be nonnegative")
 
     # Theta sqrt(K/M), 0 at K = 0 even when Theta overflowed to inf

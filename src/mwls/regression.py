@@ -73,16 +73,23 @@ def _as_points(points, d: int) -> np.ndarray:
     return pts
 
 
-def _graded_powers(degree: int, d: int) -> np.ndarray:
-    """Monomial multi-indices of total degree <= degree, graded order."""
-    rows = []
+def _graded_powers(degree: int, d: int) -> tuple[np.ndarray, tuple]:
+    """Monomial multi-indices of total degree <= degree, graded order, and
+    how `design` builds each one of degree >= 2.
+
+    A monomial u_a1 ... u_at (a1 <= ... <= at) of degree t >= 2 is the
+    monomial u_a1 ... u_a(t-1) of degree t - 1, an earlier column, times
+    u_at.  The plan holds (column, parent column, at) per such monomial, in
+    column order, so every parent is built before its children.
+    """
+    rows, column_of, plan = [], {}, []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(d), total):
-            p = [0] * d
-            for axis in combo:
-                p[axis] += 1
-            rows.append(p)
-    return np.array(rows, dtype=int)
+            if total >= 2:
+                plan.append((len(rows), column_of[combo[:-1]], combo[-1]))
+            column_of[combo] = len(rows)
+            rows.append([combo.count(axis) for axis in range(d)])
+    return np.array(rows, dtype=int), tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,7 @@ class LocalPolynomialBasis:
     out_dim: int = 1
     cells_per_axis: int = field(init=False, compare=False)
     powers: np.ndarray = field(init=False, repr=False, compare=False)
+    _products: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("degree", "d", "out_dim"):
@@ -128,7 +136,9 @@ class LocalPolynomialBasis:
         # ceil(2R/delta) with protection against float fuzz in the division
         per_axis = max(1, int(math.ceil(2.0 * self.radius / self.delta - 1e-12)))
         object.__setattr__(self, "cells_per_axis", per_axis)
-        object.__setattr__(self, "powers", _graded_powers(self.degree, self.d))
+        powers, products = _graded_powers(self.degree, self.d)
+        object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "_products", products)
 
     @property
     def n_cells(self) -> int:
@@ -152,17 +162,18 @@ class LocalPolynomialBasis:
     def design(self, points) -> Design:
         """Cells and scaled monomial rows of (M, d) points, computed once.
 
-        A row is the monomials of u = (x - cell midpoint) / (delta/2); each
-        power u**p is taken once per axis and gathered by the multi-indices.
+        A row is the monomials of u = (x - cell midpoint) / (delta/2).  The
+        monomials of degree 1 are the u_a themselves; each one of degree
+        >= 2 is its parent column times one u_a, one correctly rounded
+        product, so it is u_a1 * ... * u_at multiplied left to right.
         """
         pts = _as_points(points, self.d)
         m = pts.shape[0]
         # column c of the rows is columns[c], one contiguous block of M values
         columns = np.empty((self.monomials, m))
         columns[0] = 1.0
-        # u ** 0 = 1 and u ** 1 = u exactly: at degree 1 the columns after
-        # the first are u_a themselves, so u is computed in place there
-        u = columns[1:] if self.degree == 1 else np.empty((self.d, m))
+        # columns 1..d are the u_a themselves, so u is computed in place
+        u = columns[1 : self.d + 1] if self.degree >= 1 else np.empty((self.d, m))
         # per axis, not a reduction along the short row axis; NaN stays inside
         outside = np.abs(pts[:, 0]) > self.radius
         for axis in range(1, self.d):
@@ -194,19 +205,8 @@ class LocalPolynomialBasis:
         for axis in range(self.d):
             u[axis][outside] = 0.0
         flat[outside] = -1
-        if self.degree >= 2:
-            # table[m, a, p] = u[m, a] ** p, by pow along the exponent axis of
-            # a C-ordered (M, d) copy of u: pow run down a contiguous column
-            # of u, or repeated products, would move the last bit of u ** p
-            table = np.ascontiguousarray(u.T)[:, :, None] ** np.arange(self.degree + 1)
-            table = table.reshape(m, self.d * (self.degree + 1))
-            # row factor of axis a is column a*(n+1) + p_a; multiplied left
-            # to right like np.prod(u ** powers, axis=-1)
-            picks_of = np.arange(self.d) * (self.degree + 1) + self.powers
-            for column, picks in zip(columns, picks_of):
-                np.copyto(column, table[:, picks[0]])
-                for pick in picks[1:]:
-                    column *= table[:, pick]
+        for column, parent, axis in self._products:
+            np.multiply(columns[parent], u[axis], out=columns[column])
         return Design(self.geometry, flat, columns.T)
 
     def _check_design(self, design: Design, m: int) -> None:
@@ -358,10 +358,9 @@ class LocalPolynomialEstimator:
         may put a point in the next cell), of the midpoint and of
         x - midpoint add at most about 14 * 2**-53 (R + delta)/delta.  So
         |value| <= S (1 + eta)**n, with S the largest sum of |coef_c| over c
-        of any cell and component, up to the roundings of the pow calls (at
-        most 4 ulp each), of the products and of the sum, which the factor
-        1 + 64 eps (d + monomials) covers many times over.  An outside point
-        reads +0.0.
+        of any cell and component, up to the roundings of the monomial
+        products and of the sum, which the factor 1 + 64 eps (d + monomials)
+        covers many times over.  An outside point reads +0.0.
         """
         total = float(np.abs(self.coefficients).sum(axis=1).max())
         eta = 1e-11 + 1e-14 * self.basis.radius / self.basis.delta

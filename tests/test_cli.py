@@ -625,6 +625,15 @@ def test_module_entry_point_runs():
 # validation before computing
 
 
+def test_run_rejects_a_config_without_a_section_header(tmp_path, capsys):
+    config = _write_config(tmp_path, "id = zero\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", "--config", config, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error: config parse error")
+    assert list(out_dir.iterdir()) == []
+
+
 def test_run_rejects_negative_seed_naming_the_key(tmp_path, capsys):
     config = _write_config(tmp_path, ZERO_CONFIG.replace("seed = 11", "seed = -3"))
     out_dir = tmp_path / "out"

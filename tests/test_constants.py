@@ -687,6 +687,22 @@ def test_global_error_bound_validation():
         global_error_bound(table, good - 1.0, good)
 
 
+@pytest.mark.parametrize("bad", ["y", "z"])
+def test_global_error_bound_rejects_nan_approximation_errors(bad):
+    pc = _random_pc(np.random.default_rng(18), T=1.0)
+    grid = make_theta_grid(T=1.0, N=4, theta=1.0)
+    zeros = np.zeros(4)
+    table = bounds_table(pc, grid, zeros, zeros, np.full(4, 100.0))
+    nan_first = np.array([np.nan, 0.0, 0.0, 0.0])
+    e_app = {"y": zeros, "z": zeros, bad: nan_first}
+    with pytest.raises(ValueError, match="nonnegative"):
+        global_error_bound(table, e_app["y"], e_app["z"])
+    # an infinite error is no input fault: it gives an infinite bound
+    e_app[bad] = np.array([np.inf, 0.0, 0.0, 0.0])
+    bound_y, bound_z = global_error_bound(table, e_app["y"], e_app["z"])
+    assert {"y": bound_y, "z": bound_z}[bad][0] == np.inf
+
+
 def test_global_error_bound_needs_a_table_with_basis_dimensions_and_cloud_sizes():
     pc = _random_pc(np.random.default_rng(17), T=1.0)
     grid = make_theta_grid(T=1.0, N=4, theta=1.0)

@@ -155,6 +155,10 @@ def test_random_admissible_grid_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         random_admissible_grid(T=1.0, N=4, r_max=0.5, rng=rng)
+    with pytest.raises(ValueError, match=r"^terminal time T must be positive, got -1\.0$"):
+        random_admissible_grid(T=-1.0, N=4, r_max=2.0, rng=rng)
+    with pytest.raises(ValueError, match=r"^need at least one time step, got N = 0$"):
+        random_admissible_grid(T=1.0, N=0, r_max=2.0, rng=rng)
 
 
 @pytest.mark.parametrize("n, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'"), (np.nan, "nan")])

@@ -845,6 +845,10 @@ def test_tune_rejects_out_of_range_cloud_size(kappa, regime):
 def test_tune_validation():
     with pytest.raises(ValueError, match="l must be >= 1"):
         tune_parameters(N=10, kappa=0.5, l=0, d=1, lam=1.0, regime="smooth")
+    with pytest.raises(ValueError, match=r"^d must be >= 1, got 0$"):
+        tune_parameters(N=10, kappa=0.5, l=1, d=0, lam=1.0, regime="smooth")
+    with pytest.raises(ValueError, match=r"^theta_pi must lie in \(0, 1\], got 1\.5$"):
+        tune_parameters(N=10, kappa=0.5, l=1, d=1, lam=1.0, regime="holder", theta_pi=1.5)
     with pytest.raises(ValueError, match="kappa"):
         tune_parameters(N=10, kappa=0.0, l=1, d=1, lam=1.0, regime="smooth")
     with pytest.raises(ValueError, match="regime"):
@@ -1061,3 +1065,8 @@ def test_approximation_study_checks_n_samples_and_seed():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             approximation_study(np.sin, degree=1, deltas=[0.5, 0.25], **kwargs)
+
+
+def test_approximation_study_needs_two_deltas():
+    with pytest.raises(ValueError, match="^a delta sweep needs at least two values$"):
+        approximation_study(np.sin, degree=1, deltas=[0.5])

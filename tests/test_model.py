@@ -1012,6 +1012,18 @@ def test_model_validation():
         brownian_model(d=1, x0_width=-1.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"x0": np.zeros(2)}, "starting point must have shape (1,), got (2,)"),
+    ({"C_M": 0.0}, "weight moment constant must be positive, got 0.0"),
+])
+def test_brownian_model_built_directly_is_validated(kwargs, message):
+    # the class itself, not the factory, which shapes x0 before building it
+    fields = {"d": 1, "C_M": 1.0, "x0": np.zeros(1), "x0_width": 0.0, "drift": np.zeros(1)}
+    with pytest.raises(ValueError) as err:
+        BrownianModel(**{**fields, **kwargs})
+    assert str(err.value) == message
+
+
 def _unit_euler(**kwargs):
     return euler_sde_model(b=None, sigma=_identity_sigma, **{"x0": 0.0, **kwargs})
 

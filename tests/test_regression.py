@@ -284,22 +284,40 @@ def _bases_and_points(draw):
     return basis, np.array(coords).reshape(m, d)
 
 
-def _reference_rows(basis, points):
-    """Cells and rows as computed before the shared design existed: cell
-    midpoints, then u ** powers multiplied across axes."""
+def _reference_cells_and_u(basis, points):
+    """Cells and unit cell coordinates of the inside points as computed
+    before the shared design existed, from the cell midpoints."""
     outside = np.any(np.abs(points) > basis.radius, axis=1)
     k = np.floor((points + basis.radius) / basis.delta).astype(int)
     np.clip(k, 0, basis.cells_per_axis - 1, out=k)
     cells = np.ravel_multi_index(k.T, (basis.cells_per_axis,) * basis.d)
     mid = -basis.radius + (k[~outside] + 0.5) * basis.delta
     u = (points[~outside] - mid) / (0.5 * basis.delta)
-    rows = np.prod(u[:, None, :] ** basis.powers[None], axis=2)
-    return np.where(outside, -1, cells), rows
+    return np.where(outside, -1, cells), u
+
+
+def _reference_rows(basis, points):
+    """Cells and inside rows: per monomial, 1.0 times u_a over its axes a,
+    ascending and repeated by their powers, multiplied left to right."""
+    cells, u = _reference_cells_and_u(basis, points)
+    rows = np.empty((u.shape[0], basis.monomials))
+    for c, p in enumerate(basis.powers):
+        column = np.ones(u.shape[0])
+        for axis in np.repeat(np.arange(basis.d), p):
+            column = column * u[:, axis]
+        rows[:, c] = column
+    return cells, rows
+
+
+def _pow_rows(basis, points):
+    """Inside rows as pow formed them: u ** powers multiplied across axes."""
+    _, u = _reference_cells_and_u(basis, points)
+    return np.prod(u[:, None, :] ** basis.powers[None], axis=2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_bases_and_points())
-def test_design_rows_are_bitwise_the_pow_reference(case):
+def test_design_rows_are_bitwise_the_product_reference(case):
     basis, points = case
     design = basis.design(points)
     cells, rows = _reference_rows(basis, points)
@@ -312,6 +330,40 @@ def test_design_rows_are_bitwise_the_pow_reference(case):
     outside = np.zeros(basis.monomials)
     outside[0] = 1.0
     assert np.all(design.rows[cells < 0] == outside)
+    # powers 0 and 1 are exact under pow too; higher ones round differently
+    powed = _pow_rows(basis, points)
+    if basis.degree <= 1:
+        assert powed.tobytes() == rows.tobytes()
+    else:
+        np.testing.assert_allclose(inside, powed, rtol=0.0, atol=2.0**-52)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_design_column_is_its_parent_times_one_coordinate(degree, d):
+    # each monomial of degree t >= 2 is the monomial that drops its last
+    # (largest) axis a, times u_a in column 1 + a: one product, bitwise
+    basis = LocalPolynomialBasis(degree=degree, delta=0.5, radius=1.0, d=d)
+    rng = np.random.default_rng(97 + 10 * d + degree)
+    points = rng.uniform(-1.15, 1.15, size=(4000, d))
+    points[7, d - 1] = np.nan  # inside the support unless another axis is out
+    points[7, : d - 1] = 0.3
+    design = basis.design(points)
+    rows = design.rows
+    powers = [tuple(p) for p in basis.powers.tolist()]
+    for c, p in enumerate(powers):
+        if sum(p) < 2:
+            continue
+        a = max(axis for axis in range(d) if p[axis])
+        parent = powers.index(tuple(q - (axis == a) for axis, q in enumerate(p)))
+        assert rows[:, c].tobytes() == (rows[:, parent] * rows[:, 1 + a]).tobytes()
+    # the NaN row is NaN in exactly the monomials holding its NaN axis
+    assert np.isnan(rows[7]).tolist() == [p[d - 1] > 0 for p in powers]
+    # and inside rows stay within one rounding of the pow form
+    keep = np.isfinite(points).all(axis=1)
+    np.testing.assert_allclose(
+        rows[(design.cells >= 0) & keep], _pow_rows(basis, points[keep]), rtol=0.0, atol=2.0**-52
+    )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -325,6 +325,31 @@ def _linear_basis(delta=1.0, radius=4.0, out_dim=1):
     return LocalPolynomialBasis(degree=1, delta=delta, radius=radius, d=1, out_dim=out_dim)
 
 
+@pytest.mark.parametrize(
+    "driver, terminal, message",
+    [
+        (
+            DriverSpec(fn=lambda k, x, y, z: np.zeros(x.shape[0] + (k == 2)), L_f=0.0, C_f=0.0),
+            _tanh_terminal(),
+            "driver returned 51 values for 50 states at k=2",
+        ),
+        (
+            zero_driver(),
+            TerminalSpec(fn=lambda x: np.zeros(3), C_xi=1.0),
+            "terminal map returned 3 values for 50 states",
+        ),
+    ],
+)
+def test_solve_rejects_callbacks_of_another_length(driver, terminal, message):
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 4)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mwls_solve(
+            model, grid, driver, terminal, _linear_basis(), _linear_basis(),
+            cloud_sizes=50, seed=3,
+        )
+
+
 def test_solve_zero_problem_gives_zero_estimators():
     model = brownian_model(x0=0.0, x0_width=2.0)
     grid = make_theta_grid(1.0, 4)
