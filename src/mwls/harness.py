@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,8 +60,7 @@ class Benchmark:
     coordinates in a 1-D array as the fits read them, and return the exact
     y values (M,) and z values (M, q) of the discrete backward equation on
     that grid.  They may be called from two threads at once:
-    `estimate_errors` shares its parts with a helper thread, and
-    `convergence_study` runs sweep points side by side.
+    `estimate_errors` shares its parts with a helper thread.
 
     One factory, `_brownian_benchmark`, builds all five registry
     problems from a terminal phi, its envelope constants and an expectation
@@ -301,8 +298,10 @@ class ErrorReport:
     fresh_*_se their Monte Carlo standard errors.  e_app_* are fitted
     approximation-error estimates, dep_* the interdependence error terms,
     and bound_* the deterministic error bound that `global_error_bound`
-    evaluates from the solution's own table, sol.bounds.  cost counts
-    simulated path-steps, N * sum of cloud sizes.
+    evaluates from the solution's own table, sol.bounds.  cost is N * sum
+    of cloud sizes, the steps of full-length paths from t_0 for every cloud
+    row; the solve simulates only each cloud's tail, sum of M_i (N - i)
+    steps, about half as many.
 
     dep_* scale with the observation bounds Theta_y, Theta_z.  The e_dep_*
     columns of bounds.csv (BoundsTable.E_dep_*), and the interdependence
@@ -369,8 +368,12 @@ def _norm_and_se(residual: np.ndarray) -> tuple[float, float]:
 
 
 def _oracle_values(oracle_fn, grid, i, pts, shape, label):
+    """The oracle's values at pts as an array of shape, (M,) or (M, q).  An
+    (M, q) oracle may return (M,) when q = 1, and a y oracle (M, 1); any
+    other shape, a transposed (q, M) among them, is a ValueError."""
     values = np.asarray(oracle_fn(grid, i, pts), dtype=float)
-    if values.size != int(np.prod(shape)):
+    m, width = shape[0], int(np.prod(shape[1:]))
+    if values.shape != (m, width) and not (width == 1 and values.shape == (m,)):
         raise ValueError(
             f"{label} oracle returned shape {values.shape} at index {i}, expected {shape}"
         )
@@ -679,6 +682,13 @@ class StudyTable:
     reports: tuple
 
 
+def _log_log_slope(values: Sequence[float], errors: np.ndarray) -> float:
+    """Least-squares slope of log error against log value; errors below
+    1e-300, zero among them, are read as 1e-300."""
+    logs = np.log(np.asarray(values, dtype=float))
+    return float(np.polyfit(logs, np.log(np.maximum(errors, 1e-300)), 1)[0])
+
+
 def _check_m_sweep(
     model: MarkovModel,
     N: int,
@@ -708,13 +718,11 @@ def convergence_study(
 
     y_basis and z_basis are one basis for every index or per-index lists,
     as in `mwls_solve`; each value of m_values is used at every index.
-    Each sweep point runs with its own derived seed, so points are
-    independent and the study is reproducible regardless of how many run
-    at once: min(points, CPUs this process may run on).  The exception of
-    the first failed point in sweep order is raised here unchanged; the
-    points not yet started by then are cancelled.  The readout errors are
-    taken at one time index (default: the middle); slopes are least-squares
-    fits of log error against log M.
+    The points are solved one after another, in sweep order, each with its
+    own derived seed, so points are independent and the study is
+    reproducible; the first failed point stops the sweep.  The readout
+    errors are taken at one time index (default: the middle); slopes are
+    least-squares fits of log error against log M.
     """
     fresh_m = _count_at_least(fresh_m, "fresh_m", 1)
     seed = _count_at_least(seed, "seed", 0)
@@ -737,22 +745,13 @@ def convergence_study(
         )
         return estimate_errors(sol, benchmark, fresh_m=fresh_m, seed=point_seed)
 
-    if hasattr(os, "sched_getaffinity"):  # the CPU set, which `taskset` narrows
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(len(m_values), cpus)) as pool:
-        reports = list(pool.map(run_point, range(len(m_values))))
+    reports = [run_point(point) for point in range(len(m_values))]
 
     emp_y = np.array([r.emp_y[readout] for r in reports])
     emp_z = np.array([r.emp_z[readout] for r in reports])
     fresh_y = np.array([r.fresh_y[readout] for r in reports])
     fresh_z = np.array([r.fresh_z[readout] for r in reports])
     costs = np.array([r.cost for r in reports], dtype=int)
-    logs = np.log(np.asarray(m_values, dtype=float))
-
-    def _slope(errors: np.ndarray) -> float:
-        return float(np.polyfit(logs, np.log(np.maximum(errors, 1e-300)), 1)[0])
 
     return StudyTable(
         parameter="m",
@@ -762,10 +761,10 @@ def convergence_study(
         fresh_y=fresh_y,
         fresh_z=fresh_z,
         costs=costs,
-        slope_y=_slope(fresh_y),
-        slope_z=_slope(fresh_z),
-        slope_emp_y=_slope(emp_y),
-        slope_emp_z=_slope(emp_z),
+        slope_y=_log_log_slope(m_values, fresh_y),
+        slope_z=_log_log_slope(m_values, fresh_z),
+        slope_emp_y=_log_log_slope(m_values, emp_y),
+        slope_emp_z=_log_log_slope(m_values, emp_z),
         index=readout,
         reports=tuple(reports),
     )
@@ -785,8 +784,8 @@ def approximation_study(
     delta and returns the RMS errors on a fine probe grid together with the
     log-log slope of error against delta.
     """
-    if len(deltas) < 2:
-        raise ValueError("a delta sweep needs at least two values")
+    if len(set(deltas)) < 2:
+        raise ValueError("a delta sweep needs at least two distinct values")
     n_samples = _count_at_least(n_samples, "n_samples", 1)
     seed = _count_at_least(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -798,5 +797,4 @@ def approximation_study(
         pts = rng.uniform(-radius, radius, size=(n_samples, 1))
         fit = ols_fit(target(pts[:, 0]), basis, pts)
         errors[idx] = _rms(fit.evaluate(probe)[:, 0] - exact)
-    slope = float(np.polyfit(np.log(np.asarray(deltas, float)), np.log(errors), 1)[0])
-    return errors, slope
+    return errors, _log_log_slope(deltas, errors)

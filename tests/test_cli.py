@@ -531,9 +531,9 @@ def test_list_flags_take_per_index_values(tmp_path, capsys, argv, report, echo):
     assert echo in (out_dir / report).read_text()
 
 
-def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, use_cpus, sweep_pools):
-    """The sweep runs min(points, usable CPUs) points at once, so `taskset`
-    caps it; the report does not depend on the count."""
+def test_sweep_writes_table(tmp_path, capsys):
+    """The sweep writes one row per point, the cost column and the slopes,
+    and a rerun writes the same bytes."""
     args = [
         "sweep",
         "--problem", "b1",
@@ -545,11 +545,9 @@ def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, use_cpus, 
         "--fresh-m", "400",
         "--seed", "5",
     ]
-    for cpus, out in ((1, "s1"), (3, "s2")):
-        use_cpus(cpus)
+    for out in ("s1", "s2"):
         assert main(args + ["--out", str(tmp_path / out)]) == 0
     capsys.readouterr()
-    assert sweep_pools == [1, 2]
 
     text = (tmp_path / "s1" / "sweep.csv").read_text()
     lines = text.splitlines()
@@ -558,7 +556,6 @@ def test_sweep_writes_table_and_respects_thread_cap(tmp_path, capsys, use_cpus, 
     assert [int(row[0]) for row in rows] == [150, 600]
     assert [int(row[-1]) for row in rows] == [4 * 4 * 150, 4 * 4 * 600]
     assert any(line.startswith("# slope_fresh_z=") for line in lines)
-    # results do not depend on the worker count
     assert _read(tmp_path / "s1" / "sweep.csv") == _read(tmp_path / "s2" / "sweep.csv")
 
 

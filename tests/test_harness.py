@@ -4,7 +4,6 @@ import collections
 import contextlib
 import dataclasses
 import math
-import os
 import re
 import sys
 import threading
@@ -38,6 +37,7 @@ from mwls.model import (
     _time_major_normals,
     brownian_model,
     cloud_rng,
+    derive_seed,
     sample_cloud,
 )
 from mwls.regression import Design, LocalPolynomialBasis
@@ -479,6 +479,34 @@ def test_estimate_errors_validation():
     )
     with pytest.raises(ValueError, match="y oracle returned shape"):
         estimate_errors(sol, bad, fresh_m=100)
+    # a (1, M) or (q, M) stack has M q values but is transposed, not a column
+    for label, transposed in (
+        ("y", SimpleNamespace(
+            y_oracle=lambda g, i, pts: bench.y_oracle(g, i, pts)[None, :],
+            z_oracle=bench.z_oracle,
+        )),
+        ("z", SimpleNamespace(
+            y_oracle=bench.y_oracle,
+            z_oracle=lambda g, i, pts: bench.z_oracle(g, i, pts).T,
+        )),
+    ):
+        expected = "(400,)" if label == "y" else "(400, 1)"
+        with pytest.raises(ValueError, match=(
+            f"^{label} oracle returned shape {re.escape('(1, 400)')} at index 0, "
+            f"expected {re.escape(expected)}$"
+        )):
+            estimate_errors(sol, transposed, fresh_m=100)
+    # at q = 2 the (2, M) stack of the two columns has the size of (M, 2)
+    bench, grid, y_basis, z_basis = _d2_problem()
+    sol = _solve(bench, grid, y_basis, z_basis, 2000, seed=63)
+    stacked = SimpleNamespace(
+        y_oracle=bench.y_oracle,
+        z_oracle=lambda g, i, pts: np.stack([np.ones(pts.shape[0]), np.full(pts.shape[0], 2.0)]),
+    )
+    with pytest.raises(ValueError, match=(
+        r"^z oracle returned shape \(2, 2000\) at index 0, expected \(2000, 2\)$"
+    )):
+        estimate_errors(sol, stacked, fresh_m=100)
     nan_oracle = SimpleNamespace(
         y_oracle=lambda g, i, pts: np.full(pts.shape[0], np.nan),
         z_oracle=bench.z_oracle,
@@ -920,13 +948,12 @@ def test_tune_takes_an_integer_n_and_a_positive_finite_t():
 # sweep studies
 
 
-def test_convergence_study_m_sweep(monkeypatch, use_cpus, sweep_pools):
+def test_convergence_study_m_sweep():
     # narrow start box and wide basis support: the statistical error is the
     # only error source, so it must shrink with the cloud size
     bench = benchmark_b1(x0_width=3.0)
     grid = make_theta_grid(1.0, 4)
     basis = _linear_basis(delta=1.0, radius=5.0)
-    use_cpus(1)
     study = convergence_study(
         bench, grid, basis, basis, m_values=[400, 1600, 6400], seed=71, fresh_m=3000,
     )
@@ -935,28 +962,11 @@ def test_convergence_study_m_sweep(monkeypatch, use_cpus, sweep_pools):
     assert study.slope_z < -0.25
     assert study.slope_emp_z < -0.25
     assert study.fresh_z[0] > study.fresh_z[-1]
-    # exact cost bookkeeping: N * sum(M_i) per run
+    # the cost column, N * sum(M_i) per run: the steps of full-length paths
+    # for every cloud row, not the sum of M_i (N - i) tail steps simulated
     np.testing.assert_array_equal(
         study.costs, [grid.N * grid.N * m for m in (400, 1600, 6400)]
     )
-
-    # the worker count, min(points, usable CPUs), must not change the results;
-    # without an affinity call the CPU count stands in for the CPU set
-    use_cpus(3)
-    wide = convergence_study(
-        bench, grid, basis, basis, m_values=[400, 1600, 6400], seed=71, fresh_m=3000,
-    )
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    counted = convergence_study(
-        bench, grid, basis, basis, m_values=[400, 1600, 6400], seed=71, fresh_m=3000,
-    )
-    assert sweep_pools == [1, 3, 2]
-    for other in (wide, counted):
-        np.testing.assert_array_equal(study.fresh_y, other.fresh_y)
-        np.testing.assert_array_equal(study.fresh_z, other.fresh_z)
-        np.testing.assert_array_equal(study.emp_y, other.emp_y)
-        np.testing.assert_array_equal(study.emp_z, other.emp_z)
 
     for m_values in ([400], [400, 400]):
         with pytest.raises(ValueError, match="at least two distinct values"):
@@ -978,10 +988,9 @@ def test_convergence_study_readout_index_must_be_an_integer(monkeypatch):
             )
 
 
-def test_convergence_study_failed_point_stops_the_sweep(monkeypatch, use_cpus):
-    """On one worker the first point fails: its exception reaches the caller
-    as raised, the points still queued never start, and no thread is left."""
-    use_cpus(1)
+def test_convergence_study_failed_point_stops_the_sweep(monkeypatch):
+    """The first point fails: its exception reaches the caller as raised,
+    no later point starts, and no thread is left."""
     failure = NumericalError("the first point fails")
     started = []
     solve = mwls.harness.mwls_solve
@@ -990,7 +999,6 @@ def test_convergence_study_failed_point_stops_the_sweep(monkeypatch, use_cpus):
         started.append(cloud_sizes)
         if cloud_sizes == 400:
             raise failure
-        time.sleep(0.2)  # the caller cancels the queued points meanwhile
         return solve(*args, cloud_sizes=cloud_sizes, **kwargs)
 
     monkeypatch.setattr(mwls.harness, "mwls_solve", first_fails)
@@ -1002,9 +1010,30 @@ def test_convergence_study_failed_point_stops_the_sweep(monkeypatch, use_cpus):
             m_values=[400, 800, 1600, 3200, 6400], seed=71, fresh_m=300,
         )
     assert caught.value is failure
-    # the worker may have taken the second point before the failure was read
-    assert started in ([400], [400, 800])
+    assert started == [400]
     assert threading.active_count() == before
+
+
+def test_convergence_study_reports_are_the_points_solved_by_hand():
+    """Point p of a sweep is mwls_solve and estimate_errors at the derived
+    seed derive_seed(seed, p), bit for bit, and the table reads them."""
+    bench = benchmark_b3(alpha=0.5, x0_width=3.0)
+    grid = make_theta_grid(1.0, 4)
+    y_basis = _linear_basis(delta=1.0, radius=4.0)
+    z_basis = _linear_basis(delta=0.5, radius=4.0)
+    m_values = [300, 900, 600]
+    study = convergence_study(
+        bench, grid, y_basis, z_basis, m_values=m_values, seed=73, fresh_m=500, index=1,
+    )
+    assert len(study.reports) == len(m_values)
+    for point, m in enumerate(m_values):
+        point_seed = derive_seed(73, point)
+        sol = _solve(bench, grid, y_basis, z_basis, m, seed=point_seed)
+        by_hand = estimate_errors(sol, bench, fresh_m=500, seed=point_seed)
+        assert _report_bytes(study.reports[point]) == _report_bytes(by_hand)
+        assert study.fresh_y[point] == by_hand.fresh_y[1]
+        assert study.emp_z[point] == by_hand.emp_z[1]
+        assert study.costs[point] == by_hand.cost
 
 
 def test_convergence_study_checks_every_cloud_size_before_solving(monkeypatch):
@@ -1068,5 +1097,16 @@ def test_approximation_study_checks_n_samples_and_seed():
 
 
 def test_approximation_study_needs_two_deltas():
-    with pytest.raises(ValueError, match="^a delta sweep needs at least two values$"):
-        approximation_study(np.sin, degree=1, deltas=[0.5])
+    """Repeated deltas are one point: the M sweep's rule, checked before
+    np.polyfit would warn of a rank-deficient fit."""
+    for deltas in ([0.5], [0.5, 0.5], np.array([0.25, 0.25, 0.25])):
+        with pytest.raises(ValueError, match="^a delta sweep needs at least two distinct values$"):
+            approximation_study(np.sin, degree=1, deltas=deltas)
+
+
+def test_approximation_study_slope_of_an_exact_fit_is_zero():
+    """A target in the fitting space has zero error at every delta; the
+    slope reads the errors floored at 1e-300, as the M sweep's slopes do."""
+    errors, slope = approximation_study(lambda x: 0.0 * x, degree=1, deltas=[0.5, 0.25])
+    np.testing.assert_array_equal(errors, [0.0, 0.0])
+    assert abs(slope) < 1e-12  # polyfit's rounding on two equal logs
