@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
+from threading import Lock, Thread
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .solver import (
     DriverSpec,
     MwlsSolution,
     TerminalSpec,
-    _one_worker,
     _per_index_inputs,
     mwls_solve,
     zero_driver,
@@ -170,13 +169,26 @@ def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
+# Rows of x per evaluation of the quadrature rule in `_gauss_mean`, so a call
+# holds (rows, 96) arrays of 3 MB, whatever M.  A multiple of 8: each block
+# starts a group of rows of OpenBLAS's matrix-vector kernel, so with one BLAS
+# thread the blocks give the bits of one product over all rows.
+_GAUSS_ROWS = 4096
+
+
 def _gauss_mean(fn: Callable, x: np.ndarray, scale: float, weighted: bool) -> np.ndarray:
-    """E[fn(x + scale*G)], times G inside if weighted, per row of x; G ~ N(0, 1)."""
+    """E[fn(x + scale*G)], times G inside if weighted, per row of x; G ~ N(0, 1).
+
+    The rule is evaluated over blocks of `_GAUSS_ROWS` rows."""
     nodes, weights = _hermite_rule()
-    values = fn(x[:, None] + scale * nodes[None, :])
-    if weighted:
-        values = values * nodes[None, :]
-    return values @ weights
+    out = np.empty(x.shape[0])
+    for row0 in range(0, x.shape[0], _GAUSS_ROWS):
+        rows = slice(row0, row0 + _GAUSS_ROWS)
+        values = fn(x[rows, None] + scale * nodes[None, :])
+        if weighted:
+            values *= nodes[None, :]
+        out[rows] = values @ weights
+    return out
 
 
 def _martingale_mean(x: np.ndarray, s: float, weighted: bool) -> np.ndarray:
@@ -460,7 +472,7 @@ def estimate_errors(
             z_fit.evaluate(fresh_pts, design=z_design) - foz
         )
 
-    lock = threading.Lock()
+    lock = Lock()
     untaken = 0  # rank of the next part: training(i) is 2i, fresh(i) 2i + 1
     failures: dict[int, BaseException] = {}  # by rank
 
@@ -479,10 +491,15 @@ def estimate_errors(
                     failures[rank] = exc
                 return
 
-    with _one_worker() as helper:
-        helper.submit(take_parts)
-        helper.shutdown(wait=False)
+    # the helper ends as soon as it finds the list drained, not when the call
+    # returns, so a thread started next (the producer of the next solve) does
+    # not start as it ends and open a third malloc arena (see `_drawn_ahead`)
+    helper = Thread(target=take_parts)
+    helper.start()
+    try:
         take_parts()
+    finally:
+        helper.join()
     if failures:
         raise failures[min(failures)]
 

@@ -38,7 +38,6 @@ held, and the results are those of whole clouds, bit for bit.
 from __future__ import annotations
 
 import collections
-import contextlib
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -200,6 +199,16 @@ def _driver_values(driver: DriverSpec, i: int, k: int, x_k, y_next, z_fit, z_des
     return _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k)
 
 
+def _check_response(values: np.ndarray, label: str, i: int) -> None:
+    """NumericalError naming the first non-finite row of an (M,) or (M, q)
+    response at time index i as its path."""
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values.reshape(values.shape[0], -1)).all(axis=1)
+        raise NumericalError(
+            f"non-finite {label} at time index {i}, path {int(np.argmax(bad))}"
+        )
+
+
 def _responses(
     cloud: SimulationCloud,
     grid: TimeGrid,
@@ -316,31 +325,6 @@ class MwlsSolution:
         return self.z_fits[self._index(i, self.N - 1)].evaluate(points)
 
 
-@contextlib.contextmanager
-def _one_worker():
-    """One worker thread for the block.  On leaving the block, normally or by
-    an exception, the work still queued is cancelled and the running one is
-    awaited, so no thread outlives the block.
-
-    Once the last task is queued, callers call `shutdown(wait=False)`, so
-    the thread ends when that task is done, not at the end of the block:
-    the solve's producer after drawing index 0's last block of normals
-    (see `_drawn_ahead`), and the helper of `estimate_errors`, whose one
-    task takes parts of the error report until none is left, as soon as it
-    finds the list drained.
-    A thread that starts while another is still ending can find the C
-    allocator's per-thread arena still taken and open one more, which keeps
-    freed memory of its own: with the helper of `estimate_errors` started
-    as the solve's producer ended, about one benchmark run in fifteen
-    peaked 7-16 MB higher.
-    """
-    worker = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield worker
-    finally:
-        worker.shutdown(wait=True, cancel_futures=True)
-
-
 def _drawn_ahead(producer: ThreadPoolExecutor, stream, count: int):
     """The count items of stream, in order, each advanced on producer.
 
@@ -355,7 +339,12 @@ def _drawn_ahead(producer: ThreadPoolExecutor, stream, count: int):
         pending.append(producer.submit(next, stream))
         if len(pending) > _DRAWS_AHEAD:
             yield pending.popleft().result()
-    producer.shutdown(wait=False)  # nothing is left to draw
+    # a thread that starts while another ends can find the C allocator's arena
+    # still taken and open a third, which keeps freed memory of its own; ending
+    # here, not when the solve returns, keeps the helper of `estimate_errors`
+    # from starting as this thread ends (one benchmark run in fifteen peaked
+    # 7-16 MB higher)
+    producer.shutdown(wait=False)
     while pending:
         yield pending.popleft().result()
 
@@ -439,7 +428,10 @@ def mwls_solve(
     block's responses are written in place into the cloud's arrays while
     one producer thread draws the random input a few blocks ahead, into the
     next index's (see the module docstring).  An exception from either
-    thread is raised here, once the producer thread has stopped.
+    thread is raised here, once the producer thread has finished the draws
+    already submitted (at most `_DRAWS_AHEAD`) and stopped.  Every term of
+    a response is finite, so a non-finite response row is a sum that
+    overflowed: a `NumericalError` names its time index and row as path.
     """
     n = grid.N
     seed = _count_at_least(seed, "seed", 0)
@@ -454,7 +446,7 @@ def mwls_solve(
     marginals: list = [None] * n
     factors: list = [None] * n
     block_rows = [_equal_block_rows(m) for m in sizes]
-    with _one_worker() as producer:
+    with ThreadPoolExecutor(max_workers=1) as producer:
         # one stream over the indices, so the lead runs on into the next
         # index's input; it is advanced on the producer thread only
         stream = itertools.chain.from_iterable(
@@ -484,12 +476,14 @@ def mwls_solve(
             marginals[i] = x_i
             z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
             try:
+                _check_response(s_z, "z-response", i)
                 z_fits[i] = truncate_estimator(
                     ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
                 )
                 if not driver.is_zero:
                     f_i = _driver_values(driver, i, i, x_i, y_next, z_fits[i], z_design)
                     s_y += f_i * grid.steps[i]
+                _check_response(s_y, "y-response", i)
                 y_fits[i] = truncate_estimator(
                     ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
                 )

@@ -2,6 +2,7 @@
 stdout table formats, exit codes, and byte-level reproducibility."""
 
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -590,6 +591,20 @@ def test_exit_codes_exact_mapping(monkeypatch, capsys):
         cli, "cmd_tune", lambda args: (_ for _ in ()).throw(FloatingPointError("overflow"))
     )
     assert main(tune_args) == 2
+
+
+def test_an_overflowing_response_exits_two(tmp_path, capsys):
+    """b3's driver alpha * y at alpha = 1e154 is finite on every state, but
+    a response sum overflows: a numerical failure naming its time index and
+    path, not bad input."""
+    argv = [
+        "bench", "--problem", "b3", "--alpha", "1e154", "--n", "3", "--m", "2000",
+        "--fresh-m", "200", "--out", str(tmp_path / "out"),
+    ]
+    with np.errstate(over="ignore"):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical failure: .* at time index \d+, path \d+\n", err)
 
 
 def test_usage_errors_exit_one(capsys):

@@ -1,14 +1,17 @@
 """Tests for benchmarks, error reports, tuning rules, and sweep studies."""
 
 import collections
-import contextlib
 import dataclasses
 import math
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import threading
 import time
-from concurrent.futures import Future
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,6 +117,57 @@ def test_b2_terminal_index_is_exact_map():
     grid = make_theta_grid(1.0, 3)
     pts = np.array([[-0.8], [1.1]])
     np.testing.assert_allclose(bench.y_oracle(grid, grid.N, pts), np.tanh(pts[:, 0]))
+
+
+def test_b2_oracles_in_row_blocks_keep_the_bits_of_one_product():
+    """The b2 rule evaluated over blocks of `_GAUSS_ROWS` rows gives, for y
+    and z, the bits of one product over all rows, here three blocks and 37
+    rows.  In a child process with one BLAS thread: with several, OpenBLAS
+    sums the last rows of each thread's share in another order, so the one
+    product's own bits depend on the thread count."""
+    code = """
+        import math
+
+        import numpy as np
+
+        from mwls.grid import make_theta_grid
+        from mwls.harness import _GAUSS_ROWS, _hermite_rule, benchmark_b2
+
+        bench, grid, i = benchmark_b2(), make_theta_grid(1.0, 4), 1
+        m = 3 * _GAUSS_ROWS + 37
+        pts = np.random.default_rng(52).normal(scale=2.0, size=(m, 1))
+        nodes, weights = _hermite_rule()
+        scale = math.sqrt(grid.T - grid.points[i])
+        values = np.tanh(pts[:, 0][:, None] + scale * nodes[None, :])
+        y = values @ weights
+        z = (values * nodes[None, :]) @ weights / scale
+        print(bench.y_oracle(grid, i, pts).tobytes() == y.tobytes())
+        print(bench.z_oracle(grid, i, pts).tobytes() == z[:, None].tobytes())
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        cwd=Path(mwls.__file__).parents[1],  # so the child imports these sources
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True"]
+
+
+def test_b2_oracles_hold_row_blocks_not_whole_clouds():
+    bench, grid = benchmark_b2(), make_theta_grid(1.0, 4)
+    pts = np.random.default_rng(53).normal(scale=2.0, size=(50_000, 1))
+    bench.y_oracle(grid, 1, pts[:10])  # builds the rule
+    tracemalloc.start()
+    try:
+        bench.y_oracle(grid, 1, pts)
+        bench.z_oracle(grid, 1, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("name", sorted(register_benchmarks()))
@@ -525,7 +579,7 @@ def test_estimate_errors_checks_fresh_m_and_seed_before_any_thread(monkeypatch):
     )
     reference = estimate_errors(sol, bench, fresh_m=100, seed=4)
     opened = []
-    monkeypatch.setattr(mwls.harness, "_one_worker", lambda: opened.append(1))
+    monkeypatch.setattr(mwls.harness, "Thread", lambda target: opened.append(1))
     for fresh_m in (0, -3):
         with pytest.raises(ValueError, match=f"^fresh_m must be >= 1, got {fresh_m}$"):
             estimate_errors(sol, bench, fresh_m=fresh_m)
@@ -550,24 +604,18 @@ def test_estimate_errors_checks_fresh_m_and_seed_before_any_thread(monkeypatch):
 # the parts of estimate_errors on the caller's thread and one helper
 
 
-@contextlib.contextmanager
-def _inline_worker():
-    """Stands in for the helper thread: each part runs as it is submitted,
-    on the caller's thread, and its result or exception goes in its future."""
+class _InlineThread:
+    """Stands in for the helper thread: its target runs when it is started,
+    on the caller's thread, before the caller takes any part."""
 
-    class Inline:
-        def submit(self, fn, *args):
-            done = Future()
-            try:
-                done.set_result(fn(*args))
-            except Exception as exc:
-                done.set_exception(exc)
-            return done
+    def __init__(self, target):
+        self.target = target
 
-        def shutdown(self, wait=True):
-            pass
+    def start(self):
+        self.target()
 
-    yield Inline()
+    def join(self):
+        pass
 
 
 def _report_bytes(report) -> dict:
@@ -666,7 +714,7 @@ def test_fresh_parts_run_on_one_helper_thread_with_the_same_bits(monkeypatch, pr
         assert thread_of.setdefault(rank, thread) == thread
     assert len(set(thread_of.values()) - {threading.get_ident()}) <= 1
 
-    monkeypatch.setattr(mwls.harness, "_one_worker", _inline_worker)
+    monkeypatch.setattr(mwls.harness, "Thread", _InlineThread)
     inline = estimate_errors(sol, oracle, fresh_m=fresh_m, seed=82)
     assert _report_bytes(shipped) == _report_bytes(inline)
 
@@ -707,7 +755,7 @@ def test_estimate_errors_raises_the_first_failure_in_index_order(
     failures = {rank: RuntimeError(f"{kind} points") for kind, rank in ranks.items()}
     for worker in ("helper", "inline"):
         if worker == "inline":
-            monkeypatch.setattr(mwls.harness, "_one_worker", _inline_worker)
+            monkeypatch.setattr(mwls.harness, "Thread", _InlineThread)
         oracle, started = _failing_oracle(bench, fresh_m, failures)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as err:
@@ -752,7 +800,7 @@ def test_one_step_grid_solves_and_reports_with_the_same_bits(monkeypatch):
     assert threading.active_count() == before
     assert shipped.fresh_y.shape == shipped.emp_z.shape == (1,)
     assert np.all(np.isfinite(shipped.fresh_y)) and shipped.fresh_y[0] > 0.0
-    monkeypatch.setattr(mwls.harness, "_one_worker", _inline_worker)
+    monkeypatch.setattr(mwls.harness, "Thread", _InlineThread)
     inline = estimate_errors(sol, bench, fresh_m=500)
     assert _report_bytes(shipped) == _report_bytes(inline)
 

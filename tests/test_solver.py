@@ -350,6 +350,38 @@ def test_solve_rejects_callbacks_of_another_length(driver, terminal, message):
         )
 
 
+def test_an_overflowing_response_names_its_time_index_and_path():
+    """Every terminal and driver value is finite, but a response sum
+    overflows: the solve raises NumericalError naming the index and the
+    first row that overflowed as its path, not ols_fit's ValueError."""
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    seed = 3
+    # zero driver, terminal +-1.5e308: phi(X_N) - phi(X_2) overflows where
+    # X_N and X_2 lie on either side of 0
+    signs = TerminalSpec(fn=lambda x: np.where(x[:, 0] > 0.0, 1.5e308, -1.5e308), C_xi=1.5e308)
+    cloud = sample_cloud(model, grid, 2, 2000, seed=seed)
+    first = int(np.argmax((cloud.x_at(3)[:, 0] > 0.0) != (cloud.x_at(2)[:, 0] > 0.0)))
+    assert first > 0
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError, match=f"^non-finite z-response at time index 2, path {first}$"
+    ):
+        mwls_solve(model, grid, zero_driver(), signs, basis, basis, cloud_sizes=2000, seed=seed)
+    # only the y-response's own term at index 0 is large: phi(X_N) + 3e307
+    # overflows where phi(X_N) = 1.5e308, not where it is 1.35e308 (the fits
+    # of such responses overflow on the way, and their values are NaN)
+    driver = DriverSpec(fn=lambda k, x, y, z: 9e307 if k == 0 else 0.0, L_f=0.0, C_f=9e307)
+    steps = TerminalSpec(fn=lambda x: np.where(x[:, 0] > 0.5, 1.5e308, 1.35e308), C_xi=1.5e308)
+    cloud = sample_cloud(model, grid, 0, 2000, seed=seed)
+    first = int(np.argmax(cloud.x_at(3)[:, 0] > 0.5))
+    assert first > 0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match=f"^non-finite y-response at time index 0, path {first}$"
+    ):
+        mwls_solve(model, grid, driver, steps, basis, basis, cloud_sizes=2000, seed=seed)
+
+
 def test_solve_zero_problem_gives_zero_estimators():
     model = brownian_model(x0=0.0, x0_width=2.0)
     grid = make_theta_grid(1.0, 4)
