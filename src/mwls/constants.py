@@ -635,7 +635,7 @@ def global_error_bound(table: BoundsTable, e_app_y, e_app_z) -> tuple[np.ndarray
     return bound_y, bound_z
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundsTable:
     """Per-index constants of a problem on a grid, plus the scalar stability
     and propagation constants.  Immutable after construction.

@@ -27,18 +27,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Partition 0 = t_0 < t_1 < ... < t_N = T of a time interval.
 
     Steps and the maximum consecutive step ratio are computed once at
     construction and cached; instances are immutable and safe to share
-    across threads.
+    across threads.  A grid equals only itself, and hashes by identity.
     """
 
     points: np.ndarray
-    steps: np.ndarray = field(init=False, repr=False, compare=False)
-    r_pi: float = field(init=False, compare=False)
+    steps: np.ndarray = field(init=False, repr=False)
+    r_pi: float = field(init=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)

@@ -59,7 +59,9 @@ class Benchmark:
     coordinates in a 1-D array as the fits read them, and return the exact
     y values (M,) and z values (M, q) of the discrete backward equation on
     that grid.  They may be called from two threads at once:
-    `estimate_errors` shares its parts with a helper thread.
+    `estimate_errors` shares its parts with a helper thread, and the
+    factory's per-grid factors are memoized by `functools.lru_cache`, which
+    is thread-safe.
 
     One factory, `_brownian_benchmark`, builds all five registry
     problems from a terminal phi, its envelope constants and an expectation
@@ -106,22 +108,19 @@ def _brownian_benchmark(
     ValueError.
     """
     slope = 0.0 if alpha is None else alpha
-    last: list = [None]  # (grid, factors), replaced whole for threads
 
+    @functools.lru_cache(maxsize=1)
     def factors(grid):
         """The y and z factors (c, z_levels) on grid, memoized for the last grid."""
-        entry = last[0]
-        if entry is None or entry[0] is not grid:
-            n = grid.N
-            c = np.ones(n + 1)
-            for i in range(n - 1, -1, -1):
-                c[i] = c[i + 1] * (1.0 + slope * grid.steps[i])
-            z_levels = np.ones(n)
-            for i in range(n):
-                tail = sum(c[j + 1] * grid.steps[j] for j in range(i + 1, n))
-                z_levels[i] = 1.0 + slope * tail
-            last[0] = entry = (grid, (c, z_levels))
-        return entry[1]
+        n = grid.N
+        c = np.ones(n + 1)
+        for i in range(n - 1, -1, -1):
+            c[i] = c[i + 1] * (1.0 + slope * grid.steps[i])
+        z_levels = np.ones(n)
+        for i in range(n):
+            tail = sum(c[j + 1] * grid.steps[j] for j in range(i + 1, n))
+            z_levels[i] = 1.0 + slope * tail
+        return c, z_levels
 
     def y_oracle(grid, i, pts):
         if not 0 <= i <= grid.N:
@@ -169,25 +168,16 @@ def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / math.sqrt(2.0 * math.pi)
 
 
-# Rows of x per evaluation of the quadrature rule in `_gauss_mean`, so a call
-# holds (rows, 96) arrays of 3 MB, whatever M.  A multiple of 8: each block
-# starts a group of rows of OpenBLAS's matrix-vector kernel, so with one BLAS
-# thread the blocks give the bits of one product over all rows.
-_GAUSS_ROWS = 4096
-
-
 def _gauss_mean(fn: Callable, x: np.ndarray, scale: float, weighted: bool) -> np.ndarray:
     """E[fn(x + scale*G)], times G inside if weighted, per row of x; G ~ N(0, 1).
 
-    The rule is evaluated over blocks of `_GAUSS_ROWS` rows."""
+    The rule's terms are added one node at a time, in ascending node order."""
     nodes, weights = _hermite_rule()
-    out = np.empty(x.shape[0])
-    for row0 in range(0, x.shape[0], _GAUSS_ROWS):
-        rows = slice(row0, row0 + _GAUSS_ROWS)
-        values = fn(x[rows, None] + scale * nodes[None, :])
-        if weighted:
-            values *= nodes[None, :]
-        out[rows] = values @ weights
+    out = np.zeros(x.shape[0])
+    for node, weight in zip(nodes, weights):
+        values = fn(x + scale * node)
+        values *= weight * node if weighted else weight
+        out += values
     return out
 
 
@@ -300,7 +290,7 @@ def register_benchmarks() -> dict[str, Callable[..., Benchmark]]:
 # error reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Measured errors of a solution against an oracle, plus bound columns.
 
@@ -536,7 +526,7 @@ def estimate_errors(
 _M_LIMIT = 2.0**63
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TuningPlan:
     """Per-index discretization parameters from the balancing rules.
 
@@ -676,7 +666,7 @@ def tune_parameters(
 # sweep studies
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StudyTable:
     """One row per sweep point: the swept value, errors, and exact cost.
 

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import _ArgumentError
+from .errors import NumericalError, _ArgumentError
 from .grid import _as_count
 
 __all__ = [
@@ -405,7 +405,9 @@ def ols_fit(
     is solved by SVD-based least squares on its own rows (minimal-norm
     coefficients when rank-deficient).  Empty cells keep zero
     coefficients, and rows outside the support (cell -1) do not influence
-    the fit.  A non-finite response or point is a ValueError naming its row.
+    the fit.  A non-finite response or point is a ValueError naming its row;
+    finite responses whose sums overflow give non-finite coefficients, a
+    NumericalError naming the first such cell.
 
     Args:
         responses: per-row outputs, shape (M,) or (M, out_dim).
@@ -456,6 +458,9 @@ def ols_fit(
             rcond = np.finfo(float).eps * max(rows.shape)
             solution, *_ = np.linalg.lstsq(rows, resp[group], rcond=rcond)
             coef[cell] = solution
+    if not np.isfinite(coef).all():
+        bad = ~np.isfinite(coef.reshape(coef.shape[0], -1)).all(axis=1)
+        raise NumericalError(f"non-finite coefficients in cell {int(np.argmax(bad))}")
     return LocalPolynomialEstimator(basis=basis, coefficients=coef, level=None)
 
 

@@ -172,9 +172,13 @@ def problem_constants(
     )
 
 
-def _callback_values(values, m: int, i: int, k: int | None = None) -> np.ndarray:
+def _callback_values(
+    values, m: int, i: int, k: int | None = None, row0: int = 0
+) -> np.ndarray:
     """Checked (m,) values of the terminal map (k None) or of the driver's
-    sum term k in the response at time index i; a scalar broadcasts."""
+    sum term k in the response at time index i, on the rows from row0 on of
+    the cloud; a scalar broadcasts.  A non-finite value names its row in the
+    cloud as path."""
     values = np.asarray(values, dtype=float)
     if values.ndim == 0:
         values = np.full(m, float(values))
@@ -186,17 +190,21 @@ def _callback_values(values, m: int, i: int, k: int | None = None) -> np.ndarray
     if values.shape[0] != m:
         raise ValueError(f"{source} returned {values.shape[0]} values for {m} states{at}")
     if not np.all(np.isfinite(values)):
+        path = row0 + int(np.argmin(np.isfinite(values)))
         raise NumericalError(
-            f"non-finite {label} value in the response at time index {i}{term}"
+            f"non-finite {label} value in the response at time index {i}{term}, path {path}"
         )
     return values
 
 
-def _driver_values(driver: DriverSpec, i: int, k: int, x_k, y_next, z_fit, z_design):
+def _driver_values(
+    driver: DriverSpec, i: int, k: int, x_k, y_next, z_fit, z_design, row0: int = 0
+):
     """Checked (m,) values of f_k(X_k, y_next, z_k(X_k)), the driver's sum term k
-    at time index i, on the (m, d) states x_k; z_design is z_fit's design of x_k."""
+    at time index i, on the (m, d) states x_k, the cloud's rows from row0 on;
+    z_design is z_fit's design of x_k."""
     z_here = z_fit.evaluate(x_k, design=z_design)
-    return _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k)
+    return _callback_values(driver.fn(k, x_k, y_next, z_here), x_k.shape[0], i, k, row0)
 
 
 def _check_response(values: np.ndarray, label: str, i: int) -> None:
@@ -209,6 +217,16 @@ def _check_response(values: np.ndarray, label: str, i: int) -> None:
         )
 
 
+def _fit(response: np.ndarray, basis, x_i: np.ndarray, design, level: float, i: int):
+    """The least-squares fit of response at time index i, truncated at level;
+    a failed solve or non-finite coefficients are a NumericalError naming i."""
+    try:
+        fit = ols_fit(response, basis, x_i, design=design)
+    except (np.linalg.LinAlgError, NumericalError) as exc:
+        raise NumericalError(f"regression failed at time index {i}: {exc}") from exc
+    return truncate_estimator(fit, level)
+
+
 def _responses(
     cloud: SimulationCloud,
     grid: TimeGrid,
@@ -218,9 +236,11 @@ def _responses(
     z_fits: Sequence,
     s_z: np.ndarray,
     s_y: np.ndarray,
+    row0: int = 0,
 ) -> np.ndarray | None:
     """Write the z-response into s_z, the y-response less its k = i term into
-    s_y, and return y_{i+1}(X_{i+1}).
+    s_y, and return y_{i+1}(X_{i+1}); cloud holds the rows from row0 on of
+    the index's cloud, which a non-finite callback value names as path.
 
     Per row the z-response is (phi(X_N) - phi(X_i)) H_N + sum over
     k = i+1 .. N-1 of f_k(X_k, y_{k+1}(X_{k+1}), z_k(X_k)) H_k Delta_k,
@@ -240,8 +260,8 @@ def _responses(
     i = N-1, and None for the zero driver.
     """
     i, n = cloud.i, grid.N
-    phi = _callback_values(terminal.fn(cloud.x_at(n)), cloud.M, i)
-    phi_i = _callback_values(terminal.fn(cloud.x_at(i)), cloud.M, i)
+    phi = _callback_values(terminal.fn(cloud.x_at(n)), cloud.M, i, row0=row0)
+    phi_i = _callback_values(terminal.fn(cloud.x_at(i)), cloud.M, i, row0=row0)
     _times_columns(phi - phi_i, cloud.h_at(n), s_z)
     s_y[:] = phi
     if driver.is_zero:
@@ -259,7 +279,7 @@ def _responses(
     term, scaled = np.empty(s_z.shape), np.empty(s_y.shape)
     for k in range(i + 1, n):
         next_design, y_next = designed(k + 1)
-        f_k = _driver_values(driver, i, k, cloud.x_at(k), y_next, z_fits[k], z_design)
+        f_k = _driver_values(driver, i, k, cloud.x_at(k), y_next, z_fits[k], z_design, row0)
         _times_columns(f_k, cloud.h_at(k), term)
         term *= grid.steps[k]
         s_z += term
@@ -432,6 +452,8 @@ def mwls_solve(
     already submitted (at most `_DRAWS_AHEAD`) and stopped.  Every term of
     a response is finite, so a non-finite response row is a sum that
     overflowed: a `NumericalError` names its time index and row as path.
+    A fit whose per-cell sums overflow is a `NumericalError` naming its
+    time index and its first cell of non-finite coefficients.
     """
     n = grid.N
     seed = _count_at_least(seed, "seed", 0)
@@ -468,27 +490,20 @@ def mwls_solve(
                 # freed with the block whose weights they become
                 block = _cloud_block(model, grid, i, x_i[rows], next(drawn), row0)
                 next_rows = _responses(
-                    block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows]
+                    block, grid, driver, terminal, y_fits, z_fits, s_z[rows], s_y[rows], row0
                 )
                 if y_next is not None:
                     y_next[rows] = next_rows
             del block  # the last block's paths and weights, before the fits
             marginals[i] = x_i
             z_design, y_design = shared_designs(x_i, z_bases[i], y_bases[i])
-            try:
-                _check_response(s_z, "z-response", i)
-                z_fits[i] = truncate_estimator(
-                    ols_fit(s_z, z_bases[i], x_i, design=z_design), float(table.C_z[i])
-                )
-                if not driver.is_zero:
-                    f_i = _driver_values(driver, i, i, x_i, y_next, z_fits[i], z_design)
-                    s_y += f_i * grid.steps[i]
-                _check_response(s_y, "y-response", i)
-                y_fits[i] = truncate_estimator(
-                    ols_fit(s_y, y_bases[i], x_i, design=y_design), float(table.C_y[i])
-                )
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"regression failed at time index {i}: {exc}") from exc
+            _check_response(s_z, "z-response", i)
+            z_fits[i] = _fit(s_z, z_bases[i], x_i, z_design, float(table.C_z[i]), i)
+            if not driver.is_zero:
+                f_i = _driver_values(driver, i, i, x_i, y_next, z_fits[i], z_design)
+                s_y += f_i * grid.steps[i]
+            _check_response(s_y, "y-response", i)
+            y_fits[i] = _fit(s_y, y_bases[i], x_i, y_design, float(table.C_y[i]), i)
             factors[i] = {design.geometry: design.factors for design in (z_design, y_design)}
 
     return MwlsSolution(

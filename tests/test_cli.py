@@ -595,8 +595,8 @@ def test_exit_codes_exact_mapping(monkeypatch, capsys):
 
 def test_an_overflowing_response_exits_two(tmp_path, capsys):
     """b3's driver alpha * y at alpha = 1e154 is finite on every state, but
-    a response sum overflows: a numerical failure naming its time index and
-    path, not bad input."""
+    the sums of the index-1 responses overflow in their fit: a numerical
+    failure naming its time index, not bad input."""
     argv = [
         "bench", "--problem", "b3", "--alpha", "1e154", "--n", "3", "--m", "2000",
         "--fresh-m", "200", "--out", str(tmp_path / "out"),
@@ -604,7 +604,9 @@ def test_an_overflowing_response_exits_two(tmp_path, capsys):
     with np.errstate(over="ignore"):
         assert main(argv) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"numerical failure: .* at time index \d+, path \d+\n", err)
+    assert err == (
+        "numerical failure: regression failed at time index 1: non-finite coefficients in cell 1\n"
+    )
 
 
 def test_usage_errors_exit_one(capsys):

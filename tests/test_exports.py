@@ -113,10 +113,13 @@ def test_the_b2_hermite_rule_is_built_on_the_first_oracle_call():
         assert rule[0].tobytes() == nodes.tobytes()
         assert rule[1].tobytes() == weights.tobytes()
         scale = math.sqrt(grid.T - grid.points[1])
-        spread = x[:, None] + scale * nodes[None, :]
-        assert y.tobytes() == (np.tanh(spread) @ weights).tobytes()
-        expected_z = ((np.tanh(spread) * nodes[None, :]) @ weights) / scale
-        assert z.tobytes() == expected_z[:, None].tobytes()
+        expected_y, expected_z = np.zeros(x.size), np.zeros(x.size)
+        for node, weight in zip(nodes, weights):  # ascending node order
+            values = np.tanh(x + scale * node)
+            expected_y += values * weight
+            expected_z += values * (weight * node)
+        assert y.tobytes() == expected_y.tobytes()
+        assert z.tobytes() == (expected_z / scale)[:, None].tobytes()
         print("ok")
         """
     )

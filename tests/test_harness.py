@@ -119,41 +119,53 @@ def test_b2_terminal_index_is_exact_map():
     np.testing.assert_allclose(bench.y_oracle(grid, grid.N, pts), np.tanh(pts[:, 0]))
 
 
-def test_b2_oracles_in_row_blocks_keep_the_bits_of_one_product():
-    """The b2 rule evaluated over blocks of `_GAUSS_ROWS` rows gives, for y
-    and z, the bits of one product over all rows, here three blocks and 37
-    rows.  In a child process with one BLAS thread: with several, OpenBLAS
-    sums the last rows of each thread's share in another order, so the one
-    product's own bits depend on the thread count."""
+def test_b2_oracles_give_the_same_bytes_at_one_and_two_blas_threads():
+    """The b2 rule sums its nodes itself, with no BLAS product, so the y
+    and z oracles write the same bytes whatever the OpenBLAS thread count;
+    each count is set in a child process before numpy loads."""
     code = """
-        import math
+        import hashlib
 
         import numpy as np
 
         from mwls.grid import make_theta_grid
-        from mwls.harness import _GAUSS_ROWS, _hermite_rule, benchmark_b2
+        from mwls.harness import benchmark_b2
 
         bench, grid, i = benchmark_b2(), make_theta_grid(1.0, 4), 1
-        m = 3 * _GAUSS_ROWS + 37
+        for m in (3 * 4096 + 37, 50_000):
+            pts = np.random.default_rng(52).normal(scale=2.0, size=(m, 1))
+            for oracle in (bench.y_oracle, bench.z_oracle):
+                print(hashlib.sha256(oracle(grid, i, pts).tobytes()).hexdigest())
+    """
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            capture_output=True,
+            text=True,
+            cwd=Path(mwls.__file__).parents[1],  # so the child imports these sources
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout.split())
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+
+def test_b2_oracles_agree_with_one_product_over_all_rows():
+    """The node-by-node sum agrees with the rule as one (M, 96) product
+    within 1e-14 of the largest value, for y and z."""
+    bench, grid, i = benchmark_b2(), make_theta_grid(1.0, 4), 1
+    for m in (3 * 4096 + 37, 50_000):
         pts = np.random.default_rng(52).normal(scale=2.0, size=(m, 1))
-        nodes, weights = _hermite_rule()
+        nodes, weights = mwls.harness._hermite_rule()
         scale = math.sqrt(grid.T - grid.points[i])
         values = np.tanh(pts[:, 0][:, None] + scale * nodes[None, :])
         y = values @ weights
-        z = (values * nodes[None, :]) @ weights / scale
-        print(bench.y_oracle(grid, i, pts).tobytes() == y.tobytes())
-        print(bench.z_oracle(grid, i, pts).tobytes() == z[:, None].tobytes())
-    """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True,
-        text=True,
-        cwd=Path(mwls.__file__).parents[1],  # so the child imports these sources
-        env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["True", "True"]
+        z = ((values * nodes[None, :]) @ weights / scale)[:, None]
+        for oracle, product in ((bench.y_oracle, y), (bench.z_oracle, z)):
+            gap = np.max(np.abs(oracle(grid, i, pts) - product))
+            assert gap <= 1e-14 * np.max(np.abs(product))
 
 
 def test_b2_oracles_hold_row_blocks_not_whole_clouds():
@@ -994,6 +1006,29 @@ def test_tune_takes_an_integer_n_and_a_positive_finite_t():
 
 # ---------------------------------------------------------------------------
 # sweep studies
+
+
+def test_grids_and_result_objects_compare_by_identity():
+    """A grid and each result object hold arrays: two distinct instances
+    with the same contents compare unequal without raising, and each
+    instance equals itself and hashes."""
+    bench, grid = benchmark_b1(), make_theta_grid(1.0, 2)
+    basis = _linear_basis()
+    pc = mwls.solver.problem_constants(bench.model, grid, bench.driver, bench.terminal)
+    first, second = (
+        convergence_study(bench, grid, basis, basis, m_values=[200, 400], seed=5, fresh_m=200)
+        for _ in range(2)
+    )
+    pairs = [
+        (grid, make_theta_grid(1.0, 2)),
+        (mwls.constants.bounds_table(pc, grid), mwls.constants.bounds_table(pc, grid)),
+        (first.reports[0], second.reports[0]),
+        tuple(tune_parameters(4, 0.5, 1, 1, 1.0, "smooth") for _ in range(2)),
+        (first, second),
+    ]
+    for a, b in pairs:
+        assert a == a and a != b
+        assert hash(a) == hash(a) != hash(b)
 
 
 def test_convergence_study_m_sweep():

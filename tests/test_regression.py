@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwls.errors import NumericalError
 from mwls.regression import (
     LocalPolynomialBasis,
     LocalPolynomialEstimator,
@@ -255,6 +256,16 @@ def test_fit_rejects_non_finite_points_naming_the_row(bad):
     pts = np.array([[0.1, 0.1], [0.2, 0.3], [0.2, bad], [0.3, -0.4]])
     with pytest.raises(ValueError, match="non-finite point at row 2"):
         ols_fit(np.zeros(4), basis, pts)
+
+
+def test_fit_with_overflowing_sums_names_the_first_cell():
+    """Finite responses whose per-cell sums overflow give non-finite
+    coefficients: a NumericalError names the first such cell."""
+    basis = LocalPolynomialBasis(degree=1, delta=1.0, radius=3.0, d=1)
+    pts = np.linspace(-2.9, 2.9, 600)[:, None]
+    responses = np.where(pts[:, 0] > 1.0, 1e308, 1.0)
+    with pytest.raises(NumericalError, match=r"^non-finite coefficients in cell 4$"):
+        ols_fit(responses, basis, pts)
 
 
 # ---------------------------------------------------------------------------

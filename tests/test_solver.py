@@ -298,7 +298,10 @@ def test_the_driver_is_called_once_a_sum_term_in_ascending_k():
 
     cloud = sample_cloud(model, grid, 0, 200, seed=18)
     driver = DriverSpec(fn=bad_at_three_and_four, L_f=1.0, C_f=1.0)
-    with pytest.raises(NumericalError, match=r"time index 0, sum term k=3$"):
+    with pytest.raises(
+        NumericalError,
+        match=r"^non-finite driver value in the response at time index 0, sum term k=3, path 0$",
+    ):
         _cloud_responses(cloud, grid, driver, _tanh_terminal(), fits, fits)
 
 
@@ -313,7 +316,10 @@ def test_response_builders_flag_nonfinite_driver_terms():
         return np.full(x.shape[0], np.nan) if k == 2 else np.zeros(x.shape[0])
 
     driver = DriverSpec(fn=bad_at_two, L_f=1.0, C_f=1.0)
-    with pytest.raises(NumericalError, match=r"time index 0, sum term k=2"):
+    with pytest.raises(
+        NumericalError,
+        match=r"^non-finite driver value in the response at time index 0, sum term k=2, path 0$",
+    ):
         _z_response(cloud, grid, driver, _tanh_terminal(), fits, fits)
 
 
@@ -368,18 +374,68 @@ def test_an_overflowing_response_names_its_time_index_and_path():
         NumericalError, match=f"^non-finite z-response at time index 2, path {first}$"
     ):
         mwls_solve(model, grid, zero_driver(), signs, basis, basis, cloud_sizes=2000, seed=seed)
-    # only the y-response's own term at index 0 is large: phi(X_N) + 3e307
-    # overflows where phi(X_N) = 1.5e308, not where it is 1.35e308 (the fits
-    # of such responses overflow on the way, and their values are NaN)
-    driver = DriverSpec(fn=lambda k, x, y, z: 9e307 if k == 0 else 0.0, L_f=0.0, C_f=9e307)
-    steps = TerminalSpec(fn=lambda x: np.where(x[:, 0] > 0.5, 1.5e308, 1.35e308), C_xi=1.5e308)
-    cloud = sample_cloud(model, grid, 0, 2000, seed=seed)
-    first = int(np.argmax(cloud.x_at(3)[:, 0] > 0.5))
+    # one step, constant terminal 1e308: the y-response phi(X_1) + f_0 Delta_0
+    # overflows where the driver is 1e308, at X_0 > 0.5, and its z-response
+    # phi(X_1) - phi(X_0) is zero, so no fit overflows before it
+    one_step = make_theta_grid(1.0, 1)
+    driver = DriverSpec(
+        fn=lambda k, x, y, z: np.where(x[:, 0] > 0.5, 1e308, 0.0), L_f=0.0, C_f=1e308
+    )
+    constant = TerminalSpec(fn=lambda x: np.full(x.shape[0], 1e308), C_xi=1e308)
+    cloud = sample_cloud(model, one_step, 0, 2000, seed=seed)
+    first = int(np.argmax(cloud.x_at(0)[:, 0] > 0.5))
     assert first > 0
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+    with np.errstate(over="ignore"), pytest.raises(
         NumericalError, match=f"^non-finite y-response at time index 0, path {first}$"
     ):
-        mwls_solve(model, grid, driver, steps, basis, basis, cloud_sizes=2000, seed=seed)
+        mwls_solve(model, one_step, driver, constant, basis, basis, cloud_sizes=2000, seed=seed)
+
+
+def test_a_non_finite_terminal_value_names_its_path_in_the_whole_cloud():
+    """The solve builds a cloud's responses block by block, and a non-finite
+    terminal value names its row in the whole cloud: here the first state
+    X_N above every one of the first block's, a row of the second block."""
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 2)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    m, seed = 20_000, 6  # two blocks of 10 000 rows
+    cloud = sample_cloud(model, grid, 1, m, seed=seed)
+    level = max(cloud.x_at(k)[:10_000, 0].max() for k in (1, 2))
+    first = int(np.argmax(cloud.x_at(2)[:, 0] > level))
+    assert first >= 10_000
+    terminal = TerminalSpec(fn=lambda x: np.where(x[:, 0] > level, np.nan, 0.0), C_xi=1.0)
+    with pytest.raises(
+        NumericalError,
+        match=f"^non-finite terminal value in the response at time index 1, path {first}$",
+    ):
+        mwls_solve(model, grid, zero_driver(), terminal, basis, basis, cloud_sizes=m, seed=seed)
+
+
+def test_an_overflowing_fit_names_its_time_index():
+    """Every response is finite, but the per-cell sums of a fit overflow:
+    the solve raises NumericalError naming the index and the first cell
+    whose coefficients are not finite, and returns no non-finite fit."""
+    model = brownian_model(x0=0.0, x0_width=2.0)
+    grid = make_theta_grid(1.0, 3)
+    basis = _linear_basis(delta=1.0, radius=3.0)
+    # terminal 1.35e308 / 1.5e308 and a driver term 9e307 at k = 0 only:
+    # the index-2 z-response phi(X_3) - phi(X_2), times the weights, is
+    # finite row by row, and its sums over a cell's rows overflow
+    driver = DriverSpec(fn=lambda k, x, y, z: 9e307 if k == 0 else 0.0, L_f=0.0, C_f=9e307)
+    steps = TerminalSpec(fn=lambda x: np.where(x[:, 0] > 0.5, 1.5e308, 1.35e308), C_xi=1.5e308)
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError,
+        match=r"^regression failed at time index 2: non-finite coefficients in cell 2$",
+    ):
+        mwls_solve(model, grid, driver, steps, basis, basis, cloud_sizes=2000, seed=3)
+    # terminal +-1e307 and the zero driver: the responses are at most 2e307
+    # times a weight, and the right-hand sums of the normal equations overflow
+    signs = TerminalSpec(fn=lambda x: np.where(x[:, 0] > 0.0, 1e307, -1e307), C_xi=1e307)
+    with np.errstate(over="ignore"), pytest.raises(
+        NumericalError,
+        match=r"^regression failed at time index 2: non-finite coefficients in cell 1$",
+    ):
+        mwls_solve(model, grid, zero_driver(), signs, basis, basis, cloud_sizes=2000, seed=3)
 
 
 def test_solve_zero_problem_gives_zero_estimators():
